@@ -13,7 +13,7 @@ from .ensemble import (
     stability_lambda2_bound,
 )
 from .poly import Polynomial, de_polynomial
-from .solver import ConicProblem, ConicSolution, solve, solve_lp_discretized
+from .solver import ConicProblem, ConicSolution, solve
 
 __all__ = [
     "DegreeDistribution",
@@ -26,7 +26,6 @@ __all__ = [
     "de_polynomial",
     "design_rate",
     "solve",
-    "solve_lp_discretized",
     "stability_lambda2_bound",
 ]
 

@@ -184,8 +184,9 @@ def _optimize_common(args, kind: str) -> int:
         "iterations": solution.iterations,
         "degenerate_epsilon": sos.is_degenerate_epsilon(eps),
     }
-    if solution.status != "optimal":
+    if solution.message:
         report["message"] = solution.message
+    if solution.status != "optimal":
         report["duration_seconds"] = time.perf_counter() - t0
         _emit(report, args.output)
         return _STATUS_EXIT[solution.status]
@@ -257,6 +258,8 @@ def cmd_threshold(args) -> int:
         problem = sos.build_threshold_problem(lam, rho)
         solution = solve(problem, tol=args.tol)
         sdp_rep = {"status": solution.status, "iterations": solution.iterations}
+        if solution.message:
+            sdp_rep["message"] = solution.message
         if solution.status == "optimal":
             t_star = float(solution.x[0])
             sdp_rep["t"] = t_star
@@ -265,7 +268,6 @@ def cmd_threshold(args) -> int:
             target = sos.lift_to_real_line(fam.at([t_star]), problem.psd_dim - 1)
             sdp_rep["certificate"] = _certificate_report(problem, solution, target)
         else:
-            sdp_rep["message"] = solution.message
             exit_code = _STATUS_EXIT[solution.status]
         report["sdp"] = sdp_rep
     if args.method in ("bisect", "both"):
@@ -327,9 +329,8 @@ def cmd_sweep(args) -> int:
     solution = solve(problem, tol=args.tol)
     degrees = list(range(2, lam_degrees + 1))
     if solution.status == "optimal":
-        taps = {d: float(v) for d, v in zip(degrees, solution.x[: len(degrees)])}
-        lam = DegreeDistribution({d: v for d, v in taps.items() if v > 1e-12},
-                                 normalize=True)
+        taps = _taps_from_solution(solution, degrees)
+        lam = DegreeDistribution(taps, normalize=True)
         ref = de_mod.LpSweepRow("inf", "optimal", float(solution.objective),
                                 float(design_rate(lam, rho)), taps)
     else:
@@ -417,6 +418,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # Anything else is a defect or a numerical breakdown, not bad input:
+        # report it on one line and exit as a numerical failure.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

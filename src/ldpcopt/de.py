@@ -6,6 +6,12 @@ two routes check each other: the fixed-point iteration works directly on the
 degree polynomials, and the LP baseline enforces the decoding constraint only
 on finitely many grid points (a relaxation whose objective upper-bounds the
 exact program and converges to it as the grid is refined).
+
+The grid LP is handed to the solver in dual form: one nonnegative multiplier
+per grid point and only Dv - 2 equality rows (the simplex row is eliminated
+through lambda_2), so an interior-point iteration costs O(N * Dv^2) rather
+than O(N^3). The design lambda is recovered from the row multipliers and
+checked against the grid constraints before a row is reported optimal.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, solver
 from .ensemble import DegreeDistribution, EnsembleSpec, design_rate
 from .poly import Polynomial
-from .solver import ConicProblem, solve_lp_discretized
+from .solver import ConicProblem, ConicSolution
 
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_STEP_TOL = 1e-12
@@ -136,12 +142,52 @@ class LpSweepRow:
     lam: Optional[dict]
 
 
+@dataclass(frozen=True)
+class DiscretizedLp:
+    """The grid LP in dual form, with the data that maps its answer back.
+
+    ``problem`` is the dual with its Dv - 2 equality rows orthonormalized
+    (A = R' Q', so the solver sees Q' and R^{-T} b); ``psi_powers[k, j]`` is
+    psi(x_k)**(j + 1) at the grid points ``xs``.
+    """
+
+    problem: ConicProblem
+    r_factor: np.ndarray
+    psi_powers: np.ndarray
+    xs: np.ndarray
+
+    def recover_lambda(self, solution: ConicSolution) -> np.ndarray:
+        """lambda_2..lambda_Dv from the row multipliers of a solved dual:
+        lambda_{3..Dv} = R^{-1} y and lambda_2 = 1 - sum(lambda_{3..Dv})."""
+        tail = np.linalg.solve(self.r_factor, solution.y)
+        return np.concatenate([[1.0 - tail.sum()], tail])
+
+    def is_feasible(self, lam: np.ndarray, tol: float) -> bool:
+        """lambda >= 0 and the decoding constraint holds at every grid point,
+        to the solver's residual tolerance."""
+        excess = float(np.max(self.psi_powers @ lam - self.xs))
+        bound = tol * (1.0 + float(np.max(np.abs(self.xs)))) * 1.01
+        return bool(np.min(lam) >= -1e-9 and excess <= bound)
+
+
 def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: int,
-                         n_points: int) -> ConicProblem:
+                         n_points: int) -> DiscretizedLp:
     """LP enforcing the decoding constraint at x_k = k/N, k = 1..N only.
 
-    maximize sum_i lam_i / i  over the simplex with lam_i in [0, 1] and
-    sum_i lam_i * psi(x_k)**(i-1) <= x_k,  psi(x) = 1 - rho(1 - eps*x).
+    The primal is: maximize c'lam with c_i = 1/i, over 1'lam = 1, lam >= 0
+    and Psi lam <= x, where Psi[k, i] = psi(x_k)**(i-1) and
+    psi(x) = 1 - rho(1 - eps*x). Eliminating lam_2 = 1 - sum_{i>=3} lam_i
+    leaves one multiplier mu_k >= 0 per grid point and one slack s_i >= 0 per
+    degree in the dual:
+
+        minimize    (x - Psi_2)'mu + s_2 + c_2
+        subject to  (Psi_i - Psi_2)'mu + s_2 - s_i = c_i - c_2,  i = 3..Dv.
+
+    Its Dv - 2 rows keep the solver's normal matrix (Dv-2) x (Dv-2) whatever
+    N is. The rows psi**i - psi are nearly collinear, so they are
+    orthonormalized once by a QR factorization of A'. The dual objective is
+    an upper bound on the grid LP (and so on the exact program); the design
+    is read back by ``DiscretizedLp.recover_lambda``.
     """
     if n_points < 1:
         raise ValueError("need at least one grid point")
@@ -151,46 +197,58 @@ def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: in
         rho.edge_polynomial().compose(Polynomial((1.0, -eps))))
     nl = max_var_degree - 1
     xs = np.arange(1, n_points + 1) / n_points
-
-    A = np.zeros((1 + n_points, nl + n_points))
-    b = np.zeros(1 + n_points)
-    A[0, :nl] = 1.0
-    b[0] = 1.0
+    psi_powers = np.zeros((n_points, nl))
     block = Polynomial.one()
     for j in range(nl):
         block = block.mul(psi)
-        A[1:, j] = block.evaluate_many(xs)
-    A[1:, nl:] = np.eye(n_points)
-    b[1:] = xs
+        psi_powers[:, j] = block.evaluate_many(xs)
+    gain = np.array([1.0 / i for i in range(2, max_var_degree + 1)])
 
-    c = np.zeros(nl + n_points)
-    c[:nl] = [1.0 / i for i in range(2, max_var_degree + 1)]
-    return ConicProblem(
-        sense="max", c=c, A=A, b=b,
-        n_nonneg=n_points,
-        box_lo=np.zeros(nl), box_hi=np.ones(nl),
-        var_names=tuple(f"lambda_{i}" for i in range(2, max_var_degree + 1)),
-    )
+    # Columns [mu (N) | s_2 | s_3..s_Dv], rows i = 3..Dv.
+    rows = nl - 1
+    A = np.zeros((rows, n_points + nl))
+    A[:, :n_points] = (psi_powers[:, 1:] - psi_powers[:, :1]).T
+    A[:, n_points] = 1.0
+    A[:, n_points + 1:] = -np.eye(rows)
+    q_factor, r_factor = np.linalg.qr(A.T)
+    b = np.linalg.solve(r_factor.T, gain[1:] - gain[0])
+    c = np.zeros(n_points + nl)
+    c[:n_points] = xs - psi_powers[:, 0]
+    c[n_points] = 1.0
+    problem = ConicProblem(sense="min", c=c, A=q_factor.T, b=b,
+                           n_nonneg=n_points + nl, offset=float(gain[0]))
+    return DiscretizedLp(problem, r_factor, psi_powers, xs)
 
 
 def lp_baseline_sweep(rho: DegreeDistribution, eps: float, max_var_degree: int,
                       grid_sizes: Iterable[int], tol: float = 1e-8) -> list:
     """Solve the discretized LP for each grid size, in ascending order.
 
+    A row is ``optimal`` only when the recovered lam passes
+    ``DiscretizedLp.is_feasible``; its objective is the dual objective, a
+    verified upper bound. An unbounded dual means an infeasible grid LP.
     Solver failures are recorded per row and do not abort the sweep.
     """
     rows = []
     for n in sorted(set(int(n) for n in grid_sizes)):
-        prob = build_discretized_lp(rho, eps, max_var_degree, n)
+        lp = build_discretized_lp(rho, eps, max_var_degree, n)
         try:
-            sol = solve_lp_discretized(prob, tol=tol)
+            sol = solver.solve(lp.problem, tol=tol)
         except Exception as exc:  # pragma: no cover - defensive
             rows.append(LpSweepRow(n, f"error: {exc}", None, None, None))
             continue
         if sol.status != "optimal":
-            rows.append(LpSweepRow(n, sol.status, None, None, None))
+            # The dual is always feasible (mu = 0, s_2 = 0, s_i = c_2 - c_i),
+            # so a dual "infeasible" can only be a numerical artefact.
+            status = {"unbounded": "infeasible",
+                      "infeasible": "numerical-failure"}.get(sol.status, sol.status)
+            rows.append(LpSweepRow(n, status, None, None, None))
             continue
-        lam_vals = sol.x[: max_var_degree - 1]
+        lam_vals = lp.recover_lambda(sol)
+        if not lp.is_feasible(lam_vals, tol):
+            rows.append(LpSweepRow(n, "numerical-failure", None, None, None))
+            continue
+        lam_vals = np.clip(lam_vals, 0.0, 1.0)
         taps = {i: float(v) for i, v in zip(range(2, max_var_degree + 1), lam_vals)}
         lam = DegreeDistribution(
             {i: v for i, v in taps.items() if v > 1e-12}, normalize=True)

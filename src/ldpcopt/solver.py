@@ -856,12 +856,5 @@ def _finalize_optimal(problem, canon, res, x, y_full, tol):
     return ConicSolution(
         "optimal", x, objective, res.gap, eq_residual, res.iterations,
         psd_min_eig=min_eig, y=canon.sign * y_full[: canon.p_orig],
-        history=res.history)
+        message=res.message, history=res.history)
 
-
-def solve_lp_discretized(problem: ConicProblem, tol: float = DEFAULT_TOL,
-                         max_iters: int = DEFAULT_MAX_ITERS, trace=None) -> ConicSolution:
-    """LP entry point: identical contract to ``solve`` but rejects PSD blocks."""
-    if problem.psd_dim != 0:
-        raise SolverError("solve_lp_discretized requires an empty PSD block")
-    return solve(problem, tol=tol, max_iters=max_iters, trace=trace)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ldpcopt import cli
 from ldpcopt.cli import main
 
 
@@ -218,3 +219,39 @@ def test_console_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["bisect"]["epsilon"] >= 1.0 - 2e-6
+
+
+def test_unexpected_error_exits_three(monkeypatch, capsys):
+    def broken_solve(*args, **kwargs):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    code, out, err = run_cli(
+        capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
+        "--epsilon", "0.49", "--max-var-degree", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: RuntimeError: solver exploded\n"
+
+
+def test_solver_message_reported(monkeypatch, capsys):
+    # The two-tap design ends on the best-iterate fallback; whatever the
+    # solver says about how it got there reaches the report.
+    solutions = []
+    real_solve = cli.solve
+
+    def recording_solve(*args, **kwargs):
+        solutions.append(real_solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    code, out, _ = run_cli(
+        capsys, "optimize-lambda", "--rho", '{"6": 0.48555, "7": 0.51445}',
+        "--epsilon", "0.45", "--max-var-degree", "7")
+    assert code == 0
+    assert json.loads(out).get("message", "") == solutions[-1].message
+    code, out, _ = run_cli(
+        capsys, "threshold", "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}',
+        "--method", "sdp")
+    assert code == 0
+    assert json.loads(out)["sdp"].get("message", "") == solutions[-1].message

@@ -130,11 +130,56 @@ def test_feasibility_implies_convergence_reference_designs():
 
 def test_discretized_lp_single_point():
     # One constraint at x = 1 cannot bind: all mass lands on degree 2.
-    prob = build_discretized_lp(DegreeDistribution({5: 1.0}), 0.56, 5, 1)
-    sol = solve(prob)
+    lp = build_discretized_lp(DegreeDistribution({5: 1.0}), 0.56, 5, 1)
+    sol = solve(lp.problem)
     assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(1.0, abs=1e-6)
+    assert lp.recover_lambda(sol)[0] == pytest.approx(1.0, abs=1e-6)
     assert sol.objective == pytest.approx(0.5, abs=1e-7)
+
+
+def test_discretized_lp_has_one_row_per_free_degree():
+    # The dual form keeps Dv - 2 equality rows whatever the grid size.
+    lp = build_discretized_lp(DegreeDistribution({5: 1.0}), 0.56, 7, 1000)
+    assert lp.problem.A.shape == (5, 1000 + 6)
+    assert lp.problem.psd_dim == 0 and lp.problem.n_free == 0
+
+
+def test_lp_sweep_knife_edge_grid():
+    # Points whose final primal residual sits near the tolerance when the LP
+    # rows are ill conditioned (rho = {5: 1}, eps = 0.56): each must solve
+    # and pass the grid check.
+    rho = DegreeDistribution({5: 1.0})
+    sizes = [50, 200, 700, 1000]
+    for dv in range(5, 9):
+        rows = lp_baseline_sweep(rho, 0.56, dv, sizes)
+        assert [r.status for r in rows] == ["optimal"] * len(sizes), dv
+        objectives = [r.objective for r in rows]
+        assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:])), dv
+        exact = solve(build_lambda_problem(rho, 0.56, dv)).objective
+        assert all(obj >= exact - 1e-8 for obj in objectives), dv
+        for n, row in zip(sizes, rows):
+            lp = build_discretized_lp(rho, 0.56, dv, n)
+            lam = np.array([row.lam[i] for i in range(2, dv + 1)])
+            assert lp.is_feasible(lam, 1e-8), (dv, n)
+
+
+@pytest.mark.parametrize("max_var_degree,eps", [(2, 0.56), (5, 0.95), (5, 1.0)])
+def test_lp_sweep_infeasible_rows(max_var_degree, eps):
+    # lambda_2 = 1 violates stability at eps = 0.56; no design decodes at
+    # eps >= 0.95 with rho = {5: 1}.
+    rows = lp_baseline_sweep(DegreeDistribution({5: 1.0}), eps,
+                             max_var_degree, [10, 100])
+    assert [r.status for r in rows] == ["infeasible", "infeasible"]
+    assert all(r.objective is None for r in rows)
+
+
+def test_lp_sweep_two_degrees_feasible():
+    # Dv = 2 leaves no equality row: lambda_2 = 1 and the objective is 1/2.
+    rows = lp_baseline_sweep(DegreeDistribution({5: 1.0}), 0.1, 2, [10, 100])
+    assert [r.status for r in rows] == ["optimal", "optimal"]
+    for row in rows:
+        assert row.objective == pytest.approx(0.5, abs=1e-7)
+        assert row.lam == {2: 1.0}
 
 
 def test_lp_sweep_monotone_and_sandwich():

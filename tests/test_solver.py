@@ -5,15 +5,18 @@ import io
 import numpy as np
 import pytest
 
+from ldpcopt.ensemble import DegreeDistribution
 from ldpcopt.solver import (
     ConicProblem,
     SolverError,
     smat,
     solve,
-    solve_lp_discretized,
     svec,
     svec_dim,
 )
+from ldpcopt.sos import build_lambda_problem
+
+from conftest import TWO_TAP_DESIGN
 
 
 def box_lp(sense="max"):
@@ -185,15 +188,13 @@ def test_validation_errors():
                      b=np.zeros(0), n_nonneg=1)
 
 
-def test_lp_entry_point_rejects_psd():
-    prob = ConicProblem(sense="min", c=svec(np.eye(2)),
-                        A=np.zeros((0, 3)), b=np.zeros(0), psd_dim=2)
-    with pytest.raises(SolverError):
-        solve_lp_discretized(prob)
-
-
-def test_lp_entry_point_matches_solve():
-    prob = ConicProblem(sense="min", c=np.array([1.0, 1.0]),
-                        A=np.array([[1.0, 2.0]]), b=np.array([1.0]), n_nonneg=2)
-    assert solve_lp_discretized(prob).objective == \
-        pytest.approx(solve(prob).objective, abs=1e-12)
+def test_best_iterate_fallback_is_reported():
+    # The published two-tap design problem ends on the best-iterate fallback;
+    # an "optimal" that was not the last iterate must say so.
+    rho = DegreeDistribution(TWO_TAP_DESIGN["rho"])
+    problem = build_lambda_problem(rho, TWO_TAP_DESIGN["eps"],
+                                   TWO_TAP_DESIGN["max_var_degree"])
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    if len(sol.history) - 1 > sol.iterations:
+        assert sol.message.startswith("best iterate returned")
