@@ -18,14 +18,25 @@ Algorithm
 ---------
 A primal-dual path-following method on the homogeneous self-dual embedding:
 Nesterov-Todd scaling for the PSD block, Mehrotra predictor-corrector steps,
-dense factorizations throughout. Boxed variables are folded into the
-nonnegative cone through a shift and one slack each; infeasibility and
-unboundedness are certified from the embedding (tau -> 0) rather than via a
-phase-1. Identical inputs produce identical iterate sequences.
+dense factorizations throughout. Each Cholesky factor is inverted once, when
+it is formed, so every solve with it is a matrix product. Boxed variables are
+folded into the nonnegative cone through a shift and one slack each;
+infeasibility and unboundedness are certified from the embedding (tau -> 0)
+rather than via a phase-1. Identical inputs produce identical iterate
+sequences.
+
+The method keeps the iterate with the smallest merit max(primal residual,
+dual residual, relative gap). Once that merit meets the tolerance, the first
+iteration that fails to improve it ends the solve, and the best iterate is
+returned (its message starts with ``best iterate returned:``). Its primal
+part is then polished by the least-squares correction that clears the
+equality residual, so the answer satisfies A x = b to rounding even when the
+iterates stalled just below the tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -54,8 +65,13 @@ def svec_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
 def _triu(d: int):
-    return np.triu_indices(d)
+    """Upper-triangle indices of a d x d matrix, cached and read-only."""
+    iu0, iu1 = np.triu_indices(d)
+    iu0.flags.writeable = False
+    iu1.flags.writeable = False
+    return iu0, iu1
 
 
 def svec(m: np.ndarray) -> np.ndarray:
@@ -87,7 +103,8 @@ def smat(v: np.ndarray, d: Optional[int] = None) -> np.ndarray:
 def _svec_batch(ms: np.ndarray) -> np.ndarray:
     d = ms.shape[-1]
     iu0, iu1 = _triu(d)
-    out = ms[..., iu0, iu1].copy()
+    # One gather over the flattened matrices is faster than a 2-D fancy index.
+    out = ms.reshape(ms.shape[:-2] + (d * d,))[..., iu0 * d + iu1]
     out[..., iu0 != iu1] *= _SQRT2
     return out
 
@@ -463,6 +480,30 @@ class _NumericalFailure(Exception):
     pass
 
 
+def _tril_inverse(chol: np.ndarray) -> np.ndarray:
+    """Explicit inverse of a lower-triangular Cholesky factor.
+
+    numpy has no triangular solver, and ``np.linalg.solve`` on a factor
+    redoes a general LU on every call; the inverse is formed once per factor
+    and then applied with matrix products.
+    """
+    return np.tril(np.linalg.inv(chol))
+
+
+def _inverse_gram_factor(m: np.ndarray) -> Optional[np.ndarray]:
+    """Inverse Cholesky factor of m m' plus a small relative jitter, or None
+    if the Gram matrix cannot be factorized."""
+    gram = m @ m.T
+    p = gram.shape[0]
+    jitter = 1e-12 * max(1.0, float(np.trace(gram)) / max(p, 1))
+    for _ in range(6):
+        try:
+            return _tril_inverse(np.linalg.cholesky(gram + jitter * np.eye(p)))
+        except np.linalg.LinAlgError:
+            jitter *= 100.0
+    return None
+
+
 class _KKT:
     """Per-iteration factorization of the reduced system.
 
@@ -475,13 +516,16 @@ class _KKT:
     def __init__(self, core, scaling: _Scaling):
         self.core = core
         self.scaling = scaling
-        Ac, psd_rows, P_stack = core.Ac, core.psd_rows, core.P_stack
+        Ac, psd_rows = core.Ac, core.psd_rows
         p = Ac.shape[0]
         n_orth, d = scaling.n_orth, scaling.d
         ghat = np.zeros((core.m_c, p))
         ghat[:n_orth, :] = Ac[:, :n_orth].T * scaling.w[:, None]
         if d and psd_rows.size:
-            congr = np.matmul(np.matmul(scaling.R.T, P_stack), scaling.R)
+            R = scaling.R
+            congr = np.empty((psd_rows.size, d, d))
+            for k, (I, J, v) in enumerate(core.psd_nonzeros):
+                congr[k] = (R[I] * v[:, None]).T @ R[J]
             ghat[n_orth:, psd_rows] = _svec_batch(congr).T
         self.ghat = ghat
         phi = ghat.T @ ghat
@@ -491,13 +535,14 @@ class _KKT:
         shift = 0.0
         for attempt in range(8):
             try:
-                self.chol = np.linalg.cholesky(phi + shift * np.eye(p))
+                chol = np.linalg.cholesky(phi + shift * np.eye(p))
                 break
             except np.linalg.LinAlgError:
                 shift = scale * 1e-14 * (100.0 ** attempt) if shift == 0.0 \
                     else shift * 100.0
         else:
             raise _NumericalFailure("KKT matrix could not be factorized")
+        self.chol_inv = _tril_inverse(chol)
         Af = core.Af
         if Af.shape[1]:
             phi_inv_af = self._chol_solve(Af)
@@ -511,14 +556,13 @@ class _KKT:
     def tau_denominator_part(self, b: np.ndarray) -> float:
         """b' phi^{-1} b + || (I - P) W c_c ||^2 with P the projector onto
         range(Ghat); both terms are squared norms, hence nonnegative."""
-        t1 = np.linalg.solve(self.chol, b)
+        t1 = self.chol_inv @ b
         chat = self.scaling.scale_z(self.core.cc)
         resid = chat - self.ghat @ self._chol_solve(self.ghat.T @ chat)
         return float(t1 @ t1 + resid @ resid)
 
     def _chol_solve(self, rhs):
-        y = np.linalg.solve(self.chol, rhs)
-        return np.linalg.solve(self.chol.T, y)
+        return self.chol_inv.T @ (self.chol_inv @ rhs)
 
     def saddle(self, u1: np.ndarray, u2: np.ndarray):
         """Solve [phi Af; Af' 0] [dy; dxf] = [u1; u2] with one refinement."""
@@ -552,41 +596,61 @@ class _Core:
         self.Ac = self.A[:, self.f:]
         self.cf = self.c[: self.f]
         self.cc = self.c[self.f:]
+        # Each constraint matrix P_r of the PSD block as the coordinates
+        # (I, J, v) of its nonzeros, both triangles, so that the congruence
+        # R' P_r R = (R[I] * v)' R[J] costs 2 nnz(P_r) d^2 flops instead of
+        # 4 d^3 (a Hankel row of an SOS program has at most d nonzeros).
+        self.psd_nonzeros = []
         if self.d:
             psd_part = self.Ac[:, self.n_orth:]
             self.psd_rows = np.where(np.abs(psd_part).sum(axis=1) > 0.0)[0]
             iu0, iu1 = _triu(self.d)
-            stack = np.zeros((self.psd_rows.size, self.d, self.d))
-            vals = psd_part[self.psd_rows].copy()
-            off = iu0 != iu1
-            vals[:, off] /= _SQRT2
-            stack[:, iu0, iu1] = vals
-            stack[:, iu1, iu0] = vals
-            self.P_stack = stack
+            for r in self.psd_rows:
+                k = np.flatnonzero(psd_part[r])
+                i, j = iu0[k], iu1[k]
+                off = i != j
+                v = np.where(off, psd_part[r, k] / _SQRT2, psd_part[r, k])
+                self.psd_nonzeros.append((np.concatenate([i, j[off]]),
+                                          np.concatenate([j, i[off]]),
+                                          np.concatenate([v, v[off]])))
         else:
             self.psd_rows = np.zeros(0, dtype=int)
-            self.P_stack = np.zeros((0, 0, 0))
         # Constant Gram factor of the cone columns, used to project the primal
         # defect out of recovered directions (the scaling-amplified noise in
         # dxc otherwise puts a floor on the primal residual).
-        gram = self.Ac @ self.Ac.T
-        p = gram.shape[0]
-        jitter = 1e-12 * max(1.0, float(np.trace(gram)) / max(p, 1))
-        self.eq_gram_chol = None
-        for _ in range(6):
-            try:
-                self.eq_gram_chol = np.linalg.cholesky(gram + jitter * np.eye(p))
-                break
-            except np.linalg.LinAlgError:
-                jitter *= 100.0
+        self.eq_gram_inv = _inverse_gram_factor(self.Ac)
 
     def project_primal_defect(self, dxc: np.ndarray, defect: np.ndarray) -> np.ndarray:
         """Least-squares correction of dxc so that Ac dxc absorbs `defect`."""
-        if self.eq_gram_chol is None or defect.size == 0:
+        if self.eq_gram_inv is None or defect.size == 0:
             return dxc
-        t = np.linalg.solve(self.eq_gram_chol, defect)
-        t = np.linalg.solve(self.eq_gram_chol.T, t)
+        t = self.eq_gram_inv.T @ (self.eq_gram_inv @ defect)
         return dxc + self.Ac.T @ t
+
+    def polish(self, x: np.ndarray) -> np.ndarray:
+        """Return the interior point x with its equality residual cleared.
+
+        The cone part moves by the least-squares correction that absorbs
+        b - A x, with orthant coordinate i weighted by min(x_i, 1): a
+        coordinate near its bound moves in proportion to its value and keeps
+        its sign. PSD coordinates have weight one; the correction is of the
+        order of the residual, far inside the eigenvalue margin. The answer
+        then meets A x = b to rounding, which certificates checked in badly
+        scaled coordinates (monomial Gram matrices) depend on.
+        """
+        f, n = self.f, self.n_orth
+        if self.b.size == 0:
+            return x
+        root = np.ones(self.m_c)
+        root[:n] = np.sqrt(np.minimum(x[f:f + n], 1.0))
+        scaled = self.Ac * root
+        inv = _inverse_gram_factor(scaled)
+        if inv is None:
+            return x
+        defect = self.b - self.Af @ x[:f] - self.Ac @ x[f:]
+        out = x.copy()
+        out[f:] += root * (scaled.T @ (inv.T @ (inv @ defect)))
+        return out
 
 
 def _solve_linear_only(data, tol: float):
@@ -633,9 +697,6 @@ def _from_best(best, best_merit, tol, history, message) -> _HsdResult:
 def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
     f, m_c, p = core.f, core.m_c, core.A.shape[0]
     nu = core.n_orth + core.d + 1
-    # Aim past the requested tolerance while iterates keep improving; the best
-    # iterate is accepted once it meets `tol`, so the extra accuracy is free.
-    target = max(tol * 1e-3, 1e-12)
 
     x = np.zeros(f + m_c)
     x[f:] = _unit_cone(core)
@@ -674,13 +735,17 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
 
         # Keep the best iterate: degenerate problems can destabilize right at
         # the end, and a late bad step must not discard a converged point.
+        # Once the best iterate meets `tol`, iterate only while the merit
+        # still improves: past that point the residuals have reached their
+        # rounding floor and further steps shrink without gaining accuracy
+        # (the final polish in `solve` clears the primal residual instead).
         merit = max(pres, dres, relgap)
         if merit < best_merit:
             best_merit = merit
             best = (x / tau, y / tau, abs(pobj - dobj), pres, it)
-        if merit <= target:
-            return _HsdResult("optimal", x / tau, y / tau, abs(pobj - dobj),
-                              pres, it, tuple(history))
+        elif best_merit <= tol:
+            return _from_best(best, best_merit, tol, history,
+                              "no further progress after convergence")
         if merit > 1e3 * best_merit:
             return _from_best(best, best_merit, tol, history,
                               "iterates diverged after best point")
@@ -800,8 +865,9 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
 
     Returns a ``ConicSolution`` whose status is one of ``optimal``,
     ``infeasible``, ``unbounded`` or ``numerical-failure``. An ``optimal``
-    result has passed an independent post-hoc residual check; a numerical
-    failure reports the final residuals instead of a doubtful answer.
+    result is the best iterate, polished to clear its equality residual, and
+    has passed an independent post-hoc residual check; a numerical failure
+    reports the final residuals instead of a doubtful answer.
     """
     problem.validate()
     canon = _Canonical(problem)
@@ -822,7 +888,8 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
     res = _solve_hsd(core, tol, max_iters, trace)
 
     if res.status == "optimal":
-        x = canon.recover_x(red.expand_x(res.x_hat))
+        x_hat = core.polish(res.x_hat)
+        x = canon.recover_x(red.expand_x(x_hat))
         y_full = red.expand_y(res.y_hat, canon.A.shape[0])
         return _finalize_optimal(problem, canon, res, x, y_full, tol)
     gap = res.gap if np.isfinite(res.gap) else math.inf

@@ -213,7 +213,9 @@ def gram_basis_weights(q: int) -> np.ndarray:
     exact, cone-preserving change of basis under which the identity matrix
     certifies (1+x^2)^q and well-behaved certificates stay O(1).
     """
-    return np.sqrt([math.comb(q, i) for i in range(q + 1)])
+    # Float binomials: past q = 66, C(q, q/2) > 2^63 and a list of exact
+    # ints would become an object array that np.sqrt rejects.
+    return np.array([math.sqrt(math.comb(q, i)) for i in range(q + 1)])
 
 
 def _antidiagonal_rows(q: int) -> np.ndarray:

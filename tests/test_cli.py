@@ -1,6 +1,7 @@
 """Command-line interface: pipelines, exit codes, report invariants."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -209,6 +210,33 @@ def test_verify_twelve_tap_design(capsys):
     assert report["rate"] == pytest.approx(0.4998, abs=1e-3)
     # Quoted taps sum to 1.0003; ingestion renormalizes and says so.
     assert "renormalized" in err
+
+
+def test_optimize_lambda_large_degree_cap(capsys):
+    # q = 75 > 66: C(q, q/2) exceeds 2^63, so the Gram basis weights must be
+    # computed from float binomials.
+    code, out, _ = run_cli(
+        capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
+        "--epsilon", "0.48", "--max-var-degree", "16")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "optimal"
+    assert report["objective"] == pytest.approx(0.3341888841, abs=1e-8)
+
+
+def test_design_verified_at_one_blas_thread():
+    # The Dv = 20 design once failed its Gram reconstruction check at one
+    # BLAS thread: its equality residual was met only to the solver
+    # tolerance, which the monomial-basis certificate amplifies.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ldpcopt.cli", "optimize-lambda",
+         "--rho", '{"4": 1.0}', "--epsilon", "0.6", "--max-var-degree", "20"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "optimal"
+    assert report["certificate"]["reconstruction_ok"]
 
 
 def test_console_entry_point():

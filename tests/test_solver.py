@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from ldpcopt import solver
 from ldpcopt.ensemble import DegreeDistribution
 from ldpcopt.solver import (
     ConicProblem,
@@ -16,7 +17,7 @@ from ldpcopt.solver import (
 )
 from ldpcopt.sos import build_lambda_problem
 
-from conftest import TWO_TAP_DESIGN
+from conftest import REFERENCE_DESIGNS, TWO_TAP_DESIGN
 
 
 def box_lp(sense="max"):
@@ -198,3 +199,60 @@ def test_best_iterate_fallback_is_reported():
     assert sol.status == "optimal"
     if len(sol.history) - 1 > sol.iterations:
         assert sol.message.startswith("best iterate returned")
+
+
+def reference_lambda_problem(name):
+    design = REFERENCE_DESIGNS[name]
+    return build_lambda_problem(DegreeDistribution(design["rho"]), design["eps"],
+                                design["max_var_degree"])
+
+
+def test_optimal_sos_solve_is_polished():
+    # The returned iterate is polished so that it meets A x = b to rounding,
+    # not merely to the solver tolerance.
+    sol = solve(reference_lambda_problem("check6_eps049"))
+    assert sol.status == "optimal"
+    assert sol.eq_residual <= 1e-12
+
+
+@pytest.mark.parametrize("problem", [
+    reference_lambda_problem("check4_eps064"),
+    reference_lambda_problem("check8_eps033"),
+    ConicProblem(sense="max", c=np.array([1.0, 0.5]), A=np.array([[1.0, 1.0]]),
+                 b=np.array([1.0]), n_nonneg=2),
+])
+def test_no_iterations_past_the_answer(problem):
+    # Once the best iterate meets the tolerance, the first iteration that
+    # does not improve on it ends the solve.
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert len(sol.history) - 1 <= sol.iterations + 1
+
+
+def _random_interior(rng, n_orth, d):
+    g = rng.normal(size=(d, d))
+    return np.concatenate([rng.uniform(0.5, 2.0, n_orth), svec(g @ g.T + np.eye(d))])
+
+
+def _assert_congruence_matches_dense(problem, rng):
+    core = solver._Core(solver._FacialReduction(solver._Canonical(problem)))
+    n, d = core.n_orth, core.d
+    scal = solver._Scaling(n, d, _random_interior(rng, n, d), _random_interior(rng, n, d))
+    ghat = solver._KKT(core, scal).ghat
+    for r in core.psd_rows:
+        dense = scal.R.T @ smat(core.Ac[r, n:], d) @ scal.R
+        expected = svec(0.5 * (dense + dense.T))
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(ghat[n:, r] - expected)) <= 1e-12 * scale
+
+
+def test_sparse_congruence_matches_dense_on_sos_problem(rng):
+    _assert_congruence_matches_dense(reference_lambda_problem("check7_eps038"), rng)
+
+
+def test_sparse_congruence_matches_dense_on_dense_rows(rng):
+    d, p = 6, 4
+    A = rng.normal(size=(p, 2 + svec_dim(d)))
+    problem = ConicProblem(sense="min", c=rng.normal(size=A.shape[1]), A=A,
+                           b=rng.normal(size=p), n_nonneg=2, psd_dim=d)
+    _assert_congruence_matches_dense(problem, rng)

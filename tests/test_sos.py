@@ -1,5 +1,7 @@
 """Lift, affine families, problem builders, and Gram certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ldpcopt.sos import (
     build_sos_feasibility,
     build_threshold_problem,
     certificate_from_solution,
+    gram_basis_weights,
     is_degenerate_epsilon,
     lambda_constraint_family,
     lift_halfline_to_line,
@@ -190,6 +193,14 @@ def test_threshold_family_structure():
 
 
 # -- builders -----------------------------------------------------------------
+
+
+def test_gram_basis_weights_past_int64_binomials():
+    # C(75, 37) > 2^63: the weights must still come out as plain floats.
+    w = gram_basis_weights(75)
+    assert w.dtype == np.float64
+    assert w[37] == pytest.approx(math.sqrt(math.comb(75, 37)), rel=1e-15)
+    assert np.allclose(gram_basis_weights(4), np.sqrt([1.0, 4.0, 6.0, 4.0, 1.0]))
 
 
 def test_lambda_problem_dimensions():
