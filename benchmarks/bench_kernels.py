@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the compiled erasure fixed-point kernels against the pure-Python
-fallback.
+fallback, then time threshold bisection with the active kernel.
 
 The fixed-point iteration is the only sequential hot loop in the package (it
 dominates threshold bisection); everything else is vectorized linear algebra.
+The bisection rows count threshold-predicate calls, kernel runs and kernel
+steps, so the predicate's cost shows without a tracer.
 Run as:  python benchmarks/bench_kernels.py
 """
 
@@ -11,7 +13,7 @@ import time
 
 import numpy as np
 
-from ldpcopt import kernels
+from ldpcopt import de, kernels
 from ldpcopt.ensemble import DegreeDistribution
 
 WORKLOADS = [
@@ -21,7 +23,11 @@ WORKLOADS = [
     ("fast convergence", {3: 1.0}, {6: 1.0}, 0.30, 300_000),
 ]
 
-BISECTION_PROBES = 40
+BISECTIONS = [
+    # (label, lam taps, rho taps)
+    ("regular (3,6) pair", {3: 1.0}, {6: 1.0}),
+    ("four-tap type MB", {2: 0.4167, 3: 0.1667, 4: 0.1000, 8: 0.3176}, {6: 1.0}),
+]
 
 
 def _coeffs(taps):
@@ -61,19 +67,43 @@ def main():
         if len(rows) == 2:
             print(f"{'':34s} speedup: {rows['python'] / rows['compiled']:.1f}x")
 
-    # A bisection-shaped workload: many medium-length runs.
-    lam = np.ascontiguousarray(_coeffs({3: 1.0}))
-    rho = np.ascontiguousarray(_coeffs({6: 1.0}))
-    eps_grid = np.linspace(0.05, 0.4294, BISECTION_PROBES)
     print()
-    for name, impl in impls.items():
+    header = (f"{'bisection':34s} {'threshold':>10s} {'predicate':>9s} "
+              f"{'runs':>6s} {'steps':>9s} {'time':>10s}")
+    print(header)
+    print("-" * len(header))
+    for label, lam_taps, rho_taps in BISECTIONS:
+        threshold, elapsed, counts = count_bisection(lam_taps, rho_taps)
+        print(f"{label:34s} {threshold:>10.7f} {counts['predicate']:9d} "
+              f"{counts['runs']:6d} {counts['steps']:9d} {elapsed * 1e3:8.2f}ms")
+
+
+def count_bisection(lam_taps, rho_taps):
+    """Run `de.bisect_threshold` once with counting wrappers around the
+    predicate and the kernel; returns (threshold, seconds, counts)."""
+    counts = {"predicate": 0, "runs": 0, "steps": 0}
+    predicate, de_final = de._converges_to_zero, kernels.de_final
+
+    def counting_predicate(*args):
+        counts["predicate"] += 1
+        return predicate(*args)
+
+    def counting_de_final(*args):
+        out = de_final(*args)
+        counts["runs"] += 1
+        counts["steps"] += out[1]
+        return out
+
+    lam = DegreeDistribution(lam_taps, normalize=True)
+    rho = DegreeDistribution(rho_taps, normalize=True)
+    de._converges_to_zero, kernels.de_final = counting_predicate, counting_de_final
+    try:
         t0 = time.perf_counter()
-        total = 0
-        for eps in eps_grid:
-            total += impl.de_final(lam, rho, float(eps), 10_000, 1e-12, 0.0)[1]
+        threshold = de.bisect_threshold(lam, rho)
         elapsed = time.perf_counter() - t0
-        print(f"bisection-shaped ({BISECTION_PROBES} probes, {total} steps): "
-              f"{name:9s} {elapsed * 1e3:8.2f}ms")
+    finally:
+        de._converges_to_zero, kernels.de_final = predicate, de_final
+    return threshold, elapsed, counts
 
 
 if __name__ == "__main__":

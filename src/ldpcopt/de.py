@@ -30,13 +30,21 @@ DEFAULT_MAX_ITERS = 10_000
 DEFAULT_STEP_TOL = 1e-12
 ZERO_CUTOFF = 1e-9
 
-# Budget ladder for the threshold predicate: near-threshold ensembles decay
-# slowly (the contraction factor approaches 1), so the default budget cannot
-# always separate "slowly to zero" from "positive fixed point". Runs are
-# extended once and, at the cap, classified by scanning the step map for a
-# fixed point below the last iterate.
-_PREDICATE_BUDGETS = (10_000, 300_000)
+# Budget ladder for the threshold predicate. Each rung reruns the simulation
+# from x0 = eps (the kernel keeps no state between calls) and stops early on
+# an exactly zero step. Most runs above threshold are settled by the zero
+# step or by a fixed-point witness after the short first rung; near-threshold
+# runs contract at a factor close to 1 and need the longer rungs, either to
+# reach the zero cutoff or to settle close enough to their fixed point for a
+# witness. After the last rung a dense logarithmic scan between the cutoff
+# and the last iterate is the backstop.
+_PREDICATE_BUDGETS = (1_000, 10_000, 300_000)
 _FIXED_POINT_SCAN = 4096
+# Smallest positive double: abs(step) < _ZERO_STEP holds only for a zero step.
+_ZERO_STEP = float(np.nextafter(0.0, 1.0))
+# Witness probes step down from the last iterate by the Aitken remainder
+# estimate times powers of this ratio.
+_WITNESS_RATIO = 2.0 ** 0.125
 
 
 @dataclass(frozen=True)
@@ -71,53 +79,86 @@ def de_iterate(spec: EnsembleSpec, max_iters: int = DEFAULT_MAX_ITERS,
     )
 
 
-def _horner_many(coeffs, xs):
-    acc = np.zeros_like(xs)
-    for k in range(len(coeffs) - 1, -1, -1):
-        acc = acc * xs + coeffs[k]
-    return acc
+def _step_map(lam_p: Polynomial, rho_p: Polynomial, eps: float,
+              ys: np.ndarray) -> np.ndarray:
+    """eps * lam(1 - rho(1 - y)) at each point of `ys`.
+
+    Evaluated in the kernel's operation order (Horner, then the same
+    subtractions and product), so each value is bit-identical to the iterate
+    the simulation computes from y.
+    """
+    return eps * lam_p.evaluate_many(1.0 - rho_p.evaluate_many(1.0 - ys))
 
 
-def _converges_to_zero(lam_c, rho_c, eps: float) -> bool:
+def _witness_probes(final: float, d_last: float, d_prev: float) -> np.ndarray:
+    """Points in [ZERO_CUTOFF, final] where a fixed point below `final` is
+    likely: final - R * _WITNESS_RATIO**j for j = 0, 1, ..., where
+    R = -d_last * r / (1 - r) with r = d_last / d_prev is the Aitken estimate
+    of the distance still to go, plus ZERO_CUTOFF itself."""
+    r = d_last / d_prev if d_prev != 0.0 else 0.0
+    remainder = -d_last * r / (1.0 - r) if 0.0 < r < 1.0 else -d_last
+    span = final - ZERO_CUTOFF
+    if not 0.0 < remainder < span:
+        return np.array([ZERO_CUTOFF])
+    count = int(np.log(span / remainder) / np.log(_WITNESS_RATIO)) + 1
+    ys = final - remainder * _WITNESS_RATIO ** np.arange(count)
+    return np.append(ys[ys >= ZERO_CUTOFF], ZERO_CUTOFF)
+
+
+def _converges_to_zero(lam_p: Polynomial, rho_p: Polynomial, eps: float) -> bool:
     """Threshold predicate: does the erasure fixed point reach zero?
 
-    Runs the trace-free iteration with an escalating budget. If the budget is
-    exhausted while still descending, the monotone step map settles at the
-    largest fixed point below the last iterate, so the tail is classified by
-    scanning eps * lam(1 - rho(1 - x)) - x for a sign crossing on a dense
-    logarithmic grid between the zero cutoff and the last iterate.
+    `lam_p` and `rho_p` are the edge polynomials. The kernel runs from
+    x0 = eps for each budget of ``_PREDICATE_BUDGETS`` in turn. ``True`` is
+    never extrapolated: it comes from a run that drops below ``ZERO_CUTOFF``
+    or, once the last run ends still descending, from the backstop scan (no
+    x with f(x) >= x on a dense logarithmic grid between the cutoff and the
+    last iterate, where f(x) = eps * lam(1 - rho(1 - x))). ``False`` is
+    decided as soon as it is proved:
+
+    * zero-step stop: the kernel stops on an exactly zero step, so the last
+      iterate is a fixed point of the computed map above the cutoff;
+    * fixed-point witness: after each run, a probe y in [ZERO_CUTOFF, last
+      iterate] with f(y) >= y, computed in the kernel's arithmetic. Rounding
+      is monotone and every coefficient is nonnegative, so the computed map
+      is nondecreasing on [0, 1]: an iterate x >= y steps to
+      f(x) >= f(y) >= y, and the run never drops below y. The probes follow
+      the Aitken estimate of the fixed point the run approaches (see
+      ``_witness_probes``).
     """
     if eps <= 0.0:
         return True
-    final = eps
+    lam_c, rho_c = lam_p.coeffs, rho_p.coeffs
     for budget in _PREDICATE_BUDGETS:
-        final, _, _, d_last, _ = kernels.de_final(
-            lam_c, rho_c, eps, budget, 0.0, ZERO_CUTOFF * 0.1)
+        final, _, stopped, d_last, d_prev = kernels.de_final(
+            lam_c, rho_c, eps, budget, _ZERO_STEP, ZERO_CUTOFF * 0.1)
         if final < ZERO_CUTOFF:
             return True
-        if d_last == 0.0:
+        if stopped:
+            return False
+        probes = _witness_probes(final, d_last, d_prev)
+        if np.any(_step_map(lam_p, rho_p, eps, probes) >= probes):
             return False
     xs = np.exp(np.linspace(np.log(ZERO_CUTOFF), np.log(final), _FIXED_POINT_SCAN))
-    gap = eps * _horner_many(lam_c, 1.0 - _horner_many(rho_c, 1.0 - xs)) - xs
-    return bool(np.all(gap < 0.0))
+    return not np.any(_step_map(lam_p, rho_p, eps, xs) >= xs)
 
 
 def bisect_threshold(lam: DegreeDistribution, rho: DegreeDistribution,
                      precision: float = 1e-6) -> float:
     """Largest erasure probability whose fixed point still reaches zero.
 
-    Bisection on [0, 1] with the `de_iterate` converged-to-zero predicate.
+    Bisection on [0, 1] with the `_converges_to_zero` predicate.
     The result also satisfies the capacity-side bound
     eps* <= (sum rho_j / j) / (sum lam_i / i) up to `precision`.
     """
-    lam_c = lam.edge_polynomial().coeffs
-    rho_c = rho.edge_polynomial().coeffs
+    lam_p = lam.edge_polynomial()
+    rho_p = rho.edge_polynomial()
     lo, hi = 0.0, 1.0
-    if _converges_to_zero(lam_c, rho_c, hi):
+    if _converges_to_zero(lam_p, rho_p, hi):
         return hi
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
-        if _converges_to_zero(lam_c, rho_c, mid):
+        if _converges_to_zero(lam_p, rho_p, mid):
             lo = mid
         else:
             hi = mid

@@ -178,32 +178,6 @@ class Polynomial:
         return self.power(k)
 
 
-# -- module-level aliases matching the functional call style -------------------
-
-def evaluate(p: Polynomial, x: float) -> float:
-    return p.evaluate(x)
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p.add(q)
-
-
-def scale(p: Polynomial, s: float) -> Polynomial:
-    return p.scale(s)
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p.mul(q)
-
-
-def power(p: Polynomial, k: int) -> Polynomial:
-    return p.power(k)
-
-
-def compose(outer: Polynomial, inner: Polynomial) -> Polynomial:
-    return outer.compose(inner)
-
-
 # -- decoding-success polynomial ------------------------------------------------
 
 def de_polynomial(lam, rho, eps: float) -> Polynomial:

@@ -4,8 +4,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldpcopt import kernels
 from ldpcopt.de import (
+    _converges_to_zero,
+    _step_map,
     bisect_threshold,
     build_discretized_lp,
     de_iterate,
@@ -14,7 +19,7 @@ from ldpcopt.de import (
 )
 from ldpcopt.ensemble import DegreeDistribution, EnsembleSpec, check_de_feasible
 from ldpcopt.solver import solve
-from ldpcopt.sos import build_lambda_problem
+from ldpcopt.sos import build_lambda_problem, build_threshold_problem
 
 from conftest import random_distribution
 
@@ -80,6 +85,89 @@ def test_bisect_threshold_reference_taps():
     thr = bisect_threshold(lam, RHO36)
     # The quoted operating point 0.49 must be within the threshold.
     assert thr >= 0.49 - 1e-4
+
+
+# Thresholds returned by the bisection before the predicate stopped runs on
+# fixed-point witnesses; the new predicate must reproduce them bit for bit.
+PINNED_THRESHOLDS = [
+    ({3: 1.0}, {6: 1.0}, 0.4294400215148926),
+    ({2: 0.4949, 3: 0.5051},
+     {2: 0.044, 3: 0.0136, 4: 0.2287, 5: 0.2219, 6: 0.4918},
+     0.4258303642272949),
+    ({2: 0.409, 3: 0.2601, 4: 0.2827, 5: 0.0481},
+     {2: 0.0519, 3: 0.1978, 4: 0.1122, 5: 0.3649, 6: 0.2045, 7: 0.0687},
+     0.5745835304260254),
+]
+
+
+@pytest.mark.parametrize("lam_taps,rho_taps,expected", PINNED_THRESHOLDS)
+def test_bisect_threshold_pinned(lam_taps, rho_taps, expected):
+    thr = bisect_threshold(DegreeDistribution(lam_taps, normalize=True),
+                           DegreeDistribution(rho_taps, normalize=True))
+    assert thr == expected
+
+
+def _count_kernel_steps(monkeypatch):
+    steps = []
+    real = kernels.de_final
+
+    def counting(*args):
+        out = real(*args)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(kernels, "de_final", counting)
+    return steps
+
+
+def test_bisect_threshold_step_count(monkeypatch):
+    # Runs above threshold end on a zero step or a fixed-point witness
+    # instead of exhausting their budgets (380,073 steps when they did).
+    steps = _count_kernel_steps(monkeypatch)
+    bisect_threshold(LAM36, RHO36)
+    assert sum(steps) <= 50_000
+
+
+def test_predicate_settles_above_threshold_in_first_rung(monkeypatch):
+    steps = _count_kernel_steps(monkeypatch)
+    lam_p, rho_p = LAM36.edge_polynomial(), RHO36.edge_polynomial()
+    assert not _converges_to_zero(lam_p, rho_p, 0.4375)
+    assert sum(steps) <= 1_000
+    assert _converges_to_zero(lam_p, rho_p, 0.42)
+
+
+def test_step_map_matches_kernel_bit_for_bit():
+    # The witness is sound only if it evaluates the map exactly as the
+    # simulation does.
+    for lam, rho, eps in [(LAM36, RHO36, 0.44),
+                          (DegreeDistribution({2: 0.3, 4: 0.7}),
+                           DegreeDistribution({3: 0.4, 7: 0.6}), 0.5)]:
+        lam_p, rho_p = lam.edge_polynomial(), rho.edge_polynomial()
+        trace, _ = kernels.de_trace(lam_p.coeffs, rho_p.coeffs, eps, 500, 0.0)
+        assert np.array_equal(_step_map(lam_p, rho_p, eps, trace[:-1]), trace[1:])
+
+
+@st.composite
+def degree_distributions(draw):
+    max_degree = draw(st.integers(3, 7))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=max_degree - 1,
+                            max_size=max_degree - 1))
+    total = sum(weights)
+    return DegreeDistribution(
+        {d: w / total for d, w in zip(range(2, max_degree + 1), weights)},
+        normalize=True)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(lam=degree_distributions(), rho=degree_distributions())
+def test_predicate_brackets_sdp_threshold(lam, rho):
+    sol = solve(build_threshold_problem(lam, rho))
+    assert sol.status == "optimal"
+    eps_star = 1.0 / float(sol.x[0])
+    lam_p, rho_p = lam.edge_polynomial(), rho.edge_polynomial()
+    assert _converges_to_zero(lam_p, rho_p, eps_star * (1.0 - 1e-3))
+    if eps_star * (1.0 + 1e-3) <= 1.0:
+        assert not _converges_to_zero(lam_p, rho_p, eps_star * (1.0 + 1e-3))
 
 
 def test_bisect_threshold_capacity_bound(rng):
