@@ -125,6 +125,15 @@ def _flatten(data, prefix=""):
     return out
 
 
+def _build(fields: str, builder, *args):
+    """Run an SOS problem builder; a Gram block over ``sos.MAX_GRAM_DIM`` is
+    an input error blamed on the degree fields that set its size."""
+    try:
+        return builder(*args)
+    except sos.GramTooLarge as exc:
+        raise InputError(f"{fields}: {exc}; lower the maximum degree") from None
+
+
 def _taps_from_solution(solution, degrees) -> dict:
     # Interior-point outputs can overshoot the box by ~1e-9; clip before the
     # distribution invariants are enforced.
@@ -162,14 +171,16 @@ def _optimize_common(args, kind: str) -> int:
         max_degree = args.max_var_degree
         if max_degree < 2:
             raise InputError("field 'max-var-degree': must be at least 2")
-        problem = sos.build_lambda_problem(fixed, eps, max_degree)
+        problem = _build("field 'max-var-degree'", sos.build_lambda_problem,
+                         fixed, eps, max_degree)
     else:
         fixed = _parse_distribution(args.lam, "lambda")
         eps = _parse_epsilon(args.epsilon)
         max_degree = args.max_check_degree
         if max_degree < 2:
             raise InputError("field 'max-check-degree': must be at least 2")
-        problem = sos.build_rho_problem(fixed, eps, max_degree)
+        problem = _build("field 'max-check-degree'", sos.build_rho_problem,
+                         fixed, eps, max_degree)
 
     solution = solve(problem, tol=args.tol)
     report = {
@@ -255,7 +266,8 @@ def cmd_threshold(args) -> int:
     }
     exit_code = EXIT_OK
     if args.method in ("sdp", "both"):
-        problem = sos.build_threshold_problem(lam, rho)
+        problem = _build("fields 'lambda', 'rho'", sos.build_threshold_problem,
+                         lam, rho)
         solution = solve(problem, tol=args.tol)
         sdp_rep = {"status": solution.status, "iterations": solution.iterations}
         if solution.message:
@@ -266,7 +278,13 @@ def cmd_threshold(args) -> int:
             sdp_rep["epsilon"] = 1.0 / t_star
             fam = sos.threshold_constraint_family(lam, rho)
             target = sos.lift_to_real_line(fam.at([t_star]), problem.psd_dim - 1)
-            sdp_rep["certificate"] = _certificate_report(problem, solution, target)
+            cert = _certificate_report(problem, solution, target)
+            sdp_rep["certificate"] = cert
+            if not (cert["psd_ok"] and cert["reconstruction_ok"]):
+                sdp_rep["status"] = "verification-failed"
+                exit_code = EXIT_NUMERICAL
+                print("error: SDP threshold failed certificate verification",
+                      file=sys.stderr)
         else:
             exit_code = _STATUS_EXIT[solution.status]
         report["sdp"] = sdp_rep
@@ -322,10 +340,11 @@ def cmd_sweep(args) -> int:
     if any(n < 1 for n in sizes):
         raise InputError("field 'grid-sizes': entries must be >= 1")
 
+    # Reference row from the exact program (written with the N = inf sentinel),
+    # built first so that an oversized program is refused before the sweep.
+    problem = _build("field 'max-var-degree'", sos.build_lambda_problem,
+                     rho, eps, lam_degrees)
     rows = de_mod.lp_baseline_sweep(rho, eps, lam_degrees, sizes, tol=args.tol)
-
-    # Reference row from the exact program (written with the N = inf sentinel).
-    problem = sos.build_lambda_problem(rho, eps, lam_degrees)
     solution = solve(problem, tol=args.tol)
     degrees = list(range(2, lam_degrees + 1))
     if solution.status == "optimal":

@@ -1,9 +1,9 @@
-"""Dense conic optimizer for problems with free, nonnegative and boxed scalars
-plus at most one PSD matrix block.
+"""Dense conic optimizer for problems with nonnegative and boxed scalars plus
+at most one PSD matrix block.
 
 Problem form
 ------------
-Variables are ordered ``[free | nonneg | boxed | svec(PSD)]`` and the data is
+Variables are ordered ``[nonneg | boxed | svec(PSD)]`` and the data is
 
     minimize / maximize   c @ x  (+ offset)
     subject to            A @ x = b
@@ -18,12 +18,14 @@ Algorithm
 ---------
 A primal-dual path-following method on the homogeneous self-dual embedding:
 Nesterov-Todd scaling for the PSD block, Mehrotra predictor-corrector steps,
-dense factorizations throughout. Each Cholesky factor is inverted once, when
-it is formed, so every solve with it is a matrix product. Boxed variables are
-folded into the nonnegative cone through a shift and one slack each;
-infeasibility and unboundedness are certified from the embedding (tau -> 0)
-rather than via a phase-1. Identical inputs produce identical iterate
-sequences.
+dense factorizations throughout. Every variable lies in a cone, so each
+search direction comes from the normal equations (A W'W A') dy = r, solved
+with one step of iterative refinement. Each Cholesky factor is inverted once,
+when it is formed, so every solve with it is a matrix product. Boxed
+variables are folded into the nonnegative cone through a shift and one slack
+each; infeasibility and unboundedness are certified from the embedding
+(tau -> 0) rather than via a phase-1. Identical inputs produce identical
+iterate sequences.
 
 The method keeps the iterate with the smallest merit max(primal residual,
 dual residual, relative gap). Once that merit meets the tolerance, the first
@@ -121,7 +123,6 @@ class ConicProblem:
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    n_free: int = 0
     n_nonneg: int = 0
     box_lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     box_hi: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -143,7 +144,7 @@ class ConicProblem:
 
     @property
     def n_scalars(self) -> int:
-        return self.n_free + self.n_nonneg + self.n_box
+        return self.n_nonneg + self.n_box
 
     @property
     def n_cols(self) -> int:
@@ -152,11 +153,13 @@ class ConicProblem:
     def validate(self):
         if self.sense not in ("min", "max"):
             raise SolverError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if self.psd_dim < 0 or self.n_free < 0 or self.n_nonneg < 0:
+        if self.psd_dim < 0 or self.n_nonneg < 0:
             raise SolverError("block sizes must be nonnegative")
         if self.box_lo.shape != self.box_hi.shape:
             raise SolverError("box bounds must have equal shapes")
         n = self.n_cols
+        if n == 0:
+            raise SolverError("problem has no variables")
         if self.c.shape != (n,):
             raise SolverError(f"objective has shape {self.c.shape}, expected ({n},)")
         if self.A.size == 0:
@@ -218,7 +221,7 @@ class ConicSolution:
 class _Canonical:
     def __init__(self, prob: ConicProblem):
         self.prob = prob
-        f, n0, nb = prob.n_free, prob.n_nonneg, prob.n_box
+        n0, nb = prob.n_nonneg, prob.n_box
         d = prob.psd_dim
         s = svec_dim(d)
         hi = prob.box_hi
@@ -236,25 +239,23 @@ class _Canonical:
         b = np.zeros(p0 + npair)
         # Boxed variable k becomes lo_k + u_k with u_k >= 0; a finite upper
         # bound adds a slack v and a row u_k + v = hi_k - lo_k.
-        box_cols = f + n0 + np.arange(nb)
+        box_cols = n0 + np.arange(nb)
         b[:p0] = prob.b - prob.A[:, box_cols] @ prob.box_lo if nb else prob.b.copy()
         for j, k in enumerate(paired):
             A[p0 + j, box_cols[k]] = 1.0
             A[p0 + j, prob.n_cols + j] = 1.0
             b[p0 + j] = hi[k] - prob.box_lo[k]
 
-        # Reorder columns to [free | orthant | svec]: the box shifts and the
-        # pairing slacks are ordinary nonnegative variables, svec stays last.
+        # Reorder columns to [orthant | svec]: the box shifts and the pairing
+        # slacks are ordinary nonnegative variables, svec stays last.
         perm = np.concatenate([
-            np.arange(f),
-            np.arange(f, f + n0 + nb),
+            np.arange(n0 + nb),
             prob.n_cols + np.arange(npair),
-            f + n0 + nb + np.arange(s),
+            n0 + nb + np.arange(s),
         ]).astype(int)
         self.c = c[perm]
         self.A = A[:, perm]
         self.b = b
-        self.n_free = f
         self.n_orth = n0 + nb + npair
         self.psd_dim = d
         self.sign = sign
@@ -263,13 +264,13 @@ class _Canonical:
 
     def recover_x(self, x_hat: np.ndarray) -> np.ndarray:
         prob = self.prob
-        f, n0, nb = prob.n_free, prob.n_nonneg, prob.n_box
+        n0, nb = prob.n_nonneg, prob.n_box
         s = svec_dim(prob.psd_dim)
         out = np.empty(prob.n_cols)
-        out[: f + n0] = x_hat[: f + n0]
-        out[f + n0: f + n0 + nb] = prob.box_lo + x_hat[f + n0: f + n0 + nb]
+        out[:n0] = x_hat[:n0]
+        out[n0: n0 + nb] = prob.box_lo + x_hat[n0: n0 + nb]
         if s:
-            out[f + n0 + nb:] = x_hat[f + n0 + nb + self.npair:]
+            out[n0 + nb:] = x_hat[n0 + nb + self.npair:]
         return out
 
 
@@ -285,11 +286,10 @@ class _FacialReduction:
     """
 
     def __init__(self, canon: _Canonical):
-        self.n_free = canon.n_free
         self.n_orth = canon.n_orth
         d = canon.psd_dim
         A, b, c = canon.A, canon.b, canon.c
-        s0 = canon.n_free + canon.n_orth
+        s0 = canon.n_orth
         p = A.shape[0]
 
         zero_idx: set = set()
@@ -516,11 +516,11 @@ class _KKT:
     def __init__(self, core, scaling: _Scaling):
         self.core = core
         self.scaling = scaling
-        Ac, psd_rows = core.Ac, core.psd_rows
-        p = Ac.shape[0]
+        A, psd_rows = core.A, core.psd_rows
+        p = A.shape[0]
         n_orth, d = scaling.n_orth, scaling.d
         ghat = np.zeros((core.m_c, p))
-        ghat[:n_orth, :] = Ac[:, :n_orth].T * scaling.w[:, None]
+        ghat[:n_orth, :] = A[:, :n_orth].T * scaling.w[:, None]
         if d and psd_rows.size:
             R = scaling.R
             congr = np.empty((psd_rows.size, d, d))
@@ -543,44 +543,27 @@ class _KKT:
         else:
             raise _NumericalFailure("KKT matrix could not be factorized")
         self.chol_inv = _tril_inverse(chol)
-        Af = core.Af
-        if Af.shape[1]:
-            phi_inv_af = self._chol_solve(Af)
-            self.schur_free = Af.T @ phi_inv_af
-            self.phi_inv_af = phi_inv_af
 
     def awsq(self, v: np.ndarray) -> np.ndarray:
-        """A_c (W'W) v, formed through the scaled matrix."""
+        """A (W'W) v, formed through the scaled matrix."""
         return self.ghat.T @ self.scaling.scale_z(v)
 
     def tau_denominator_part(self, b: np.ndarray) -> float:
-        """b' phi^{-1} b + || (I - P) W c_c ||^2 with P the projector onto
+        """b' phi^{-1} b + || (I - P) W c ||^2 with P the projector onto
         range(Ghat); both terms are squared norms, hence nonnegative."""
         t1 = self.chol_inv @ b
-        chat = self.scaling.scale_z(self.core.cc)
+        chat = self.scaling.scale_z(self.core.c)
         resid = chat - self.ghat @ self._chol_solve(self.ghat.T @ chat)
         return float(t1 @ t1 + resid @ resid)
 
     def _chol_solve(self, rhs):
         return self.chol_inv.T @ (self.chol_inv @ rhs)
 
-    def saddle(self, u1: np.ndarray, u2: np.ndarray):
-        """Solve [phi Af; Af' 0] [dy; dxf] = [u1; u2] with one refinement."""
-        Af = self.core.Af
-        dy, dxf = self._saddle_once(u1, u2)
-        r1 = u1 - (self.phi @ dy + Af @ dxf)
-        r2 = u2 - Af.T @ dy
-        cy, cxf = self._saddle_once(r1, r2)
-        return dy + cy, dxf + cxf
-
-    def _saddle_once(self, u1, u2):
-        Af = self.core.Af
-        if Af.shape[1] == 0:
-            return self._chol_solve(u1), np.zeros(0)
-        t = self._chol_solve(u1)
-        dxf = np.linalg.solve(self.schur_free, Af.T @ t - u2)
-        dy = t - self.phi_inv_af @ dxf
-        return dy, dxf
+    def solve_normal(self, u: np.ndarray) -> np.ndarray:
+        """Solve phi dy = u with one step of iterative refinement."""
+        dy = self._chol_solve(u)
+        dy += self._chol_solve(u - self.phi @ dy)
+        return dy
 
 
 class _Core:
@@ -588,21 +571,16 @@ class _Core:
         self.c = canon.c
         self.A = canon.A
         self.b = canon.b
-        self.f = canon.n_free
         self.n_orth = canon.n_orth
         self.d = canon.psd_dim
         self.m_c = self.n_orth + svec_dim(self.d)
-        self.Af = self.A[:, : self.f]
-        self.Ac = self.A[:, self.f:]
-        self.cf = self.c[: self.f]
-        self.cc = self.c[self.f:]
         # Each constraint matrix P_r of the PSD block as the coordinates
         # (I, J, v) of its nonzeros, both triangles, so that the congruence
         # R' P_r R = (R[I] * v)' R[J] costs 2 nnz(P_r) d^2 flops instead of
         # 4 d^3 (a Hankel row of an SOS program has at most d nonzeros).
         self.psd_nonzeros = []
         if self.d:
-            psd_part = self.Ac[:, self.n_orth:]
+            psd_part = self.A[:, self.n_orth:]
             self.psd_rows = np.where(np.abs(psd_part).sum(axis=1) > 0.0)[0]
             iu0, iu1 = _triu(self.d)
             for r in self.psd_rows:
@@ -615,17 +593,17 @@ class _Core:
                                           np.concatenate([v, v[off]])))
         else:
             self.psd_rows = np.zeros(0, dtype=int)
-        # Constant Gram factor of the cone columns, used to project the primal
+        # Constant Gram factor of A, used to project the primal
         # defect out of recovered directions (the scaling-amplified noise in
-        # dxc otherwise puts a floor on the primal residual).
-        self.eq_gram_inv = _inverse_gram_factor(self.Ac)
+        # dx otherwise puts a floor on the primal residual).
+        self.eq_gram_inv = _inverse_gram_factor(self.A)
 
-    def project_primal_defect(self, dxc: np.ndarray, defect: np.ndarray) -> np.ndarray:
-        """Least-squares correction of dxc so that Ac dxc absorbs `defect`."""
+    def project_primal_defect(self, dx: np.ndarray, defect: np.ndarray) -> np.ndarray:
+        """Least-squares correction of dx so that A dx absorbs `defect`."""
         if self.eq_gram_inv is None or defect.size == 0:
-            return dxc
+            return dx
         t = self.eq_gram_inv.T @ (self.eq_gram_inv @ defect)
-        return dxc + self.Ac.T @ t
+        return dx + self.A.T @ t
 
     def polish(self, x: np.ndarray) -> np.ndarray:
         """Return the interior point x with its equality residual cleared.
@@ -638,35 +616,17 @@ class _Core:
         then meets A x = b to rounding, which certificates checked in badly
         scaled coordinates (monomial Gram matrices) depend on.
         """
-        f, n = self.f, self.n_orth
+        n = self.n_orth
         if self.b.size == 0:
             return x
         root = np.ones(self.m_c)
-        root[:n] = np.sqrt(np.minimum(x[f:f + n], 1.0))
-        scaled = self.Ac * root
+        root[:n] = np.sqrt(np.minimum(x[:n], 1.0))
+        scaled = self.A * root
         inv = _inverse_gram_factor(scaled)
         if inv is None:
             return x
-        defect = self.b - self.Af @ x[:f] - self.Ac @ x[f:]
-        out = x.copy()
-        out[f:] += root * (scaled.T @ (inv.T @ (inv @ defect)))
-        return out
-
-
-def _solve_linear_only(data, tol: float):
-    """No cone variables at all: plain equality-constrained linear objective."""
-    c, A, b = data.c, data.A, data.b
-    if A.shape[0] == 0:
-        if np.all(c == 0.0):
-            return "optimal", np.zeros(c.size), 0.0
-        return "unbounded", None, 0.0
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.max(np.abs(A @ x - b), initial=0.0) > tol * (1.0 + np.max(np.abs(b), initial=0.0)):
-        return "infeasible", None, 0.0
-    y, *_ = np.linalg.lstsq(A.T, c, rcond=None)
-    if np.max(np.abs(A.T @ y - c), initial=0.0) > tol * (1.0 + np.max(np.abs(c), initial=0.0)):
-        return "unbounded", None, 0.0
-    return "optimal", x, float(np.max(np.abs(A @ x - b), initial=0.0))
+        defect = self.b - self.A @ x
+        return x + root * (scaled.T @ (inv.T @ (inv @ defect)))
 
 
 @dataclass
@@ -695,11 +655,10 @@ def _from_best(best, best_merit, tol, history, message) -> _HsdResult:
 
 
 def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
-    f, m_c, p = core.f, core.m_c, core.A.shape[0]
+    p = core.A.shape[0]
     nu = core.n_orth + core.d + 1
 
-    x = np.zeros(f + m_c)
-    x[f:] = _unit_cone(core)
+    x = _unit_cone(core)
     z = _unit_cone(core)
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
@@ -719,15 +678,14 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
             )
 
     for it in range(max_iters + 1):
-        xc = x[f:]
         r_p = core.A @ x - core.b * tau
         r_d = -core.A.T @ y + core.c * tau
-        r_d[f:] -= z
+        r_d -= z
         r_g = core.b @ y - core.c @ x - kappa
 
         pobj = float(core.c @ x / tau)
         dobj = float(core.b @ y / tau)
-        compl = float(xc @ z + tau * kappa)
+        compl = float(x @ z + tau * kappa)
         pres = float(np.max(np.abs(r_p), initial=0.0) / tau)
         dres = float(np.max(np.abs(r_d), initial=0.0) / tau)
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -753,7 +711,7 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
         by = float(core.b @ y)
         if by > 0.0:
             cert = -core.A.T @ y
-            cert[f:] -= z
+            cert -= z
             if np.max(np.abs(cert), initial=0.0) <= tol * by:
                 return _HsdResult("infeasible", None, None, math.inf, pres, it,
                                   tuple(history), "primal infeasibility certificate found")
@@ -767,7 +725,7 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
             break
 
         try:
-            scal = _Scaling(core.n_orth, core.d, xc, z)
+            scal = _Scaling(core.n_orth, core.d, x, z)
             kkt = _KKT(core, scal)
         except (np.linalg.LinAlgError, _NumericalFailure) as exc:
             return _from_best(best, best_merit, tol, history,
@@ -775,41 +733,30 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
 
         mu = compl / nu
 
-        u1_tau = kkt.awsq(core.cc) + core.b
-        u2_tau = core.cf
-        dy1, dxf1 = kkt.saddle(u1_tau, u2_tau)
-        dxc1 = scal.wsq_apply(core.Ac.T @ dy1 - core.cc)
-        dxc1 = core.project_primal_defect(
-            dxc1, core.b - core.Af @ dxf1 - core.Ac @ dxc1)
-        if f == 0:
-            val1 = kkt.tau_denominator_part(core.b)
-        else:
-            val1 = float(core.b @ dy1 - core.cf @ dxf1 - core.cc @ dxc1)
-        denom = val1 + kappa / tau
+        dy1 = kkt.solve_normal(kkt.awsq(core.c) + core.b)
+        dx1 = scal.wsq_apply(core.A.T @ dy1 - core.c)
+        dx1 = core.project_primal_defect(dx1, core.b - core.A @ dx1)
+        denom = kkt.tau_denominator_part(core.b) + kappa / tau
         if not np.isfinite(denom) or denom <= 0.0:
             return _from_best(best, best_merit, tol, history,
                               "degenerate step equation")
 
         def direction(eta, d_c, d_tk):
             g = scal.jordan_div(d_c)
-            w1 = scal.winv_apply(g) - eta * r_d[f:]
-            u1 = -eta * r_p - kkt.awsq(w1)
-            u2 = eta * r_d[:f]
-            dy0, dxf0 = kkt.saddle(u1, u2)
-            dxc0 = scal.wsq_apply(core.Ac.T @ dy0 + w1)
-            dxc0 = core.project_primal_defect(
-                dxc0, -eta * r_p - core.Af @ dxf0 - core.Ac @ dxc0)
-            val0 = float(core.b @ dy0 - core.cf @ dxf0 - core.cc @ dxc0)
+            w1 = scal.winv_apply(g) - eta * r_d
+            dy0 = kkt.solve_normal(-eta * r_p - kkt.awsq(w1))
+            dx0 = scal.wsq_apply(core.A.T @ dy0 + w1)
+            dx0 = core.project_primal_defect(dx0, -eta * r_p - core.A @ dx0)
+            val0 = float(core.b @ dy0 - core.c @ dx0)
             dtau = (-eta * r_g + d_tk / tau - val0) / denom
             dy = dy0 + dtau * dy1
-            dxf = dxf0 + dtau * dxf1
-            dxc = dxc0 + dtau * dxc1
-            dz = -core.Ac.T @ dy + core.cc * dtau + eta * r_d[f:]
+            dx = dx0 + dtau * dx1
+            dz = -core.A.T @ dy + core.c * dtau + eta * r_d
             dkappa = (d_tk - kappa * dtau) / tau
-            return dxf, dxc, dy, dz, dtau, dkappa
+            return dx, dy, dz, dtau, dkappa
 
-        def max_step(dxc, dz, dtau, dkappa):
-            alpha = scal.max_step(scal.scale_x(dxc))
+        def max_step(dx, dz, dtau, dkappa):
+            alpha = scal.max_step(scal.scale_x(dx))
             alpha = min(alpha, scal.max_step(scal.scale_z(dz)))
             if dtau < 0.0:
                 alpha = min(alpha, tau / -dtau)
@@ -818,27 +765,26 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
             return alpha
 
         # Predictor (affine) step.
-        d_aff = direction(1.0, -scal.lam_sq(), -tau * kappa)
-        alpha_aff = min(1.0, max_step(d_aff[1], d_aff[3], d_aff[4], d_aff[5]))
+        dx_a, _, dz_a, dtau_a, dkappa_a = direction(1.0, -scal.lam_sq(), -tau * kappa)
+        alpha_aff = min(1.0, max_step(dx_a, dz_a, dtau_a, dkappa_a))
         mu_aff = (
-            (xc + alpha_aff * d_aff[1]) @ (z + alpha_aff * d_aff[3])
-            + (tau + alpha_aff * d_aff[4]) * (kappa + alpha_aff * d_aff[5])
+            (x + alpha_aff * dx_a) @ (z + alpha_aff * dz_a)
+            + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkappa_a)
         ) / nu
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
 
         # Combined centering-corrector step.
-        corr = scal.jordan_mul(scal.scale_x(d_aff[1]), scal.scale_z(d_aff[3]))
+        corr = scal.jordan_mul(scal.scale_x(dx_a), scal.scale_z(dz_a))
         d_c = sigma * mu * scal.unit() - scal.lam_sq() - corr
-        d_tk = sigma * mu - tau * kappa - d_aff[4] * d_aff[5]
-        dxf, dxc, dy, dz, dtau, dkappa = direction(1.0 - sigma, d_c, d_tk)
+        d_tk = sigma * mu - tau * kappa - dtau_a * dkappa_a
+        dx, dy, dz, dtau, dkappa = direction(1.0 - sigma, d_c, d_tk)
 
-        alpha = min(1.0, _STEP_FRACTION * max_step(dxc, dz, dtau, dkappa))
+        alpha = min(1.0, _STEP_FRACTION * max_step(dx, dz, dtau, dkappa))
         if alpha < _MIN_STEP:
             return _from_best(best, best_merit, tol, history,
                               "step length collapsed")
 
-        x[:f] += alpha * dxf
-        x[f:] += alpha * dxc
+        x += alpha * dx
         y += alpha * dy
         z += alpha * dz
         tau += alpha * dtau
@@ -876,15 +822,6 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
         return ConicSolution("infeasible", None, None, math.inf, math.inf, 0,
                              message="a pinned PSD face contradicts an equality")
     core = _Core(red)
-
-    if core.m_c == 0:
-        status, x_hat, pres = _solve_linear_only(red, tol)
-        if status != "optimal":
-            return ConicSolution(status, None, None, math.inf, math.inf, 0)
-        x = canon.recover_x(red.expand_x(x_hat))
-        return ConicSolution("optimal", x, float(problem.c @ x + problem.offset),
-                             0.0, pres, 0)
-
     res = _solve_hsd(core, tol, max_iters, trace)
 
     if res.status == "optimal":
@@ -906,10 +843,9 @@ def _finalize_optimal(problem, canon, res, x, y_full, tol):
     ns = problem.n_scalars
     nn, nb = problem.n_nonneg, problem.n_box
     if nn:
-        lo = float(np.min(x[problem.n_free: problem.n_free + nn]))
-        checks_ok &= lo >= -1e-9
+        checks_ok &= float(np.min(x[:nn])) >= -1e-9
     if nb:
-        seg = x[problem.n_free + nn: ns]
+        seg = x[nn: ns]
         checks_ok &= bool(np.all(seg >= problem.box_lo - 1e-9))
         checks_ok &= bool(np.all(seg <= problem.box_hi + 1e-9))
     if d:

@@ -36,6 +36,23 @@ GRAM_RECONSTRUCTION_TOL = 1e-7
 
 _FAMILY_CONSTANT_TOL = 1e-12
 
+# Largest Gram block (q + 1) a program may have. The dense constraint rows
+# take about d^3 doubles: at d = 256 (Dv = 52 at deg rho = 6) setting up the
+# program alone peaks near 0.6 GB, and past it coefficient arithmetic
+# overflows doubles. Larger programs are refused before anything is built.
+MAX_GRAM_DIM = 256
+
+
+class GramTooLarge(ValueError):
+    """The lifted program would need a Gram block above ``MAX_GRAM_DIM``."""
+
+
+def _check_gram_dim(q: int) -> None:
+    """Refuse a lift of order q whose Gram block exceeds ``MAX_GRAM_DIM``."""
+    if q + 1 > MAX_GRAM_DIM:
+        raise GramTooLarge(
+            f"Gram dimension {q + 1} exceeds the limit of {MAX_GRAM_DIM}")
+
 
 # ---------------------------------------------------------------------------
 # Lift
@@ -62,19 +79,6 @@ def lift_to_real_line(p: Polynomial, q: int) -> Polynomial:
     if p.degree < 0:
         return Polynomial.zero()
     return Polynomial(lift_matrix(p.degree, q) @ p.coeffs)
-
-
-def lift_halfline_to_line(p: Polynomial) -> Polynomial:
-    """Pi(x) = p(x^2): nonnegativity on [0, inf) becomes nonnegativity on R.
-
-    Kept as a tested companion of the interval lift; the problem builders use
-    only ``lift_to_real_line``.
-    """
-    if p.degree < 0:
-        return Polynomial.zero()
-    c = np.zeros(2 * p.degree + 1)
-    c[::2] = p.coeffs
-    return Polynomial(c)
 
 
 def lift_preserves_nonnegativity_check(p: Polynomial, q: int, n_grid: int = 4001) -> bool:
@@ -154,6 +158,7 @@ def lambda_constraint_family(rho: DegreeDistribution, eps: float,
     psi = Polynomial((1.0,)).sub(
         rho.edge_polynomial().compose(Polynomial((1.0, -eps))))
     q = (max_var_degree - 1) * (rho.max_degree - 1)
+    _check_gram_dim(q)
     table = np.zeros((q + 1, max_var_degree))
     table[1, 0] = 1.0
     block = Polynomial.one()
@@ -175,6 +180,7 @@ def rho_constraint_family(lam: DegreeDistribution, eps: float,
     """
     phi = Polynomial((1.0,)).sub(lam.edge_polynomial().scale(eps))
     q = (max_check_degree - 1) * (lam.max_degree - 1)
+    _check_gram_dim(q)
     table = np.zeros((q + 1, max_check_degree))
     table[0, 0] = -1.0
     table[1, 0] = 1.0
@@ -189,6 +195,7 @@ def rho_constraint_family(lam: DegreeDistribution, eps: float,
 def threshold_constraint_family(lam: DegreeDistribution,
                                 rho: DegreeDistribution) -> AffinePolynomialFamily:
     """T(x) = t*x - lam(1 - rho(1 - x)), affine in the single variable t."""
+    _check_gram_dim((lam.max_degree - 1) * (rho.max_degree - 1))
     inner = Polynomial((1.0,)).sub(
         rho.edge_polynomial().compose(Polynomial((1.0, -1.0))))
     fixed = lam.edge_polynomial().compose(inner)
@@ -245,7 +252,9 @@ def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
     ``extra_eq`` rows are (coefficients over the decision variables, rhs).
     Variable layout of the result: the family's variables first (boxed by
     var_lo/var_hi, +inf upper bounds allowed), then svec of the Gram matrix.
+    Raises ``GramTooLarge`` when q + 1 exceeds ``MAX_GRAM_DIM``.
     """
+    _check_gram_dim(q)
     lifted = family.lift(q)
     nv = family.n_vars
     sdim = svec_dim(q + 1)
@@ -272,7 +281,7 @@ def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
     c[:nv] = objective
     return ConicProblem(
         sense=sense, c=c, A=A, b=b,
-        n_free=0, n_nonneg=0,
+        n_nonneg=0,
         box_lo=np.asarray(var_lo, dtype=np.float64),
         box_hi=np.asarray(var_hi, dtype=np.float64),
         psd_dim=q + 1,

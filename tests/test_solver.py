@@ -63,26 +63,6 @@ def test_lp_unbounded():
     assert solve(prob).status == "unbounded"
 
 
-def test_free_variables_only():
-    prob = ConicProblem(sense="min", c=np.array([1.0, 0.0]),
-                        A=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                        b=np.array([3.0, 1.0]), n_free=2)
-    sol = solve(prob)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(2.0, abs=1e-8)
-
-
-def test_free_plus_cone():
-    # min f + u  s.t.  f + u = 2, u >= 0, f free: optimum is f = 2, u = 0?
-    # Objective equals 2 everywhere on the feasible set.
-    prob = ConicProblem(sense="min", c=np.array([1.0, 1.0]),
-                        A=np.array([[1.0, 1.0]]), b=np.array([2.0]),
-                        n_free=1, n_nonneg=1)
-    sol = solve(prob)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(2.0, abs=1e-7)
-
-
 def test_sdp_diagonal():
     A = np.vstack([svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, 1.0]))])
     prob = ConicProblem(sense="min", c=svec(np.eye(2)), A=A,
@@ -187,6 +167,8 @@ def test_validation_errors():
     with pytest.raises(SolverError):
         ConicProblem(sense="min", c=np.array([np.nan]), A=np.zeros((0, 1)),
                      b=np.zeros(0), n_nonneg=1)
+    with pytest.raises(SolverError):
+        ConicProblem(sense="min", c=np.zeros(0), A=np.zeros((0, 0)), b=np.zeros(0))
 
 
 def test_best_iterate_fallback_is_reported():
@@ -240,7 +222,7 @@ def _assert_congruence_matches_dense(problem, rng):
     scal = solver._Scaling(n, d, _random_interior(rng, n, d), _random_interior(rng, n, d))
     ghat = solver._KKT(core, scal).ghat
     for r in core.psd_rows:
-        dense = scal.R.T @ smat(core.Ac[r, n:], d) @ scal.R
+        dense = scal.R.T @ smat(core.A[r, n:], d) @ scal.R
         expected = svec(0.5 * (dense + dense.T))
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(ghat[n:, r] - expected)) <= 1e-12 * scale

@@ -17,10 +17,11 @@ from ldpcopt.sos import (
     build_sos_feasibility,
     build_threshold_problem,
     certificate_from_solution,
+    GramTooLarge,
+    MAX_GRAM_DIM,
     gram_basis_weights,
     is_degenerate_epsilon,
     lambda_constraint_family,
-    lift_halfline_to_line,
     lift_preserves_nonnegativity_check,
     lift_to_real_line,
     rho_constraint_family,
@@ -86,14 +87,6 @@ def test_lift_matches_substitution(rng):
         expect = (1.0 + x * x) ** q * p.evaluate(t)
         assert pi.evaluate(float(x)) == pytest.approx(
             expect, rel=1e-10, abs=1e-10)
-
-
-def test_halfline_lift():
-    p = Polynomial([1.0, -2.0, 1.0])  # (1-x)^2, nonnegative on [0, inf)
-    pi = lift_halfline_to_line(p)
-    assert np.allclose(pi.padded(5), [1.0, 0.0, -2.0, 0.0, 1.0])
-    xs = np.linspace(-3.0, 3.0, 101)
-    assert float(np.min(pi.evaluate_many(xs))) >= -1e-12
 
 
 def test_nonnegativity_check_helper(rng):
@@ -348,3 +341,14 @@ def test_generic_builder_quadratic_box():
     sol = solve(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
+
+
+def test_gram_dimension_cap():
+    # Dv = 52 at deg rho = 6 lifts to exactly MAX_GRAM_DIM; one more degree,
+    # or a direct program past the cap, is refused before it is built.
+    rho = DegreeDistribution({6: 1.0})
+    assert lambda_constraint_family(rho, 0.4, 52).degree + 1 == MAX_GRAM_DIM
+    with pytest.raises(GramTooLarge):
+        build_lambda_problem(rho, 0.4, 53)
+    with pytest.raises(GramTooLarge):
+        build_sos_feasibility(Polynomial(np.ones(MAX_GRAM_DIM + 1)))
