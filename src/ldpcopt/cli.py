@@ -142,9 +142,10 @@ def _taps_from_solution(solution, degrees) -> dict:
     return taps
 
 
-def _certificate_report(problem, solution, target_poly) -> dict:
-    cert = sos.certificate_from_solution(problem, solution)
-    rep = sos.verify_certificate(cert, target_poly)
+def _certificate_report(problem, solution, poly, q: int) -> dict:
+    """Verify the program's Gram certificate against the order-q lift of poly."""
+    cert = sos.certificate_from_solution(problem, solution, q)
+    rep = sos.verify_certificate(cert, sos.lift_to_real_line(poly, q))
     return {
         "psd_ok": rep.psd_ok,
         "reconstruction_ok": rep.reconstruction_ok,
@@ -211,8 +212,6 @@ def _optimize_common(args, kind: str) -> int:
         lam, rho = fixed, opt
     spec = EnsembleSpec(lam, rho, eps)
     rate = max(design_rate(lam, rho), 0.0)
-    target = sos.lift_to_real_line(
-        _constraint_poly(kind, lam, rho, eps, max_degree), problem.psd_dim - 1)
     report.update({
         "objective": solution.objective,
         "ensemble": spec.to_json_dict(),
@@ -220,7 +219,9 @@ def _optimize_common(args, kind: str) -> int:
         "capacity": 1.0 - eps,
         "delta": capacity_gap(rate, eps),
         "stability_lambda2_bound": stability_lambda2_bound(rho, eps) if eps > 0 else None,
-        "certificate": _certificate_report(problem, solution, target),
+        "certificate": _certificate_report(
+            problem, solution, _constraint_poly(kind, lam, rho, eps, max_degree),
+            sos.design_lift_order(fixed, max_degree)),
         "de_check": _de_report(spec),
         "duality_gap": solution.duality_gap,
         "eq_residual": solution.eq_residual,
@@ -277,8 +278,7 @@ def cmd_threshold(args) -> int:
             sdp_rep["t"] = t_star
             sdp_rep["epsilon"] = 1.0 / t_star
             fam = sos.threshold_constraint_family(lam, rho)
-            target = sos.lift_to_real_line(fam.at([t_star]), problem.psd_dim - 1)
-            cert = _certificate_report(problem, solution, target)
+            cert = _certificate_report(problem, solution, fam.at([t_star]), fam.degree)
             sdp_rep["certificate"] = cert
             if not (cert["psd_ok"] and cert["reconstruction_ok"]):
                 sdp_rep["status"] = "verification-failed"

@@ -1,37 +1,42 @@
 """Dense conic optimizer for problems with nonnegative and boxed scalars plus
-at most one PSD matrix block.
+any number of PSD matrix blocks.
 
 Problem form
 ------------
-Variables are ordered ``[nonneg | boxed | svec(PSD)]`` and the data is
+Variables are ordered ``[nonneg | boxed | svec(X_1) | svec(X_2) | ...]`` and
+the data is
 
     minimize / maximize   c @ x  (+ offset)
     subject to            A @ x = b
                           x_nonneg >= 0,   lo <= x_box <= hi,
-                          smat(x_psd) positive semidefinite
+                          smat(x_k) positive semidefinite for every block k
 
-The PSD block of dimension d is carried as its scaled upper triangle
-(``svec``, length d*(d+1)/2, off-diagonals multiplied by sqrt(2)) so that the
-matrix inner product equals the Euclidean dot product.
+``ConicProblem.psd_dims`` lists the block dimensions. A block of dimension d
+is carried as its scaled upper triangle (``svec``, length d*(d+1)/2,
+off-diagonals multiplied by sqrt(2)) so that the matrix inner product equals
+the Euclidean dot product. Splitting a PSD variable into independent blocks
+(for instance by a symmetry of the problem) is left to the caller; each block
+costs O(d^3) per iteration, so two halves cost a quarter of the whole.
 
 Algorithm
 ---------
 A primal-dual path-following method on the homogeneous self-dual embedding:
-Nesterov-Todd scaling for the PSD block, Mehrotra predictor-corrector steps,
+Nesterov-Todd scaling, block by block, Mehrotra predictor-corrector steps,
 dense factorizations throughout. Every variable lies in a cone, so each
 search direction comes from the normal equations (A W'W A') dy = r, solved
 with one step of iterative refinement. Each Cholesky factor is inverted once,
 when it is formed, so every solve with it is a matrix product. Boxed
 variables are folded into the nonnegative cone through a shift and one slack
 each; infeasibility and unboundedness are certified from the embedding
-(tau -> 0) rather than via a phase-1. Identical inputs produce identical
-iterate sequences.
+(tau -> 0) rather than via a phase-1, and so is the outcome of a problem with
+no strictly feasible point (a face pinned by its equalities). Identical
+inputs produce identical iterate sequences.
 
 The method keeps the iterate with the smallest merit max(primal residual,
-dual residual, relative gap). Once that merit meets the tolerance, the first
-iteration that fails to improve it ends the solve, and the best iterate is
-returned (its message starts with ``best iterate returned:``). Its primal
-part is then polished by the least-squares correction that clears the
+dual residual, relative gap). Once that merit meets the tolerance, an
+iteration that does not at least halve it ends the solve, and the best
+iterate is returned (its message starts with ``best iterate returned:``). Its
+primal part is then polished by the least-squares correction that clears the
 equality residual, so the answer satisfies A x = b to rounding even when the
 iterates stalled just below the tolerance.
 """
@@ -50,6 +55,9 @@ DEFAULT_MAX_ITERS = 200
 
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-13
+# Past the tolerance an iteration counts as progress only if it multiplies
+# the best merit by at most this factor; slower gains are the rounding floor.
+_MIN_PROGRESS = 0.5
 
 
 class SolverError(ValueError):
@@ -111,6 +119,16 @@ def _svec_batch(ms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_slices(start: int, dims) -> list:
+    """(d, slice of its svec coordinates) for each PSD block, laid out from
+    column ``start`` on."""
+    out = []
+    for d in dims:
+        out.append((d, slice(start, start + svec_dim(d))))
+        start += svec_dim(d)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Problem / solution containers
 # ---------------------------------------------------------------------------
@@ -126,11 +144,12 @@ class ConicProblem:
     n_nonneg: int = 0
     box_lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     box_hi: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    psd_dim: int = 0
+    psd_dims: tuple = ()
     offset: float = 0.0
     var_names: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "psd_dims", tuple(int(d) for d in self.psd_dims))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
         object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=np.float64)))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
@@ -147,14 +166,19 @@ class ConicProblem:
         return self.n_nonneg + self.n_box
 
     @property
+    def psd_dim(self) -> int:
+        # Largest block, read as the Gram dimension by perfbench/tracing.py.
+        return max(self.psd_dims, default=0)
+
+    @property
     def n_cols(self) -> int:
-        return self.n_scalars + svec_dim(self.psd_dim)
+        return self.n_scalars + sum(svec_dim(d) for d in self.psd_dims)
 
     def validate(self):
         if self.sense not in ("min", "max"):
             raise SolverError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if self.psd_dim < 0 or self.n_nonneg < 0:
-            raise SolverError("block sizes must be nonnegative")
+        if self.n_nonneg < 0 or any(d < 1 for d in self.psd_dims):
+            raise SolverError("n_nonneg must be nonnegative and PSD blocks nonempty")
         if self.box_lo.shape != self.box_hi.shape:
             raise SolverError("box bounds must have equal shapes")
         n = self.n_cols
@@ -208,10 +232,12 @@ class ConicSolution:
         names = problem.var_names or tuple(f"x{k}" for k in range(problem.n_scalars))
         return {name: float(v) for name, v in zip(names, self.x[: problem.n_scalars])}
 
-    def psd_matrix(self, problem: ConicProblem) -> Optional[np.ndarray]:
-        if self.x is None or problem.psd_dim == 0:
+    def psd_matrices(self, problem: ConicProblem) -> Optional[list]:
+        """One matrix per PSD block, in ``problem.psd_dims`` order."""
+        if self.x is None:
             return None
-        return smat(self.x[problem.n_scalars:], problem.psd_dim)
+        return [smat(self.x[sl], d)
+                for d, sl in _block_slices(problem.n_scalars, problem.psd_dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +248,7 @@ class _Canonical:
     def __init__(self, prob: ConicProblem):
         self.prob = prob
         n0, nb = prob.n_nonneg, prob.n_box
-        d = prob.psd_dim
-        s = svec_dim(d)
+        s = prob.n_cols - prob.n_scalars
         hi = prob.box_hi
         paired = np.where(np.isfinite(hi))[0]
         npair = paired.size
@@ -246,8 +271,8 @@ class _Canonical:
             A[p0 + j, prob.n_cols + j] = 1.0
             b[p0 + j] = hi[k] - prob.box_lo[k]
 
-        # Reorder columns to [orthant | svec]: the box shifts and the pairing
-        # slacks are ordinary nonnegative variables, svec stays last.
+        # Reorder columns to [orthant | svec blocks]: the box shifts and the
+        # pairing slacks are ordinary nonnegative variables, svec stays last.
         perm = np.concatenate([
             np.arange(n0 + nb),
             prob.n_cols + np.arange(npair),
@@ -257,7 +282,7 @@ class _Canonical:
         self.A = A[:, perm]
         self.b = b
         self.n_orth = n0 + nb + npair
-        self.psd_dim = d
+        self.psd_dims = prob.psd_dims
         self.sign = sign
         self.p_orig = p0
         self.npair = npair
@@ -265,207 +290,89 @@ class _Canonical:
     def recover_x(self, x_hat: np.ndarray) -> np.ndarray:
         prob = self.prob
         n0, nb = prob.n_nonneg, prob.n_box
-        s = svec_dim(prob.psd_dim)
         out = np.empty(prob.n_cols)
         out[:n0] = x_hat[:n0]
         out[n0: n0 + nb] = prob.box_lo + x_hat[n0: n0 + nb]
-        if s:
-            out[n0 + nb:] = x_hat[n0 + nb + self.npair:]
-        return out
-
-
-class _FacialReduction:
-    """Eliminate the PSD face pinned by zero-diagonal equality rows.
-
-    An equality row whose only live coefficient sits on a diagonal svec
-    coordinate (i, i) with zero right-hand side forces X_ii = 0, hence the
-    whole i-th row and column of the PSD block. Interior-point methods can
-    only approach such a face (it destroys strict feasibility and lets
-    off-diagonal leakage of order sqrt(residual) through), so the face is
-    removed exactly up front and the solution re-embedded afterwards.
-    """
-
-    def __init__(self, canon: _Canonical):
-        self.n_orth = canon.n_orth
-        d = canon.psd_dim
-        A, b, c = canon.A, canon.b, canon.c
-        s0 = canon.n_orth
-        p = A.shape[0]
-
-        zero_idx: set = set()
-        drop_rows: set = set()
-        self.infeasible_row = None
-        if d:
-            iu0, iu1 = _triu(d)
-            col_of = {(int(i), int(j)): s0 + k
-                      for k, (i, j) in enumerate(zip(iu0, iu1))}
-            scalar_support = np.abs(A[:, :s0]).sum(axis=1) > 0.0
-            changed = True
-            while changed:
-                changed = False
-                dead_cols = np.zeros(A.shape[1], dtype=bool)
-                for (i, j), col in col_of.items():
-                    if i in zero_idx or j in zero_idx:
-                        dead_cols[col] = True
-                for r in range(p):
-                    if r in drop_rows:
-                        continue
-                    live = np.where((np.abs(A[r]) > 0.0) & ~dead_cols)[0]
-                    if live.size == 0:
-                        if b[r] != 0.0:
-                            self.infeasible_row = r
-                            return
-                        drop_rows.add(r)
-                        changed = True
-                        continue
-                    if scalar_support[r] or live.size != 1 or b[r] != 0.0:
-                        continue
-                    col = int(live[0])
-                    k = col - s0
-                    if k >= 0 and iu0[k] == iu1[k]:
-                        zero_idx.add(int(iu0[k]))
-                        drop_rows.add(r)
-                        changed = True
-
-        self.zero_idx = sorted(zero_idx)
-        if not zero_idx:
-            self.keep_cols = None
-            self.keep_rows = None
-            self.c, self.A, self.b = c, A, b
-            self.psd_dim = d
-            self.full_sdim = svec_dim(d)
-            return
-        keep_matrix = [i for i in range(d) if i not in zero_idx]
-        iu0, iu1 = _triu(d)
-        keep_set = set(keep_matrix)
-        keep_svec = np.array([k for k, (i, j) in enumerate(zip(iu0, iu1))
-                              if i in keep_set and j in keep_set], dtype=int)
-        self.keep_cols = np.concatenate([np.arange(s0), s0 + keep_svec])
-        self.keep_rows = np.array([r for r in range(p) if r not in drop_rows],
-                                  dtype=int)
-        self.full_sdim = svec_dim(d)
-        self.s0 = s0
-        self.psd_dim = d - len(zero_idx)
-        self.c = c[self.keep_cols]
-        self.A = A[np.ix_(self.keep_rows, self.keep_cols)]
-        self.b = b[self.keep_rows]
-
-    def expand_x(self, x_hat: np.ndarray) -> np.ndarray:
-        if self.keep_cols is None:
-            return x_hat
-        out = np.zeros(self.s0 + self.full_sdim)
-        out[self.keep_cols] = x_hat
-        return out
-
-    def expand_y(self, y_hat: np.ndarray, p_full: int) -> np.ndarray:
-        if self.keep_rows is None:
-            return y_hat
-        out = np.zeros(p_full)
-        out[self.keep_rows] = y_hat
+        out[n0 + nb:] = x_hat[n0 + nb + self.npair:]
         return out
 
 
 # ---------------------------------------------------------------------------
-# Nesterov-Todd scaling for the orthant x PSD cone
+# Nesterov-Todd scaling for the orthant x PSD blocks
 # ---------------------------------------------------------------------------
+
+class _BlockScaling:
+    """NT scaling of one PSD block: W = R R' maps Z to X (W Z W = X), and
+    R' Z R = R^{-1} X R^{-T} = diag(lam)."""
+
+    def __init__(self, d: int, sl: slice, xc: np.ndarray, zc: np.ndarray):
+        self.d, self.sl = d, sl
+        Lx = np.linalg.cholesky(smat(xc[sl], d))
+        Lz = np.linalg.cholesky(smat(zc[sl], d))
+        u_mat, sv, vt = np.linalg.svd(Lz.T @ Lx)
+        root = np.sqrt(sv)
+        self.R = (Lx @ vt.T) / root[None, :]
+        self.Rit = (Lz @ u_mat) / root[None, :]   # equals R^{-T}
+        self.T = self.R @ self.R.T
+        self.lam = sv
+        self.root = root
+
 
 class _Scaling:
-    def __init__(self, n_orth: int, d: int, xc: np.ndarray, zc: np.ndarray):
-        self.n_orth = n_orth
-        self.d = d
-        xo, zo = xc[:n_orth], zc[:n_orth]
+    """NT scaling of the whole cone; vectors are [orthant | svec blocks]."""
+
+    def __init__(self, core, xc: np.ndarray, zc: np.ndarray):
+        n = core.n_orth
+        self.n_orth = n
+        xo, zo = xc[:n], zc[:n]
         self.w2 = xo / zo
         self.w = np.sqrt(self.w2)
         self.lam_orth = np.sqrt(xo * zo)
-        if d:
-            X = smat(xc[n_orth:], d)
-            Z = smat(zc[n_orth:], d)
-            Lx = np.linalg.cholesky(X)
-            Lz = np.linalg.cholesky(Z)
-            u_mat, sv, vt = np.linalg.svd(Lz.T @ Lx)
-            root = np.sqrt(sv)
-            self.R = (Lx @ vt.T) / root[None, :]
-            self.Rit = (Lz @ u_mat) / root[None, :]   # equals R^{-T}
-            self.T = self.R @ self.R.T
-            self.lam_psd = sv
-        else:
-            self.R = self.Rit = self.T = None
-            self.lam_psd = np.zeros(0)
+        self.blocks = [_BlockScaling(d, sl, xc, zc) for d, sl in core.blocks]
 
-    # cone vectors are [orthant | svec(psd)] throughout
-
-    def _split(self, v):
-        return v[: self.n_orth], v[self.n_orth:]
-
-    def _join(self, vo, mp):
-        if self.d:
-            return np.concatenate([vo, svec(0.5 * (mp + mp.T))])
-        return vo
+    def _apply(self, v: np.ndarray, orth, block) -> np.ndarray:
+        """``orth`` on the orthant part of v, ``block(b, V)`` on each block
+        matrix V (symmetrized back into svec)."""
+        parts = [orth(v[: self.n_orth])]
+        for b in self.blocks:
+            m = block(b, smat(v[b.sl], b.d))
+            parts.append(svec(0.5 * (m + m.T)))
+        return np.concatenate(parts)
 
     def lam_sq(self) -> np.ndarray:
-        if self.d:
-            return np.concatenate([self.lam_orth ** 2, svec(np.diag(self.lam_psd ** 2))])
-        return self.lam_orth ** 2
-
-    def unit(self) -> np.ndarray:
-        if self.d:
-            return np.concatenate([np.ones(self.n_orth), svec(np.eye(self.d))])
-        return np.ones(self.n_orth)
+        return np.concatenate([self.lam_orth ** 2]
+                              + [svec(np.diag(b.lam ** 2)) for b in self.blocks])
 
     def wsq_apply(self, v: np.ndarray) -> np.ndarray:
-        vo, vp = self._split(v)
-        out_o = self.w2 * vo
-        if not self.d:
-            return out_o
-        return self._join(out_o, self.T @ smat(vp, self.d) @ self.T)
+        return self._apply(v, lambda vo: self.w2 * vo, lambda b, m: b.T @ m @ b.T)
 
     def winv_apply(self, v: np.ndarray) -> np.ndarray:
-        vo, vp = self._split(v)
-        out_o = vo / self.w
-        if not self.d:
-            return out_o
-        return self._join(out_o, self.Rit @ smat(vp, self.d) @ self.Rit.T)
+        return self._apply(v, lambda vo: vo / self.w, lambda b, m: b.Rit @ m @ b.Rit.T)
 
     def scale_x(self, v: np.ndarray) -> np.ndarray:
-        vo, vp = self._split(v)
-        out_o = vo / self.w
-        if not self.d:
-            return out_o
-        return self._join(out_o, self.Rit.T @ smat(vp, self.d) @ self.Rit)
+        return self._apply(v, lambda vo: vo / self.w, lambda b, m: b.Rit.T @ m @ b.Rit)
 
     def scale_z(self, v: np.ndarray) -> np.ndarray:
-        vo, vp = self._split(v)
-        out_o = self.w * vo
-        if not self.d:
-            return out_o
-        return self._join(out_o, self.R.T @ smat(vp, self.d) @ self.R)
+        return self._apply(v, lambda vo: self.w * vo, lambda b, m: b.R.T @ m @ b.R)
 
     def jordan_div(self, v: np.ndarray) -> np.ndarray:
-        vo, vp = self._split(v)
-        out_o = vo / self.lam_orth
-        if not self.d:
-            return out_o
-        avg = 0.5 * (self.lam_psd[:, None] + self.lam_psd[None, :])
-        return self._join(out_o, smat(vp, self.d) / avg)
+        return self._apply(v, lambda vo: vo / self.lam_orth,
+                           lambda b, m: m / (0.5 * (b.lam[:, None] + b.lam[None, :])))
 
     def jordan_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        uo, up = self._split(u)
-        vo, vp = self._split(v)
-        out_o = uo * vo
-        if not self.d:
-            return out_o
-        um, vm = smat(up, self.d), smat(vp, self.d)
-        return self._join(out_o, 0.5 * (um @ vm + vm @ um))
+        def block(b, um):
+            vm = smat(v[b.sl], b.d)
+            return 0.5 * (um @ vm + vm @ um)
+        return self._apply(u, lambda uo: uo * v[: self.n_orth], block)
 
     def max_step(self, direction_scaled: np.ndarray) -> float:
-        vo, vp = self._split(direction_scaled)
+        vo = direction_scaled[: self.n_orth]
         alpha = math.inf
         neg = vo < 0.0
         if np.any(neg):
             alpha = float(np.min(self.lam_orth[neg] / -vo[neg]))
-        if self.d:
-            root = np.sqrt(self.lam_psd)
-            g = smat(vp, self.d) / np.outer(root, root)
+        for b in self.blocks:
+            g = smat(direction_scaled[b.sl], b.d) / np.outer(b.root, b.root)
             lo = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
             if lo < 0.0:
                 alpha = min(alpha, 1.0 / -lo)
@@ -516,17 +423,16 @@ class _KKT:
     def __init__(self, core, scaling: _Scaling):
         self.core = core
         self.scaling = scaling
-        A, psd_rows = core.A, core.psd_rows
+        A = core.A
         p = A.shape[0]
-        n_orth, d = scaling.n_orth, scaling.d
+        n_orth = scaling.n_orth
         ghat = np.zeros((core.m_c, p))
         ghat[:n_orth, :] = A[:, :n_orth].T * scaling.w[:, None]
-        if d and psd_rows.size:
-            R = scaling.R
-            congr = np.empty((psd_rows.size, d, d))
-            for k, (I, J, v) in enumerate(core.psd_nonzeros):
-                congr[k] = (R[I] * v[:, None]).T @ R[J]
-            ghat[n_orth:, psd_rows] = _svec_batch(congr).T
+        for b, rows, nonzeros in zip(scaling.blocks, core.psd_rows, core.psd_nonzeros):
+            congr = np.empty((rows.size, b.d, b.d))
+            for k, (I, J, v) in enumerate(nonzeros):
+                congr[k] = (b.R[I] * v[:, None]).T @ b.R[J]
+            ghat[b.sl, rows] = _svec_batch(congr).T
         self.ghat = ghat
         phi = ghat.T @ ghat
         phi = 0.5 * (phi + phi.T)
@@ -572,27 +478,32 @@ class _Core:
         self.A = canon.A
         self.b = canon.b
         self.n_orth = canon.n_orth
-        self.d = canon.psd_dim
-        self.m_c = self.n_orth + svec_dim(self.d)
-        # Each constraint matrix P_r of the PSD block as the coordinates
-        # (I, J, v) of its nonzeros, both triangles, so that the congruence
-        # R' P_r R = (R[I] * v)' R[J] costs 2 nnz(P_r) d^2 flops instead of
-        # 4 d^3 (a Hankel row of an SOS program has at most d nonzeros).
-        self.psd_nonzeros = []
-        if self.d:
-            psd_part = self.A[:, self.n_orth:]
-            self.psd_rows = np.where(np.abs(psd_part).sum(axis=1) > 0.0)[0]
-            iu0, iu1 = _triu(self.d)
-            for r in self.psd_rows:
-                k = np.flatnonzero(psd_part[r])
+        self.blocks = _block_slices(self.n_orth, canon.psd_dims)
+        self.m_c = canon.A.shape[1]
+        self.nu = self.n_orth + sum(canon.psd_dims) + 1
+        self.unit = np.ones(self.m_c)
+        # Per block: the rows that touch it, and each of their constraint
+        # matrices P_r as the coordinates (I, J, v) of its nonzeros, both
+        # triangles, so that the congruence R' P_r R = (R[I] * v)' R[J] costs
+        # 2 nnz(P_r) d^2 flops instead of 4 d^3 (a Hankel row of an SOS
+        # program has at most d nonzeros).
+        self.psd_rows, self.psd_nonzeros = [], []
+        for d, sl in self.blocks:
+            self.unit[sl] = svec(np.eye(d))
+            part = self.A[:, sl]
+            rows = np.flatnonzero(np.abs(part).sum(axis=1) > 0.0)
+            iu0, iu1 = _triu(d)
+            nonzeros = []
+            for r in rows:
+                k = np.flatnonzero(part[r])
                 i, j = iu0[k], iu1[k]
                 off = i != j
-                v = np.where(off, psd_part[r, k] / _SQRT2, psd_part[r, k])
-                self.psd_nonzeros.append((np.concatenate([i, j[off]]),
-                                          np.concatenate([j, i[off]]),
-                                          np.concatenate([v, v[off]])))
-        else:
-            self.psd_rows = np.zeros(0, dtype=int)
+                v = np.where(off, part[r, k] / _SQRT2, part[r, k])
+                nonzeros.append((np.concatenate([i, j[off]]),
+                                 np.concatenate([j, i[off]]),
+                                 np.concatenate([v, v[off]])))
+            self.psd_rows.append(rows)
+            self.psd_nonzeros.append(nonzeros)
         # Constant Gram factor of A, used to project the primal
         # defect out of recovered directions (the scaling-amplified noise in
         # dx otherwise puts a floor on the primal residual).
@@ -656,10 +567,10 @@ def _from_best(best, best_merit, tol, history, message) -> _HsdResult:
 
 def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
     p = core.A.shape[0]
-    nu = core.n_orth + core.d + 1
+    nu = core.nu
 
-    x = _unit_cone(core)
-    z = _unit_cone(core)
+    x = core.unit.copy()
+    z = core.unit.copy()
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
 
@@ -694,14 +605,16 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
         # Keep the best iterate: degenerate problems can destabilize right at
         # the end, and a late bad step must not discard a converged point.
         # Once the best iterate meets `tol`, iterate only while the merit
-        # still improves: past that point the residuals have reached their
-        # rounding floor and further steps shrink without gaining accuracy
-        # (the final polish in `solve` clears the primal residual instead).
+        # still falls by the factor _MIN_PROGRESS: past that point the
+        # residuals have reached their rounding floor and further steps
+        # shrink without gaining accuracy (the final polish in `solve` clears
+        # the primal residual instead).
         merit = max(pres, dres, relgap)
+        stalled = best_merit <= tol and merit > _MIN_PROGRESS * best_merit
         if merit < best_merit:
             best_merit = merit
             best = (x / tau, y / tau, abs(pobj - dobj), pres, it)
-        elif best_merit <= tol:
+        if stalled:
             return _from_best(best, best_merit, tol, history,
                               "no further progress after convergence")
         if merit > 1e3 * best_merit:
@@ -725,7 +638,7 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
             break
 
         try:
-            scal = _Scaling(core.n_orth, core.d, x, z)
+            scal = _Scaling(core, x, z)
             kkt = _KKT(core, scal)
         except (np.linalg.LinAlgError, _NumericalFailure) as exc:
             return _from_best(best, best_merit, tol, history,
@@ -775,7 +688,7 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
 
         # Combined centering-corrector step.
         corr = scal.jordan_mul(scal.scale_x(dx_a), scal.scale_z(dz_a))
-        d_c = sigma * mu * scal.unit() - scal.lam_sq() - corr
+        d_c = sigma * mu * core.unit - scal.lam_sq() - corr
         d_tk = sigma * mu - tau * kappa - dtau_a * dkappa_a
         dx, dy, dz, dtau, dkappa = direction(1.0 - sigma, d_c, d_tk)
 
@@ -794,13 +707,6 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
     return _from_best(best, best_merit, tol, history, "iteration limit reached")
 
 
-def _unit_cone(core: _Core) -> np.ndarray:
-    e = np.ones(core.m_c)
-    if core.d:
-        e[core.n_orth:] = svec(np.eye(core.d))
-    return e
-
-
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
@@ -817,18 +723,12 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
     """
     problem.validate()
     canon = _Canonical(problem)
-    red = _FacialReduction(canon)
-    if red.infeasible_row is not None:
-        return ConicSolution("infeasible", None, None, math.inf, math.inf, 0,
-                             message="a pinned PSD face contradicts an equality")
-    core = _Core(red)
+    core = _Core(canon)
     res = _solve_hsd(core, tol, max_iters, trace)
 
     if res.status == "optimal":
-        x_hat = core.polish(res.x_hat)
-        x = canon.recover_x(red.expand_x(x_hat))
-        y_full = red.expand_y(res.y_hat, canon.A.shape[0])
-        return _finalize_optimal(problem, canon, res, x, y_full, tol)
+        x = canon.recover_x(core.polish(res.x_hat))
+        return _finalize_optimal(problem, canon, res, x, res.y_hat, tol)
     gap = res.gap if np.isfinite(res.gap) else math.inf
     return ConicSolution(res.status, None, None, gap, res.pres, res.iterations,
                          message=res.message, history=res.history)
@@ -837,7 +737,6 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
 def _finalize_optimal(problem, canon, res, x, y_full, tol):
     eq_residual = float(np.max(np.abs(problem.A @ x - problem.b), initial=0.0))
     objective = float(problem.c @ x + problem.offset)
-    d = problem.psd_dim
     min_eig = None
     checks_ok = eq_residual <= tol * (1.0 + np.max(np.abs(problem.b), initial=0.0)) * 1.01
     ns = problem.n_scalars
@@ -848,10 +747,12 @@ def _finalize_optimal(problem, canon, res, x, y_full, tol):
         seg = x[nn: ns]
         checks_ok &= bool(np.all(seg >= problem.box_lo - 1e-9))
         checks_ok &= bool(np.all(seg <= problem.box_hi + 1e-9))
-    if d:
-        eigs = np.linalg.eigvalsh(smat(x[ns:], d))
-        min_eig = float(eigs[0])
-        checks_ok &= min_eig >= -1e-9 * (1.0 + float(eigs[-1]))
+    # One eigenvalue floor for the block-diagonal matrix of all blocks.
+    eigs = [np.linalg.eigvalsh(smat(x[sl], d))
+            for d, sl in _block_slices(ns, problem.psd_dims)]
+    if eigs:
+        min_eig = float(min(e[0] for e in eigs))
+        checks_ok &= min_eig >= -1e-9 * (1.0 + float(max(e[-1] for e in eigs)))
     if not checks_ok:
         return ConicSolution(
             "numerical-failure", None, None, res.gap, eq_residual, res.iterations,

@@ -6,8 +6,8 @@ The key map lifts a polynomial p of degree <= q to
 
 a polynomial of degree 2q that is nonnegative on the whole real line exactly
 when p is nonnegative on [0, 1]. A univariate polynomial nonnegative on the
-line is a sum of squares, witnessed by a PSD Gram matrix B whose antidiagonal
-sums reproduce the coefficients:
+line is a sum of squares, witnessed by a PSD Gram matrix B over the monomials
+1, x, ..., x^q whose antidiagonal sums reproduce the coefficients:
 
     Pi_l = sum_{i+j=l} B_ij,   0 <= l <= 2q,   B >= 0.
 
@@ -16,6 +16,21 @@ polynomial affinely, the resulting feasibility sets are affine slices of the
 PSD cone, so the rate and threshold design problems become semidefinite
 programs with no relaxation. This module builds those programs and verifies
 returned Gram certificates.
+
+Two exact reductions shrink the programs:
+
+- Parity split. Pi is even, so with D = diag((-1)^i) the average of B and
+  DBD is again a Gram matrix of Pi, with no entries between even and odd
+  monomials: B is taken as an even block and an odd block, and only the
+  q + 1 even coefficient equations remain (Gatermann & Parrilo, "Symmetry
+  groups, semidefinite programs, and sums of squares", 2004).
+- Factored zeros. When the family's k lowest coefficients vanish
+  identically, p = x^k p~ and Pi = x^(2k) Pi~ with Pi~ the order q - k lift
+  of p~; every Gram matrix of Pi is zero in its first k rows, so the program
+  is posed for Pi~ (k = 1 for the lambda and threshold families).
+
+``certificate_from_solution`` reassembles the (q + 1) x (q + 1) Gram matrix
+of Pi, zero off parity and in the factored rows, for ``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ import numpy as np
 
 from .ensemble import DegreeDistribution
 from .poly import Polynomial
-from .solver import ConicProblem, svec, svec_dim
+from .solver import ConicProblem
 
 GRAM_SYMMETRY_TOL = 1e-12
 GRAM_PSD_TOL = 1e-9
@@ -36,10 +51,11 @@ GRAM_RECONSTRUCTION_TOL = 1e-7
 
 _FAMILY_CONSTANT_TOL = 1e-12
 
-# Largest Gram block (q + 1) a program may have. The dense constraint rows
-# take about d^3 doubles: at d = 256 (Dv = 52 at deg rho = 6) setting up the
-# program alone peaks near 0.6 GB, and past it coefficient arithmetic
-# overflows doubles. Larger programs are refused before anything is built.
+# Largest monomial Gram matrix (q + 1) a program may have. At the cap
+# (Dv = 52 at deg rho = 6: blocks of 128 and 127, 256 rows) the build peaks
+# at 96 MB and a solve at 285 MB in 5 s on 2 vCPUs, both growing as d^3, and
+# the monomial basis already fails numerically there (from Dv = 40 on).
+# Larger programs are refused before anything is built.
 MAX_GRAM_DIM = 256
 
 
@@ -149,6 +165,12 @@ def _zero_constant_term(table: np.ndarray) -> np.ndarray:
     return out
 
 
+def design_lift_order(fixed: DegreeDistribution, max_degree: int) -> int:
+    """Lift order q of the lambda and rho design families: the degree of
+    their constraint polynomial, (max_degree - 1) * deg(fixed)."""
+    return (max_degree - 1) * (fixed.max_degree - 1)
+
+
 def lambda_constraint_family(rho: DegreeDistribution, eps: float,
                              max_var_degree: int) -> AffinePolynomialFamily:
     """P(x) = x - sum_i lam_i * psi(x)**(i-1), psi(x) = 1 - rho(1 - eps*x).
@@ -157,7 +179,7 @@ def lambda_constraint_family(rho: DegreeDistribution, eps: float,
     """
     psi = Polynomial((1.0,)).sub(
         rho.edge_polynomial().compose(Polynomial((1.0, -eps))))
-    q = (max_var_degree - 1) * (rho.max_degree - 1)
+    q = design_lift_order(rho, max_var_degree)
     _check_gram_dim(q)
     table = np.zeros((q + 1, max_var_degree))
     table[1, 0] = 1.0
@@ -179,7 +201,7 @@ def rho_constraint_family(lam: DegreeDistribution, eps: float,
     sum_j rho_j - 1, which vanishes on the simplex rather than identically.
     """
     phi = Polynomial((1.0,)).sub(lam.edge_polynomial().scale(eps))
-    q = (max_check_degree - 1) * (lam.max_degree - 1)
+    q = design_lift_order(lam, max_check_degree)
     _check_gram_dim(q)
     table = np.zeros((q + 1, max_check_degree))
     table[0, 0] = -1.0
@@ -225,50 +247,58 @@ def gram_basis_weights(q: int) -> np.ndarray:
     return np.array([math.sqrt(math.comb(q, i)) for i in range(q + 1)])
 
 
-def _antidiagonal_rows(q: int) -> np.ndarray:
-    """svec coefficients of the antidiagonal-sum map in the scaled Gram basis.
-
-    Row l satisfies  Pi_l = sum_{i+j=l} w_i w_j Btilde_ij  where w is
-    ``gram_basis_weights(q)`` and B = diag(w) Btilde diag(w) is the true Gram
-    matrix.
-    """
-    d = q + 1
+def _parity_blocks(q: int):
+    """The monomial powers of the even and the odd Gram block of a degree-2q
+    even polynomial (an empty block is left out), and for each svec
+    coordinate of the blocks the m and weight with which it enters
+    Pi_{2m} = sum_{i+j=2m} w_i w_j Btilde_ij, w = ``gram_basis_weights(q)``."""
     w = gram_basis_weights(q)
-    rows = np.zeros((2 * q + 1, svec_dim(d)))
-    for l in range(2 * q + 1):
-        e = np.zeros((d, d))
-        for i in range(max(0, l - q), min(l, q) + 1):
-            e[i, l - i] = w[i] * w[l - i]
-        rows[l] = svec(0.5 * (e + e.T))
-    return rows
+    powers, rows, weights = [], [], []
+    for parity in (0, 1):
+        idx = np.arange(parity, q + 1, 2)
+        if idx.size == 0:
+            continue
+        iu0, iu1 = np.triu_indices(idx.size)
+        i, j = idx[iu0], idx[iu1]
+        powers.append(idx)
+        rows.append((i + j) // 2)
+        weights.append(w[i] * w[j] * np.where(i == j, 1.0, math.sqrt(2.0)))
+    return powers, np.concatenate(rows), np.concatenate(weights)
 
 
 def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
                          objective: Sequence[float],
                          var_lo: Sequence[float], var_hi: Sequence[float],
                          extra_eq: Sequence[tuple] = ()) -> ConicProblem:
-    """Generic builder: decision variables + Gram block for ``family`` >= 0 on [0,1].
+    """Generic builder: decision variables + Gram blocks for ``family`` >= 0 on [0,1].
 
     ``extra_eq`` rows are (coefficients over the decision variables, rhs).
     Variable layout of the result: the family's variables first (boxed by
-    var_lo/var_hi, +inf upper bounds allowed), then svec of the Gram matrix.
-    Raises ``GramTooLarge`` when q + 1 exceeds ``MAX_GRAM_DIM``.
+    var_lo/var_hi, +inf upper bounds allowed), then svec of the even and the
+    odd Gram block of the order q - k lift of family / x^k, k the number of
+    identically zero low rows (see the module docstring). Raises
+    ``GramTooLarge`` when q + 1 exceeds ``MAX_GRAM_DIM``.
     """
     _check_gram_dim(q)
-    lifted = family.lift(q)
+    k = 0   # identically zero low rows, factored out as x^k
+    while k < family.degree and not np.any(family.table[k]):
+        k += 1
+    qr = q - k
+    lifted = AffinePolynomialFamily(family.variable_names, family.table[k:]).lift(qr)
+    even = lifted.table[::2]
     nv = family.n_vars
-    sdim = svec_dim(q + 1)
-    anti = _antidiagonal_rows(q)
+    powers, gram_rows, weights = _parity_blocks(qr)
+    sdim = weights.size
 
-    n_rows = (2 * q + 1) + len(extra_eq)
+    n_rows = (qr + 1) + len(extra_eq)
     A = np.zeros((n_rows, nv + sdim))
     b = np.zeros(n_rows)
-    A[: 2 * q + 1, :nv] = lifted.table[:, 1:]
-    A[: 2 * q + 1, nv:] = -anti
-    b[: 2 * q + 1] = -lifted.table[:, 0]
-    for k, (coeffs, rhs) in enumerate(extra_eq):
-        A[2 * q + 1 + k, :nv] = coeffs
-        b[2 * q + 1 + k] = rhs
+    A[: qr + 1, :nv] = even[:, 1:]
+    A[gram_rows, nv + np.arange(sdim)] = -weights
+    b[: qr + 1] = -even[:, 0]
+    for r, (coeffs, rhs) in enumerate(extra_eq):
+        A[qr + 1 + r, :nv] = coeffs
+        b[qr + 1 + r] = rhs
 
     # Equilibrate: the lift rows still grow binomially with l, so normalize
     # each equality to unit max coefficient (an exact reformulation).
@@ -284,7 +314,7 @@ def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
         n_nonneg=0,
         box_lo=np.asarray(var_lo, dtype=np.float64),
         box_hi=np.asarray(var_hi, dtype=np.float64),
-        psd_dim=q + 1,
+        psd_dims=tuple(idx.size for idx in powers),
         var_names=family.variable_names,
     )
 
@@ -407,18 +437,27 @@ class CertificateReport:
         return self.psd_ok and self.reconstruction_ok
 
 
-def certificate_from_solution(problem: ConicProblem, solution) -> SosCertificate:
-    """Extract the Gram block from a solved SOS program.
+def certificate_from_solution(problem: ConicProblem, solution, q: int) -> SosCertificate:
+    """Reassemble the Gram matrix of the order-q lift from a solved SOS program.
 
-    Undoes the internal basis scaling, returning the Gram matrix B with
+    ``q`` is the lift order the program was built with (the block sizes fix
+    only q - k, see ``assemble_sos_program``). Undoes the internal basis
+    scaling and places the even and odd blocks at their monomials, shifted
+    by the k factored powers, returning the (q + 1) x (q + 1) matrix B with
     Pi_l = sum_{i+j=l} B_ij in plain monomial coordinates.
     """
-    gram = solution.psd_matrix(problem)
-    if gram is None:
+    blocks = solution.psd_matrices(problem)
+    if not blocks:
         raise ValueError("solution carries no PSD block")
-    q = problem.psd_dim - 1
-    w = gram_basis_weights(q)
-    return SosCertificate(gram=gram * np.outer(w, w), q=q)
+    qr = sum(problem.psd_dims) - 1
+    if not 0 <= qr <= q:
+        raise ValueError(f"blocks {problem.psd_dims} do not fit a lift of order {q}")
+    powers, _, _ = _parity_blocks(qr)
+    w = gram_basis_weights(qr)
+    gram = np.zeros((q + 1, q + 1))
+    for idx, block in zip(powers, blocks):
+        gram[np.ix_(q - qr + idx, q - qr + idx)] = block * np.outer(w[idx], w[idx])
+    return SosCertificate(gram=gram, q=q)
 
 
 def verify_certificate(cert: SosCertificate, target: Polynomial) -> CertificateReport:

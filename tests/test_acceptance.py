@@ -252,10 +252,10 @@ def test_a09_certificate_soundness():
         prob = build_sos_feasibility(p)
         sol = solve(prob)
         assert sol.status == "optimal", f"nonnegative trial {trial}"
-        cert = certificate_from_solution(prob, sol)
-        report = verify_certificate(cert, lift_to_real_line(p, prob.psd_dim - 1))
+        cert = certificate_from_solution(prob, sol, p.degree)
+        report = verify_certificate(cert, lift_to_real_line(p, p.degree))
         assert report.ok, f"nonnegative trial {trial}"
-        certified.append((cert, lift_to_real_line(p, prob.psd_dim - 1)))
+        certified.append((cert, lift_to_real_line(p, p.degree)))
     rejected = 0
     for trial in range(50):
         while True:

@@ -215,14 +215,16 @@ def test_verify_twelve_tap_design(capsys):
 
 def test_optimize_lambda_large_degree_cap(capsys):
     # q = 75 > 66: C(q, q/2) exceeds 2^63, so the Gram basis weights must be
-    # computed from float binomials.
-    code, out, _ = run_cli(
-        capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
-        "--epsilon", "0.48", "--max-var-degree", "16")
-    assert code == 0
-    report = json.loads(out)
-    assert report["status"] == "optimal"
-    assert report["objective"] == pytest.approx(0.3341888841, abs=1e-8)
+    # computed from float binomials. Dv = 26 and 34 (q = 125 and 165) need
+    # the parity-split program: the single Gram block failed its check at 34.
+    for dv in (16, 26, 34):
+        code, out, _ = run_cli(
+            capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
+            "--epsilon", "0.48", "--max-var-degree", str(dv))
+        assert code == 0, dv
+        report = json.loads(out)
+        assert report["status"] == "optimal"
+        assert report["objective"] == pytest.approx(0.3341888841, abs=1e-8)
 
 
 def test_design_verified_at_one_blas_thread():

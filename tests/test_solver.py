@@ -1,6 +1,7 @@
 """Conic solver: cone handling, statuses, invariants, determinism."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from ldpcopt.solver import (
     svec,
     svec_dim,
 )
-from ldpcopt.sos import build_lambda_problem
+from ldpcopt.sos import build_lambda_problem, build_threshold_problem
 
-from conftest import REFERENCE_DESIGNS, TWO_TAP_DESIGN
+from conftest import REFERENCE_DESIGNS, TWO_TAP_DESIGN, random_distribution
 
 
 def box_lp(sense="max"):
@@ -66,7 +67,7 @@ def test_lp_unbounded():
 def test_sdp_diagonal():
     A = np.vstack([svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, 1.0]))])
     prob = ConicProblem(sense="min", c=svec(np.eye(2)), A=A,
-                        b=np.array([1.0, 2.0]), psd_dim=2)
+                        b=np.array([1.0, 2.0]), psd_dims=(2,))
     sol = solve(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-7)
@@ -77,11 +78,11 @@ def test_sdp_offdiagonal_coupling():
     # max 2*X01 with X00 = X11 = 1 drives X to the rank-one all-ones matrix.
     A = np.vstack([svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, 1.0]))])
     c = svec(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    prob = ConicProblem(sense="max", c=c, A=A, b=np.array([1.0, 1.0]), psd_dim=2)
+    prob = ConicProblem(sense="max", c=c, A=A, b=np.array([1.0, 1.0]), psd_dims=(2,))
     sol = solve(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-6)
-    x = sol.psd_matrix(prob)
+    x, = sol.psd_matrices(prob)
     assert np.allclose(x, np.ones((2, 2)), atol=1e-5)
 
 
@@ -89,8 +90,54 @@ def test_sdp_infeasible():
     # X00 = -1 cannot hold for a PSD matrix.
     prob = ConicProblem(sense="min", c=svec(np.eye(2)),
                         A=svec(np.diag([1.0, 0.0]))[None, :],
-                        b=np.array([-1.0]), psd_dim=2)
+                        b=np.array([-1.0]), psd_dims=(2,))
     assert solve(prob).status == "infeasible"
+
+
+def _unit(d, i, j):
+    m = np.zeros((d, d))
+    m[i, j] = m[j, i] = 1.0
+    return m
+
+
+def test_two_block_sdp():
+    # Variables [s | X1 (2x2) | X2 (1x1)]: min tr(X1) + 3 X2 subject to
+    # X1_01 + X2 = 1 and s + X2 = 1/2. tr(X1) >= 2 X1_01, so the cost is at
+    # least 3 - X1_01 >= 2, attained at X1 = ones, X2 = 0, s = 1/2.
+    c = np.concatenate([[0.0], svec(np.eye(2)), [3.0]])
+    A = np.array([np.concatenate([[0.0], svec(0.5 * _unit(2, 0, 1)), [1.0]]),
+                  np.concatenate([[1.0], np.zeros(3), [1.0]])])
+    prob = ConicProblem(sense="min", c=c, A=A, b=np.array([1.0, 0.5]),
+                        n_nonneg=1, psd_dims=(2, 1))
+    sol = solve(prob)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(2.0, abs=1e-7)
+    assert sol.x[0] == pytest.approx(0.5, abs=1e-7)
+    x1, x2 = sol.psd_matrices(prob)
+    assert np.allclose(x1, np.ones((2, 2)), atol=1e-6)
+    assert x2.shape == (1, 1) and abs(x2[0, 0]) <= 1e-7
+
+
+def test_pinned_face_contradiction_is_infeasible():
+    # X00 = 0 pins row 0 of X to zero, so X01 = 1 cannot hold. No exact
+    # Farkas certificate exists (the problem is only weakly infeasible); the
+    # embedding still finds one within the tolerance.
+    A = np.vstack([svec(_unit(2, 0, 0)), svec(0.5 * _unit(2, 0, 1))])
+    prob = ConicProblem(sense="min", c=np.zeros(3), A=A, b=np.array([0.0, 1.0]),
+                        psd_dims=(2,))
+    assert solve(prob).status == "infeasible"
+
+
+def test_pinned_face_optimum_is_reached():
+    # max X01 with X00 = 0, X11 = 1: the face forces X01 = 0. Neither side
+    # has a strictly feasible point, so the objective converges no faster
+    # than the gap and is held to ten times the tolerance.
+    A = np.vstack([svec(_unit(2, 0, 0)), svec(_unit(2, 1, 1))])
+    prob = ConicProblem(sense="max", c=svec(0.5 * _unit(2, 0, 1)), A=A,
+                        b=np.array([0.0, 1.0]), psd_dims=(2,))
+    sol = solve(prob, tol=1e-8)
+    assert sol.status == "optimal"
+    assert abs(sol.objective) <= 1e-7
 
 
 def test_lp_sdp_diagonal_consistency():
@@ -101,7 +148,7 @@ def test_lp_sdp_diagonal_consistency():
         svec(0.5 * off),          # X01 = 0
     ])
     c = svec(np.diag([1.0, -1.0]))
-    sdp = ConicProblem(sense="max", c=c, A=A, b=np.array([3.0, 0.0]), psd_dim=2)
+    sdp = ConicProblem(sense="max", c=c, A=A, b=np.array([3.0, 0.0]), psd_dims=(2,))
     lp = ConicProblem(sense="max", c=np.array([1.0, -1.0]),
                       A=np.array([[1.0, 1.0]]), b=np.array([3.0]), n_nonneg=2)
     s1, s2 = solve(sdp), solve(lp)
@@ -154,7 +201,7 @@ def test_solution_accessors():
                         box_hi=np.array([1.0]), var_names=("gain",))
     sol = solve(prob)
     assert sol.scalar_values(prob) == pytest.approx({"gain": 1.0}, abs=1e-7)
-    assert sol.psd_matrix(prob) is None
+    assert sol.psd_matrices(prob) == []
 
 
 def test_validation_errors():
@@ -169,6 +216,9 @@ def test_validation_errors():
                      b=np.zeros(0), n_nonneg=1)
     with pytest.raises(SolverError):
         ConicProblem(sense="min", c=np.zeros(0), A=np.zeros((0, 0)), b=np.zeros(0))
+    with pytest.raises(SolverError):
+        ConicProblem(sense="min", c=np.zeros(1), A=np.zeros((0, 1)), b=np.zeros(0),
+                     psd_dims=(1, 0))
 
 
 def test_best_iterate_fallback_is_reported():
@@ -211,21 +261,51 @@ def test_no_iterations_past_the_answer(problem):
     assert len(sol.history) - 1 <= sol.iterations + 1
 
 
-def _random_interior(rng, n_orth, d):
-    g = rng.normal(size=(d, d))
-    return np.concatenate([rng.uniform(0.5, 2.0, n_orth), svec(g @ g.T + np.eye(d))])
+def _merit(entry):
+    gap = abs(entry.primal_objective - entry.dual_objective)
+    return max(entry.primal_residual, entry.dual_residual,
+               gap / (1.0 + abs(entry.primal_objective) + abs(entry.dual_objective)))
+
+
+def test_converged_solve_stops_when_progress_stalls():
+    # The A8 threshold programs (seed 42): once the best merit meets the
+    # tolerance, every further iteration but the last must at least halve
+    # it. Without that rule some of these solves took extra steps of 1e-1
+    # to 1e-7 while the residuals stayed at their rounding floor.
+    rng = np.random.default_rng(42)
+    for trial in range(20):
+        lam = random_distribution(rng, int(rng.integers(3, 8)))
+        rho = random_distribution(rng, int(rng.integers(3, 8)))
+        sol = solve(build_threshold_problem(lam, rho))
+        assert sol.status == "optimal", trial
+        best = math.inf
+        for entry in sol.history[:-1]:
+            merit = _merit(entry)
+            if best <= solver.DEFAULT_TOL:
+                assert merit <= 0.5 * best, (trial, entry.iteration)
+            best = min(best, merit)
+
+
+def _random_interior(rng, core):
+    v = np.empty(core.m_c)
+    v[:core.n_orth] = rng.uniform(0.5, 2.0, core.n_orth)
+    for d, sl in core.blocks:
+        g = rng.normal(size=(d, d))
+        v[sl] = svec(g @ g.T + np.eye(d))
+    return v
 
 
 def _assert_congruence_matches_dense(problem, rng):
-    core = solver._Core(solver._FacialReduction(solver._Canonical(problem)))
-    n, d = core.n_orth, core.d
-    scal = solver._Scaling(n, d, _random_interior(rng, n, d), _random_interior(rng, n, d))
+    core = solver._Core(solver._Canonical(problem))
+    scal = solver._Scaling(core, _random_interior(rng, core), _random_interior(rng, core))
     ghat = solver._KKT(core, scal).ghat
-    for r in core.psd_rows:
-        dense = scal.R.T @ smat(core.A[r, n:], d) @ scal.R
-        expected = svec(0.5 * (dense + dense.T))
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(ghat[n:, r] - expected)) <= 1e-12 * scale
+    assert len(scal.blocks) == len(problem.psd_dims)
+    for b, rows in zip(scal.blocks, core.psd_rows):
+        for r in rows:
+            dense = b.R.T @ smat(core.A[r, b.sl], b.d) @ b.R
+            expected = svec(0.5 * (dense + dense.T))
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(ghat[b.sl, r] - expected)) <= 1e-12 * scale
 
 
 def test_sparse_congruence_matches_dense_on_sos_problem(rng):
@@ -233,8 +313,8 @@ def test_sparse_congruence_matches_dense_on_sos_problem(rng):
 
 
 def test_sparse_congruence_matches_dense_on_dense_rows(rng):
-    d, p = 6, 4
-    A = rng.normal(size=(p, 2 + svec_dim(d)))
+    dims, p = (6, 3), 4
+    A = rng.normal(size=(p, 2 + svec_dim(6) + svec_dim(3)))
     problem = ConicProblem(sense="min", c=rng.normal(size=A.shape[1]), A=A,
-                           b=rng.normal(size=p), n_nonneg=2, psd_dim=d)
+                           b=rng.normal(size=p), n_nonneg=2, psd_dims=dims)
     _assert_congruence_matches_dense(problem, rng)

@@ -197,13 +197,14 @@ def test_gram_basis_weights_past_int64_binomials():
 
 
 def test_lambda_problem_dimensions():
+    # q = 30; the lambda family vanishes at 0, so the program is posed for
+    # the order-29 lift of P(x)/x: even and odd blocks of 15, 30 even rows.
     prob = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.49, 7)
-    q = 30
-    assert prob.psd_dim == q + 1
-    assert prob.A.shape == (2 * q + 1 + 1, 6 + svec_dim(q + 1))
+    assert prob.psd_dims == (15, 15)
+    assert prob.A.shape == (30 + 1, 6 + 2 * svec_dim(15))
     assert prob.n_box == 6
     prob2 = build_lambda_problem(DegreeDistribution({5: 1.0}), 0.56, 5)
-    assert prob2.psd_dim == 17  # q = 16
+    assert prob2.psd_dims == (8, 8)  # q = 16, factored to 15
 
 
 def test_lambda_problem_rejects_bad_eps():
@@ -213,7 +214,7 @@ def test_lambda_problem_rejects_bad_eps():
     with pytest.raises(ValueError):
         build_lambda_problem(rho, -0.2, 5)
     assert is_degenerate_epsilon(0.0)
-    assert build_lambda_problem(rho, 0.0, 5).psd_dim == 1 + (5 - 1) * 3
+    assert build_lambda_problem(rho, 0.0, 5).psd_dims == (6, 6)  # q = 12, factored to 11
 
 
 def test_degenerate_epsilon_unconstrained_simplex():
@@ -272,7 +273,7 @@ def test_solver_output_passes_de_check():
     assert sol.status == "optimal"
     taps = {i: v for i, v in zip(range(2, 8), sol.x[:6]) if v > 1e-9}
     lam = DegreeDistribution(taps, normalize=True)
-    cert = certificate_from_solution(prob, sol)
+    cert = certificate_from_solution(prob, sol, 30)
     target = lift_to_real_line(de_polynomial(lam, rho, 0.49), 30)
     assert verify_certificate(cert, target).ok
     rep = check_de_feasible(EnsembleSpec(lam, rho, 0.49), mode="grid")
@@ -318,13 +319,32 @@ def test_certificate_rejects_diagonal_perturbation(rng):
     prob = build_sos_feasibility(p)
     sol = solve(prob)
     assert sol.status == "optimal"
-    cert = certificate_from_solution(prob, sol)
+    cert = certificate_from_solution(prob, sol, p.degree)
     target = lift_to_real_line(p, p.degree)
     assert verify_certificate(cert, target).ok
     for k in range(cert.q + 1):
         bad = cert.gram.copy()
         bad[k, k] -= 1e-3
         assert not verify_certificate(SosCertificate(bad, cert.q), target).ok
+
+
+def test_parity_blocks_and_factored_root():
+    # p(x) = x ((x - 1/2)^2 + 0.05) vanishes at 0: the program is posed for
+    # the order-2 lift of p / x (blocks over {1, x^2} and {x}), and the
+    # reassembled order-3 Gram matrix is zero in row 0 and off parity.
+    p = Polynomial([0.0, 0.3, -1.0, 1.0])
+    prob = build_sos_feasibility(p)
+    assert prob.psd_dims == (2, 1)
+    assert prob.A.shape[0] == 3
+    sol = solve(prob)
+    assert sol.status == "optimal"
+    cert = certificate_from_solution(prob, sol, 3)
+    assert verify_certificate(cert, lift_to_real_line(p, 3)).ok
+    assert not np.any(cert.gram[0]) and not np.any(cert.gram[:, 0])
+    i, j = np.indices(cert.gram.shape)
+    assert not np.any(cert.gram[(i + j) % 2 == 1])
+    with pytest.raises(ValueError):
+        certificate_from_solution(prob, sol, 1)
 
 
 def test_feasibility_program_negative_polynomial():
