@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Time the interior-point solver on the design programs, split by phase.
+
+Builds the 11 SOS programs of the benchmark's ``design`` workload through
+``ldpcopt.sos`` and solves each with ``ldpcopt.solver.solve``. The solver is
+not edited: while a pass runs, its private per-iteration methods are wrapped
+from outside with timers, and each call is charged to one phase:
+
+- scaling: ``_Scaling.__init__`` (NT scaling of every block);
+- kkt: ``_KKT.__init__`` (scaled constraint matrix, its Gram matrix and
+  Cholesky factor);
+- directions: ``_KKT.solve_normal``, ``_Scaling._apply`` (every scaled cone
+  product, including the scaling of the step search's input) and
+  ``_Core.project_primal_defect``;
+- step: ``_Scaling.max_step`` (ratio test and block eigenvalues);
+- other: the rest of ``solve`` (residuals, set-up, polish, final check).
+
+A wrapped call made inside another (``_KKT.__init__`` scales c) is charged
+to the outer one. Each program's solve runs ``PASSES`` times; the table
+shows the median pass. Run as:  python benchmarks/bench_solver.py
+"""
+
+import time
+
+from ldpcopt import solver, sos
+from ldpcopt.ensemble import DegreeDistribution
+
+PASSES = 7
+
+# (name, family, fixed distribution, eps, maximum degree), as in the design
+# workload of perfbench/workloads.py.
+PROGRAMS = [
+    ("check4_eps064", "lambda", {4: 1.0}, 0.64, 5),
+    ("check6_eps049", "lambda", {6: 1.0}, 0.49, 7),
+    ("check7_eps038", "lambda", {7: 1.0}, 0.38, 5),
+    ("check8_eps033", "lambda", {8: 1.0}, 0.33, 5),
+    ("anomalous_dv7", "lambda", {5: 1.0}, 0.56, 7),
+    ("two_tap", "lambda", {6: 0.48555, 7: 0.51445}, 0.45, 7),
+    ("rho_regular_3", "rho", {3: 1.0}, 0.4294, 6),
+    ("check6_eps048_dv10", "lambda", {6: 1.0}, 0.48, 10),
+    ("check6_eps048_dv12", "lambda", {6: 1.0}, 0.48, 12),
+    ("check6_eps048_dv14", "lambda", {6: 1.0}, 0.48, 14),
+    ("check4_eps06_dv20", "lambda", {4: 1.0}, 0.6, 20),
+]
+
+PHASES = {
+    "scaling": [(solver._Scaling, "__init__")],
+    "kkt": [(solver._KKT, "__init__")],
+    "directions": [(solver._KKT, "solve_normal"), (solver._Scaling, "_apply"),
+                   (solver._Core, "project_primal_defect")],
+    "step": [(solver._Scaling, "max_step")],
+}
+
+
+def build(family, fixed, eps, max_degree):
+    dist = DegreeDistribution(fixed, normalize=True)
+    builder = sos.build_lambda_problem if family == "lambda" else sos.build_rho_problem
+    return builder(dist, eps, max_degree)
+
+
+class PhaseTimer:
+    """Charges the time of each wrapped call to its phase; nested wrapped
+    calls are charged to the outermost one."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self._depth = 0
+        self._saved = []
+
+    def _wrap(self, phase, fn):
+        def timed(*args, **kwargs):
+            self._depth += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._depth -= 1
+                if self._depth == 0:
+                    self.seconds[phase] += time.perf_counter() - t0
+        return timed
+
+    def __enter__(self):
+        for phase, targets in PHASES.items():
+            for cls, name in targets:
+                fn = getattr(cls, name)
+                self._saved.append((cls, name, fn))
+                setattr(cls, name, self._wrap(phase, fn))
+        return self
+
+    def __exit__(self, *exc):
+        for cls, name, fn in reversed(self._saved):
+            setattr(cls, name, fn)
+        self._saved.clear()
+
+
+def time_program(problem):
+    """(iterations, status, median pass: total seconds and seconds by phase)."""
+    passes = []
+    for _ in range(PASSES):
+        with PhaseTimer() as timer:
+            t0 = time.perf_counter()
+            sol = solver.solve(problem)
+            total = time.perf_counter() - t0
+        split = dict(timer.seconds)
+        split["other"] = total - sum(split.values())
+        passes.append((total, split))
+    total, split = sorted(passes, key=lambda p: p[0])[len(passes) // 2]
+    return len(sol.history) - 1, sol.status, total, split
+
+
+def main():
+    phases = list(PHASES) + ["other"]
+    header = (f"{'program':20s} {'rows':>4s} {'blocks':>7s} {'status':>8s} {'iters':>5s} "
+              f"{'ms':>7s} {'ms/iter':>7s} " + " ".join(f"{p:>10s}" for p in phases))
+    print(header)
+    print("-" * len(header))
+    iters_all, total_all = 0, 0.0
+    split_all = dict.fromkeys(phases, 0.0)
+    for name, *spec in PROGRAMS:
+        problem = build(*spec)
+        iters, status, total, split = time_program(problem)
+        iters_all += iters
+        total_all += total
+        for p in phases:
+            split_all[p] += split[p]
+        blocks = "/".join(str(d) for d in problem.psd_dims)
+        print(f"{name:20s} {problem.A.shape[0]:4d} {blocks:>7s} {status:>8s} {iters:5d} "
+              f"{total * 1e3:7.2f} {total / iters * 1e3:7.3f} "
+              + " ".join(f"{split[p] / iters * 1e3:10.3f}" for p in phases))
+    print("-" * len(header))
+    print(f"{'all (ms per iter)':20s} {'':4s} {'':>7s} {'':>8s} {iters_all:5d} "
+          f"{total_all * 1e3:7.2f} {total_all / iters_all * 1e3:7.3f} "
+          + " ".join(f"{split_all[p] / iters_all * 1e3:10.3f}" for p in phases))
+
+
+if __name__ == "__main__":
+    main()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -160,7 +161,7 @@ def _de_report(spec: EnsembleSpec) -> dict:
         "feasible": rep.feasible,
         "worst_x": rep.worst_x,
         "worst_value": rep.worst_value,
-        "endpoint_value": de_polynomial(spec.lam, spec.rho, spec.epsilon).evaluate(1.0),
+        "endpoint_value": rep.endpoint_value,
     }
 
 
@@ -433,9 +434,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader of stdout went away (`ldpcopt ... | head`): an I/O
+        # error, not a numerical failure. Stdout now points at devnull, so
+        # the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_INPUT
     except Exception as exc:
         # Anything else is a defect or a numerical breakdown, not bad input:

@@ -173,6 +173,7 @@ class FeasibilityReport:
     worst_x: float
     worst_value: float
     mode: str
+    endpoint_value: float   # P(1), the last grid point
 
 
 def check_de_feasible(spec: EnsembleSpec, mode: str = "grid",
@@ -205,6 +206,7 @@ def check_de_feasible(spec: EnsembleSpec, mode: str = "grid",
         worst_x=worst_x,
         worst_value=worst_value,
         mode=mode,
+        endpoint_value=float(values[-1]),
     )
 
 
@@ -215,24 +217,25 @@ def _critical_points(p: Polynomial):
         return []
     xs = np.linspace(0.0, 1.0, CRITICAL_SCAN_POINTS)
     dv = dp.evaluate_many(xs)
+    # Only intervals that start on a zero or change sign hold a root.
+    candidates = np.flatnonzero((dv[:-1] == 0.0) | (dv[:-1] * dv[1:] < 0.0))
     roots = []
-    for k in range(CRITICAL_SCAN_POINTS - 1):
+    for k in candidates:
         a, b = xs[k], xs[k + 1]
-        fa, fb = dv[k], dv[k + 1]
+        fa = dv[k]
         if fa == 0.0:
             if 0.0 < a < 1.0:
                 roots.append(float(a))
             continue
-        if fa * fb < 0.0:
-            for _ in range(64):
-                m = 0.5 * (a + b)
-                fm = dp.evaluate(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
+        for _ in range(64):
+            m = 0.5 * (a + b)
+            fm = dp.evaluate(m)
+            if fm == 0.0:
+                a = b = m
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(0.5 * (a + b))
     return [r for r in roots if 0.0 < r < 1.0]

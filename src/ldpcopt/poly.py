@@ -37,7 +37,9 @@ class Polynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[float] = ()):
-        c = np.asarray(tuple(coeffs), dtype=np.float64)
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = tuple(coeffs)
+        c = np.asarray(coeffs, dtype=np.float64)
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         if not np.all(np.isfinite(c)):

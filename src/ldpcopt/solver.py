@@ -18,6 +18,14 @@ the Euclidean dot product. Splitting a PSD variable into independent blocks
 (for instance by a symmetry of the problem) is left to the caller; each block
 costs O(d^3) per iteration, so two halves cost a quarter of the whole.
 
+Each block moves between svec and matrix form through cached gathers (one
+set of flat index maps per dimension), and the per-iteration work on it is a
+few large numpy calls: the congruences R' P_r R of all constraint rows are
+formed by batched matrix products, and the step search takes the smallest
+eigenvalues of the x and z directions from one stacked call. A batched call
+does the same floating-point operations in the same order as one call per
+matrix, so batching changes no rounding and no iterate.
+
 Algorithm
 ---------
 A primal-dual path-following method on the homogeneous self-dual embedding:
@@ -46,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,48 +83,53 @@ def svec_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
+class _Gathers(NamedTuple):
+    """Flat index maps between a d x d matrix and its svec."""
+
+    tri: np.ndarray     # flat position of each svec entry (i, j), i <= j
+    tri_t: np.ndarray   # flat position of its mirror (j, i)
+    sc: np.ndarray      # svec scale: 1 on the diagonal, sqrt(2) off it
+    full: np.ndarray    # svec index of every flat position
+    dsc: np.ndarray     # the svec scale at every flat position
+
+
 @functools.lru_cache(maxsize=None)
-def _triu(d: int):
-    """Upper-triangle indices of a d x d matrix, cached and read-only."""
+def _gathers(d: int) -> _Gathers:
+    """The index maps of dimension d, cached and read-only, so that svec and
+    smat are one gather each."""
     iu0, iu1 = np.triu_indices(d)
-    iu0.flags.writeable = False
-    iu1.flags.writeable = False
-    return iu0, iu1
+    tri = iu0 * d + iu1
+    tri_t = iu1 * d + iu0
+    sc = np.where(iu0 == iu1, 1.0, _SQRT2)
+    full = np.empty(d * d, dtype=np.intp)
+    full[tri] = full[tri_t] = np.arange(tri.size)
+    maps = _Gathers(tri, tri_t, sc, full, sc[full])
+    for a in maps:
+        a.flags.writeable = False
+    return maps
 
 
 def svec(m: np.ndarray) -> np.ndarray:
-    """Scaled upper triangle of a symmetric matrix (row-major over rows)."""
+    """Scaled upper triangle of a symmetric matrix (row-major over rows), or
+    of each matrix in a stack."""
     m = np.asarray(m, dtype=np.float64)
-    d = m.shape[0]
-    iu0, iu1 = _triu(d)
-    v = m[iu0, iu1].copy()
-    v[iu0 != iu1] *= _SQRT2
-    return v
+    d = m.shape[-1]
+    g = _gathers(d)
+    return m.reshape(m.shape[:-2] + (d * d,))[..., g.tri] * g.sc
 
 
 def smat(v: np.ndarray, d: Optional[int] = None) -> np.ndarray:
-    """Inverse of ``svec``."""
+    """Inverse of ``svec``, also over a stack of vectors."""
     v = np.asarray(v, dtype=np.float64)
+    n = v.shape[-1]
     if d is None:
-        d = int(round((math.sqrt(8 * v.size + 1) - 1) / 2))
-    if svec_dim(d) != v.size:
-        raise SolverError(f"svec length {v.size} does not match dimension {d}")
-    iu0, iu1 = _triu(d)
-    out = np.zeros((d, d))
-    vals = v.copy()
-    vals[iu0 != iu1] /= _SQRT2
-    out[iu0, iu1] = vals
-    out[iu1, iu0] = vals
-    return out
-
-
-def _svec_batch(ms: np.ndarray) -> np.ndarray:
-    d = ms.shape[-1]
-    iu0, iu1 = _triu(d)
-    # One gather over the flattened matrices is faster than a 2-D fancy index.
-    out = ms.reshape(ms.shape[:-2] + (d * d,))[..., iu0 * d + iu1]
-    out[..., iu0 != iu1] *= _SQRT2
-    return out
+        d = int(round((math.sqrt(8 * n + 1) - 1) / 2))
+    if svec_dim(d) != n:
+        raise SolverError(f"svec length {n} does not match dimension {d}")
+    g = _gathers(d)
+    # Divided by sqrt(2), not multiplied by its reciprocal: the two round
+    # differently, and the iterate sequence depends on the last bit.
+    return (v[..., g.full] / g.dsc).reshape(v.shape[:-1] + (d, d))
 
 
 def _block_slices(start: int, dims) -> list:
@@ -315,7 +328,7 @@ class _BlockScaling:
         self.Rit = (Lz @ u_mat) / root[None, :]   # equals R^{-T}
         self.T = self.R @ self.R.T
         self.lam = sv
-        self.root = root
+        self.root_outer = np.outer(root, root)
 
 
 class _Scaling:
@@ -332,12 +345,14 @@ class _Scaling:
 
     def _apply(self, v: np.ndarray, orth, block) -> np.ndarray:
         """``orth`` on the orthant part of v, ``block(b, V)`` on each block
-        matrix V (symmetrized back into svec)."""
-        parts = [orth(v[: self.n_orth])]
+        matrix V, symmetrized back into svec by one gather."""
+        out = np.empty_like(v)
+        out[: self.n_orth] = orth(v[: self.n_orth])
         for b in self.blocks:
-            m = block(b, smat(v[b.sl], b.d))
-            parts.append(svec(0.5 * (m + m.T)))
-        return np.concatenate(parts)
+            f = block(b, smat(v[b.sl], b.d)).ravel()
+            g = _gathers(b.d)
+            out[b.sl] = 0.5 * (f[g.tri] + f[g.tri_t]) * g.sc
+        return out
 
     def lam_sq(self) -> np.ndarray:
         return np.concatenate([self.lam_orth ** 2]
@@ -365,15 +380,27 @@ class _Scaling:
             return 0.5 * (um @ vm + vm @ um)
         return self._apply(u, lambda uo: uo * v[: self.n_orth], block)
 
-    def max_step(self, direction_scaled: np.ndarray) -> float:
-        vo = direction_scaled[: self.n_orth]
+    def max_step(self, dx_scaled: np.ndarray, dz_scaled: np.ndarray) -> float:
+        """Largest step along both scaled directions that stays in the cone.
+
+        The orthant takes a ratio test, each block the smallest eigenvalue
+        of lam^{-1/2} V lam^{-1/2}, from one call on the x and z matrices
+        stacked. 1 / -min(lo) is the min over 1 / -lo to the bit, since a
+        correctly rounded quotient is monotone in its divisor.
+        """
+        n = self.n_orth
+        both = np.stack([dx_scaled, dz_scaled])
+        vo = both[:, :n]
         alpha = math.inf
         neg = vo < 0.0
         if np.any(neg):
-            alpha = float(np.min(self.lam_orth[neg] / -vo[neg]))
+            lam = np.broadcast_to(self.lam_orth, vo.shape)
+            alpha = float(np.min(lam[neg] / -vo[neg]))
         for b in self.blocks:
-            g = smat(direction_scaled[b.sl], b.d) / np.outer(b.root, b.root)
-            lo = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+            # smat and the outer product are symmetric to the bit, so the
+            # matrices need no symmetrizing.
+            g = smat(both[:, b.sl], b.d) / b.root_outer
+            lo = float(np.min(np.linalg.eigvalsh(g)[:, 0]))
             if lo < 0.0:
                 alpha = min(alpha, 1.0 / -lo)
         return alpha
@@ -421,19 +448,20 @@ class _KKT:
     """
 
     def __init__(self, core, scaling: _Scaling):
-        self.core = core
         self.scaling = scaling
         A = core.A
         p = A.shape[0]
         n_orth = scaling.n_orth
         ghat = np.zeros((core.m_c, p))
         ghat[:n_orth, :] = A[:, :n_orth].T * scaling.w[:, None]
-        for b, rows, nonzeros in zip(scaling.blocks, core.psd_rows, core.psd_nonzeros):
-            congr = np.empty((rows.size, b.d, b.d))
-            for k, (I, J, v) in enumerate(nonzeros):
-                congr[k] = (b.R[I] * v[:, None]).T @ b.R[J]
-            ghat[b.sl, rows] = _svec_batch(congr).T
+        for b, chunks in zip(scaling.blocks, core.psd_chunks):
+            for rows, I, J, v in chunks:
+                left = b.R[I]
+                left *= v[..., None]
+                congr = np.matmul(left.transpose(0, 2, 1), b.R[J])
+                ghat[b.sl, rows] = svec(congr).T
         self.ghat = ghat
+        self.chat = scaling.scale_z(core.c)
         phi = ghat.T @ ghat
         phi = 0.5 * (phi + phi.T)
         self.phi = phi
@@ -458,8 +486,7 @@ class _KKT:
         """b' phi^{-1} b + || (I - P) W c ||^2 with P the projector onto
         range(Ghat); both terms are squared norms, hence nonnegative."""
         t1 = self.chol_inv @ b
-        chat = self.scaling.scale_z(self.core.c)
-        resid = chat - self.ghat @ self._chol_solve(self.ghat.T @ chat)
+        resid = self.chat - self.ghat @ self._chol_solve(self.ghat.T @ self.chat)
         return float(t1 @ t1 + resid @ resid)
 
     def _chol_solve(self, rhs):
@@ -470,6 +497,31 @@ class _KKT:
         dy = self._chol_solve(u)
         dy += self._chol_solve(u - self.phi @ dy)
         return dy
+
+
+def _row_nonzeros(part: np.ndarray, d: int):
+    """Nonzeros of smat(part[r]) for every row r, both triangles, as index
+    arrays I, J and weights v of shape (rows, width).
+
+    Each row lists its entries in svec order, then the mirrors of its
+    off-diagonal entries in the same order; zero weights pad it to the
+    widest row. A padded product adds exact zeros after the row's own terms.
+    """
+    iu0, iu1 = np.triu_indices(d)
+    off = iu0 != iu1
+    I = np.concatenate([iu0, iu1[off]])
+    J = np.concatenate([iu1, iu0[off]])
+    vals = part / _gathers(d).sc
+    vals = np.concatenate([vals, vals[:, off]], axis=1)
+    nonzero = np.concatenate([part != 0.0, part[:, off] != 0.0], axis=1)
+    # Row-major order keeps each row's entries in list order.
+    r, k = np.nonzero(nonzero)
+    pos = np.cumsum(nonzero, axis=1)[r, k] - 1
+    shape = (part.shape[0], int(np.max(pos, initial=-1)) + 1)
+    I_rows, J_rows = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    v_rows = np.zeros(shape)
+    I_rows[r, pos], J_rows[r, pos], v_rows[r, pos] = I[k], J[k], vals[r, k]
+    return I_rows, J_rows, v_rows
 
 
 class _Core:
@@ -486,24 +538,20 @@ class _Core:
         # matrices P_r as the coordinates (I, J, v) of its nonzeros, both
         # triangles, so that the congruence R' P_r R = (R[I] * v)' R[J] costs
         # 2 nnz(P_r) d^2 flops instead of 4 d^3 (a Hankel row of an SOS
-        # program has at most d nonzeros).
-        self.psd_rows, self.psd_nonzeros = [], []
+        # program has at most d nonzeros). _KKT forms a chunk of rows with
+        # one matmul; the chunks hold few enough rows that its temporaries
+        # stay within the rows * d^2 floats of the congruences themselves.
+        self.psd_rows, self.psd_chunks = [], []
         for d, sl in self.blocks:
             self.unit[sl] = svec(np.eye(d))
             part = self.A[:, sl]
             rows = np.flatnonzero(np.abs(part).sum(axis=1) > 0.0)
-            iu0, iu1 = _triu(d)
-            nonzeros = []
-            for r in rows:
-                k = np.flatnonzero(part[r])
-                i, j = iu0[k], iu1[k]
-                off = i != j
-                v = np.where(off, part[r, k] / _SQRT2, part[r, k])
-                nonzeros.append((np.concatenate([i, j[off]]),
-                                 np.concatenate([j, i[off]]),
-                                 np.concatenate([v, v[off]])))
+            I, J, v = _row_nonzeros(part[rows], d)
+            step = max(1, rows.size * d // (2 * I.shape[1] + d))
             self.psd_rows.append(rows)
-            self.psd_nonzeros.append(nonzeros)
+            self.psd_chunks.append([
+                (rows[k: k + step], I[k: k + step], J[k: k + step], v[k: k + step])
+                for k in range(0, rows.size, step)])
         # Constant Gram factor of A, used to project the primal
         # defect out of recovered directions (the scaling-amplified noise in
         # dx otherwise puts a floor on the primal residual).
@@ -646,7 +694,7 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
 
         mu = compl / nu
 
-        dy1 = kkt.solve_normal(kkt.awsq(core.c) + core.b)
+        dy1 = kkt.solve_normal(kkt.ghat.T @ kkt.chat + core.b)
         dx1 = scal.wsq_apply(core.A.T @ dy1 - core.c)
         dx1 = core.project_primal_defect(dx1, core.b - core.A @ dx1)
         denom = kkt.tau_denominator_part(core.b) + kappa / tau
@@ -668,18 +716,19 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
             dkappa = (d_tk - kappa * dtau) / tau
             return dx, dy, dz, dtau, dkappa
 
-        def max_step(dx, dz, dtau, dkappa):
-            alpha = scal.max_step(scal.scale_x(dx))
-            alpha = min(alpha, scal.max_step(scal.scale_z(dz)))
+        def max_step(dx_scaled, dz_scaled, dtau, dkappa):
+            alpha = scal.max_step(dx_scaled, dz_scaled)
             if dtau < 0.0:
                 alpha = min(alpha, tau / -dtau)
             if dkappa < 0.0:
                 alpha = min(alpha, kappa / -dkappa)
             return alpha
 
+        lam_sq = scal.lam_sq()
         # Predictor (affine) step.
-        dx_a, _, dz_a, dtau_a, dkappa_a = direction(1.0, -scal.lam_sq(), -tau * kappa)
-        alpha_aff = min(1.0, max_step(dx_a, dz_a, dtau_a, dkappa_a))
+        dx_a, _, dz_a, dtau_a, dkappa_a = direction(1.0, -lam_sq, -tau * kappa)
+        dxs_a, dzs_a = scal.scale_x(dx_a), scal.scale_z(dz_a)
+        alpha_aff = min(1.0, max_step(dxs_a, dzs_a, dtau_a, dkappa_a))
         mu_aff = (
             (x + alpha_aff * dx_a) @ (z + alpha_aff * dz_a)
             + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkappa_a)
@@ -687,12 +736,13 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
 
         # Combined centering-corrector step.
-        corr = scal.jordan_mul(scal.scale_x(dx_a), scal.scale_z(dz_a))
-        d_c = sigma * mu * core.unit - scal.lam_sq() - corr
+        corr = scal.jordan_mul(dxs_a, dzs_a)
+        d_c = sigma * mu * core.unit - lam_sq - corr
         d_tk = sigma * mu - tau * kappa - dtau_a * dkappa_a
         dx, dy, dz, dtau, dkappa = direction(1.0 - sigma, d_c, d_tk)
 
-        alpha = min(1.0, _STEP_FRACTION * max_step(dx, dz, dtau, dkappa))
+        alpha = min(1.0, _STEP_FRACTION * max_step(
+            scal.scale_x(dx), scal.scale_z(dz), dtau, dkappa))
         if alpha < _MIN_STEP:
             return _from_best(best, best_merit, tol, history,
                               "step length collapsed")

@@ -252,6 +252,24 @@ def test_console_entry_point():
     assert report["bisect"]["epsilon"] >= 1.0 - 2e-6
 
 
+def test_closed_stdout_is_an_io_error():
+    # `threshold ... | head -c 400` once exited 3 with "error:
+    # BrokenPipeError": a reader that goes away is no numerical failure.
+    # The pipe's read end is closed before the child starts, so the
+    # child's write of its report fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ldpcopt.cli", "threshold",
+             "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}'],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_unexpected_error_exits_three(monkeypatch, capsys):
     def broken_solve(*args, **kwargs):
         raise RuntimeError("solver exploded")

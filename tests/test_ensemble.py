@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ldpcopt import ensemble
 from ldpcopt.ensemble import (
     DegreeDistribution,
     EnsembleSpec,
@@ -13,7 +14,7 @@ from ldpcopt.ensemble import (
     design_rate,
     stability_lambda2_bound,
 )
-from ldpcopt.poly import de_polynomial
+from ldpcopt.poly import Polynomial, de_polynomial
 
 from conftest import COMPARISON_DESIGNS, REFERENCE_DESIGNS, random_distribution
 
@@ -136,6 +137,57 @@ def test_grid_and_minimum_modes_agree(rng):
         assert minimum.worst_value <= grid.worst_value + 1e-15
         if grid.worst_value < -1e-9:
             assert not minimum.feasible
+
+
+def test_endpoint_value_is_p_at_one(rng):
+    for _ in range(10):
+        lam, rho = random_distribution(rng, 7), random_distribution(rng, 6)
+        eps = float(rng.uniform(0.1, 0.9))
+        rep = check_de_feasible(EnsembleSpec(lam, rho, eps), mode="minimum")
+        assert rep.endpoint_value == de_polynomial(lam, rho, eps).evaluate(1.0)
+
+
+def _critical_points_by_scan(p):
+    """The interval-by-interval scan that _critical_points replaces."""
+    dp = p.derivative()
+    if dp.degree < 1:
+        return []
+    xs = np.linspace(0.0, 1.0, ensemble.CRITICAL_SCAN_POINTS)
+    dv = dp.evaluate_many(xs)
+    roots = []
+    for k in range(ensemble.CRITICAL_SCAN_POINTS - 1):
+        a, b = xs[k], xs[k + 1]
+        fa, fb = dv[k], dv[k + 1]
+        if fa == 0.0:
+            if 0.0 < a < 1.0:
+                roots.append(float(a))
+            continue
+        if fa * fb < 0.0:
+            for _ in range(64):
+                m = 0.5 * (a + b)
+                fm = dp.evaluate(m)
+                if fm == 0.0:
+                    a = b = m
+                    break
+                if fa * fm < 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+    return [r for r in roots if 0.0 < r < 1.0]
+
+
+def test_critical_points_match_full_scan(rng):
+    xs = np.linspace(0.0, 1.0, ensemble.CRITICAL_SCAN_POINTS)
+    polys = [Polynomial(rng.normal(size=int(rng.integers(2, 12)))) for _ in range(20)]
+    polys += [de_polynomial(random_distribution(rng, 8), random_distribution(rng, 7),
+                            float(rng.uniform(0.1, 0.9))) for _ in range(20)]
+    # P' = (x - a)(x - b) vanishes exactly on two scan points.
+    a, b = float(xs[1000]), float(xs[3000])
+    polys.append(Polynomial([0.0, a * b, -0.5 * (a + b), 1.0 / 3.0]))
+    for p in polys:
+        assert ensemble._critical_points(p) == _critical_points_by_scan(p)
+    assert a in ensemble._critical_points(polys[-1])
 
 
 def test_feasible_implies_rate_below_capacity(rng):

@@ -37,6 +37,22 @@ def test_trailing_trim_and_degree():
     assert list(p.coeffs) == [1.0, 2.0]
 
 
+def test_array_and_sequence_coefficients_agree(rng):
+    for coeffs in (rng.normal(size=7), np.array([3, 0, 2, 0, 0]),
+                   np.array([1.0, 2.0, 0.0, 1e-15]), np.zeros(3)):
+        a, b = Polynomial(coeffs), Polynomial(coeffs.tolist())
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert a.coeffs.dtype == np.float64 and not a.coeffs.flags.writeable
+    c = rng.normal(size=4)
+    p = Polynomial(c)
+    c[0] = 99.0
+    assert p.coeff(0) != 99.0
+    with pytest.raises(ValueError):
+        Polynomial(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        Polynomial(np.array([1.0, np.inf]))
+
+
 def test_mul_basic():
     x = Polynomial.identity()
     assert x.mul(x) == Polynomial([0.0, 0.0, 1.0])

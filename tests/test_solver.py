@@ -37,6 +37,50 @@ def test_svec_round_trip(rng):
         assert np.dot(svec(m), svec(n)) == pytest.approx(np.sum(m * n), abs=1e-10)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def _svec_by_triangle_index(m):
+    """svec entry by entry through the triangle indices (the reference)."""
+    iu0, iu1 = np.triu_indices(m.shape[0])
+    v = m[iu0, iu1].copy()
+    v[iu0 != iu1] *= _SQRT2
+    return v
+
+
+def _smat_by_triangle_index(v, d):
+    iu0, iu1 = np.triu_indices(d)
+    out = np.zeros((d, d))
+    vals = v.copy()
+    vals[iu0 != iu1] /= _SQRT2
+    out[iu0, iu1] = vals
+    out[iu1, iu0] = vals
+    return out
+
+
+def test_svec_smat_match_triangle_index_formulas(rng):
+    for d in range(1, 41):
+        m = rng.normal(size=(d, d))
+        m = m + m.T
+        w = rng.normal(size=svec_dim(d))
+        v = svec(m)
+        assert v.tobytes() == _svec_by_triangle_index(m).tobytes()
+        assert smat(w, d).tobytes() == _smat_by_triangle_index(w, d).tobytes()
+        assert smat(w).tobytes() == smat(w, d).tobytes()
+        # Round trips, to the bit as the reference has them, and to rounding.
+        back = smat(v, d)
+        assert back.tobytes() == _smat_by_triangle_index(_svec_by_triangle_index(m), d).tobytes()
+        assert np.allclose(back, m, rtol=1e-15, atol=0.0)
+        assert np.allclose(svec(smat(w, d)), w, rtol=1e-15, atol=0.0)
+        # A stack is handled matrix by matrix.
+        stack = np.stack([m, -2.0 * m, back])
+        assert svec(stack).tobytes() == np.stack([svec(a) for a in stack]).tobytes()
+        vs = np.stack([w, v])
+        assert smat(vs, d).tobytes() == np.stack([smat(w, d), smat(v, d)]).tobytes()
+    with pytest.raises(SolverError):
+        smat(np.zeros(4), 2)
+
+
 def test_lp_box():
     sol = solve(box_lp())
     assert sol.status == "optimal"
@@ -318,3 +362,60 @@ def test_sparse_congruence_matches_dense_on_dense_rows(rng):
     problem = ConicProblem(sense="min", c=rng.normal(size=A.shape[1]), A=A,
                            b=rng.normal(size=p), n_nonneg=2, psd_dims=dims)
     _assert_congruence_matches_dense(problem, rng)
+
+
+def _max_step_one_direction(scal, v):
+    """The step search on one scaled direction, one eigenvalue call per
+    block (the reference for the fused search)."""
+    vo = v[:scal.n_orth]
+    alpha = math.inf
+    neg = vo < 0.0
+    if np.any(neg):
+        alpha = float(np.min(scal.lam_orth[neg] / -vo[neg]))
+    for b in scal.blocks:
+        root = np.sqrt(b.lam)
+        g = smat(v[b.sl], b.d) / np.outer(root, root)
+        lo = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+        if lo < 0.0:
+            alpha = min(alpha, 1.0 / -lo)
+    return alpha
+
+
+def test_fused_step_search_matches_separate_searches(rng):
+    dims = (6, 3)
+    A = rng.normal(size=(4, 2 + svec_dim(6) + svec_dim(3)))
+    dense = ConicProblem(sense="min", c=rng.normal(size=A.shape[1]), A=A,
+                         b=rng.normal(size=4), n_nonneg=2, psd_dims=dims)
+    for problem in (reference_lambda_problem("check7_eps038"), dense):
+        core = solver._Core(solver._Canonical(problem))
+        for _ in range(10):
+            scal = solver._Scaling(core, _random_interior(rng, core),
+                                   _random_interior(rng, core))
+            inside = scal.lam_sq()   # a direction along which every step is feasible
+            pairs = [(rng.normal(size=core.m_c), rng.normal(size=core.m_c)),
+                     (rng.normal(size=core.m_c), inside),
+                     (inside, 1e-3 * rng.normal(size=core.m_c)),
+                     (inside, inside)]
+            for dx, dz in pairs:
+                expected = min(_max_step_one_direction(scal, dx),
+                               _max_step_one_direction(scal, dz))
+                assert scal.max_step(dx, dz) == expected
+        assert scal.max_step(inside, inside) == math.inf
+
+
+def test_solves_repeat_to_the_bit():
+    # Identical inputs give identical iterates on the PSD path: the A8
+    # threshold programs (seed 42) and the Dv = 20 design, whose blocks
+    # (29, 28) take several congruence chunks.
+    rng = np.random.default_rng(42)
+    problems = [build_lambda_problem(DegreeDistribution({4: 1.0}), 0.6, 20)]
+    for _ in range(20):
+        lam = random_distribution(rng, int(rng.integers(3, 8)))
+        rho = random_distribution(rng, int(rng.integers(3, 8)))
+        problems.append(build_threshold_problem(lam, rho))
+    for problem in problems:
+        a, b = solve(problem), solve(problem)
+        assert a.status == b.status == "optimal"
+        assert a.iterations == b.iterations
+        assert a.history == b.history
+        assert a.x.tobytes() == b.x.tobytes()
