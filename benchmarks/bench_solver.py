@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the interior-point solver on the design programs, split by phase.
 
-Builds the 11 SOS programs of the benchmark's ``design`` workload through
-``ldpcopt.sos`` and solves each with ``ldpcopt.solver.solve``. The solver is
+Builds the 11 SOS programs of the benchmark's ``design`` workload and the
+README's (3, 6) threshold program through ``ldpcopt.sos`` and solves each
+with ``ldpcopt.solver.solve``. The solver is
 not edited: while a pass runs, its private per-iteration methods are wrapped
 from outside with timers, and each call is charged to one phase:
 
@@ -18,9 +19,21 @@ from outside with timers, and each call is charged to one phase:
 A wrapped call made inside another (``_KKT.__init__`` scales c) is charged
 to the outer one. Each program's solve runs ``PASSES`` times; the table
 shows the median pass. Run as:  python benchmarks/bench_solver.py
+
+A first table, printed before the timings, gives each program's status,
+iteration count and the first 12 hex digits of the SHA-1 of its answer: the
+named decision variables followed by the PSD blocks, which leaves out any
+slack the builder adds. Two versions of the solver take bit-identical steps
+on these programs when that table is the same for both:
+
+    diff <(python benchmarks/bench_solver.py | sed -n '1,/^$/p') \
+         <(PYTHONPATH=other/src python benchmarks/bench_solver.py | sed -n '1,/^$/p')
 """
 
+import hashlib
 import time
+
+import numpy as np
 
 from ldpcopt import solver, sos
 from ldpcopt.ensemble import DegreeDistribution
@@ -28,7 +41,8 @@ from ldpcopt.ensemble import DegreeDistribution
 PASSES = 7
 
 # (name, family, fixed distribution, eps, maximum degree), as in the design
-# workload of perfbench/workloads.py.
+# workload of perfbench/workloads.py; the threshold program takes (lambda,
+# rho) instead, and its t >= 1 covers a nonzero lower bound.
 PROGRAMS = [
     ("check4_eps064", "lambda", {4: 1.0}, 0.64, 5),
     ("check6_eps049", "lambda", {6: 1.0}, 0.49, 7),
@@ -41,6 +55,7 @@ PROGRAMS = [
     ("check6_eps048_dv12", "lambda", {6: 1.0}, 0.48, 12),
     ("check6_eps048_dv14", "lambda", {6: 1.0}, 0.48, 14),
     ("check4_eps06_dv20", "lambda", {4: 1.0}, 0.6, 20),
+    ("threshold_3_6", "threshold", {3: 1.0}, {6: 1.0}),
 ]
 
 PHASES = {
@@ -52,10 +67,21 @@ PHASES = {
 }
 
 
-def build(family, fixed, eps, max_degree):
+def build(family, fixed, *args):
     dist = DegreeDistribution(fixed, normalize=True)
+    if family == "threshold":
+        return sos.build_threshold_problem(dist, DegreeDistribution(args[0]))
     builder = sos.build_lambda_problem if family == "lambda" else sos.build_rho_problem
-    return builder(dist, eps, max_degree)
+    return builder(dist, *args)
+
+
+def answer_digest(problem, sol) -> str:
+    """First 12 hex digits of the SHA-1 of the decision variables and the
+    PSD blocks of a solution ('-' when there is none)."""
+    if sol.x is None:
+        return "-"
+    x = np.concatenate([sol.x[: len(problem.var_names)], sol.x[problem.n_scalars:]])
+    return hashlib.sha1(x.tobytes()).hexdigest()[:12]
 
 
 class PhaseTimer:
@@ -94,7 +120,7 @@ class PhaseTimer:
 
 
 def time_program(problem):
-    """(iterations, status, median pass: total seconds and seconds by phase)."""
+    """(iterations, median pass: total seconds and seconds by phase)."""
     passes = []
     for _ in range(PASSES):
         with PhaseTimer() as timer:
@@ -105,30 +131,37 @@ def time_program(problem):
         split["other"] = total - sum(split.values())
         passes.append((total, split))
     total, split = sorted(passes, key=lambda p: p[0])[len(passes) // 2]
-    return len(sol.history) - 1, sol.status, total, split
+    return len(sol.history) - 1, total, split
 
 
 def main():
+    problems = [(name, build(*spec)) for name, *spec in PROGRAMS]
+    print(f"{'program':20s} {'status':>8s} {'iters':>5s} {'x sha1':>12s}")
+    for name, problem in problems:
+        sol = solver.solve(problem)
+        print(f"{name:20s} {sol.status:>8s} {len(sol.history) - 1:5d} "
+              f"{answer_digest(problem, sol):>12s}")
+    print()
+
     phases = list(PHASES) + ["other"]
-    header = (f"{'program':20s} {'rows':>4s} {'blocks':>7s} {'status':>8s} {'iters':>5s} "
+    header = (f"{'program':20s} {'rows':>4s} {'blocks':>7s} {'iters':>5s} "
               f"{'ms':>7s} {'ms/iter':>7s} " + " ".join(f"{p:>10s}" for p in phases))
     print(header)
     print("-" * len(header))
     iters_all, total_all = 0, 0.0
     split_all = dict.fromkeys(phases, 0.0)
-    for name, *spec in PROGRAMS:
-        problem = build(*spec)
-        iters, status, total, split = time_program(problem)
+    for name, problem in problems:
+        iters, total, split = time_program(problem)
         iters_all += iters
         total_all += total
         for p in phases:
             split_all[p] += split[p]
         blocks = "/".join(str(d) for d in problem.psd_dims)
-        print(f"{name:20s} {problem.A.shape[0]:4d} {blocks:>7s} {status:>8s} {iters:5d} "
+        print(f"{name:20s} {problem.A.shape[0]:4d} {blocks:>7s} {iters:5d} "
               f"{total * 1e3:7.2f} {total / iters * 1e3:7.3f} "
               + " ".join(f"{split[p] / iters * 1e3:10.3f}" for p in phases))
     print("-" * len(header))
-    print(f"{'all (ms per iter)':20s} {'':4s} {'':>7s} {'':>8s} {iters_all:5d} "
+    print(f"{'all (ms per iter)':20s} {'':4s} {'':>7s} {iters_all:5d} "
           f"{total_all * 1e3:7.2f} {total_all / iters_all * 1e3:7.3f} "
           + " ".join(f"{split_all[p] / iters_all * 1e3:10.3f}" for p in phases))
 

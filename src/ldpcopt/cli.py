@@ -29,7 +29,6 @@ from .ensemble import (
     design_rate,
     stability_lambda2_bound,
 )
-from .poly import de_polynomial
 from .solver import solve
 from . import sos
 
@@ -156,7 +155,7 @@ def _certificate_report(problem, solution, poly, q: int) -> dict:
 
 
 def _de_report(spec: EnsembleSpec) -> dict:
-    rep = check_de_feasible(spec, mode="minimum")
+    rep = check_de_feasible(spec)
     return {
         "feasible": rep.feasible,
         "worst_x": rep.worst_x,
@@ -213,6 +212,10 @@ def _optimize_common(args, kind: str) -> int:
         lam, rho = fixed, opt
     spec = EnsembleSpec(lam, rho, eps)
     rate = max(design_rate(lam, rho), 0.0)
+    # The certificate proves the program's own constraint at the solver's
+    # values; the reported taps are checked by the DE route.
+    family = (sos.lambda_constraint_family if kind == "lambda"
+              else sos.rho_constraint_family)(fixed, eps, max_degree)
     report.update({
         "objective": solution.objective,
         "ensemble": spec.to_json_dict(),
@@ -221,8 +224,7 @@ def _optimize_common(args, kind: str) -> int:
         "delta": capacity_gap(rate, eps),
         "stability_lambda2_bound": stability_lambda2_bound(rho, eps) if eps > 0 else None,
         "certificate": _certificate_report(
-            problem, solution, _constraint_poly(kind, lam, rho, eps, max_degree),
-            sos.design_lift_order(fixed, max_degree)),
+            problem, solution, family.at(solution.x[: family.n_vars]), family.degree),
         "de_check": _de_report(spec),
         "duality_gap": solution.duality_gap,
         "eq_residual": solution.eq_residual,
@@ -238,15 +240,6 @@ def _optimize_common(args, kind: str) -> int:
         return EXIT_NUMERICAL
     _emit(report, args.output)
     return EXIT_OK
-
-
-def _constraint_poly(kind, lam, rho, eps, max_degree):
-    if kind == "lambda":
-        return de_polynomial(lam, rho, eps)
-    # Check-side constraint polynomial: rho(1 - eps*lam(x)) - 1 + x.
-    fam = sos.rho_constraint_family(lam, eps, max_degree)
-    values = [rho.get(j, 0.0) for j in range(2, max_degree + 1)]
-    return fam.at(values)
 
 
 def cmd_optimize_lambda(args) -> int:
@@ -302,8 +295,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     spec = _load_spec(args)
     rate = design_rate(spec.lam, spec.rho)
-    grid = check_de_feasible(spec, mode="grid")
-    minimum = check_de_feasible(spec, mode="minimum")
+    de_check = check_de_feasible(spec)
     threshold = de_mod.bisect_threshold(spec.lam, spec.rho)
     report = {
         "command": "verify",
@@ -316,16 +308,16 @@ def cmd_verify(args) -> int:
             "bound": stability_lambda2_bound(spec.rho, spec.epsilon)
             if spec.epsilon > 0 else None,
         },
-        "de_grid": {"feasible": grid.feasible, "worst_x": grid.worst_x,
-                    "worst_value": grid.worst_value},
-        "de_minimum": {"feasible": minimum.feasible, "worst_x": minimum.worst_x,
-                       "worst_value": minimum.worst_value},
+        "de_grid": {"feasible": de_check.grid_feasible, "worst_x": de_check.grid_x,
+                    "worst_value": de_check.grid_value},
+        "de_minimum": {"feasible": de_check.feasible, "worst_x": de_check.worst_x,
+                       "worst_value": de_check.worst_value},
         "threshold": threshold,
         "threshold_margin": threshold - spec.epsilon,
         "duration_seconds": time.perf_counter() - t0,
     }
     _emit(report, args.output)
-    return EXIT_OK if minimum.feasible else EXIT_INFEASIBLE
+    return EXIT_OK if de_check.feasible else EXIT_INFEASIBLE
 
 
 def cmd_sweep(args) -> int:

@@ -169,43 +169,43 @@ def stability_lambda2_bound(rho: DegreeDistribution, eps: float) -> float:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool
-    worst_x: float
+    feasible: bool          # worst_value >= -tol
+    worst_x: float          # minimum of P over the grid and its critical points
     worst_value: float
-    mode: str
+    grid_feasible: bool     # grid_value >= -tol
+    grid_x: float           # minimum of P over the grid alone
+    grid_value: float
     endpoint_value: float   # P(1), the last grid point
 
 
-def check_de_feasible(spec: EnsembleSpec, mode: str = "grid",
+def check_de_feasible(spec: EnsembleSpec,
                       tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
     """Check P(x) >= -tol on [0, 1] for the decoding-success polynomial.
 
-    mode="grid" samples P on a uniform 10001-point grid. mode="minimum"
-    additionally isolates the interior critical points of P (bisection on the
-    sign changes of P' over a 4096-point scan) and evaluates P there, so the
-    reported minimum is not limited by grid resolution.
+    P is sampled on a uniform 10001-point grid; the interior critical points
+    of P (bisection on the sign changes of P' over a 4096-point scan) are
+    evaluated too, so the reported minimum is not limited by grid
+    resolution. The grid minimum alone is reported next to it.
     """
-    if mode not in ("grid", "minimum"):
-        raise ValueError(f"mode must be 'grid' or 'minimum', got {mode!r}")
     p = de_polynomial(spec.lam, spec.rho, spec.epsilon)
     xs = np.linspace(0.0, 1.0, GRID_POINTS)
     values = p.evaluate_many(xs)
     worst = int(np.argmin(values))
-    worst_x = float(xs[worst])
-    worst_value = float(values[worst])
-
-    if mode == "minimum":
-        for x in _critical_points(p):
-            v = p.evaluate(x)
-            if v < worst_value:
-                worst_value = v
-                worst_x = x
+    grid_x = worst_x = float(xs[worst])
+    grid_value = worst_value = float(values[worst])
+    for x in _critical_points(p):
+        v = p.evaluate(x)
+        if v < worst_value:
+            worst_value = v
+            worst_x = x
 
     return FeasibilityReport(
         feasible=bool(worst_value >= -tol),
         worst_x=worst_x,
         worst_value=worst_value,
-        mode=mode,
+        grid_feasible=bool(grid_value >= -tol),
+        grid_x=grid_x,
+        grid_value=grid_value,
         endpoint_value=float(values[-1]),
     )
 

@@ -1,5 +1,5 @@
-"""Dense conic optimizer for problems with nonnegative and boxed scalars plus
-any number of PSD matrix blocks.
+"""Dense conic optimizer for problems with nonnegative and lower-bounded
+scalars plus any number of PSD matrix blocks.
 
 Problem form
 ------------
@@ -8,8 +8,11 @@ the data is
 
     minimize / maximize   c @ x  (+ offset)
     subject to            A @ x = b
-                          x_nonneg >= 0,   lo <= x_box <= hi,
+                          x_nonneg >= 0,   x_box >= lo  (lo = ``box_lo``),
                           smat(x_k) positive semidefinite for every block k
+
+The cone is the orthant times the PSD blocks; an upper bound is the caller's
+to pose, as a nonnegative slack and an equality row.
 
 ``ConicProblem.psd_dims`` lists the block dimensions. A block of dimension d
 is carried as its scaled upper triangle (``svec``, length d*(d+1)/2,
@@ -34,8 +37,8 @@ dense factorizations throughout. Every variable lies in a cone, so each
 search direction comes from the normal equations (A W'W A') dy = r, solved
 with one step of iterative refinement. Each Cholesky factor is inverted once,
 when it is formed, so every solve with it is a matrix product. Boxed
-variables are folded into the nonnegative cone through a shift and one slack
-each; infeasibility and unboundedness are certified from the embedding
+variables are shifted by their lower bounds into the nonnegative cone;
+infeasibility and unboundedness are certified from the embedding
 (tau -> 0) rather than via a phase-1, and so is the outcome of a problem with
 no strictly feasible point (a face pinned by its equalities). Identical
 inputs produce identical iterate sequences.
@@ -156,7 +159,6 @@ class ConicProblem:
     b: np.ndarray
     n_nonneg: int = 0
     box_lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    box_hi: np.ndarray = field(default_factory=lambda: np.zeros(0))
     psd_dims: tuple = ()
     offset: float = 0.0
     var_names: tuple = ()
@@ -167,12 +169,16 @@ class ConicProblem:
         object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=np.float64)))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
         object.__setattr__(self, "box_lo", np.asarray(self.box_lo, dtype=np.float64))
-        object.__setattr__(self, "box_hi", np.asarray(self.box_hi, dtype=np.float64))
         self.validate()
 
     @property
     def n_box(self) -> int:
         return self.box_lo.size
+
+    @property
+    def box_hi(self) -> np.ndarray:
+        # Boxed scalars have no upper bound; read by perfbench/tracing.py.
+        return np.full(self.n_box, math.inf)
 
     @property
     def n_scalars(self) -> int:
@@ -192,8 +198,6 @@ class ConicProblem:
             raise SolverError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if self.n_nonneg < 0 or any(d < 1 for d in self.psd_dims):
             raise SolverError("n_nonneg must be nonnegative and PSD blocks nonempty")
-        if self.box_lo.shape != self.box_hi.shape:
-            raise SolverError("box bounds must have equal shapes")
         n = self.n_cols
         if n == 0:
             raise SolverError("problem has no variables")
@@ -208,10 +212,6 @@ class ConicProblem:
         for arr in (self.c, self.A, self.b, self.box_lo):
             if arr.size and not np.all(np.isfinite(arr)):
                 raise SolverError("problem data must be finite")
-        if self.box_hi.size and np.any(np.isnan(self.box_hi)):
-            raise SolverError("box upper bounds must not be NaN")
-        if np.any(self.box_hi < self.box_lo):
-            raise SolverError("box upper bounds must not be below lower bounds")
 
 
 @dataclass(frozen=True)
@@ -251,63 +251,6 @@ class ConicSolution:
             return None
         return [smat(self.x[sl], d)
                 for d, sl in _block_slices(problem.n_scalars, problem.psd_dims)]
-
-
-# ---------------------------------------------------------------------------
-# Canonical form: minimize, cone = orthant x PSD, boxes removed
-# ---------------------------------------------------------------------------
-
-class _Canonical:
-    def __init__(self, prob: ConicProblem):
-        self.prob = prob
-        n0, nb = prob.n_nonneg, prob.n_box
-        s = prob.n_cols - prob.n_scalars
-        hi = prob.box_hi
-        paired = np.where(np.isfinite(hi))[0]
-        npair = paired.size
-
-        sign = 1.0 if prob.sense == "min" else -1.0
-        n = prob.n_cols + npair
-        c = np.zeros(n)
-        c[: prob.n_cols] = sign * prob.c
-
-        p0 = prob.A.shape[0]
-        A = np.zeros((p0 + npair, n))
-        A[:p0, : prob.n_cols] = prob.A
-        b = np.zeros(p0 + npair)
-        # Boxed variable k becomes lo_k + u_k with u_k >= 0; a finite upper
-        # bound adds a slack v and a row u_k + v = hi_k - lo_k.
-        box_cols = n0 + np.arange(nb)
-        b[:p0] = prob.b - prob.A[:, box_cols] @ prob.box_lo if nb else prob.b.copy()
-        for j, k in enumerate(paired):
-            A[p0 + j, box_cols[k]] = 1.0
-            A[p0 + j, prob.n_cols + j] = 1.0
-            b[p0 + j] = hi[k] - prob.box_lo[k]
-
-        # Reorder columns to [orthant | svec blocks]: the box shifts and the
-        # pairing slacks are ordinary nonnegative variables, svec stays last.
-        perm = np.concatenate([
-            np.arange(n0 + nb),
-            prob.n_cols + np.arange(npair),
-            n0 + nb + np.arange(s),
-        ]).astype(int)
-        self.c = c[perm]
-        self.A = A[:, perm]
-        self.b = b
-        self.n_orth = n0 + nb + npair
-        self.psd_dims = prob.psd_dims
-        self.sign = sign
-        self.p_orig = p0
-        self.npair = npair
-
-    def recover_x(self, x_hat: np.ndarray) -> np.ndarray:
-        prob = self.prob
-        n0, nb = prob.n_nonneg, prob.n_box
-        out = np.empty(prob.n_cols)
-        out[:n0] = x_hat[:n0]
-        out[n0: n0 + nb] = prob.box_lo + x_hat[n0: n0 + nb]
-        out[n0 + nb:] = x_hat[n0 + nb + self.npair:]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +468,22 @@ def _row_nonzeros(part: np.ndarray, d: int):
 
 
 class _Core:
-    def __init__(self, canon: _Canonical):
-        self.c = canon.c
-        self.A = canon.A
-        self.b = canon.b
-        self.n_orth = canon.n_orth
-        self.blocks = _block_slices(self.n_orth, canon.psd_dims)
-        self.m_c = canon.A.shape[1]
-        self.nu = self.n_orth + sum(canon.psd_dims) + 1
+    """The problem as the interior point takes it: minimize c @ x over the
+    orthant times the PSD blocks, each boxed scalar shifted to x - lo >= 0."""
+
+    def __init__(self, prob: ConicProblem):
+        self.sign = 1.0 if prob.sense == "min" else -1.0
+        self.c = self.sign * prob.c
+        # Fortran order: BLAS sums a matrix product in an order that depends
+        # on the layout. The iterates are pinned to this one; with a C-ordered
+        # A every SOS solve drifts by rounding and iteration counts move by 1.
+        self.A = np.asfortranarray(prob.A)
+        box = slice(prob.n_nonneg, prob.n_scalars)
+        self.b = prob.b - prob.A[:, box] @ prob.box_lo
+        self.n_orth = prob.n_scalars
+        self.blocks = _block_slices(self.n_orth, prob.psd_dims)
+        self.m_c = prob.n_cols
+        self.nu = self.n_orth + sum(prob.psd_dims) + 1
         self.unit = np.ones(self.m_c)
         # Per block: the rows that touch it, and each of their constraint
         # matrices P_r as the coordinates (I, J, v) of its nonzeros, both
@@ -772,19 +723,19 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
     reports the final residuals instead of a doubtful answer.
     """
     problem.validate()
-    canon = _Canonical(problem)
-    core = _Core(canon)
+    core = _Core(problem)
     res = _solve_hsd(core, tol, max_iters, trace)
 
     if res.status == "optimal":
-        x = canon.recover_x(core.polish(res.x_hat))
-        return _finalize_optimal(problem, canon, res, x, res.y_hat, tol)
+        x = core.polish(res.x_hat)
+        x[problem.n_nonneg: problem.n_scalars] += problem.box_lo
+        return _finalize_optimal(problem, res, x, core.sign * res.y_hat, tol)
     gap = res.gap if np.isfinite(res.gap) else math.inf
     return ConicSolution(res.status, None, None, gap, res.pres, res.iterations,
                          message=res.message, history=res.history)
 
 
-def _finalize_optimal(problem, canon, res, x, y_full, tol):
+def _finalize_optimal(problem, res, x, y, tol):
     eq_residual = float(np.max(np.abs(problem.A @ x - problem.b), initial=0.0))
     objective = float(problem.c @ x + problem.offset)
     min_eig = None
@@ -796,7 +747,6 @@ def _finalize_optimal(problem, canon, res, x, y_full, tol):
     if nb:
         seg = x[nn: ns]
         checks_ok &= bool(np.all(seg >= problem.box_lo - 1e-9))
-        checks_ok &= bool(np.all(seg <= problem.box_hi + 1e-9))
     # One eigenvalue floor for the block-diagonal matrix of all blocks.
     eigs = [np.linalg.eigvalsh(smat(x[sl], d))
             for d, sl in _block_slices(ns, problem.psd_dims)]
@@ -809,6 +759,6 @@ def _finalize_optimal(problem, canon, res, x, y_full, tol):
             message="post-hoc constraint check failed", history=res.history)
     return ConicSolution(
         "optimal", x, objective, res.gap, eq_residual, res.iterations,
-        psd_min_eig=min_eig, y=canon.sign * y_full[: canon.p_orig],
+        psd_min_eig=min_eig, y=y,
         message=res.message, history=res.history)
 

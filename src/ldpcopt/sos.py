@@ -273,11 +273,13 @@ def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
     """Generic builder: decision variables + Gram blocks for ``family`` >= 0 on [0,1].
 
     ``extra_eq`` rows are (coefficients over the decision variables, rhs).
-    Variable layout of the result: the family's variables first (boxed by
-    var_lo/var_hi, +inf upper bounds allowed), then svec of the even and the
-    odd Gram block of the order q - k lift of family / x^k, k the number of
-    identically zero low rows (see the module docstring). Raises
-    ``GramTooLarge`` when q + 1 exceeds ``MAX_GRAM_DIM``.
+    Variable layout of the result: the family's variables first (bounded
+    below by var_lo), then one slack per finite var_hi, then svec of the
+    even and the odd Gram block of the order q - k lift of family / x^k, k
+    the number of identically zero low rows (see the module docstring). A
+    finite var_hi[v] is the row var_v + s = var_hi[v] with a slack s >= 0,
+    after the extra rows. Raises ``GramTooLarge`` when q + 1 exceeds
+    ``MAX_GRAM_DIM``.
     """
     _check_gram_dim(q)
     k = 0   # identically zero low rows, factored out as x^k
@@ -287,18 +289,24 @@ def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
     lifted = AffinePolynomialFamily(family.variable_names, family.table[k:]).lift(qr)
     even = lifted.table[::2]
     nv = family.n_vars
+    hi = np.asarray(var_hi, dtype=np.float64)
+    capped = np.flatnonzero(np.isfinite(hi))
+    ns = nv + capped.size   # decision variables and slacks
     powers, gram_rows, weights = _parity_blocks(qr)
     sdim = weights.size
 
-    n_rows = (qr + 1) + len(extra_eq)
-    A = np.zeros((n_rows, nv + sdim))
+    n_rows = (qr + 1) + len(extra_eq) + capped.size
+    A = np.zeros((n_rows, ns + sdim))
     b = np.zeros(n_rows)
     A[: qr + 1, :nv] = even[:, 1:]
-    A[gram_rows, nv + np.arange(sdim)] = -weights
+    A[gram_rows, ns + np.arange(sdim)] = -weights
     b[: qr + 1] = -even[:, 0]
     for r, (coeffs, rhs) in enumerate(extra_eq):
         A[qr + 1 + r, :nv] = coeffs
         b[qr + 1 + r] = rhs
+    caps = np.arange(n_rows - capped.size, n_rows)
+    A[caps, capped] = A[caps, nv + np.arange(capped.size)] = 1.0
+    b[caps] = hi[capped]
 
     # Equilibrate: the lift rows still grow binomially with l, so normalize
     # each equality to unit max coefficient (an exact reformulation).
@@ -307,13 +315,13 @@ def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
     A /= scale[:, None]
     b /= scale
 
-    c = np.zeros(nv + sdim)
+    c = np.zeros(ns + sdim)
     c[:nv] = objective
     return ConicProblem(
         sense=sense, c=c, A=A, b=b,
         n_nonneg=0,
-        box_lo=np.asarray(var_lo, dtype=np.float64),
-        box_hi=np.asarray(var_hi, dtype=np.float64),
+        box_lo=np.concatenate([np.asarray(var_lo, dtype=np.float64),
+                               np.zeros(capped.size)]),
         psd_dims=tuple(idx.size for idx in powers),
         var_names=family.variable_names,
     )

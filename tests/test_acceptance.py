@@ -117,7 +117,7 @@ def test_a02_reference_rate_reproduction(optimizer_reports):
         assert report["rate"] == pytest.approx(ref["rate"], abs=2e-3), key
         assert report["delta"] == pytest.approx(ref["delta"], abs=2e-3), key
         spec = EnsembleSpec.from_json_dict(report["ensemble"], normalize=True)
-        worst = check_de_feasible(spec, mode="minimum").worst_value
+        worst = check_de_feasible(spec).worst_value
         assert worst >= -SOLVER_DE_SLACK, key
         assert elapsed < 10.0, key
         print(f"[PASS] A2 {key}: rate {report['rate']:.5f} "
@@ -140,7 +140,7 @@ def test_a04_published_designs_verify():
         lam = DegreeDistribution(ref["lam"], normalize=True)
         rho = DegreeDistribution(ref["rho"])
         spec = EnsembleSpec(lam, rho, ref["eps"])
-        rep = check_de_feasible(spec, mode="minimum")
+        rep = check_de_feasible(spec)
         assert rep.feasible, key
         rate = design_rate(lam, rho)
         assert rate == pytest.approx(ref["rate"], abs=1e-3), key
@@ -153,7 +153,7 @@ def test_a05_two_tap_design(optimizer_reports):
     rate = report["rate"]
     assert rate >= TWO_TAP_DESIGN["rate_floor"]
     spec = EnsembleSpec.from_json_dict(report["ensemble"], normalize=True)
-    worst = check_de_feasible(spec, mode="minimum").worst_value
+    worst = check_de_feasible(spec).worst_value
     assert worst >= -SOLVER_DE_SLACK
     print(f"[PASS] A5 two-tap check design: rate {rate:.5f} >= "
           f"{TWO_TAP_DESIGN['rate_floor']}, DE min {worst:.1e}")

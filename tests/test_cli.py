@@ -350,3 +350,28 @@ def test_threshold_unverified_certificate_downgraded(monkeypatch, capsys, method
     assert report["sdp"]["status"] == "verification-failed"
     assert not report["sdp"]["certificate"]["reconstruction_ok"]
     assert "verification" in err
+
+
+def test_certificate_proves_the_solver_answer(monkeypatch, capsys):
+    # The reported taps are cleaned up after the solve; the Gram certificate
+    # belongs to the solver's own values and is checked against them. Moving
+    # 1e-4 between the two largest taps breaks the DE check only.
+    real_taps = cli._taps_from_solution
+
+    def shifted_taps(solution, degrees):
+        taps = real_taps(solution, degrees)
+        big, second = sorted(taps, key=taps.get, reverse=True)[:2]
+        taps[big] += 1e-4
+        taps[second] -= 1e-4
+        return taps
+
+    monkeypatch.setattr(cli, "_taps_from_solution", shifted_taps)
+    code, out, _ = run_cli(
+        capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
+        "--epsilon", "0.49", "--max-var-degree", "7")
+    report = json.loads(out)
+    assert report["certificate"]["psd_ok"]
+    assert report["certificate"]["reconstruction_ok"]
+    assert not report["de_check"]["feasible"]
+    assert report["status"] == "verification-failed"
+    assert code == 3

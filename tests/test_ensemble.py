@@ -112,8 +112,9 @@ def test_check_de_feasible_reference_taps():
     spec = EnsembleSpec(
         DegreeDistribution(ref["lam"], normalize=True),
         DegreeDistribution(ref["rho"]), ref["eps"])
-    assert check_de_feasible(spec, mode="grid").feasible
-    assert check_de_feasible(spec, mode="minimum").feasible
+    rep = check_de_feasible(spec)
+    assert rep.grid_feasible
+    assert rep.feasible
 
 
 def test_check_de_feasible_above_capacity():
@@ -121,9 +122,9 @@ def test_check_de_feasible_above_capacity():
     spec = EnsembleSpec(
         DegreeDistribution(ref["lam"], normalize=True),
         DegreeDistribution(ref["rho"]), 0.60)
-    rep = check_de_feasible(spec, mode="grid")
-    assert not rep.feasible
-    assert rep.worst_value < -1e-9
+    rep = check_de_feasible(spec)
+    assert not rep.grid_feasible
+    assert rep.grid_value < -1e-9
 
 
 def test_grid_and_minimum_modes_agree(rng):
@@ -131,19 +132,18 @@ def test_grid_and_minimum_modes_agree(rng):
         spec = EnsembleSpec(random_distribution(rng, 7),
                             random_distribution(rng, 6),
                             float(rng.uniform(0.1, 0.9)))
-        grid = check_de_feasible(spec, mode="grid")
-        minimum = check_de_feasible(spec, mode="minimum")
+        rep = check_de_feasible(spec)
         # The critical-point pass can only lower the reported minimum.
-        assert minimum.worst_value <= grid.worst_value + 1e-15
-        if grid.worst_value < -1e-9:
-            assert not minimum.feasible
+        assert rep.worst_value <= rep.grid_value + 1e-15
+        if rep.grid_value < -1e-9:
+            assert not rep.feasible
 
 
 def test_endpoint_value_is_p_at_one(rng):
     for _ in range(10):
         lam, rho = random_distribution(rng, 7), random_distribution(rng, 6)
         eps = float(rng.uniform(0.1, 0.9))
-        rep = check_de_feasible(EnsembleSpec(lam, rho, eps), mode="minimum")
+        rep = check_de_feasible(EnsembleSpec(lam, rho, eps))
         assert rep.endpoint_value == de_polynomial(lam, rho, eps).evaluate(1.0)
 
 

@@ -22,8 +22,9 @@ from conftest import REFERENCE_DESIGNS, TWO_TAP_DESIGN, random_distribution
 
 
 def box_lp(sense="max"):
-    return ConicProblem(sense=sense, c=np.array([1.0]), A=np.zeros((0, 1)),
-                        b=np.zeros(0), box_lo=np.array([0.0]), box_hi=np.array([1.0]))
+    # x <= 1 posed as x + s = 1 with a slack s >= 0.
+    return ConicProblem(sense=sense, c=np.array([1.0, 0.0]), A=np.array([[1.0, 1.0]]),
+                        b=np.array([1.0]), n_nonneg=2)
 
 
 def test_svec_round_trip(rng):
@@ -240,9 +241,8 @@ def test_trace_stream():
 
 
 def test_solution_accessors():
-    prob = ConicProblem(sense="max", c=np.array([1.0]), A=np.zeros((0, 1)),
-                        b=np.zeros(0), box_lo=np.array([0.0]),
-                        box_hi=np.array([1.0]), var_names=("gain",))
+    prob = ConicProblem(sense="max", c=np.array([1.0, 0.0]), A=np.array([[1.0, 1.0]]),
+                        b=np.array([1.0]), n_nonneg=2, var_names=("gain",))
     sol = solve(prob)
     assert sol.scalar_values(prob) == pytest.approx({"gain": 1.0}, abs=1e-7)
     assert sol.psd_matrices(prob) == []
@@ -263,6 +263,16 @@ def test_validation_errors():
     with pytest.raises(SolverError):
         ConicProblem(sense="min", c=np.zeros(1), A=np.zeros((0, 1)), b=np.zeros(0),
                      psd_dims=(1, 0))
+
+
+def test_upper_bounds_are_not_part_of_the_form():
+    # The cone is orthant x PSD: an upper bound is a slack and a row.
+    with pytest.raises(TypeError):
+        ConicProblem(sense="min", c=np.zeros(1), A=np.zeros((0, 1)), b=np.zeros(0),
+                     box_lo=np.zeros(1), box_hi=np.ones(1))
+    problem = ConicProblem(sense="min", c=np.zeros(1), A=np.zeros((0, 1)),
+                           b=np.zeros(0), box_lo=np.zeros(1))
+    assert problem.box_hi.tolist() == [math.inf]
 
 
 def test_best_iterate_fallback_is_reported():
@@ -289,6 +299,14 @@ def test_optimal_sos_solve_is_polished():
     sol = solve(reference_lambda_problem("check6_eps049"))
     assert sol.status == "optimal"
     assert sol.eq_residual <= 1e-12
+
+
+def test_dual_has_one_entry_per_row():
+    # The builder's upper-bound rows are rows like any other: y covers them.
+    problem = reference_lambda_problem("check6_eps049")
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert sol.y.shape == (problem.A.shape[0],)
 
 
 @pytest.mark.parametrize("problem", [
@@ -340,7 +358,7 @@ def _random_interior(rng, core):
 
 
 def _assert_congruence_matches_dense(problem, rng):
-    core = solver._Core(solver._Canonical(problem))
+    core = solver._Core(problem)
     scal = solver._Scaling(core, _random_interior(rng, core), _random_interior(rng, core))
     ghat = solver._KKT(core, scal).ghat
     assert len(scal.blocks) == len(problem.psd_dims)
@@ -387,7 +405,7 @@ def test_fused_step_search_matches_separate_searches(rng):
     dense = ConicProblem(sense="min", c=rng.normal(size=A.shape[1]), A=A,
                          b=rng.normal(size=4), n_nonneg=2, psd_dims=dims)
     for problem in (reference_lambda_problem("check7_eps038"), dense):
-        core = solver._Core(solver._Canonical(problem))
+        core = solver._Core(problem)
         for _ in range(10):
             scal = solver._Scaling(core, _random_interior(rng, core),
                                    _random_interior(rng, core))

@@ -198,13 +198,23 @@ def test_gram_basis_weights_past_int64_binomials():
 
 def test_lambda_problem_dimensions():
     # q = 30; the lambda family vanishes at 0, so the program is posed for
-    # the order-29 lift of P(x)/x: even and odd blocks of 15, 30 even rows.
+    # the order-29 lift of P(x)/x: even and odd blocks of 15, 30 even rows,
+    # the sum row and one row lambda_i + s_i = 1 per variable.
     prob = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.49, 7)
     assert prob.psd_dims == (15, 15)
-    assert prob.A.shape == (30 + 1, 6 + 2 * svec_dim(15))
-    assert prob.n_box == 6
+    assert prob.A.shape == (31 + 6, 2 * 6 + 2 * svec_dim(15))
+    assert prob.n_box == 12
     prob2 = build_lambda_problem(DegreeDistribution({5: 1.0}), 0.56, 5)
     assert prob2.psd_dims == (8, 8)  # q = 16, factored to 15
+
+
+def test_lambda_slacks_are_the_upper_bound_gaps():
+    prob = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.49, 7)
+    sol = solve(prob)
+    assert sol.status == "optimal"
+    lam, slack = sol.x[:6], sol.x[6:12]
+    assert np.all(slack >= -1e-9)
+    assert np.max(np.abs(slack - (1.0 - lam))) <= 1e-12
 
 
 def test_lambda_problem_rejects_bad_eps():
@@ -276,8 +286,8 @@ def test_solver_output_passes_de_check():
     cert = certificate_from_solution(prob, sol, 30)
     target = lift_to_real_line(de_polynomial(lam, rho, 0.49), 30)
     assert verify_certificate(cert, target).ok
-    rep = check_de_feasible(EnsembleSpec(lam, rho, 0.49), mode="grid")
-    assert rep.worst_value >= -1e-7
+    rep = check_de_feasible(EnsembleSpec(lam, rho, 0.49))
+    assert rep.grid_value >= -1e-7
 
 
 # -- certificates ---------------------------------------------------------------
