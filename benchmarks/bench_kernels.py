@@ -4,8 +4,10 @@
 The erasure fixed-point iteration is the only sequential hot loop in the
 package (it dominates threshold bisection); everything else is vectorized
 linear algebra. Each row counts threshold-predicate calls, kernel runs and
-kernel steps, so the predicate's cost shows without a tracer. The raw kernel
-cases are timed by ``python3 perfbench/run.py --workload kernels``.
+kernel steps, so the predicate's cost shows without a tracer, and prints the
+threshold as ``float.hex`` too: the output of two versions differs outside
+the time column only if a threshold or the work behind it changed. The raw
+kernel cases are timed by ``python3 perfbench/run.py --workload kernels``.
 Run as:  python benchmarks/bench_kernels.py
 """
 
@@ -22,14 +24,15 @@ BISECTIONS = [
 
 
 def main():
-    header = (f"{'bisection':34s} {'threshold':>10s} {'predicate':>9s} "
-              f"{'runs':>6s} {'steps':>9s} {'time':>10s}")
+    header = (f"{'bisection':34s} {'threshold':>10s} {'(hex)':>21s} "
+              f"{'predicate':>9s} {'runs':>6s} {'steps':>9s} {'time':>10s}")
     print(header)
     print("-" * len(header))
     for label, lam_taps, rho_taps in BISECTIONS:
         threshold, elapsed, counts = count_bisection(lam_taps, rho_taps)
-        print(f"{label:34s} {threshold:>10.7f} {counts['predicate']:9d} "
-              f"{counts['runs']:6d} {counts['steps']:9d} {elapsed * 1e3:8.2f}ms")
+        print(f"{label:34s} {threshold:>10.7f} {threshold.hex():>21s} "
+              f"{counts['predicate']:9d} {counts['runs']:6d} {counts['steps']:9d} "
+              f"{elapsed * 1e3:8.2f}ms")
 
 
 def count_bisection(lam_taps, rho_taps):

@@ -37,6 +37,11 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
+# Largest accepted --tol. At 0.7 the (3, 6) threshold program already ends
+# "infeasible", and at 10 the README optimize-lambda ends "unbounded"; 1e-2
+# keeps a 70x margin below the first wrong certificate seen.
+MAX_TOL = 1e-2
+
 _STATUS_EXIT = {
     "optimal": EXIT_OK,
     "infeasible": EXIT_INFEASIBLE,
@@ -55,11 +60,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _tolerance(raw: str) -> float:
+    """argparse type of --tol: a finite float in (0, MAX_TOL]."""
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {raw!r}") from None
+    if not 0.0 < tol <= MAX_TOL:   # false for nan too
+        raise argparse.ArgumentTypeError(
+            f"must lie in (0, {MAX_TOL:g}], got {raw!r}")
+    return tol
+
+
 def _parse_distribution(raw: str, field: str) -> DegreeDistribution:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"field '{field}': invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise InputError(f"field '{field}': must be a JSON object, got {raw!r}")
     try:
         dist = DegreeDistribution.from_json_dict(data, normalize=True)
     except ValueError as exc:
@@ -73,7 +92,10 @@ def _parse_distribution(raw: str, field: str) -> DegreeDistribution:
 
 def _parse_epsilon(value: float, field: str = "epsilon",
                    allow_one: bool = False) -> float:
-    eps = float(value)
+    try:
+        eps = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"field '{field}': must be a number, got {value!r}") from None
     hi_ok = eps <= 1.0 if allow_one else eps < 1.0
     if not (0.0 <= eps and hi_ok):
         rng = "[0, 1]" if allow_one else "[0, 1)"
@@ -88,8 +110,10 @@ def _load_spec(args) -> EnsembleSpec:
                 data = json.load(fh)
         except OSError as exc:
             raise InputError(f"field 'spec': cannot read {args.spec}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSON or UTF-8 decoding
             raise InputError(f"field 'spec': invalid JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise InputError("field 'spec': must be a JSON object")
         for key in ("lambda", "rho", "epsilon"):
             if key not in data:
                 raise InputError(f"field '{key}': missing from ensemble spec")
@@ -302,7 +326,8 @@ def cmd_verify(args) -> int:
         "ensemble": spec.to_json_dict(),
         "rate": rate,
         "capacity": 1.0 - spec.epsilon if spec.epsilon < 1.0 else 0.0,
-        "delta": capacity_gap(rate, spec.epsilon) if spec.epsilon < 1.0 else None,
+        "delta": capacity_gap(rate, spec.epsilon)
+        if spec.epsilon < 1.0 and rate >= 0.0 else None,
         "stability": {
             "lambda2": spec.lam.get(2, 0.0),
             "bound": stability_lambda2_bound(spec.rho, spec.epsilon)
@@ -359,7 +384,8 @@ def cmd_sweep(args) -> int:
     else:
         de_mod.sweep_rows_to_csv(all_rows, lam_degrees, sys.stdout)
     succeeded = sum(1 for row in all_rows if row.status == "optimal")
-    return EXIT_OK if succeeded else EXIT_NUMERICAL
+    # With no optimal row, the exact program's status sets the exit code.
+    return EXIT_OK if succeeded else _STATUS_EXIT[ref.status]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shared(p):
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="solver tolerance (default 1e-8)")
+        p.add_argument("--tol", type=_tolerance, default=1e-8,
+                       help=f"solver tolerance in (0, {MAX_TOL:g}] (default 1e-8)")
         p.add_argument("--output", choices=("json", "csv"), default="json",
                        help="report format on stdout")
 
@@ -411,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-var-degree", type=int, required=True)
     p.add_argument("--grid-sizes", required=True,
                    help="comma-separated list of grid sizes")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="solver tolerance (default 1e-8)")
+    p.add_argument("--tol", type=_tolerance, default=1e-8,
+                   help=f"solver tolerance in (0, {MAX_TOL:g}] (default 1e-8)")
     p.add_argument("--output", choices=("json", "csv"), default="csv",
                    help="table format on stdout (default csv)")
     p.set_defaults(func=cmd_sweep)

@@ -1,11 +1,12 @@
-"""Independent verification layer: fixed-point simulation of the erasure
-decoder, threshold bisection, and the discretized-LP baseline.
+"""Independent verification layer: threshold bisection on the erasure
+decoder's fixed-point predicate, and the discretized-LP baseline.
 
 Everything here deliberately avoids the sum-of-squares machinery so that the
-two routes check each other: the fixed-point iteration works directly on the
-degree polynomials, and the LP baseline enforces the decoding constraint only
-on finitely many grid points (a relaxation whose objective upper-bounds the
-exact program and converges to it as the grid is refined).
+two routes check each other: the fixed-point iteration
+(``kernels.de_final``) works directly on the degree polynomials, and the LP
+baseline enforces the decoding constraint only on finitely many grid points
+(a relaxation whose objective upper-bounds the exact program and converges
+to it as the grid is refined).
 
 The grid LP is handed to the solver in dual form: one nonnegative multiplier
 per grid point and only Dv - 2 equality rows (the simplex row is eliminated
@@ -22,12 +23,10 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels, solver
-from .ensemble import DegreeDistribution, EnsembleSpec, design_rate
-from .poly import Polynomial
+from .ensemble import DegreeDistribution, design_rate
+from .poly import Polynomial, check_map
 from .solver import ConicProblem, ConicSolution
 
-DEFAULT_MAX_ITERS = 10_000
-DEFAULT_STEP_TOL = 1e-12
 ZERO_CUTOFF = 1e-9
 
 # Budget ladder for the threshold predicate. Each rung reruns the simulation
@@ -45,38 +44,6 @@ _ZERO_STEP = float(np.nextafter(0.0, 1.0))
 # Witness probes step down from the last iterate by the Aitken remainder
 # estimate times powers of this ratio.
 _WITNESS_RATIO = 2.0 ** 0.125
-
-
-@dataclass(frozen=True)
-class DeTrace:
-    """Erasure-fraction trajectory of the message-passing fixed point."""
-
-    values: np.ndarray
-    converged: bool
-    final: float
-    iterations: int
-
-    @property
-    def converged_to_zero(self) -> bool:
-        return self.final < ZERO_CUTOFF
-
-
-def de_iterate(spec: EnsembleSpec, max_iters: int = DEFAULT_MAX_ITERS,
-               tol: float = DEFAULT_STEP_TOL) -> DeTrace:
-    """Iterate x <- eps * lam(1 - rho(1 - x)) from x0 = eps.
-
-    Stops when the step magnitude drops below `tol` or after `max_iters`
-    steps; the trajectory is monotone non-increasing for valid ensembles.
-    """
-    lam_c = spec.lam.edge_polynomial().coeffs
-    rho_c = spec.rho.edge_polynomial().coeffs
-    values, stopped = kernels.de_trace(lam_c, rho_c, spec.epsilon, max_iters, tol)
-    return DeTrace(
-        values=values,
-        converged=bool(stopped),
-        final=float(values[-1]),
-        iterations=values.size - 1,
-    )
 
 
 def _step_map(lam_p: Polynomial, rho_p: Polynomial, eps: float,
@@ -234,14 +201,10 @@ def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: in
         raise ValueError("need at least one grid point")
     if max_var_degree < 2:
         raise ValueError("max_var_degree must be at least 2")
-    psi = Polynomial((1.0,)).sub(
-        rho.edge_polynomial().compose(Polynomial((1.0, -eps))))
     nl = max_var_degree - 1
     xs = np.arange(1, n_points + 1) / n_points
     psi_powers = np.zeros((n_points, nl))
-    block = Polynomial.one()
-    for j in range(nl):
-        block = block.mul(psi)
+    for j, block in enumerate(check_map(rho, eps).powers(nl)):
         psi_powers[:, j] = block.evaluate_many(xs)
     gain = np.array([1.0 / i for i in range(2, max_var_degree + 1)])
 

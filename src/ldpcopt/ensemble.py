@@ -62,9 +62,6 @@ class DegreeDistribution:
     def items(self):
         return self._entries.items()
 
-    def degrees(self):
-        return tuple(self._entries)
-
     def get(self, degree: int, default: float = 0.0) -> float:
         return self._entries.get(degree, default)
 
@@ -97,7 +94,7 @@ class DegreeDistribution:
     def from_json_dict(cls, data, *, normalize: bool = False) -> "DegreeDistribution":
         try:
             entries = {int(k): float(v) for k, v in dict(data).items()}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed degree distribution {data!r}: {exc}") from None
         return cls(entries, normalize=normalize)
 

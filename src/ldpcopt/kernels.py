@@ -30,40 +30,14 @@ def horner(coeffs, x):
     return _horner(_as_floats(coeffs), float(x))
 
 
-def de_trace(lam_coeffs, rho_coeffs, eps, max_iters, tol, stop_below=0.0):
-    """Erasure fixed-point iteration from x0 = eps, recording every iterate.
+def de_final(lam_coeffs, rho_coeffs, eps, max_iters, tol, stop_below=0.0):
+    """Erasure fixed-point iteration from x0 = eps.
 
     Iterates x <- eps * lam(1 - rho(1 - x)) until the step magnitude drops
     below `tol`, the value drops below `stop_below`, or `max_iters` steps have
-    been taken. Returns (trace, stopped_by_tol) where trace is a float64 array
-    that includes the starting value.
-    """
-    lam, rho = _as_floats(lam_coeffs), _as_floats(rho_coeffs)
-    eps, tol, stop_below = float(eps), float(tol), float(stop_below)
-    x = eps
-    trace = [x]
-    stopped = False
-    for _ in range(int(max_iters)):
-        inner = 1.0 - x
-        r = _horner(rho, inner)
-        y = 1.0 - r
-        xn = eps * _horner(lam, y)
-        trace.append(xn)
-        delta = xn - x
-        x = xn
-        if abs(delta) < tol:
-            stopped = True
-            break
-        if x < stop_below:
-            break
-    return np.asarray(trace, dtype=np.float64), stopped
-
-
-def de_final(lam_coeffs, rho_coeffs, eps, max_iters, tol, stop_below=0.0):
-    """Trace-free variant of `de_trace` for long runs.
-
-    Returns (final, steps, stopped_by_tol, delta_last, delta_prev); the two
-    trailing step sizes let callers extrapolate a geometric tail.
+    been taken. Returns (final, steps, stopped_by_tol, delta_last,
+    delta_prev); the two trailing step sizes let callers extrapolate a
+    geometric tail.
     """
     lam, rho = _as_floats(lam_coeffs), _as_floats(rho_coeffs)
     eps, tol, stop_below = float(eps), float(tol), float(stop_below)

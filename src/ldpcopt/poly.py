@@ -10,14 +10,12 @@ The module also builds the decoding-success polynomial of an ensemble,
     P(x) = x - lam(1 - rho(1 - eps * x)),
 
 whose nonnegativity on [0, 1] is the zero-erasure condition used throughout
-the package, plus two combinatorial closed forms that the tests use as
-independent oracles for ``power`` and ``de_polynomial``.
+the package.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -140,14 +138,18 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial(np.convolve(self._c, other._c))
 
-    def power(self, k: int) -> "Polynomial":
-        """k-th power by repeated multiplication; power(p, 0) is 1."""
+    def powers(self, k: int) -> list:
+        """[p, p**2, ..., p**k], each the previous one times p."""
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        out = Polynomial.one()
+        out = [Polynomial.one()]
         for _ in range(k):
-            out = out.mul(self)
-        return out
+            out.append(out[-1].mul(self))
+        return out[1:]
+
+    def power(self, k: int) -> "Polynomial":
+        """k-th power by repeated multiplication; power(p, 0) is 1."""
+        return self.powers(k)[-1] if k else Polynomial.one()
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(x)) by Horner-style accumulation."""
@@ -182,93 +184,46 @@ class Polynomial:
 
 # -- decoding-success polynomial ------------------------------------------------
 
+def check_map(rho, eps: float) -> Polynomial:
+    """psi(x) = 1 - rho(1 - eps*x), the check-node half of the erasure map.
+
+    `rho` is an edge-perspective degree distribution (see
+    ``ensemble.DegreeDistribution``); psi(0) vanishes because rho(1) = 1.
+    """
+    return Polynomial((1.0,)).sub(
+        rho.edge_polynomial().compose(Polynomial((1.0, -eps))))
+
+
 def de_polynomial(lam, rho, eps: float) -> Polynomial:
     """P(x) = x - lam(1 - rho(1 - eps*x)) with the constant term forced to 0.
 
     `lam` and `rho` are edge-perspective degree distributions (see
     ``ensemble.DegreeDistribution``). P(0) vanishes identically because
     rho(1) = 1; the tiny floating residue of the computed constant term is
-    asserted below ``CONSTANT_TERM_TOL`` and then removed so that downstream
-    equality constraints are exactly consistent.
+    removed by ``without_constant_term`` so that downstream equality
+    constraints are exactly consistent.
     """
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    inner = Polynomial((1.0,)).sub(
-        rho.edge_polynomial().compose(Polynomial((1.0, -eps)))
-    )
-    p = Polynomial.identity().sub(lam.edge_polynomial().compose(inner))
-    return _without_constant_term(p)
+    p = Polynomial.identity().sub(lam.edge_polynomial().compose(check_map(rho, eps)))
+    return Polynomial(without_constant_term(p.coeffs))
 
 
-def _without_constant_term(p: Polynomial) -> Polynomial:
-    c0 = p.coeff(0)
-    if abs(c0) > CONSTANT_TERM_TOL:
+def without_constant_term(coeffs: np.ndarray) -> np.ndarray:
+    """Copy of `coeffs` with row 0 (the x**0 coefficients) set to zero.
+
+    Rows are monomial powers; a 2-D table holds one column per affine
+    variable. The row must be floating residue of rho(1) = 1, at most
+    ``CONSTANT_TERM_TOL`` in magnitude; anything larger means a degree
+    distribution that is not normalized.
+    """
+    c0 = float(np.max(np.abs(coeffs[:1]), initial=0.0))
+    if c0 > CONSTANT_TERM_TOL:
         raise ValueError(
             f"constant term {c0!r} exceeds {CONSTANT_TERM_TOL}; "
             "degree distribution is not normalized"
         )
-    c = p.padded(p.degree + 1) if p.degree >= 0 else np.zeros(0)
-    if c.size:
-        c[0] = 0.0
-    return Polynomial(c)
-
-
-# -- combinatorial oracles -------------------------------------------------------
-
-def multinomial_power_coefficients(base: Sequence[float], k: int) -> np.ndarray:
-    """Coefficients of (a1*x + ... + an*x^n)**k via the multinomial theorem.
-
-    `base[l-1]` is the coefficient a_l of x**l (no constant term). This stays
-    independent of ``Polynomial.power`` (no convolutions) so the two can be
-    cross-checked against each other.
-    """
-    a = [float(v) for v in base]
-    n = len(a)
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    out = np.zeros(n * k + 1 if n else 1)
-    kfact = math.factorial(k)
-
-    def descend(pos, remaining, weight, prod, denom):
-        if pos == n - 1:
-            exponent = remaining
-            value = prod * (a[pos] ** exponent)
-            multinomial = kfact // (denom * math.factorial(exponent))
-            out[weight + (pos + 1) * exponent] += multinomial * value
-            return
-        for exponent in range(remaining + 1):
-            value = prod * (a[pos] ** exponent)
-            if value != 0.0 or exponent == 0:
-                descend(pos + 1, remaining - exponent,
-                        weight + (pos + 1) * exponent,
-                        value, denom * math.factorial(exponent))
-
-    if n == 0:
-        out[0] = 1.0 if k == 0 else 0.0
-        return out
-    descend(0, k, 0, 1.0, 1)
-    return out
-
-
-def de_coefficients_monomial_rho(lam, n: int, eps: float) -> np.ndarray:
-    """Closed-form coefficients of P(x) when rho(x) = x**n.
-
-    With a monomial check polynomial, 1 - rho(1 - eps*x) expands by the
-    binomial theorem to sum_{l=1}^{n} (-1)**(l+1) C(n,l) eps**l x**l, and each
-    lam_i term contributes its (i-1)-th multinomial power. The result is an
-    independent oracle for ``de_polynomial``; in particular the linear
-    coefficient is 1 - lam_2 * n * eps.
-    """
-    if n < 1:
-        raise ValueError("monomial power must be >= 1")
-    eps = float(eps)
-    base = [(-1.0) ** (l + 1) * math.comb(n, l) * eps**l for l in range(1, n + 1)]
-    taps = dict(lam.items())
-    max_degree = max(taps)
-    out = np.zeros(n * (max_degree - 1) + 1)
-    out[1] = 1.0
-    for i, coeff in taps.items():
-        psi = multinomial_power_coefficients(base, i - 1)
-        out[: psi.size] -= coeff * psi
+    out = np.array(coeffs, dtype=np.float64)
+    out[:1] = 0.0
     return out

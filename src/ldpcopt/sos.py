@@ -42,14 +42,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensemble import DegreeDistribution
-from .poly import Polynomial
+from .poly import Polynomial, check_map, without_constant_term
 from .solver import ConicProblem
 
 GRAM_SYMMETRY_TOL = 1e-12
 GRAM_PSD_TOL = 1e-9
 GRAM_RECONSTRUCTION_TOL = 1e-7
-
-_FAMILY_CONSTANT_TOL = 1e-12
 
 # Largest monomial Gram matrix (q + 1) a program may have. At the cap
 # (Dv = 52 at deg rho = 6: blocks of 128 and 127, 256 rows) the build peaks
@@ -97,23 +95,6 @@ def lift_to_real_line(p: Polynomial, q: int) -> Polynomial:
     return Polynomial(lift_matrix(p.degree, q) @ p.coeffs)
 
 
-def lift_preserves_nonnegativity_check(p: Polynomial, q: int, n_grid: int = 4001) -> bool:
-    """Test helper: do p on [0, 1] and its lift on R agree about nonnegativity?
-
-    The line is sampled through the substitution x = sqrt(t/(1-t)), which maps
-    a uniform t-grid on [0, 1) onto the whole nonnegative axis (the lift is
-    even, so the negative axis adds nothing).
-    """
-    pi = lift_to_real_line(p, q)
-    ts = np.linspace(0.0, 1.0, n_grid)
-    min_p = float(np.min(p.evaluate_many(ts)))
-    ts_open = ts[:-1]
-    xs = np.sqrt(ts_open / (1.0 - ts_open))
-    min_pi = float(np.min(pi.evaluate_many(xs)))
-    tol = 1e-12
-    return (min_p >= -tol) == (min_pi >= -tol)
-
-
 # ---------------------------------------------------------------------------
 # Affine families of polynomials
 # ---------------------------------------------------------------------------
@@ -154,17 +135,6 @@ class AffinePolynomialFamily:
             self.variable_names, lift_matrix(self.degree, q) @ self.table)
 
 
-def _zero_constant_term(table: np.ndarray) -> np.ndarray:
-    # The constraint polynomials vanish at 0 identically; the computed row is
-    # floating residue of rho(1) = 1 and must not carry real mass.
-    row = table[0]
-    if np.max(np.abs(row), initial=0.0) > _FAMILY_CONSTANT_TOL:
-        raise ValueError("constant coefficient row is not structurally zero")
-    out = table.copy()
-    out[0] = 0.0
-    return out
-
-
 def design_lift_order(fixed: DegreeDistribution, max_degree: int) -> int:
     """Lift order q of the lambda and rho design families: the degree of
     their constraint polynomial, (max_degree - 1) * deg(fixed)."""
@@ -177,19 +147,15 @@ def lambda_constraint_family(rho: DegreeDistribution, eps: float,
 
     Affine in the variable-side coefficients lam_2..lam_Dv.
     """
-    psi = Polynomial((1.0,)).sub(
-        rho.edge_polynomial().compose(Polynomial((1.0, -eps))))
     q = design_lift_order(rho, max_var_degree)
     _check_gram_dim(q)
     table = np.zeros((q + 1, max_var_degree))
     table[1, 0] = 1.0
-    block = Polynomial.one()
-    for i in range(2, max_var_degree + 1):
-        block = block.mul(psi)
+    for i, block in enumerate(check_map(rho, eps).powers(max_var_degree - 1), 2):
         table[: block.degree + 1, i - 1] -= block.coeffs
     return AffinePolynomialFamily(
         tuple(f"lambda_{i}" for i in range(2, max_var_degree + 1)),
-        _zero_constant_term(table))
+        without_constant_term(table))
 
 
 def rho_constraint_family(lam: DegreeDistribution, eps: float,
@@ -206,9 +172,7 @@ def rho_constraint_family(lam: DegreeDistribution, eps: float,
     table = np.zeros((q + 1, max_check_degree))
     table[0, 0] = -1.0
     table[1, 0] = 1.0
-    block = Polynomial.one()
-    for j in range(2, max_check_degree + 1):
-        block = block.mul(phi)
+    for j, block in enumerate(phi.powers(max_check_degree - 1), 2):
         table[: block.degree + 1, j - 1] += block.coeffs
     return AffinePolynomialFamily(
         tuple(f"rho_{j}" for j in range(2, max_check_degree + 1)), table)
@@ -218,14 +182,12 @@ def threshold_constraint_family(lam: DegreeDistribution,
                                 rho: DegreeDistribution) -> AffinePolynomialFamily:
     """T(x) = t*x - lam(1 - rho(1 - x)), affine in the single variable t."""
     _check_gram_dim((lam.max_degree - 1) * (rho.max_degree - 1))
-    inner = Polynomial((1.0,)).sub(
-        rho.edge_polynomial().compose(Polynomial((1.0, -1.0))))
-    fixed = lam.edge_polynomial().compose(inner)
+    fixed = lam.edge_polynomial().compose(check_map(rho, 1.0))
     q = max(fixed.degree, 1)
     table = np.zeros((q + 1, 2))
     table[: fixed.degree + 1, 0] -= fixed.coeffs
     table[1, 1] = 1.0
-    return AffinePolynomialFamily(("t",), _zero_constant_term(table))
+    return AffinePolynomialFamily(("t",), without_constant_term(table))
 
 
 # ---------------------------------------------------------------------------

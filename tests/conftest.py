@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ldpcopt import kernels
 from ldpcopt.ensemble import DegreeDistribution
 
 # Published single-check-degree reference designs used across the suite.
@@ -66,6 +67,21 @@ def random_distribution(rng: np.random.Generator, max_degree: int,
     weights = rng.dirichlet(np.ones(len(degrees)))
     taps = {d: float(w) for d, w in zip(degrees, weights) if w > 1e-12}
     return DegreeDistribution(taps, normalize=True)
+
+
+def trajectory(lam, rho, eps, max_iters, tol, stop_below=0.0):
+    """Iterates x_0 = eps, ..., x_n of one ``kernels.de_final`` run, as a
+    float64 array, and its stopped-by-tol flag.
+
+    x_k is the end of a k-step run: the kernel keeps no state between calls
+    and tests its stop rules only after a step, so a k-step run takes the
+    same first k steps as the full run.
+    """
+    final, steps, stopped, _, _ = kernels.de_final(
+        lam, rho, eps, max_iters, tol, stop_below)
+    xs = [kernels.de_final(lam, rho, eps, k, tol, stop_below)[0]
+          for k in range(steps)]
+    return np.array(xs + [final], dtype=np.float64), stopped
 
 
 @pytest.fixture

@@ -22,12 +22,7 @@ from ldpcopt.ensemble import (
     design_rate,
     stability_lambda2_bound,
 )
-from ldpcopt.poly import (
-    Polynomial,
-    de_coefficients_monomial_rho,
-    de_polynomial,
-    multinomial_power_coefficients,
-)
+from ldpcopt.poly import Polynomial, de_polynomial
 from ldpcopt.solver import solve
 from ldpcopt.sos import (
     AffinePolynomialFamily,
@@ -48,6 +43,7 @@ from conftest import (
     TWO_TAP_DESIGN,
     random_distribution,
 )
+from oracles import de_coefficients_monomial_rho, multinomial_power_coefficients
 
 # DE feasibility slack for optimizer outputs (solver-tolerance allowance).
 SOLVER_DE_SLACK = 1e-7

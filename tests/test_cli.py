@@ -1,12 +1,16 @@
 """Command-line interface: pipelines, exit codes, report invariants."""
 
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ldpcopt import cli, sos
 from ldpcopt.cli import main
@@ -306,6 +310,49 @@ def test_solver_message_reported(monkeypatch, capsys):
     assert json.loads(out)["sdp"].get("message", "") == solutions[-1].message
 
 
+THRESHOLD_36 = ("threshold", "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}',
+                "--method", "sdp")
+OPTIMIZE_README = ("optimize-lambda", "--rho", '{"6": 1.0}', "--epsilon", "0.49",
+                   "--max-var-degree", "7")
+
+
+@pytest.mark.parametrize("argv, tol, code", [
+    # At 0.7 and 10 the solver certified wrong answers (exit 2); nan, 0 and
+    # negative values could never be met (exit 3).
+    (THRESHOLD_36, "0.7", 1),
+    (OPTIMIZE_README, "10", 1),
+    (THRESHOLD_36, "nan", 1),
+    (("optimize-rho", "--lambda", '{"3": 1.0}', "--epsilon", "0.4294",
+      "--max-check-degree", "6"), "-1", 1),
+    (("verify", "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}',
+      "--epsilon", "0.4"), "0", 1),
+    (("sweep", "--rho", '{"5": 1.0}', "--epsilon", "0.56",
+      "--max-var-degree", "5", "--grid-sizes", "10"), "inf", 1),
+    (THRESHOLD_36, "1e-2", 0),
+])
+def test_tol_range(capsys, argv, tol, code):
+    got, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert got == code, err
+    if code == 1:
+        assert out == ""
+        assert "argument --tol: must lie in (0, 0.01]" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    # No lambda with degrees <= 5 decodes at eps = 0.95 with degree-6
+    # checks: every row, the exact program included, is infeasible.
+    (("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.95", "--max-var-degree", "5",
+      "--grid-sizes", "3"), 2),
+    # DE-feasible with a negative design rate: no capacity gap to report.
+    (("verify", "--lambda", '{"2": 0.2965, "7": 0.7035}', "--rho", '{"2": 1.0}',
+      "--epsilon", "0.95"), 0),
+])
+def test_exit_code_names_the_outcome(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code, err
+    assert "error" not in err
+
+
 def _limit_address_space():
     # A refusal that regressed would try to allocate gigabytes; fail the
     # child with MemoryError instead of exhausting the host.
@@ -375,3 +422,92 @@ def test_certificate_proves_the_solver_answer(monkeypatch, capsys):
     assert not report["de_check"]["feasible"]
     assert report["status"] == "verification-failed"
     assert code == 3
+
+
+# -- fuzzed command lines ------------------------------------------------------
+
+# Each flag is drawn as (in range, out of range or malformed).
+_JSON_VALUE = st.one_of(st.floats(-0.5, 1.5), st.integers(-1, 2), st.none(),
+                        st.booleans(), st.text(max_size=2), st.just(10 ** 400),
+                        st.floats(allow_nan=True, allow_infinity=True))
+# Degrees are drawn from 3 first: the simplest draw would otherwise be the
+# trivial pair lam = rho = x, whose 3.5 s bisection is timed by
+# test_de.py::test_bisect_threshold_trivial_pair.
+_GOOD_TAPS = st.dictionaries(st.sampled_from((3, 6, 2, 4, 5, 7, 8)),
+                             st.floats(0.05, 1.0), min_size=1, max_size=3).map(
+    lambda d: {str(k): v / sum(d.values()) for k, v in d.items()})
+_BAD_TAPS = st.one_of(
+    st.dictionaries(st.integers(-1, 8).map(str), _JSON_VALUE, max_size=3),
+    st.lists(st.tuples(st.integers(-1, 8).map(str), st.floats(0.0, 1.0)),
+             max_size=2),
+    _JSON_VALUE)
+_DIST = (_GOOD_TAPS.map(json.dumps),
+         st.one_of(_BAD_TAPS.map(json.dumps),
+                   st.sampled_from(["", "{", "nan", '{"6": 1.0,}', "{'6': 1}"])))
+_EPS = (st.floats(0.0, 0.95).map(repr),
+        st.one_of(st.floats(-0.5, -1e-9).map(repr), st.floats(1.0, 1.5).map(repr),
+                  st.sampled_from(["nan", "inf", "-inf", "x"])))
+_DEGREE = (st.integers(2, 8).map(str),
+           st.one_of(st.integers(-1, 1).map(str), st.just("x")))
+_TOL = (st.one_of(st.just("1e-8"), st.floats(1e-9, 1e-2).map(repr)),
+        st.sampled_from(["0.0100001", "0.7", "10", "0", "-1e-8", "nan", "inf", "x"]))
+_FLAGS = {
+    "optimize-lambda": [("--rho", _DIST), ("--epsilon", _EPS),
+                        ("--max-var-degree", _DEGREE)],
+    "optimize-rho": [("--lambda", _DIST), ("--epsilon", _EPS),
+                     ("--max-check-degree", _DEGREE)],
+    "threshold": [("--lambda", _DIST), ("--rho", _DIST),
+                  ("--method", (st.sampled_from(["sdp", "bisect", "both"]),
+                                st.just("x")))],
+    "verify": [("--lambda", _DIST), ("--rho", _DIST), ("--epsilon", _EPS)],
+    "sweep": [("--rho", _DIST), ("--epsilon", _EPS), ("--max-var-degree", _DEGREE),
+              ("--grid-sizes", (
+                  st.lists(st.integers(1, 40), min_size=1, max_size=3).map(
+                      lambda ns: ",".join(map(str, ns))),
+                  st.sampled_from(["", "0", "-1,10", "10,x"])))],
+}
+_SPEC = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "lambda": st.one_of(_GOOD_TAPS, _BAD_TAPS),
+        "rho": st.one_of(_GOOD_TAPS, _BAD_TAPS),
+        "epsilon": st.one_of(st.floats(-0.5, 1.5), _JSON_VALUE)}),
+    _JSON_VALUE)
+
+
+# Each flag is in range 3 times in 4, else out of range or malformed, and is
+# left out 1 time in 20.
+_PICKS = ("good",) * 15 + ("bad",) * 4 + ("omit",)
+
+
+@st.composite
+def _argv(draw, command, spec_path):
+    argv = [command]
+    flags = _FLAGS[command] + [("--tol", _TOL)]
+    if command == "verify" and draw(st.booleans()):
+        spec_path.write_text(json.dumps(draw(_SPEC)))
+        flags = [("--spec", (st.just(str(spec_path)),) * 2), ("--tol", _TOL)]
+    for flag, (good, bad) in flags:
+        pick = draw(st.sampled_from(_PICKS))
+        if pick != "omit":
+            argv.append(f"{flag}={draw(good if pick == 'good' else bad)}")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=15, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, command, data):
+    # Every command line ends with a documented exit code. An exit 3 means a
+    # numerical failure, so it must not come from a defect that the
+    # catch-all in cli.main would otherwise hide.
+    argv = data.draw(_argv(command, tmp_path / "spec.json"))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        for name in ("TypeError", "KeyError", "IndexError", "AttributeError",
+                     "ZeroDivisionError"):
+            assert name not in err.getvalue(), (argv, err.getvalue())

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from ldpcopt import kernels
 from ldpcopt.de import (
+    ZERO_CUTOFF,
     _converges_to_zero,
     _step_map,
     bisect_threshold,
     build_discretized_lp,
-    de_iterate,
     lp_baseline_sweep,
     sweep_rows_to_csv,
 )
@@ -21,7 +21,7 @@ from ldpcopt.ensemble import DegreeDistribution, EnsembleSpec, check_de_feasible
 from ldpcopt.solver import solve
 from ldpcopt.sos import build_lambda_problem, build_threshold_problem
 
-from conftest import random_distribution
+from conftest import random_distribution, trajectory
 
 LAM36 = DegreeDistribution({3: 1.0})
 RHO36 = DegreeDistribution({6: 1.0})
@@ -35,34 +35,39 @@ def fine_scan_threshold(lam, rho, n=200_001):
     return 1.0 / float(np.max(ratios))
 
 
+def simulate(spec, max_iters=10_000, tol=1e-12):
+    """``kernels.de_final`` on the spec's edge polynomials from x0 = eps:
+    (final, steps, stopped_by_tol, delta_last, delta_prev)."""
+    return kernels.de_final(spec.lam.edge_polynomial().coeffs,
+                            spec.rho.edge_polynomial().coeffs,
+                            spec.epsilon, max_iters, tol)
+
+
 def test_de_iterate_zero_eps():
-    trace = de_iterate(EnsembleSpec(LAM36, RHO36, 0.0))
-    assert trace.iterations == 1
-    assert trace.final == 0.0
-    assert trace.converged and trace.converged_to_zero
+    final, steps, stopped, _, _ = simulate(EnsembleSpec(LAM36, RHO36, 0.0))
+    assert steps == 1
+    assert final == 0.0
+    assert stopped and final < ZERO_CUTOFF
 
 
 def test_de_iterate_below_threshold():
-    trace = de_iterate(EnsembleSpec(LAM36, RHO36, 0.40))
-    assert trace.converged_to_zero
+    assert simulate(EnsembleSpec(LAM36, RHO36, 0.40))[0] < ZERO_CUTOFF
 
 
 def test_de_iterate_above_threshold():
-    trace = de_iterate(EnsembleSpec(LAM36, RHO36, 0.45))
-    assert not trace.converged_to_zero
-    assert trace.final > 0.3
+    final = simulate(EnsembleSpec(LAM36, RHO36, 0.45))[0]
+    assert final > 0.3
 
 
 def test_de_trace_monotone_and_reproducible():
     spec = EnsembleSpec(DegreeDistribution({2: 0.3, 4: 0.7}),
                         DegreeDistribution({5: 1.0}), 0.35)
-    trace = de_iterate(spec, max_iters=200)
-    xs = trace.values
-    assert np.all(np.diff(xs) <= 0.0)
     lam_p = spec.lam.edge_polynomial()
     rho_p = spec.rho.edge_polynomial()
+    xs, _ = trajectory(lam_p.coeffs, rho_p.coeffs, spec.epsilon, 200, 1e-12)
+    assert np.all(np.diff(xs) <= 0.0)
     # Each step must reproduce eps * lam(1 - rho(1 - x)) exactly.
-    for k in range(trace.iterations):
+    for k in range(xs.size - 1):
         expect = spec.epsilon * lam_p.evaluate(1.0 - rho_p.evaluate(1.0 - xs[k]))
         assert abs(xs[k + 1] - expect) <= 1e-15
 
@@ -143,7 +148,7 @@ def test_step_map_matches_kernel_bit_for_bit():
                           (DegreeDistribution({2: 0.3, 4: 0.7}),
                            DegreeDistribution({3: 0.4, 7: 0.6}), 0.5)]:
         lam_p, rho_p = lam.edge_polynomial(), rho.edge_polynomial()
-        trace, _ = kernels.de_trace(lam_p.coeffs, rho_p.coeffs, eps, 500, 0.0)
+        trace, _ = trajectory(lam_p.coeffs, rho_p.coeffs, eps, 500, 0.0)
         assert np.array_equal(_step_map(lam_p, rho_p, eps, trace[:-1]), trace[1:])
 
 
@@ -193,8 +198,7 @@ def test_feasibility_implies_convergence(rng):
             hits += 1
             # Near-threshold draws contract slowly; give the iteration room
             # (with 1e-12 step tolerance the plateau sits above the cutoff).
-            assert de_iterate(spec, max_iters=300_000,
-                              tol=1e-15).converged_to_zero
+            assert simulate(spec, max_iters=300_000, tol=1e-15)[0] < ZERO_CUTOFF
     assert hits >= 100
 
 
@@ -212,8 +216,7 @@ def test_feasibility_implies_convergence_reference_designs():
             # Capacity-approaching designs sit close to threshold and
             # contract at 1 - O(1e-4) per step; the default budget and step
             # tolerance cannot confirm convergence.
-            assert de_iterate(spec, max_iters=300_000,
-                              tol=1e-15).converged_to_zero
+            assert simulate(spec, max_iters=300_000, tol=1e-15)[0] < ZERO_CUTOFF
 
 
 def test_discretized_lp_single_point():

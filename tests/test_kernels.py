@@ -8,6 +8,8 @@ import pytest
 from ldpcopt import kernels
 from ldpcopt.ensemble import DegreeDistribution
 
+from conftest import trajectory
+
 LAM = np.array([0.0, 0.35, 0.65])        # edge polynomial of {2: .35, 3: .65}
 RHO = np.array([0.0, 0.0, 0.0, 0.0, 1.0])  # x^4
 
@@ -25,14 +27,14 @@ def test_horner_matches_numpy(rng):
 
 
 def test_de_trace_contract():
-    trace, stopped = kernels.de_trace(LAM, RHO, 0.3, 1000, 1e-12)
+    trace, stopped = trajectory(LAM, RHO, 0.3, 1000, 1e-12)
     assert trace[0] == 0.3
     assert stopped
     assert trace[-1] < 1e-9
 
 
 def test_de_final_matches_trace():
-    trace, stopped = kernels.de_trace(LAM, RHO, 0.42, 500, 1e-12)
+    trace, stopped = trajectory(LAM, RHO, 0.42, 500, 1e-12)
     final, steps, stopped2, d_last, d_prev = kernels.de_final(
         LAM, RHO, 0.42, 500, 1e-12)
     assert final == trace[-1]
@@ -44,18 +46,19 @@ def test_de_final_matches_trace():
 
 
 def test_stop_below_early_exit():
-    trace, stopped = kernels.de_trace(LAM, RHO, 0.3, 1000, 0.0, stop_below=1e-6)
+    final, steps, stopped, _, _ = kernels.de_final(
+        LAM, RHO, 0.3, 1000, 0.0, stop_below=1e-6)
     assert not stopped
-    assert trace[-1] < 1e-6
-    assert trace.size < 1000
+    assert final < 1e-6
+    assert steps + 1 < 1000
 
 
 TYPE_MB = {2: 0.4167, 3: 0.1667, 4: 0.1000, 8: 0.3176}
 
 # Reference outputs, recorded with the numpy-indexed loop this kernel
 # replaced; any change to the kernel's operation order shows here. Each case:
-# (lam taps, eps, de_final(20_000 steps) as float.hex, de_trace(1_000 steps)
-# as (length, stopped, last iterate, sha256 of the trace bytes));
+# (lam taps, eps, de_final(20_000 steps) as float.hex, the 1_000-step
+# trajectory as (length, stopped, last iterate, sha256 of its bytes));
 # rho = {6: 1} throughout.
 PINNED = [
     ({3: 1.0}, 0.40,
@@ -84,6 +87,6 @@ def test_pinned_outputs(lam_taps, eps, final, trace):
     x, steps, stopped, d_last, d_prev = kernels.de_final(
         lam, rho, eps, 20_000, 1e-15, 1e-10)
     assert (x.hex(), steps, stopped, d_last.hex(), d_prev.hex()) == final
-    t, t_stopped = kernels.de_trace(lam, rho, eps, 1_000, 1e-15, 1e-10)
+    t, t_stopped = trajectory(lam, rho, eps, 1_000, 1e-15, 1e-10)
     assert (t.size, t_stopped, float(t[-1]).hex(),
             hashlib.sha256(t.tobytes()).hexdigest()[:16]) == trace

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from ldpcopt.ensemble import DegreeDistribution
-from ldpcopt.poly import (
-    Polynomial,
-    de_coefficients_monomial_rho,
-    de_polynomial,
-    multinomial_power_coefficients,
-)
+from ldpcopt.poly import Polynomial, de_polynomial
 
 from conftest import random_distribution
+from oracles import de_coefficients_monomial_rho, multinomial_power_coefficients
 
 
 def test_evaluate_identity():

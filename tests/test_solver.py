@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpcopt import solver
 from ldpcopt.ensemble import DegreeDistribution
@@ -437,3 +439,28 @@ def test_solves_repeat_to_the_bit():
         assert a.iterations == b.iterations
         assert a.history == b.history
         assert a.x.tobytes() == b.x.tobytes()
+
+
+@st.composite
+def check_distributions(draw):
+    degrees = draw(st.lists(st.integers(2, 7), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(degrees),
+                            max_size=len(degrees)))
+    return DegreeDistribution(
+        {d: w / sum(weights) for d, w in zip(degrees, weights)}, normalize=True)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(rho=check_distributions(), eps=st.floats(0.0, 0.99),
+       max_var_degree=st.integers(2, 10))
+def test_lambda_solves_repeat_to_the_bit(rho, eps, max_var_degree):
+    # Whatever the outcome, a second solve of the same program retraces it:
+    # same status, iterate history and bits.
+    problem = build_lambda_problem(rho, eps, max_var_degree)
+    a, b = solve(problem), solve(problem)
+    assert a.status == b.status
+    assert a.iterations == b.iterations
+    assert a.history == b.history
+    # x is None when the program is infeasible.
+    assert (a.x is None) == (b.x is None)
+    assert a.x is None or a.x.tobytes() == b.x.tobytes()

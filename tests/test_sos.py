@@ -22,7 +22,6 @@ from ldpcopt.sos import (
     gram_basis_weights,
     is_degenerate_epsilon,
     lambda_constraint_family,
-    lift_preserves_nonnegativity_check,
     lift_to_real_line,
     rho_constraint_family,
     threshold_constraint_family,
@@ -30,6 +29,7 @@ from ldpcopt.sos import (
 )
 
 from conftest import random_distribution
+from oracles import lift_preserves_nonnegativity_check
 
 
 # -- lift -------------------------------------------------------------------
