@@ -4,9 +4,11 @@
 The erasure fixed-point iteration is the only sequential hot loop in the
 package (it dominates threshold bisection); everything else is vectorized
 linear algebra. Each row counts threshold-predicate calls, kernel runs and
-kernel steps, so the predicate's cost shows without a tracer, and prints the
-threshold as ``float.hex`` too: the output of two versions differs outside
-the time column only if a threshold or the work behind it changed. The raw
+kernel steps, so the predicate's cost shows without a tracer, and the kernel
+steps per second of run time next to them, so a faster kernel and a saving in
+steps show apart. It prints the threshold as ``float.hex`` too: the output of
+two versions differs outside the two timed columns only if a threshold or
+the work behind it changed. The raw
 kernel cases are timed by ``python3 perfbench/run.py --workload kernels``.
 Run as:  python benchmarks/bench_kernels.py
 """
@@ -25,20 +27,22 @@ BISECTIONS = [
 
 def main():
     header = (f"{'bisection':34s} {'threshold':>10s} {'(hex)':>21s} "
-              f"{'predicate':>9s} {'runs':>6s} {'steps':>9s} {'time':>10s}")
+              f"{'predicate':>9s} {'runs':>6s} {'steps':>9s} {'steps/s':>10s} "
+              f"{'time':>10s}")
     print(header)
     print("-" * len(header))
     for label, lam_taps, rho_taps in BISECTIONS:
         threshold, elapsed, counts = count_bisection(lam_taps, rho_taps)
         print(f"{label:34s} {threshold:>10.7f} {threshold.hex():>21s} "
               f"{counts['predicate']:9d} {counts['runs']:6d} {counts['steps']:9d} "
-              f"{elapsed * 1e3:8.2f}ms")
+              f"{counts['steps'] / counts['kernel_s']:10.4g} {elapsed * 1e3:8.2f}ms")
 
 
 def count_bisection(lam_taps, rho_taps):
     """Run `de.bisect_threshold` once with counting wrappers around the
-    predicate and the kernel; returns (threshold, seconds, counts)."""
-    counts = {"predicate": 0, "runs": 0, "steps": 0}
+    predicate and the kernel; returns (threshold, seconds, counts), where
+    counts["kernel_s"] is the time spent inside kernel runs."""
+    counts = {"predicate": 0, "runs": 0, "steps": 0, "kernel_s": 0.0}
     predicate, de_final = de._converges_to_zero, kernels.de_final
 
     def counting_predicate(*args):
@@ -46,7 +50,9 @@ def count_bisection(lam_taps, rho_taps):
         return predicate(*args)
 
     def counting_de_final(*args):
+        t0 = time.perf_counter()
         out = de_final(*args)
+        counts["kernel_s"] += time.perf_counter() - t0
         counts["runs"] += 1
         counts["steps"] += out[1]
         return out

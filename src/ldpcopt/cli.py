@@ -13,6 +13,7 @@ file bundles {"lambda": {...}, "rho": {...}, "epsilon": e}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -388,7 +389,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if succeeded else _STATUS_EXIT[ref.status]
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: setting it up costs more
+    than most parses, and parsing leaves it unchanged. The command functions
+    look up ``solve`` and the other library calls when they run, not here."""
     parser = _Parser(prog="ldpcopt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

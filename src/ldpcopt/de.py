@@ -29,14 +29,16 @@ from .solver import ConicProblem, ConicSolution
 
 ZERO_CUTOFF = 1e-9
 
-# Budget ladder for the threshold predicate. Each rung reruns the simulation
-# from x0 = eps (the kernel keeps no state between calls) and stops early on
-# an exactly zero step. Most runs above threshold are settled by the zero
-# step or by a fixed-point witness after the short first rung; near-threshold
-# runs contract at a factor close to 1 and need the longer rungs, either to
-# reach the zero cutoff or to settle close enough to their fixed point for a
-# witness. After the last rung a dense logarithmic scan between the cutoff
-# and the last iterate is the backstop.
+# Budget ladder for the threshold predicate, as cumulative step totals. Each
+# rung resumes the simulation where the previous rung left it (the kernel
+# takes the last iterate and step as its start), so a run ends each rung on
+# the same iterate as a fresh run of that many steps from x0 = eps, and
+# stops early on an exactly zero step. Most runs above threshold are settled
+# by the zero step or by a fixed-point witness after the short first rung;
+# near-threshold runs contract at a factor close to 1 and need the longer
+# rungs, either to reach the zero cutoff or to settle close enough to their
+# fixed point for a witness. After the last rung a dense logarithmic scan
+# between the cutoff and the last iterate is the backstop.
 _PREDICATE_BUDGETS = (1_000, 10_000, 300_000)
 _FIXED_POINT_SCAN = 4096
 # Smallest positive double: abs(step) < _ZERO_STEP holds only for a zero step.
@@ -76,7 +78,8 @@ def _converges_to_zero(lam_p: Polynomial, rho_p: Polynomial, eps: float) -> bool
     """Threshold predicate: does the erasure fixed point reach zero?
 
     `lam_p` and `rho_p` are the edge polynomials. The kernel runs from
-    x0 = eps for each budget of ``_PREDICATE_BUDGETS`` in turn. ``True`` is
+    x0 = eps up to each total of ``_PREDICATE_BUDGETS`` in turn, resuming
+    from the previous rung's last iterate. ``True`` is
     never extrapolated: it comes from a run that drops below ``ZERO_CUTOFF``
     or, once the last run ends still descending, from the backstop scan (no
     x with f(x) >= x on a dense logarithmic grid between the cutoff and the
@@ -96,9 +99,11 @@ def _converges_to_zero(lam_p: Polynomial, rho_p: Polynomial, eps: float) -> bool
     if eps <= 0.0:
         return True
     lam_c, rho_c = lam_p.coeffs, rho_p.coeffs
+    start, done = None, 0
     for budget in _PREDICATE_BUDGETS:
         final, _, stopped, d_last, d_prev = kernels.de_final(
-            lam_c, rho_c, eps, budget, _ZERO_STEP, ZERO_CUTOFF * 0.1)
+            lam_c, rho_c, eps, budget - done, _ZERO_STEP, ZERO_CUTOFF * 0.1,
+            start)
         if final < ZERO_CUTOFF:
             return True
         if stopped:
@@ -106,6 +111,7 @@ def _converges_to_zero(lam_p: Polynomial, rho_p: Polynomial, eps: float) -> bool
         probes = _witness_probes(final, d_last, d_prev)
         if np.any(_step_map(lam_p, rho_p, eps, probes) >= probes):
             return False
+        start, done = (final, d_last), budget
     xs = np.exp(np.linspace(np.log(ZERO_CUTOFF), np.log(final), _FIXED_POINT_SCAN))
     return not np.any(_step_map(lam_p, rho_p, eps, xs) >= xs)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, de_polynomial
+from .poly import Polynomial
 
 SUM_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
@@ -175,6 +175,34 @@ class FeasibilityReport:
     endpoint_value: float   # P(1), the last grid point
 
 
+class _DecodingMap:
+    """P(x) = x - lam(psi(x)) and P'(x) = 1 - eps lam'(psi(x)) rho'(1 - eps*x),
+    with psi(x) = 1 - rho(1 - eps*x), evaluated in composed form: Horner on
+    rho at 1 - eps*x, then on lam at psi(x).
+
+    Both edge polynomials are evaluated on [0, 1] only, where their
+    coefficients are nonnegative and sum to 1, so the rounding error stays
+    of order (deg lam) * (deg rho) units in the last place. The expanded
+    monomial coefficients of P grow like binomials instead (1.8e16 at degree
+    195), and evaluating them loses every digit at large degrees.
+    """
+
+    def __init__(self, spec: EnsembleSpec):
+        self.eps = spec.epsilon
+        self.lam = spec.lam.edge_polynomial()
+        self.rho = spec.rho.edge_polynomial()
+        self.dlam = self.lam.derivative()
+        self.drho = self.rho.derivative()
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        return xs - self.lam.evaluate_many(1.0 - self.rho.evaluate_many(1.0 - self.eps * xs))
+
+    def slopes(self, xs: np.ndarray) -> np.ndarray:
+        u = 1.0 - self.eps * xs
+        psi = 1.0 - self.rho.evaluate_many(u)
+        return 1.0 - self.eps * self.dlam.evaluate_many(psi) * self.drho.evaluate_many(u)
+
+
 def check_de_feasible(spec: EnsembleSpec,
                       tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
     """Check P(x) >= -tol on [0, 1] for the decoding-success polynomial.
@@ -182,16 +210,21 @@ def check_de_feasible(spec: EnsembleSpec,
     P is sampled on a uniform 10001-point grid; the interior critical points
     of P (bisection on the sign changes of P' over a 4096-point scan) are
     evaluated too, so the reported minimum is not limited by grid
-    resolution. The grid minimum alone is reported next to it.
+    resolution. The grid minimum alone is reported next to it. P and P' are
+    evaluated in composed form (see ``_DecodingMap``).
     """
-    p = de_polynomial(spec.lam, spec.rho, spec.epsilon)
+    p = _DecodingMap(spec)
     xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    values = p.evaluate_many(xs)
+    values = p.values(xs)
     worst = int(np.argmin(values))
     grid_x = worst_x = float(xs[worst])
     grid_value = worst_value = float(values[worst])
-    for x in _critical_points(p):
-        v = p.evaluate(x)
+    # P' is constant when both edge polynomials are linear. It has no roots
+    # to find then: P is linear and smallest at an endpoint, which the grid
+    # holds.
+    linear = p.lam.degree <= 1 and p.rho.degree <= 1
+    roots = [] if linear else _critical_points(p.slopes)
+    for x, v in zip(roots, p.values(np.array(roots)).tolist()):
         if v < worst_value:
             worst_value = v
             worst_x = x
@@ -207,32 +240,29 @@ def check_de_feasible(spec: EnsembleSpec,
     )
 
 
-def _critical_points(p: Polynomial):
-    """Roots of P' in (0, 1) via bisection on sign changes of a dense scan."""
-    dp = p.derivative()
-    if dp.degree < 1:
-        return []
+def _critical_points(slopes) -> list:
+    """Roots in (0, 1) of the function that `slopes` evaluates on an array,
+    by bisection on the sign changes of a dense scan.
+
+    Every interval that starts on a zero or changes sign is bisected at
+    once, each element taking the same 64 halvings as a scalar bisection: an
+    exact zero at the midpoint collapses the interval onto it, which later
+    halvings keep.
+    """
     xs = np.linspace(0.0, 1.0, CRITICAL_SCAN_POINTS)
-    dv = dp.evaluate_many(xs)
+    dv = slopes(xs)
     # Only intervals that start on a zero or change sign hold a root.
-    candidates = np.flatnonzero((dv[:-1] == 0.0) | (dv[:-1] * dv[1:] < 0.0))
-    roots = []
-    for k in candidates:
-        a, b = xs[k], xs[k + 1]
-        fa = dv[k]
-        if fa == 0.0:
-            if 0.0 < a < 1.0:
-                roots.append(float(a))
-            continue
-        for _ in range(64):
-            m = 0.5 * (a + b)
-            fm = dp.evaluate(m)
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(0.5 * (a + b))
-    return [r for r in roots if 0.0 < r < 1.0]
+    k = np.flatnonzero((dv[:-1] == 0.0) | (dv[:-1] * dv[1:] < 0.0))
+    if not k.size:
+        return []
+    on_zero = dv[k] == 0.0
+    a, b, fa = xs[k], xs[k + 1], dv[k]
+    for _ in range(64):
+        m = 0.5 * (a + b)
+        fm = slopes(m)
+        left = fa * fm < 0.0
+        b = np.where(left | (fm == 0.0), m, b)
+        a = np.where(left, a, m)
+        fa = np.where(left, fa, fm)
+    roots = np.where(on_zero, xs[k], 0.5 * (a + b))
+    return [r for r in roots.tolist() if 0.0 < r < 1.0]

@@ -129,6 +129,12 @@ def smat(v: np.ndarray, d: Optional[int] = None) -> np.ndarray:
         d = int(round((math.sqrt(8 * n + 1) - 1) / 2))
     if svec_dim(d) != n:
         raise SolverError(f"svec length {n} does not match dimension {d}")
+    return _smat(v, d)
+
+
+def _smat(v: np.ndarray, d: int) -> np.ndarray:
+    """``smat`` of float64 svec data of dimension d, unchecked: the solver's
+    own calls, whose slices match their blocks by construction."""
     g = _gathers(d)
     # Divided by sqrt(2), not multiplied by its reciprocal: the two round
     # differently, and the iterate sequence depends on the last bit.
@@ -249,7 +255,7 @@ class ConicSolution:
         """One matrix per PSD block, in ``problem.psd_dims`` order."""
         if self.x is None:
             return None
-        return [smat(self.x[sl], d)
+        return [_smat(self.x[sl], d)
                 for d, sl in _block_slices(problem.n_scalars, problem.psd_dims)]
 
 
@@ -263,8 +269,8 @@ class _BlockScaling:
 
     def __init__(self, d: int, sl: slice, xc: np.ndarray, zc: np.ndarray):
         self.d, self.sl = d, sl
-        Lx = np.linalg.cholesky(smat(xc[sl], d))
-        Lz = np.linalg.cholesky(smat(zc[sl], d))
+        Lx = np.linalg.cholesky(_smat(xc[sl], d))
+        Lz = np.linalg.cholesky(_smat(zc[sl], d))
         u_mat, sv, vt = np.linalg.svd(Lz.T @ Lx)
         root = np.sqrt(sv)
         self.R = (Lx @ vt.T) / root[None, :]
@@ -292,7 +298,7 @@ class _Scaling:
         out = np.empty_like(v)
         out[: self.n_orth] = orth(v[: self.n_orth])
         for b in self.blocks:
-            f = block(b, smat(v[b.sl], b.d)).ravel()
+            f = block(b, _smat(v[b.sl], b.d)).ravel()
             g = _gathers(b.d)
             out[b.sl] = 0.5 * (f[g.tri] + f[g.tri_t]) * g.sc
         return out
@@ -319,31 +325,33 @@ class _Scaling:
 
     def jordan_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         def block(b, um):
-            vm = smat(v[b.sl], b.d)
+            vm = _smat(v[b.sl], b.d)
             return 0.5 * (um @ vm + vm @ um)
         return self._apply(u, lambda uo: uo * v[: self.n_orth], block)
 
     def max_step(self, dx_scaled: np.ndarray, dz_scaled: np.ndarray) -> float:
         """Largest step along both scaled directions that stays in the cone.
 
-        The orthant takes a ratio test, each block the smallest eigenvalue
-        of lam^{-1/2} V lam^{-1/2}, from one call on the x and z matrices
-        stacked. 1 / -min(lo) is the min over 1 / -lo to the bit, since a
-        correctly rounded quotient is monotone in its divisor.
+        The orthant takes a ratio test per direction, each block the
+        smallest eigenvalue of lam^{-1/2} V lam^{-1/2}, from one call on the
+        x and z matrices stacked. A min is exact, so taking it per direction
+        and then over both gives the same alpha; 1 / -min(lo) is the min
+        over 1 / -lo to the bit, since a correctly rounded quotient is
+        monotone in its divisor.
         """
         n = self.n_orth
-        both = np.stack([dx_scaled, dz_scaled])
-        vo = both[:, :n]
         alpha = math.inf
-        neg = vo < 0.0
-        if np.any(neg):
-            lam = np.broadcast_to(self.lam_orth, vo.shape)
-            alpha = float(np.min(lam[neg] / -vo[neg]))
+        for v in (dx_scaled, dz_scaled):
+            vo = v[:n]
+            neg = vo < 0.0
+            if neg.any():
+                alpha = min(alpha, float((self.lam_orth[neg] / -vo[neg]).min()))
         for b in self.blocks:
             # smat and the outer product are symmetric to the bit, so the
             # matrices need no symmetrizing.
-            g = smat(both[:, b.sl], b.d) / b.root_outer
-            lo = float(np.min(np.linalg.eigvalsh(g)[:, 0]))
+            both = np.stack((dx_scaled[b.sl], dz_scaled[b.sl]))
+            g = _smat(both, b.d) / b.root_outer
+            lo = float(np.linalg.eigvalsh(g)[:, 0].min())
             if lo < 0.0:
                 alpha = min(alpha, 1.0 / -lo)
         return alpha
@@ -362,9 +370,17 @@ def _tril_inverse(chol: np.ndarray) -> np.ndarray:
 
     numpy has no triangular solver, and ``np.linalg.solve`` on a factor
     redoes a general LU on every call; the inverse is formed once per factor
-    and then applied with matrix products.
+    and then applied with matrix products. The upper triangle is zeroed
+    through a cached mask, as ``np.tril`` does with a fresh one.
     """
-    return np.tril(np.linalg.inv(chol))
+    return np.where(_lower_mask(chol.shape[0]), np.linalg.inv(chol), 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _lower_mask(p: int) -> np.ndarray:
+    mask = np.tri(p, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _inverse_gram_factor(m: np.ndarray) -> Optional[np.ndarray]:
@@ -596,8 +612,8 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
         pobj = float(core.c @ x / tau)
         dobj = float(core.b @ y / tau)
         compl = float(x @ z + tau * kappa)
-        pres = float(np.max(np.abs(r_p), initial=0.0) / tau)
-        dres = float(np.max(np.abs(r_d), initial=0.0) / tau)
+        pres = float(np.abs(r_p).max(initial=0.0) / tau)
+        dres = float(np.abs(r_d).max(initial=0.0) / tau)
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         record(it, pobj, dobj, compl, pres, dres)
 
@@ -748,7 +764,7 @@ def _finalize_optimal(problem, res, x, y, tol):
         seg = x[nn: ns]
         checks_ok &= bool(np.all(seg >= problem.box_lo - 1e-9))
     # One eigenvalue floor for the block-diagonal matrix of all blocks.
-    eigs = [np.linalg.eigvalsh(smat(x[sl], d))
+    eigs = [np.linalg.eigvalsh(_smat(x[sl], d))
             for d, sl in _block_slices(ns, problem.psd_dims)]
     if eigs:
         min_eig = float(min(e[0] for e in eigs))

@@ -73,15 +73,19 @@ def trajectory(lam, rho, eps, max_iters, tol, stop_below=0.0):
     """Iterates x_0 = eps, ..., x_n of one ``kernels.de_final`` run, as a
     float64 array, and its stopped-by-tol flag.
 
-    x_k is the end of a k-step run: the kernel keeps no state between calls
-    and tests its stop rules only after a step, so a k-step run takes the
-    same first k steps as the full run.
+    Each iterate is one resumed single-step call from the previous iterate
+    and step, so the pinned trajectories also check resumption: a run split
+    into single steps must take the same steps as one call.
     """
-    final, steps, stopped, _, _ = kernels.de_final(
-        lam, rho, eps, max_iters, tol, stop_below)
-    xs = [kernels.de_final(lam, rho, eps, k, tol, stop_below)[0]
-          for k in range(steps)]
-    return np.array(xs + [final], dtype=np.float64), stopped
+    xs, start, stopped = [float(eps)], None, False
+    for _ in range(int(max_iters)):
+        x, _, stopped, d_last, _ = kernels.de_final(
+            lam, rho, eps, 1, tol, stop_below, start)
+        xs.append(x)
+        if stopped or x < stop_below:
+            break
+        start = (x, d_last)
+    return np.array(xs, dtype=np.float64), stopped
 
 
 @pytest.fixture

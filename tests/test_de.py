@@ -133,6 +133,13 @@ def test_bisect_threshold_step_count(monkeypatch):
     assert sum(steps) <= 50_000
 
 
+def test_bisect_threshold_resumes_rungs(monkeypatch):
+    # Each rung resumes the previous rung's run, so no step is taken twice.
+    steps = _count_kernel_steps(monkeypatch)
+    bisect_threshold(LAM36, RHO36)
+    assert (len(steps), sum(steps)) == (23, 14_151)
+
+
 def test_predicate_settles_above_threshold_in_first_rung(monkeypatch):
     steps = _count_kernel_steps(monkeypatch)
     lam_p, rho_p = LAM36.edge_polynomial(), RHO36.edge_polynomial()

@@ -1,9 +1,12 @@
 """Degree distributions, rates, stability, and feasibility checking."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpcopt import ensemble
 from ldpcopt.ensemble import (
@@ -140,11 +143,79 @@ def test_grid_and_minimum_modes_agree(rng):
 
 
 def test_endpoint_value_is_p_at_one(rng):
+    # P(1) = 1 - lam(1 - rho(1 - eps)), composed as the check evaluates it.
     for _ in range(10):
         lam, rho = random_distribution(rng, 7), random_distribution(rng, 6)
         eps = float(rng.uniform(0.1, 0.9))
         rep = check_de_feasible(EnsembleSpec(lam, rho, eps))
-        assert rep.endpoint_value == de_polynomial(lam, rho, eps).evaluate(1.0)
+        psi = 1.0 - rho.edge_polynomial().evaluate(1.0 - eps)
+        assert rep.endpoint_value == 1.0 - lam.edge_polynomial().evaluate(psi)
+
+
+def _exact_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + Fraction(c)
+    return acc
+
+
+def exact_p(lam, rho, eps, x):
+    """P(x) = x - lam(1 - rho(1 - eps*x)) in rational arithmetic, from the
+    float taps, eps and x as given."""
+    x = Fraction(x)
+    psi = 1 - _exact_horner(rho.edge_polynomial().coeffs.tolist(),
+                            1 - Fraction(eps) * x)
+    return x - _exact_horner(lam.edge_polynomial().coeffs.tolist(), psi)
+
+
+def test_composed_check_at_degree_195():
+    # With lam of degree 40 and rho = x^5, P has degree 195 and its expanded
+    # monomial coefficients reach about 1e16: evaluated from them, P(x) reads
+    # hugely negative near x = 1 on a design that is DE-feasible.
+    lam = DegreeDistribution({2: 0.3, 3: 0.3, 40: 0.4})
+    rho = DegreeDistribution({6: 1.0})
+    eps, x = 0.546, 0.9998
+    assert (lam.max_degree - 1) * (rho.max_degree - 1) >= 195
+    assert de_polynomial(lam, rho, eps).evaluate(x) < -ensemble.FEASIBILITY_TOL
+    assert exact_p(lam, rho, eps, x) > 0
+    rep = check_de_feasible(EnsembleSpec(lam, rho, eps))
+    assert rep.feasible and rep.grid_feasible
+    assert rep.endpoint_value == pytest.approx(float(exact_p(lam, rho, eps, 1.0)),
+                                               abs=1e-12)
+
+
+@st.composite
+def _composed_cases(draw):
+    """(lam, rho, eps, xs) with P of nominal degree up to 250."""
+    check_degree = draw(st.integers(2, 11))
+    var_degree = draw(st.integers(2, 1 + 250 // (check_degree - 1)))
+
+    def distribution(max_degree):
+        degrees = draw(st.lists(st.integers(2, max_degree), max_size=4))
+        weights = {d: draw(st.floats(0.01, 1.0)) for d in degrees + [max_degree]}
+        total = sum(weights.values())
+        return DegreeDistribution({d: w / total for d, w in weights.items()},
+                                  normalize=True)
+
+    lam, rho = distribution(var_degree), distribution(check_degree)
+    eps = draw(st.floats(0.0, 1.0))
+    xs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    return lam, rho, eps, xs
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=_composed_cases())
+def test_composed_p_within_horner_bound_of_exact(case):
+    # lam and rho have nonnegative coefficients summing to 1 and are
+    # evaluated on [0, 1], so Horner on each errs by at most 2 n u and
+    # magnifies an input error by at most its degree n (the bound of its
+    # derivative there). Chaining 1 - eps*x, rho, 1 - r, lam and x - l
+    # gives at most 4 u (deg lam + 1)(deg rho + 1), u = 2**-53.
+    lam, rho, eps, xs = case
+    p = ensemble._DecodingMap(EnsembleSpec(lam, rho, eps))
+    bound = 4 * 2.0 ** -53 * (p.lam.degree + 1) * (p.rho.degree + 1)
+    for x, v in zip(xs, p.values(np.array(xs)).tolist()):
+        assert abs(Fraction(v) - exact_p(lam, rho, eps, x)) <= bound
 
 
 def _critical_points_by_scan(p):
@@ -186,8 +257,9 @@ def test_critical_points_match_full_scan(rng):
     a, b = float(xs[1000]), float(xs[3000])
     polys.append(Polynomial([0.0, a * b, -0.5 * (a + b), 1.0 / 3.0]))
     for p in polys:
-        assert ensemble._critical_points(p) == _critical_points_by_scan(p)
-    assert a in ensemble._critical_points(polys[-1])
+        found = ensemble._critical_points(p.derivative().evaluate_many)
+        assert found == _critical_points_by_scan(p)
+    assert a in ensemble._critical_points(polys[-1].derivative().evaluate_many)
 
 
 def test_feasible_implies_rate_below_capacity(rng):

@@ -4,11 +4,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpcopt import kernels
 from ldpcopt.ensemble import DegreeDistribution
 
-from conftest import trajectory
+from conftest import random_distribution, trajectory
 
 LAM = np.array([0.0, 0.35, 0.65])        # edge polynomial of {2: .35, 3: .65}
 RHO = np.array([0.0, 0.0, 0.0, 0.0, 1.0])  # x^4
@@ -90,3 +92,54 @@ def test_pinned_outputs(lam_taps, eps, final, trace):
     t, t_stopped = trajectory(lam, rho, eps, 1_000, 1e-15, 1e-10)
     assert (t.size, t_stopped, float(t[-1]).hex(),
             hashlib.sha256(t.tobytes()).hexdigest()[:16]) == trace
+
+
+def _edge_coeffs(dist):
+    return dist.edge_polynomial().coeffs
+
+
+def _a8_pair(seed):
+    """One (lam, rho) pair from the A8 generator: max degrees 3..7."""
+    rng = np.random.default_rng(seed)
+    lam = random_distribution(rng, int(rng.integers(3, 8)))
+    rho = random_distribution(rng, int(rng.integers(3, 8)))
+    return _edge_coeffs(lam), _edge_coeffs(rho)
+
+
+RHO6 = _edge_coeffs(DegreeDistribution({6: 1.0}))
+RESUME_PAIRS = [
+    (_edge_coeffs(DegreeDistribution({3: 1.0})), RHO6),
+    (_edge_coeffs(DegreeDistribution(TYPE_MB, normalize=True)), RHO6),
+]
+
+
+def _bits(out):
+    """(final, stopped, d_last, d_prev) with the floats as hex strings."""
+    x, _, stopped, d_last, d_prev = out
+    return x.hex(), stopped, d_last.hex(), d_prev.hex()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(pair=st.one_of(st.sampled_from(RESUME_PAIRS),
+                      st.integers(0, 2**32 - 1).map(_a8_pair)),
+       eps=st.floats(0.05, 1.0), n=st.integers(1, 3_000),
+       split=st.floats(0.0, 1.0),
+       tol=st.sampled_from([0.0, float(np.nextafter(0.0, 1.0)), 1e-15]),
+       stop_below=st.sampled_from([0.0, 1e-10]))
+def test_resumed_run_equals_single_run(pair, eps, n, split, tol, stop_below):
+    # Split an n-step run before its last step into a steps and a resumed
+    # call for the n - a remaining ones; the resumed call must also stop
+    # where the single run does. A resumed single step, whose d_prev is the
+    # carried step, must match the (a + 1)-step run.
+    lam, rho = pair
+    whole = kernels.de_final(lam, rho, eps, n, tol, stop_below)
+    a = int(split * (whole[1] - 1))
+    x, steps, stopped, d_last, _ = kernels.de_final(
+        lam, rho, eps, a, tol, stop_below)
+    assert (steps, stopped, x < stop_below) == (a, False, False)
+    rest = kernels.de_final(lam, rho, eps, n - a, tol, stop_below, (x, d_last))
+    assert _bits(rest) == _bits(whole)
+    assert a + rest[1] == whole[1]
+    one = kernels.de_final(lam, rho, eps, 1, tol, stop_below, (x, d_last))
+    assert _bits(one) == _bits(kernels.de_final(lam, rho, eps, a + 1, tol, stop_below))
+
