@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Digest the CLI reports of fixed command lines, to show byte identity.
+
+Runs each command line below in-process through ``ldpcopt.cli.main`` and
+prints one line per command: its label, its exit code and the first 12 hex
+digits of the SHA-1 of its stdout report, with the ``duration_seconds`` line
+left out (the one field that differs from run to run). Two versions write
+the same reports for these commands when the output is the same for both:
+
+    diff <(python benchmarks/report_digests.py) \\
+         <(PYTHONPATH=other/src python benchmarks/report_digests.py)
+
+The commands are the README examples (with ``design.json`` holding the
+published Dv = 7 design), the 11 command lines of the benchmark's ``design``
+workload, the type-MB ``verify``, two ``threshold`` pairs drawn by the A8
+generator (seeds 0 and 1) and the README ``sweep``, as CSV and as JSON. They
+are copied here, so that a change to the benchmark does not change them.
+Together they take about 3 s on a 2-vCPU host.
+Run as:  python benchmarks/report_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import tempfile
+
+from ldpcopt.cli import main as cli_main
+
+DESIGN_SPEC = {"lambda": {"2": 0.4021, "3": 0.2137, "7": 0.3902},
+               "rho": {"6": 1.0}, "epsilon": 0.49}
+
+README_SWEEP = ("sweep", "--rho", '{"5": 1.0}', "--epsilon", "0.56",
+                "--max-var-degree", "5", "--grid-sizes", "10,50,100,500,1000")
+
+
+def _optimize_lambda(rho, eps, dv):
+    return ("optimize-lambda", "--rho", rho, "--epsilon", eps,
+            "--max-var-degree", dv)
+
+
+# (label, argv); "{spec}" stands for the path of a file holding DESIGN_SPEC.
+COMMANDS = [
+    ("readme_optimize_lambda", _optimize_lambda('{"6": 1.0}', "0.49", "7")),
+    ("readme_optimize_rho", ("optimize-rho", "--lambda", '{"3": 1.0}',
+                             "--epsilon", "0.4294", "--max-check-degree", "6")),
+    ("readme_threshold", ("threshold", "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}',
+                          "--method", "both")),
+    ("readme_verify_spec", ("verify", "--spec", "{spec}")),
+    ("check4_eps064", _optimize_lambda('{"4": 1.0}', "0.64", "5")),
+    ("check6_eps049", _optimize_lambda('{"6": 1.0}', "0.49", "7")),
+    ("check7_eps038", _optimize_lambda('{"7": 1.0}', "0.38", "5")),
+    ("check8_eps033", _optimize_lambda('{"8": 1.0}', "0.33", "5")),
+    ("anomalous_dv7", _optimize_lambda('{"5": 1.0}', "0.56", "7")),
+    ("two_tap", _optimize_lambda('{"6": 0.48555, "7": 0.51445}', "0.45", "7")),
+    ("rho_regular_3", ("optimize-rho", "--lambda", '{"3": 1.0}', "--epsilon", "0.4294",
+                       "--max-check-degree", "6")),
+    ("check6_eps048_dv10", _optimize_lambda('{"6": 1.0}', "0.48", "10")),
+    ("check6_eps048_dv12", _optimize_lambda('{"6": 1.0}', "0.48", "12")),
+    ("check6_eps048_dv14", _optimize_lambda('{"6": 1.0}', "0.48", "14")),
+    ("check4_eps06_dv20", _optimize_lambda('{"4": 1.0}', "0.6", "20")),
+    ("verify_type_mb", ("verify", "--lambda", '{"2": 0.4167, "3": 0.1667, "4": 0.1, "8": 0.3176}',
+                        "--rho", '{"6": 1.0}', "--epsilon", "0.48")),
+    ("a8_seed0", ("threshold",
+                  "--lambda", '{"2": 0.261734514703962, "3": 0.0050844468007984825, '
+                  '"4": 0.0005825449256005916, "5": 0.14127514141014663, '
+                  '"6": 0.41841200612314605, "7": 0.17291134603634623}',
+                  "--rho", '{"2": 0.05847091608829036, "3": 0.21805873233884018, '
+                  '"4": 0.46895503149886264, "5": 0.2544156301409887, '
+                  '"6": 9.968993301810097e-05}',
+                  "--method", "both")),
+    ("a8_seed1", ("threshold",
+                  "--lambda", '{"2": 0.05002743991110336, "3": 0.871832076482597, '
+                  '"4": 0.05943012973454977, "5": 0.018710353871750005}',
+                  "--rho", '{"2": 0.6250226454637161, "3": 0.17316436978175762, '
+                  '"4": 0.1914942803577319, "5": 0.010318704396794475}',
+                  "--method", "both")),
+    ("readme_sweep_csv", README_SWEEP),
+    ("readme_sweep_json", README_SWEEP + ("--output", "json")),
+]
+
+_DURATION = re.compile(r'^\s*"duration_seconds": .*\n', re.MULTILINE)
+
+
+def digest(argv) -> tuple:
+    """(exit code, first 12 hex digits of the SHA-1 of the report without
+    its duration line) of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(list(argv))
+    report = _DURATION.sub("", out.getvalue())
+    return code, hashlib.sha1(report.encode()).hexdigest()[:12]
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "design.json")
+        with open(spec, "w") as f:
+            json.dump(DESIGN_SPEC, f)
+        print(f"{'command':24s} {'exit':>4s} {'report sha1':>12s}")
+        for label, argv in COMMANDS:
+            code, sha = digest([spec if a == "{spec}" else a for a in argv])
+            print(f"{label:24s} {code:4d} {sha:>12s}")
+
+
+if __name__ == "__main__":
+    main()

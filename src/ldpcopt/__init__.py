@@ -12,7 +12,7 @@ from .ensemble import (
     design_rate,
     stability_lambda2_bound,
 )
-from .poly import Polynomial, de_polynomial
+from .poly import Polynomial
 from .solver import ConicProblem, ConicSolution, solve
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "ConicSolution",
     "capacity_gap",
     "check_de_feasible",
-    "de_polynomial",
     "design_rate",
     "solve",
     "stability_lambda2_bound",

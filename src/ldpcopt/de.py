@@ -1,12 +1,14 @@
 """Independent verification layer: threshold bisection on the erasure
 decoder's fixed-point predicate, and the discretized-LP baseline.
 
-Everything here deliberately avoids the sum-of-squares machinery so that the
-two routes check each other: the fixed-point iteration
-(``kernels.de_final``) works directly on the degree polynomials, and the LP
-baseline enforces the decoding constraint only on finitely many grid points
-(a relaxation whose objective upper-bounds the exact program and converges
-to it as the grid is refined).
+Nothing here touches the sum-of-squares machinery or its expanded
+polynomial coefficients, so that the routes check each other. The
+fixed-point iteration (``kernels.de_final``), the predicate's fixed-point
+probes and the LP columns all evaluate the erasure map in composed form, on
+the degree polynomials themselves (``ensemble._DecodingMap`` and
+``ensemble.psi``). The LP baseline enforces the decoding constraint only on
+finitely many grid points: a relaxation whose objective upper-bounds the
+exact program and converges to it as the grid is refined.
 
 The grid LP is handed to the solver in dual form: one nonnegative multiplier
 per grid point and only Dv - 2 equality rows (the simplex row is eliminated
@@ -23,11 +25,12 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels, solver
-from .ensemble import DegreeDistribution, design_rate
-from .poly import Polynomial, check_map
+from .ensemble import DegreeDistribution, _DecodingMap, design_rate, psi
 from .solver import ConicProblem, ConicSolution
 
 ZERO_CUTOFF = 1e-9
+# Width of the bracket at which threshold bisection stops.
+BISECT_PRECISION = 1e-6
 
 # Budget ladder for the threshold predicate, as cumulative step totals. Each
 # rung resumes the simulation where the previous rung left it (the kernel
@@ -48,17 +51,6 @@ _ZERO_STEP = float(np.nextafter(0.0, 1.0))
 _WITNESS_RATIO = 2.0 ** 0.125
 
 
-def _step_map(lam_p: Polynomial, rho_p: Polynomial, eps: float,
-              ys: np.ndarray) -> np.ndarray:
-    """eps * lam(1 - rho(1 - y)) at each point of `ys`.
-
-    Evaluated in the kernel's operation order (Horner, then the same
-    subtractions and product), so each value is bit-identical to the iterate
-    the simulation computes from y.
-    """
-    return eps * lam_p.evaluate_many(1.0 - rho_p.evaluate_many(1.0 - ys))
-
-
 def _witness_probes(final: float, d_last: float, d_prev: float) -> np.ndarray:
     """Points in [ZERO_CUTOFF, final] where a fixed point below `final` is
     likely: final - R * _WITNESS_RATIO**j for j = 0, 1, ..., where
@@ -74,10 +66,10 @@ def _witness_probes(final: float, d_last: float, d_prev: float) -> np.ndarray:
     return np.append(ys[ys >= ZERO_CUTOFF], ZERO_CUTOFF)
 
 
-def _converges_to_zero(lam_p: Polynomial, rho_p: Polynomial, eps: float) -> bool:
+def _converges_to_zero(dmap: _DecodingMap, eps: float) -> bool:
     """Threshold predicate: does the erasure fixed point reach zero?
 
-    `lam_p` and `rho_p` are the edge polynomials. The kernel runs from
+    `dmap` is the erasure map of the ensemble. The kernel runs from
     x0 = eps up to each total of ``_PREDICATE_BUDGETS`` in turn, resuming
     from the previous rung's last iterate. ``True`` is
     never extrapolated: it comes from a run that drops below ``ZERO_CUTOFF``
@@ -98,7 +90,7 @@ def _converges_to_zero(lam_p: Polynomial, rho_p: Polynomial, eps: float) -> bool
     """
     if eps <= 0.0:
         return True
-    lam_c, rho_c = lam_p.coeffs, rho_p.coeffs
+    lam_c, rho_c = dmap.lam.coeffs, dmap.rho.coeffs
     start, done = None, 0
     for budget in _PREDICATE_BUDGETS:
         final, _, stopped, d_last, d_prev = kernels.de_final(
@@ -109,35 +101,34 @@ def _converges_to_zero(lam_p: Polynomial, rho_p: Polynomial, eps: float) -> bool
         if stopped:
             return False
         probes = _witness_probes(final, d_last, d_prev)
-        if np.any(_step_map(lam_p, rho_p, eps, probes) >= probes):
+        if np.any(dmap.steps(eps, probes) >= probes):
             return False
         start, done = (final, d_last), budget
     xs = np.exp(np.linspace(np.log(ZERO_CUTOFF), np.log(final), _FIXED_POINT_SCAN))
-    return not np.any(_step_map(lam_p, rho_p, eps, xs) >= xs)
+    return not np.any(dmap.steps(eps, xs) >= xs)
 
 
-def bisect_threshold(lam: DegreeDistribution, rho: DegreeDistribution,
-                     precision: float = 1e-6) -> float:
+def bisect_threshold(lam: DegreeDistribution, rho: DegreeDistribution) -> float:
     """Largest erasure probability whose fixed point still reaches zero.
 
-    Bisection on [0, 1] with the `_converges_to_zero` predicate.
-    The result also satisfies the capacity-side bound
-    eps* <= (sum rho_j / j) / (sum lam_i / i) up to `precision`.
+    Bisection on [0, 1] with the `_converges_to_zero` predicate, down to a
+    bracket of ``BISECT_PRECISION``. The result also satisfies the
+    capacity-side bound eps* <= (sum rho_j / j) / (sum lam_i / i) up to that
+    precision.
     """
-    lam_p = lam.edge_polynomial()
-    rho_p = rho.edge_polynomial()
+    dmap = _DecodingMap(lam, rho)
     lo, hi = 0.0, 1.0
-    if _converges_to_zero(lam_p, rho_p, hi):
+    if _converges_to_zero(dmap, hi):
         return hi
-    while hi - lo > precision:
+    while hi - lo > BISECT_PRECISION:
         mid = 0.5 * (lo + hi)
-        if _converges_to_zero(lam_p, rho_p, mid):
+        if _converges_to_zero(dmap, mid):
             lo = mid
         else:
             hi = mid
     threshold = 0.5 * (lo + hi)
     cap = rho.inv_degree_moment() / lam.inv_degree_moment()
-    if threshold > cap + precision:
+    if threshold > cap + BISECT_PRECISION:
         raise RuntimeError(
             f"threshold {threshold} exceeds the capacity bound {cap}")
     return threshold
@@ -209,9 +200,11 @@ def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: in
         raise ValueError("max_var_degree must be at least 2")
     nl = max_var_degree - 1
     xs = np.arange(1, n_points + 1) / n_points
-    psi_powers = np.zeros((n_points, nl))
-    for j, block in enumerate(check_map(rho, eps).powers(nl)):
-        psi_powers[:, j] = block.evaluate_many(xs)
+    # Running products of the composed psi(x_k): column j + 1 is column j
+    # times psi. Evaluating the expanded monomials of psi**j instead loses
+    # every digit by j ~ 20 at deg rho = 5.
+    psi_x = psi(rho.edge_polynomial(), eps, xs)
+    psi_powers = np.cumprod(np.broadcast_to(psi_x[:, None], (n_points, nl)), axis=1)
     gain = np.array([1.0 / i for i in range(2, max_var_degree + 1)])
 
     # Columns [mu (N) | s_2 | s_3..s_Dv], rows i = 3..Dv.

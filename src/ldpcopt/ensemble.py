@@ -166,46 +166,57 @@ def stability_lambda2_bound(rho: DegreeDistribution, eps: float) -> float:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool          # worst_value >= -tol
+    feasible: bool          # worst_value >= -FEASIBILITY_TOL
     worst_x: float          # minimum of P over the grid and its critical points
     worst_value: float
-    grid_feasible: bool     # grid_value >= -tol
+    grid_feasible: bool     # grid_value >= -FEASIBILITY_TOL
     grid_x: float           # minimum of P over the grid alone
     grid_value: float
     endpoint_value: float   # P(1), the last grid point
 
 
-class _DecodingMap:
-    """P(x) = x - lam(psi(x)) and P'(x) = 1 - eps lam'(psi(x)) rho'(1 - eps*x),
-    with psi(x) = 1 - rho(1 - eps*x), evaluated in composed form: Horner on
-    rho at 1 - eps*x, then on lam at psi(x).
+def psi(rho: Polynomial, eps: float, xs: np.ndarray) -> np.ndarray:
+    """psi(x) = 1 - rho(1 - eps*x) at each point of `xs`, by Horner on the
+    edge polynomial `rho`: the check-side half of the erasure map."""
+    return 1.0 - rho.evaluate_many(1.0 - eps * xs)
 
-    Both edge polynomials are evaluated on [0, 1] only, where their
-    coefficients are nonnegative and sum to 1, so the rounding error stays
-    of order (deg lam) * (deg rho) units in the last place. The expanded
-    monomial coefficients of P grow like binomials instead (1.8e16 at degree
-    195), and evaluating them loses every digit at large degrees.
+
+class _DecodingMap:
+    """The erasure map of one (lam, rho) pair in composed form, eps per call:
+
+        P(x)  = x - lam(psi(x)),
+        P'(x) = 1 - eps lam'(psi(x)) rho'(1 - eps*x),
+        f(y)  = eps * lam(1 - rho(1 - y)),   the fixed-point step.
+
+    Both edge polynomials have nonnegative coefficients summing to 1 and are
+    evaluated on [0, 1] only, so the rounding error of P stays of order
+    (deg lam) * (deg rho) units in the last place. The expanded monomial
+    coefficients of P grow like binomials instead (1.8e16 at degree 195),
+    and evaluating them loses every digit at large degrees. ``steps`` makes
+    the operations of ``kernels.de_final``, so it maps an iterate to the
+    next one bit for bit.
     """
 
-    def __init__(self, spec: EnsembleSpec):
-        self.eps = spec.epsilon
-        self.lam = spec.lam.edge_polynomial()
-        self.rho = spec.rho.edge_polynomial()
+    def __init__(self, lam: DegreeDistribution, rho: DegreeDistribution):
+        self.lam = lam.edge_polynomial()
+        self.rho = rho.edge_polynomial()
         self.dlam = self.lam.derivative()
         self.drho = self.rho.derivative()
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        return xs - self.lam.evaluate_many(1.0 - self.rho.evaluate_many(1.0 - self.eps * xs))
+    def values(self, eps: float, xs: np.ndarray) -> np.ndarray:
+        return xs - self.lam.evaluate_many(psi(self.rho, eps, xs))
 
-    def slopes(self, xs: np.ndarray) -> np.ndarray:
-        u = 1.0 - self.eps * xs
-        psi = 1.0 - self.rho.evaluate_many(u)
-        return 1.0 - self.eps * self.dlam.evaluate_many(psi) * self.drho.evaluate_many(u)
+    def slopes(self, eps: float, xs: np.ndarray) -> np.ndarray:
+        return 1.0 - eps * self.dlam.evaluate_many(psi(self.rho, eps, xs)) \
+            * self.drho.evaluate_many(1.0 - eps * xs)
+
+    def steps(self, eps: float, ys: np.ndarray) -> np.ndarray:
+        return eps * self.lam.evaluate_many(psi(self.rho, 1.0, ys))
 
 
-def check_de_feasible(spec: EnsembleSpec,
-                      tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
-    """Check P(x) >= -tol on [0, 1] for the decoding-success polynomial.
+def check_de_feasible(spec: EnsembleSpec) -> FeasibilityReport:
+    """Check P(x) >= -FEASIBILITY_TOL on [0, 1] for the decoding-success
+    polynomial.
 
     P is sampled on a uniform 10001-point grid; the interior critical points
     of P (bisection on the sign changes of P' over a 4096-point scan) are
@@ -213,9 +224,9 @@ def check_de_feasible(spec: EnsembleSpec,
     resolution. The grid minimum alone is reported next to it. P and P' are
     evaluated in composed form (see ``_DecodingMap``).
     """
-    p = _DecodingMap(spec)
+    p, eps = _DecodingMap(spec.lam, spec.rho), spec.epsilon
     xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    values = p.values(xs)
+    values = p.values(eps, xs)
     worst = int(np.argmin(values))
     grid_x = worst_x = float(xs[worst])
     grid_value = worst_value = float(values[worst])
@@ -223,17 +234,17 @@ def check_de_feasible(spec: EnsembleSpec,
     # to find then: P is linear and smallest at an endpoint, which the grid
     # holds.
     linear = p.lam.degree <= 1 and p.rho.degree <= 1
-    roots = [] if linear else _critical_points(p.slopes)
-    for x, v in zip(roots, p.values(np.array(roots)).tolist()):
+    roots = [] if linear else _critical_points(lambda ys: p.slopes(eps, ys))
+    for x, v in zip(roots, p.values(eps, np.array(roots)).tolist()):
         if v < worst_value:
             worst_value = v
             worst_x = x
 
     return FeasibilityReport(
-        feasible=bool(worst_value >= -tol),
+        feasible=bool(worst_value >= -FEASIBILITY_TOL),
         worst_x=worst_x,
         worst_value=worst_value,
-        grid_feasible=bool(grid_value >= -tol),
+        grid_feasible=bool(grid_value >= -FEASIBILITY_TOL),
         grid_x=grid_x,
         grid_value=grid_value,
         endpoint_value=float(values[-1]),

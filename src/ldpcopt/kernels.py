@@ -5,7 +5,10 @@ here in plain Python. Each call reads its coefficients once as Python floats
 (``tolist``): indexing a numpy array inside the loop would box a numpy scalar
 on every operation, and both round identically, so only the speed differs.
 A run's whole state is its iterate and last step, so ``de_final`` can resume
-a run where an earlier call left it instead of repeating its steps.
+a run where an earlier call left it instead of repeating its steps. The
+module holds no scalar Horner: the loop writes both recurrences out inline,
+and every other evaluation of the erasure map is vectorized
+(``ensemble._DecodingMap``).
 """
 
 import sys
@@ -18,18 +21,6 @@ ACTIVE_IMPL = "python"
 
 def _as_floats(c) -> list:
     return np.asarray(c, dtype=np.float64).tolist()
-
-
-def _horner(c: list, x: float) -> float:
-    acc = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        acc = acc * x + c[k]
-    return acc
-
-
-def horner(coeffs, x):
-    """Horner evaluation of ascending coefficients at a scalar point."""
-    return _horner(_as_floats(coeffs), float(x))
 
 
 def de_final(lam_coeffs, rho_coeffs, eps, max_iters, tol, stop_below=0.0,
@@ -49,7 +40,9 @@ def de_final(lam_coeffs, rho_coeffs, eps, max_iters, tol, stop_below=0.0,
     carries no other state.
     """
     # Both Horner recurrences run inline, acc = acc * x + c from 0.0 over the
-    # coefficients in descending order, the same operations as ``_horner``.
+    # coefficients in descending order, the same operations as
+    # ``Polynomial.evaluate_many``, so ``ensemble._DecodingMap.steps`` maps an
+    # iterate to its successor bit for bit.
     lam = _as_floats(lam_coeffs)[::-1]
     rho = _as_floats(rho_coeffs)[::-1]
     eps, tol, stop_below = float(eps), float(tol), float(stop_below)

@@ -62,7 +62,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITERS = 200
+# Iteration cap of every solve, read when `solve` runs.
+MAX_ITERS = 200
 
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-13
@@ -508,21 +509,23 @@ class _Core:
         # program has at most d nonzeros). _KKT forms a chunk of rows with
         # one matmul; the chunks hold few enough rows that its temporaries
         # stay within the rows * d^2 floats of the congruences themselves.
-        self.psd_rows, self.psd_chunks = [], []
+        self.psd_chunks = []
         for d, sl in self.blocks:
             self.unit[sl] = svec(np.eye(d))
             part = self.A[:, sl]
             rows = np.flatnonzero(np.abs(part).sum(axis=1) > 0.0)
             I, J, v = _row_nonzeros(part[rows], d)
             step = max(1, rows.size * d // (2 * I.shape[1] + d))
-            self.psd_rows.append(rows)
             self.psd_chunks.append([
                 (rows[k: k + step], I[k: k + step], J[k: k + step], v[k: k + step])
                 for k in range(0, rows.size, step)])
-        # Constant Gram factor of A, used to project the primal
-        # defect out of recovered directions (the scaling-amplified noise in
-        # dx otherwise puts a floor on the primal residual).
-        self.eq_gram_inv = _inverse_gram_factor(self.A)
+        # Constant Gram factor of A, used to project the primal defect out
+        # of recovered directions (the scaling-amplified noise of the PSD
+        # blocks in dx otherwise puts a floor on the primal residual). The
+        # correction is unweighted, so on an orthant-only program it can pin
+        # a coordinate at its bound until the step collapses; those go
+        # without it.
+        self.eq_gram_inv = _inverse_gram_factor(self.A) if self.blocks else None
 
     def project_primal_defect(self, dx: np.ndarray, defect: np.ndarray) -> np.ndarray:
         """Least-squares correction of dx so that A dx absorbs `defect`."""
@@ -580,7 +583,7 @@ def _from_best(best, best_merit, tol, history, message) -> _HsdResult:
                       len(history) - 1, tuple(history), message)
 
 
-def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
+def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
     p = core.A.shape[0]
     nu = core.nu
 
@@ -603,7 +606,7 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
                 f"dres {dres:10.3e} step {step_taken:8.3e}\n"
             )
 
-    for it in range(max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         r_p = core.A @ x - core.b * tau
         r_d = -core.A.T @ y + core.c * tau
         r_d -= z
@@ -649,7 +652,7 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
                 return _HsdResult("unbounded", None, None, math.inf, pres, it,
                                   tuple(history), "unboundedness certificate found")
 
-        if it == max_iters:
+        if it == MAX_ITERS:
             break
 
         try:
@@ -729,7 +732,7 @@ def _solve_hsd(core: _Core, tol: float, max_iters: int, trace) -> _HsdResult:
 # ---------------------------------------------------------------------------
 
 def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
-          max_iters: int = DEFAULT_MAX_ITERS, trace=None) -> ConicSolution:
+          trace=None) -> ConicSolution:
     """Solve a conic problem; see the module docstring for the form.
 
     Returns a ``ConicSolution`` whose status is one of ``optimal``,
@@ -740,7 +743,7 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
     """
     problem.validate()
     core = _Core(problem)
-    res = _solve_hsd(core, tol, max_iters, trace)
+    res = _solve_hsd(core, tol, trace)
 
     if res.status == "optimal":
         x = core.polish(res.x_hat)

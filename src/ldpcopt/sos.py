@@ -37,13 +37,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ensemble import DegreeDistribution
-from .poly import Polynomial, check_map, without_constant_term
+from .poly import Polynomial
 from .solver import ConicProblem
+
+# The constant row of the lambda and threshold families is floating residue
+# of rho(1) = 1 and must stay below this before it is zeroed; anything
+# larger means a degree distribution that is not normalized.
+CONSTANT_TERM_TOL = 1e-12
 
 GRAM_SYMMETRY_TOL = 1e-12
 GRAM_PSD_TOL = 1e-9
@@ -133,6 +138,37 @@ class AffinePolynomialFamily:
     def lift(self, q: int) -> "AffinePolynomialFamily":
         return AffinePolynomialFamily(
             self.variable_names, lift_matrix(self.degree, q) @ self.table)
+
+
+def check_map(rho: DegreeDistribution, eps: float) -> Polynomial:
+    """psi(x) = 1 - rho(1 - eps*x), the check-node half of the erasure map.
+
+    `rho` is an edge-perspective degree distribution (see
+    ``ensemble.DegreeDistribution``); psi(0) vanishes because rho(1) = 1.
+    The expanded coefficients serve the family tables only; values of psi
+    come from the composed ``ensemble.psi``.
+    """
+    return Polynomial((1.0,)).sub(
+        rho.edge_polynomial().compose(Polynomial((1.0, -eps))))
+
+
+def without_constant_term(coeffs: np.ndarray) -> np.ndarray:
+    """Copy of `coeffs` with row 0 (the x**0 coefficients) set to zero.
+
+    Rows are monomial powers; a 2-D table holds one column per affine
+    variable. The row must be floating residue of rho(1) = 1, at most
+    ``CONSTANT_TERM_TOL`` in magnitude, so that the family's equality
+    constraints are exactly consistent; anything larger means a degree
+    distribution that is not normalized.
+    """
+    c0 = float(np.max(np.abs(coeffs[:1]), initial=0.0))
+    if c0 > CONSTANT_TERM_TOL:
+        raise ValueError(
+            f"constant term {c0!r} exceeds {CONSTANT_TERM_TOL}; "
+            "degree distribution is not normalized")
+    out = np.array(coeffs, dtype=np.float64)
+    out[:1] = 0.0
+    return out
 
 
 def design_lift_order(fixed: DegreeDistribution, max_degree: int) -> int:
@@ -356,14 +392,15 @@ def build_threshold_problem(lam: DegreeDistribution,
     )
 
 
-def build_sos_feasibility(p: Polynomial, q: Optional[int] = None) -> ConicProblem:
-    """Feasibility program: does p admit a Gram certificate over [0, 1]?"""
+def build_sos_feasibility(p: Polynomial) -> ConicProblem:
+    """Feasibility program: does p admit a Gram certificate over [0, 1]?
+
+    The lift order is deg p.
+    """
     if p.degree < 0:
         raise ValueError("the zero polynomial needs no certificate")
-    if q is None:
-        q = p.degree
     family = AffinePolynomialFamily((), p.padded(p.degree + 1).reshape(-1, 1))
-    return assemble_sos_program(family, q, "min", objective=[],
+    return assemble_sos_program(family, p.degree, "min", objective=[],
                                 var_lo=np.zeros(0), var_hi=np.zeros(0))
 
 

@@ -1,8 +1,9 @@
 """Independent oracles the tests compare the library against.
 
 Each is written without the code path it checks: the multinomial theorem
-against ``Polynomial.power``, a binomial closed form against
-``poly.de_polynomial``, and a dense sampling of both sides against the
+against ``Polynomial.powers``, the expanded decoding polynomial
+``de_polynomial`` against the lambda family of ``sos`` (and a binomial
+closed form against it), and a dense sampling of both sides against the
 [0, 1] -> R lift of ``sos.lift_to_real_line``.
 """
 
@@ -12,14 +13,30 @@ from typing import Sequence
 import numpy as np
 
 from ldpcopt.poly import Polynomial
-from ldpcopt.sos import lift_to_real_line
+from ldpcopt.sos import check_map, lift_to_real_line, without_constant_term
+
+
+def de_polynomial(lam, rho, eps: float) -> Polynomial:
+    """P(x) = x - lam(1 - rho(1 - eps*x)) with the constant term forced to 0.
+
+    `lam` and `rho` are edge-perspective degree distributions (see
+    ``ensemble.DegreeDistribution``). P is expanded by composing lam with
+    the check map, not by summing the lambda family's powers of psi. P(0)
+    vanishes identically because rho(1) = 1; the tiny floating residue of
+    the computed constant term is removed by ``without_constant_term``.
+    """
+    eps = float(eps)
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    p = Polynomial((0.0, 1.0)).sub(lam.edge_polynomial().compose(check_map(rho, eps)))
+    return Polynomial(without_constant_term(p.coeffs))
 
 
 def multinomial_power_coefficients(base: Sequence[float], k: int) -> np.ndarray:
     """Coefficients of (a1*x + ... + an*x^n)**k via the multinomial theorem.
 
     `base[l-1]` is the coefficient a_l of x**l (no constant term). This stays
-    independent of ``Polynomial.power`` (no convolutions) so the two can be
+    independent of ``Polynomial.powers`` (no convolutions) so the two can be
     cross-checked against each other.
     """
     a = [float(v) for v in base]

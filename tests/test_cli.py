@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ldpcopt import cli, sos
+from ldpcopt import cli, solver, sos
 from ldpcopt.cli import main
 
 
@@ -314,6 +314,32 @@ THRESHOLD_36 = ("threshold", "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}',
                 "--method", "sdp")
 OPTIMIZE_README = ("optimize-lambda", "--rho", '{"6": 1.0}', "--epsilon", "0.49",
                    "--max-var-degree", "7")
+
+
+def test_iteration_cap_is_a_numerical_failure(monkeypatch, capsys):
+    # A solve stopped by the iteration cap before it meets the tolerance
+    # must never be reported as an optimum.
+    monkeypatch.setattr(solver, "MAX_ITERS", 3)
+    code, out, _ = run_cli(capsys, *OPTIMIZE_README)
+    report = json.loads(out)
+    assert code == 3
+    assert report["status"] == "numerical-failure"
+    assert report["message"] == "iteration limit reached"
+    assert report["iterations"] == 3
+
+
+def test_sweep_at_thirty_variable_degrees(capsys):
+    # The grid LP's columns psi**j, j <= 29, come from the composed psi; from
+    # expanded monomials they were off by 1.1e6 here and the N = 1000
+    # row failed. The finest grid bounds the exact rate from above (A7).
+    code, out, _ = run_cli(
+        capsys, "sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.48",
+        "--max-var-degree", "30", "--grid-sizes", "100,1000")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [
+        ("100", "optimal"), ("1000", "optimal"), ("inf", "optimal")]
+    assert float(rows[1][1]) >= float(rows[2][1]) - 1e-8
 
 
 @pytest.mark.parametrize("argv, tol, code", [

@@ -1,6 +1,7 @@
 """Fixed-point simulation, threshold bisection, and the LP baseline."""
 
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from ldpcopt import kernels
 from ldpcopt.de import (
     ZERO_CUTOFF,
     _converges_to_zero,
-    _step_map,
     bisect_threshold,
     build_discretized_lp,
     lp_baseline_sweep,
     sweep_rows_to_csv,
 )
-from ldpcopt.ensemble import DegreeDistribution, EnsembleSpec, check_de_feasible
+from ldpcopt.ensemble import (
+    DegreeDistribution,
+    EnsembleSpec,
+    _DecodingMap,
+    check_de_feasible,
+)
 from ldpcopt.solver import solve
 from ldpcopt.sos import build_lambda_problem, build_threshold_problem
 
@@ -68,7 +73,8 @@ def test_de_trace_monotone_and_reproducible():
     assert np.all(np.diff(xs) <= 0.0)
     # Each step must reproduce eps * lam(1 - rho(1 - x)) exactly.
     for k in range(xs.size - 1):
-        expect = spec.epsilon * lam_p.evaluate(1.0 - rho_p.evaluate(1.0 - xs[k]))
+        expect = spec.epsilon * lam_p.evaluate_many(
+            1.0 - rho_p.evaluate_many(1.0 - xs[k]))
         assert abs(xs[k + 1] - expect) <= 1e-15
 
 
@@ -142,10 +148,10 @@ def test_bisect_threshold_resumes_rungs(monkeypatch):
 
 def test_predicate_settles_above_threshold_in_first_rung(monkeypatch):
     steps = _count_kernel_steps(monkeypatch)
-    lam_p, rho_p = LAM36.edge_polynomial(), RHO36.edge_polynomial()
-    assert not _converges_to_zero(lam_p, rho_p, 0.4375)
+    dmap = _DecodingMap(LAM36, RHO36)
+    assert not _converges_to_zero(dmap, 0.4375)
     assert sum(steps) <= 1_000
-    assert _converges_to_zero(lam_p, rho_p, 0.42)
+    assert _converges_to_zero(dmap, 0.42)
 
 
 def test_step_map_matches_kernel_bit_for_bit():
@@ -156,7 +162,7 @@ def test_step_map_matches_kernel_bit_for_bit():
                            DegreeDistribution({3: 0.4, 7: 0.6}), 0.5)]:
         lam_p, rho_p = lam.edge_polynomial(), rho.edge_polynomial()
         trace, _ = trajectory(lam_p.coeffs, rho_p.coeffs, eps, 500, 0.0)
-        assert np.array_equal(_step_map(lam_p, rho_p, eps, trace[:-1]), trace[1:])
+        assert np.array_equal(_DecodingMap(lam, rho).steps(eps, trace[:-1]), trace[1:])
 
 
 @st.composite
@@ -176,10 +182,10 @@ def test_predicate_brackets_sdp_threshold(lam, rho):
     sol = solve(build_threshold_problem(lam, rho))
     assert sol.status == "optimal"
     eps_star = 1.0 / float(sol.x[0])
-    lam_p, rho_p = lam.edge_polynomial(), rho.edge_polynomial()
-    assert _converges_to_zero(lam_p, rho_p, eps_star * (1.0 - 1e-3))
+    dmap = _DecodingMap(lam, rho)
+    assert _converges_to_zero(dmap, eps_star * (1.0 - 1e-3))
     if eps_star * (1.0 + 1e-3) <= 1.0:
-        assert not _converges_to_zero(lam_p, rho_p, eps_star * (1.0 + 1e-3))
+        assert not _converges_to_zero(dmap, eps_star * (1.0 + 1e-3))
 
 
 def test_bisect_threshold_capacity_bound(rng):
@@ -240,6 +246,22 @@ def test_discretized_lp_has_one_row_per_free_degree():
     lp = build_discretized_lp(DegreeDistribution({5: 1.0}), 0.56, 7, 1000)
     assert lp.problem.A.shape == (5, 1000 + 6)
     assert lp.problem.psd_dim == 0
+
+
+def test_lp_columns_match_exact_powers():
+    # Column j is psi(x_k)**j, formed as a running product of the composed
+    # psi: it stays within 8 j units of 2**-53 of the exact power of the
+    # float inputs' psi. The expanded monomials of psi**39 were off by 5.7e13.
+    lp = build_discretized_lp(DegreeDistribution({6: 1.0}), 0.48, 40, 1000)
+    assert lp.psi_powers.shape == (1000, 39)
+    eps = Fraction(0.48)
+    for k in list(range(0, 1000, 37)) + [999]:
+        psi = 1 - (1 - eps * Fraction(float(lp.xs[k]))) ** 5
+        exact = Fraction(1)
+        for j in range(1, 40):
+            exact *= psi
+            err = abs(Fraction(float(lp.psi_powers[k, j - 1])) - exact)
+            assert err <= Fraction(8 * j, 2 ** 53), (k, j)
 
 
 def test_lp_sweep_knife_edge_grid():

@@ -17,9 +17,10 @@ from ldpcopt.ensemble import (
     design_rate,
     stability_lambda2_bound,
 )
-from ldpcopt.poly import Polynomial, de_polynomial
+from ldpcopt.poly import Polynomial
 
 from conftest import COMPARISON_DESIGNS, REFERENCE_DESIGNS, random_distribution
+from oracles import de_polynomial
 
 
 def test_distribution_validation():
@@ -148,8 +149,8 @@ def test_endpoint_value_is_p_at_one(rng):
         lam, rho = random_distribution(rng, 7), random_distribution(rng, 6)
         eps = float(rng.uniform(0.1, 0.9))
         rep = check_de_feasible(EnsembleSpec(lam, rho, eps))
-        psi = 1.0 - rho.edge_polynomial().evaluate(1.0 - eps)
-        assert rep.endpoint_value == 1.0 - lam.edge_polynomial().evaluate(psi)
+        psi = 1.0 - rho.edge_polynomial().evaluate_many(1.0 - eps)
+        assert rep.endpoint_value == 1.0 - lam.edge_polynomial().evaluate_many(psi)
 
 
 def _exact_horner(coeffs, x):
@@ -176,7 +177,7 @@ def test_composed_check_at_degree_195():
     rho = DegreeDistribution({6: 1.0})
     eps, x = 0.546, 0.9998
     assert (lam.max_degree - 1) * (rho.max_degree - 1) >= 195
-    assert de_polynomial(lam, rho, eps).evaluate(x) < -ensemble.FEASIBILITY_TOL
+    assert de_polynomial(lam, rho, eps).evaluate_many(x) < -ensemble.FEASIBILITY_TOL
     assert exact_p(lam, rho, eps, x) > 0
     rep = check_de_feasible(EnsembleSpec(lam, rho, eps))
     assert rep.feasible and rep.grid_feasible
@@ -212,9 +213,9 @@ def test_composed_p_within_horner_bound_of_exact(case):
     # derivative there). Chaining 1 - eps*x, rho, 1 - r, lam and x - l
     # gives at most 4 u (deg lam + 1)(deg rho + 1), u = 2**-53.
     lam, rho, eps, xs = case
-    p = ensemble._DecodingMap(EnsembleSpec(lam, rho, eps))
+    p = ensemble._DecodingMap(lam, rho)
     bound = 4 * 2.0 ** -53 * (p.lam.degree + 1) * (p.rho.degree + 1)
-    for x, v in zip(xs, p.values(np.array(xs)).tolist()):
+    for x, v in zip(xs, p.values(eps, np.array(xs)).tolist()):
         assert abs(Fraction(v) - exact_p(lam, rho, eps, x)) <= bound
 
 
@@ -236,7 +237,7 @@ def _critical_points_by_scan(p):
         if fa * fb < 0.0:
             for _ in range(64):
                 m = 0.5 * (a + b)
-                fm = dp.evaluate(m)
+                fm = dp.evaluate_many(m)
                 if fm == 0.0:
                     a = b = m
                     break
@@ -282,7 +283,7 @@ def test_feasible_implies_stability(rng):
         eps = float(rng.uniform(0.05, 0.9))
         spec = EnsembleSpec(lam, rho, eps)
         if check_de_feasible(spec).feasible:
-            p1 = de_polynomial(lam, rho, eps).coeff(1)
+            p1 = de_polynomial(lam, rho, eps).coeffs[1]
             assert p1 >= -1e-9
 
 

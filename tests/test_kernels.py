@@ -22,10 +22,14 @@ def test_active_implementation_reported():
 
 
 def test_horner_matches_numpy(rng):
-    coeffs = rng.normal(size=7)
+    # One step from x is eps * lam(1 - rho(1 - x)): both Horner recurrences
+    # written out in the loop, checked against numpy's on random coefficients.
+    lam, rho = rng.normal(size=7), rng.normal(size=5)
     for x in rng.uniform(-1.5, 1.5, size=10):
-        assert kernels.horner(coeffs, float(x)) == pytest.approx(
-            float(np.polyval(coeffs[::-1], x)), rel=1e-12)
+        step = kernels.de_final(lam, rho, 0.7, 1, 0.0, start=(float(x), 0.0))[0]
+        inner = 1.0 - np.polyval(rho[::-1], 1.0 - x)
+        assert step == pytest.approx(
+            float(0.7 * np.polyval(lam[::-1], inner)), rel=1e-12)
 
 
 def test_de_trace_contract():

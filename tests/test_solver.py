@@ -364,8 +364,8 @@ def _assert_congruence_matches_dense(problem, rng):
     scal = solver._Scaling(core, _random_interior(rng, core), _random_interior(rng, core))
     ghat = solver._KKT(core, scal).ghat
     assert len(scal.blocks) == len(problem.psd_dims)
-    for b, rows in zip(scal.blocks, core.psd_rows):
-        for r in rows:
+    for b, chunks in zip(scal.blocks, core.psd_chunks):
+        for r in np.concatenate([rows for rows, _, _, _ in chunks]):
             dense = b.R.T @ smat(core.A[r, b.sl], b.d) @ b.R
             expected = svec(0.5 * (dense + dense.T))
             scale = np.max(np.abs(expected))
