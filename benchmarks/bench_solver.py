@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the interior-point solver on the design programs, split by phase.
 
-Builds the 11 SOS programs of the benchmark's ``design`` workload and the
-README's (3, 6) threshold program through ``ldpcopt.sos`` and solves each
+Builds the 11 SOS programs of the benchmark's ``design`` workload, the
+README's (3, 6) threshold program and four large designs (rho = x^5,
+eps = 0.48, Dv = 26, 34, 40 and 52) through ``ldpcopt.sos`` and solves each
 with ``ldpcopt.solver.solve``. The solver is
 not edited: while a pass runs, its private per-iteration methods are wrapped
 from outside with timers, and each call is charged to one phase:
@@ -12,13 +13,14 @@ from outside with timers, and each call is charged to one phase:
   Cholesky factor);
 - directions: ``_KKT.solve_normal``, ``_Scaling._apply`` (every scaled cone
   product, including the scaling of the step search's input) and
-  ``_Core.project_primal_defect``;
+  ``_KKT.project_primal_defect``;
 - step: ``_Scaling.max_step`` (ratio test and block eigenvalues);
 - other: the rest of ``solve`` (residuals, set-up, polish, final check).
 
 A wrapped call made inside another (``_KKT.__init__`` scales c) is charged
-to the outer one. Each program's solve runs ``PASSES`` times; the table
-shows the median pass. Run as:  python benchmarks/bench_solver.py
+to the outer one. Each program's solve runs ``PASSES`` times
+(``LARGE_PASSES`` for the large designs, about 10 s each at Dv = 52); the
+table shows the median pass. Run as:  python benchmarks/bench_solver.py
 
 A first table, printed before the timings, gives each program's status,
 iteration count and the first 12 hex digits of the SHA-1 of its answer: the
@@ -39,6 +41,7 @@ from ldpcopt import solver, sos
 from ldpcopt.ensemble import DegreeDistribution
 
 PASSES = 7
+LARGE_PASSES = 3
 
 # (name, family, fixed distribution, eps, maximum degree), as in the design
 # workload of perfbench/workloads.py; the threshold program takes (lambda,
@@ -57,12 +60,14 @@ PROGRAMS = [
     ("check4_eps06_dv20", "lambda", {4: 1.0}, 0.6, 20),
     ("threshold_3_6", "threshold", {3: 1.0}, {6: 1.0}),
 ]
+LARGE_PROGRAMS = [(f"check6_eps048_dv{dv}", "lambda", {6: 1.0}, 0.48, dv)
+                  for dv in (26, 34, 40, 52)]
 
 PHASES = {
     "scaling": [(solver._Scaling, "__init__")],
     "kkt": [(solver._KKT, "__init__")],
     "directions": [(solver._KKT, "solve_normal"), (solver._Scaling, "_apply"),
-                   (solver._Core, "project_primal_defect")],
+                   (solver._KKT, "project_primal_defect")],
     "step": [(solver._Scaling, "max_step")],
 }
 
@@ -119,10 +124,10 @@ class PhaseTimer:
         self._saved.clear()
 
 
-def time_program(problem):
+def time_program(problem, n_passes):
     """(iterations, median pass: total seconds and seconds by phase)."""
     passes = []
-    for _ in range(PASSES):
+    for _ in range(n_passes):
         with PhaseTimer() as timer:
             t0 = time.perf_counter()
             sol = solver.solve(problem)
@@ -135,9 +140,10 @@ def time_program(problem):
 
 
 def main():
-    problems = [(name, build(*spec)) for name, *spec in PROGRAMS]
+    problems = [(name, build(*spec), PASSES) for name, *spec in PROGRAMS]
+    problems += [(name, build(*spec), LARGE_PASSES) for name, *spec in LARGE_PROGRAMS]
     print(f"{'program':20s} {'status':>8s} {'iters':>5s} {'x sha1':>12s}")
-    for name, problem in problems:
+    for name, problem, _ in problems:
         sol = solver.solve(problem)
         print(f"{name:20s} {sol.status:>8s} {len(sol.history) - 1:5d} "
               f"{answer_digest(problem, sol):>12s}")
@@ -150,8 +156,8 @@ def main():
     print("-" * len(header))
     iters_all, total_all = 0, 0.0
     split_all = dict.fromkeys(phases, 0.0)
-    for name, problem in problems:
-        iters, total, split = time_program(problem)
+    for name, problem, n_passes in problems:
+        iters, total, split = time_program(problem, n_passes)
         iters_all += iters
         total_all += total
         for p in phases:

@@ -167,10 +167,11 @@ def _taps_from_solution(solution, degrees) -> dict:
     return taps
 
 
-def _certificate_report(problem, solution, poly, q: int) -> dict:
-    """Verify the program's Gram certificate against the order-q lift of poly."""
-    cert = sos.certificate_from_solution(problem, solution, q)
-    rep = sos.verify_certificate(cert, sos.lift_to_real_line(poly, q))
+def _certificate_report(problem, solution, family) -> dict:
+    """Verify the program's Gram certificate against its family at the
+    solver's values."""
+    cert = sos.certificate_from_solution(problem, solution)
+    rep = sos.verify_certificate(cert, family.at(solution.x[: family.n_vars]))
     return {
         "psd_ok": rep.psd_ok,
         "reconstruction_ok": rep.reconstruction_ok,
@@ -248,8 +249,7 @@ def _optimize_common(args, kind: str) -> int:
         "capacity": 1.0 - eps,
         "delta": capacity_gap(rate, eps),
         "stability_lambda2_bound": stability_lambda2_bound(rho, eps) if eps > 0 else None,
-        "certificate": _certificate_report(
-            problem, solution, family.at(solution.x[: family.n_vars]), family.degree),
+        "certificate": _certificate_report(problem, solution, family),
         "de_check": _de_report(spec),
         "duality_gap": solution.duality_gap,
         "eq_residual": solution.eq_residual,
@@ -296,8 +296,8 @@ def cmd_threshold(args) -> int:
             t_star = float(solution.x[0])
             sdp_rep["t"] = t_star
             sdp_rep["epsilon"] = 1.0 / t_star
-            fam = sos.threshold_constraint_family(lam, rho)
-            cert = _certificate_report(problem, solution, fam.at([t_star]), fam.degree)
+            cert = _certificate_report(problem, solution,
+                                       sos.threshold_constraint_family(lam, rho))
             sdp_rep["certificate"] = cert
             if not (cert["psd_ok"] and cert["reconstruction_ok"]):
                 sdp_rep["status"] = "verification-failed"

@@ -25,7 +25,8 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels, solver
-from .ensemble import DegreeDistribution, _DecodingMap, design_rate, psi
+from .ensemble import (DegreeDistribution, _DecodingMap, design_rate, psi,
+                       running_powers)
 from .solver import ConicProblem, ConicSolution
 
 ZERO_CUTOFF = 1e-9
@@ -200,11 +201,7 @@ def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: in
         raise ValueError("max_var_degree must be at least 2")
     nl = max_var_degree - 1
     xs = np.arange(1, n_points + 1) / n_points
-    # Running products of the composed psi(x_k): column j + 1 is column j
-    # times psi. Evaluating the expanded monomials of psi**j instead loses
-    # every digit by j ~ 20 at deg rho = 5.
-    psi_x = psi(rho.edge_polynomial(), eps, xs)
-    psi_powers = np.cumprod(np.broadcast_to(psi_x[:, None], (n_points, nl)), axis=1)
+    psi_powers = running_powers(psi(rho.edge_polynomial(), eps, xs), nl)
     gain = np.array([1.0 / i for i in range(2, max_var_degree + 1)])
 
     # Columns [mu (N) | s_2 | s_3..s_Dv], rows i = 3..Dv.

@@ -1,4 +1,4 @@
-"""Dense univariate polynomial arithmetic.
+"""Dense univariate polynomials.
 
 Coefficients are stored in the monomial basis, ascending (coeffs[k] multiplies
 x**k), as double-precision floats. Trailing coefficients at or below
@@ -6,9 +6,9 @@ x**k), as double-precision floats. Trailing coefficients at or below
 coefficients and has degree -1 by convention.
 
 Evaluation is array Horner only (``evaluate_many``; a 0-d input gives a
-scalar). The arithmetic (products, powers, composition) serves the SOS
-builder's coefficient tables in ``ldpcopt.sos``; everything else evaluates
-the erasure map in composed form (``ldpcopt.ensemble``).
+scalar); the only arithmetic is the derivative. The library evaluates the
+erasure map in composed form, on the edge polynomials themselves
+(``ldpcopt.ensemble``), and never expands products or powers.
 """
 
 from __future__ import annotations
@@ -82,40 +82,6 @@ class Polynomial:
         for k in range(self._c.size - 1, -1, -1):
             acc = acc * xs + self._c[k]
         return acc
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        n = max(self._c.size, other._c.size)
-        return Polynomial(self.padded(n) + other.padded(n))
-
-    def sub(self, other: "Polynomial") -> "Polynomial":
-        n = max(self._c.size, other._c.size)
-        return Polynomial(self.padded(n) - other.padded(n))
-
-    def scale(self, s: float) -> "Polynomial":
-        return Polynomial(self._c * float(s))
-
-    def mul(self, other: "Polynomial") -> "Polynomial":
-        if self._c.size == 0 or other._c.size == 0:
-            return Polynomial.zero()
-        return Polynomial(np.convolve(self._c, other._c))
-
-    def powers(self, k: int) -> list:
-        """[p, p**2, ..., p**k], each the previous one times p."""
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = [Polynomial.one()]
-        for _ in range(k):
-            out.append(out[-1].mul(self))
-        return out[1:]
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)) by Horner-style accumulation."""
-        out = Polynomial.zero()
-        for k in range(self._c.size - 1, -1, -1):
-            out = out.mul(inner).add(Polynomial((self._c[k],)))
-        return out
 
     def derivative(self) -> "Polynomial":
         if self._c.size <= 1:

@@ -23,11 +23,15 @@ costs O(d^3) per iteration, so two halves cost a quarter of the whole.
 
 Each block moves between svec and matrix form through cached gathers (one
 set of flat index maps per dimension), and the per-iteration work on it is a
-few large numpy calls: the congruences R' P_r R of all constraint rows are
-formed by batched matrix products, and the step search takes the smallest
-eigenvalues of the x and z directions from one stacked call. A batched call
-does the same floating-point operations in the same order as one call per
-matrix, so batching changes no rounding and no iterate.
+few large numpy calls. The constraint matrix P_r of every row is held as
+rank-one terms g v v': one term for a row of a sampled SOS program
+(``ldpcopt.sos``), found in O(d^2) when the solve starts, and the d terms
+of its eigendecomposition for any other row. The congruences R' P_r R of
+all rows are then g svec(u u') over U = R' V, one matrix product per block,
+and the step search takes the smallest eigenvalues of the x and z
+directions from one stacked call. A batched call does the same
+floating-point operations in the same order as one call per matrix, so
+batching changes no rounding and no iterate.
 
 Algorithm
 ---------
@@ -47,9 +51,11 @@ The method keeps the iterate with the smallest merit max(primal residual,
 dual residual, relative gap). Once that merit meets the tolerance, an
 iteration that does not at least halve it ends the solve, and the best
 iterate is returned (its message starts with ``best iterate returned:``). Its
-primal part is then polished by the least-squares correction that clears the
+primal part is then polished by least-squares corrections that clear the
 equality residual, so the answer satisfies A x = b to rounding even when the
-iterates stalled just below the tolerance.
+iterates stalled just below the tolerance. The first weighs each block X by
+X itself (a correction X S X), so that nearly singular blocks stay PSD; the
+second, with unit weights, clears what rounding leaves of the residual.
 """
 
 from __future__ import annotations
@@ -90,6 +96,8 @@ def svec_dim(d: int) -> int:
 class _Gathers(NamedTuple):
     """Flat index maps between a d x d matrix and its svec."""
 
+    iu0: np.ndarray     # row i of each svec entry (i, j), i <= j
+    iu1: np.ndarray     # its column j
     tri: np.ndarray     # flat position of each svec entry (i, j), i <= j
     tri_t: np.ndarray   # flat position of its mirror (j, i)
     sc: np.ndarray      # svec scale: 1 on the diagonal, sqrt(2) off it
@@ -107,7 +115,7 @@ def _gathers(d: int) -> _Gathers:
     sc = np.where(iu0 == iu1, 1.0, _SQRT2)
     full = np.empty(d * d, dtype=np.intp)
     full[tri] = full[tri_t] = np.arange(tri.size)
-    maps = _Gathers(tri, tri_t, sc, full, sc[full])
+    maps = _Gathers(iu0, iu1, tri, tri_t, sc, full, sc[full])
     for a in maps:
         a.flags.writeable = False
     return maps
@@ -384,10 +392,9 @@ def _lower_mask(p: int) -> np.ndarray:
     return mask
 
 
-def _inverse_gram_factor(m: np.ndarray) -> Optional[np.ndarray]:
-    """Inverse Cholesky factor of m m' plus a small relative jitter, or None
-    if the Gram matrix cannot be factorized."""
-    gram = m @ m.T
+def _inverse_gram_factor(gram: np.ndarray) -> Optional[np.ndarray]:
+    """Inverse Cholesky factor of a Gram matrix plus a small relative jitter,
+    or None if it cannot be factorized."""
     p = gram.shape[0]
     jitter = 1e-12 * max(1.0, float(np.trace(gram)) / max(p, 1))
     for _ in range(6):
@@ -396,6 +403,26 @@ def _inverse_gram_factor(m: np.ndarray) -> Optional[np.ndarray]:
         except np.linalg.LinAlgError:
             jitter *= 100.0
     return None
+
+
+def _scaled_constraints(core, w_orth: np.ndarray, factors) -> np.ndarray:
+    """The constraint rows under a congruence scaling, one column per row:
+    w_orth * a_r on the orthant and svec(R' P_r R) on each block, with
+    factors[k] the R of block k. Each P_r is a sum of rank-one terms
+    g v v', so its block is the sum of g svec(u u') over U = R' V."""
+    G = np.zeros((core.m_c, core.A.shape[0]))
+    n = core.n_orth
+    G[:n, :] = core.A[:, :n].T * w_orth[:, None]
+    for (d, sl), terms, R in zip(core.blocks, core.psd_rows, factors):
+        gt = _gathers(d)
+        U = R.T @ terms.V
+        prod = U[gt.iu0]
+        prod *= U[gt.iu1] * terms.g
+        prod *= gt.sc[:, None]
+        if terms.starts.size < terms.g.size:
+            prod = np.add.reduceat(prod, terms.starts, axis=1)
+        G[sl, terms.rows] = prod
+    return G
 
 
 class _KKT:
@@ -409,17 +436,17 @@ class _KKT:
 
     def __init__(self, core, scaling: _Scaling):
         self.scaling = scaling
-        A = core.A
-        p = A.shape[0]
-        n_orth = scaling.n_orth
-        ghat = np.zeros((core.m_c, p))
-        ghat[:n_orth, :] = A[:, :n_orth].T * scaling.w[:, None]
-        for b, chunks in zip(scaling.blocks, core.psd_chunks):
-            for rows, I, J, v in chunks:
-                left = b.R[I]
-                left *= v[..., None]
-                congr = np.matmul(left.transpose(0, 2, 1), b.R[J])
-                ghat[b.sl, rows] = svec(congr).T
+        self.A = core.A
+        p = core.A.shape[0]
+        # Inverse factor of A D A', D = diag(x/z on the orthant, 1 on the
+        # blocks), for the defect projection. A program without blocks has
+        # no PSD noise to project out and goes without it.
+        self.defect_inv = None
+        if core.psd_gram is not None:
+            orth = core.A[:, :scaling.n_orth]
+            self.defect_inv = _inverse_gram_factor(
+                core.psd_gram + (orth * scaling.w2) @ orth.T)
+        ghat = _scaled_constraints(core, scaling.w, [b.R for b in scaling.blocks])
         self.ghat = ghat
         self.chat = scaling.scale_z(core.c)
         phi = ghat.T @ ghat
@@ -437,6 +464,21 @@ class _KKT:
         else:
             raise _NumericalFailure("KKT matrix could not be factorized")
         self.chol_inv = _tril_inverse(chol)
+
+    def project_primal_defect(self, dx: np.ndarray, defect: np.ndarray) -> np.ndarray:
+        """Least-squares correction of dx so that A dx absorbs `defect`.
+
+        The scaling-amplified noise of the PSD blocks in a recovered
+        direction otherwise puts a floor on the primal residual. The orthant
+        is weighted by its scaling x/z, so a scalar at its bound stays
+        there; an unweighted correction can pin it until the step
+        collapses.
+        """
+        if self.defect_inv is None or defect.size == 0:
+            return dx
+        corr = self.A.T @ (self.defect_inv.T @ (self.defect_inv @ defect))
+        corr[: self.scaling.n_orth] *= self.scaling.w2
+        return dx + corr
 
     def awsq(self, v: np.ndarray) -> np.ndarray:
         """A (W'W) v, formed through the scaled matrix."""
@@ -459,29 +501,59 @@ class _KKT:
         return dy
 
 
-def _row_nonzeros(part: np.ndarray, d: int):
-    """Nonzeros of smat(part[r]) for every row r, both triangles, as index
-    arrays I, J and weights v of shape (rows, width).
+class _RankOneRows(NamedTuple):
+    """The rows of A that touch one PSD block, each as a sum of rank-one
+    terms: term t adds g[t] V[:, t] V[:, t]' to the constraint matrix of
+    row ``rows[k]`` for t from ``starts[k]`` up to the next start."""
 
-    Each row lists its entries in svec order, then the mirrors of its
-    off-diagonal entries in the same order; zero weights pad it to the
-    widest row. A padded product adds exact zeros after the row's own terms.
+    rows: np.ndarray
+    starts: np.ndarray
+    g: np.ndarray
+    V: np.ndarray
+
+
+# A row is rank one when its pivot column reproduces it to within this
+# multiple of its largest entry: a few roundings of each product.
+_RANK_ONE_TOL = 1e-14
+
+
+def _rank_one_rows(part: np.ndarray, d: int) -> _RankOneRows:
+    """Split the svec rows ``part`` of one block into rank-one terms.
+
+    A row P that is g v v' (an SOS node row) is recovered in O(d^2) from
+    its largest diagonal entry P_ii: v = P[:, i] / sqrt|P_ii|, g = sign P_ii,
+    and is kept when g v v' matches P to rounding. Any other row is held
+    as all d terms of its eigendecomposition, which is exact.
     """
-    iu0, iu1 = np.triu_indices(d)
-    off = iu0 != iu1
-    I = np.concatenate([iu0, iu1[off]])
-    J = np.concatenate([iu1, iu0[off]])
-    vals = part / _gathers(d).sc
-    vals = np.concatenate([vals, vals[:, off]], axis=1)
-    nonzero = np.concatenate([part != 0.0, part[:, off] != 0.0], axis=1)
-    # Row-major order keeps each row's entries in list order.
-    r, k = np.nonzero(nonzero)
-    pos = np.cumsum(nonzero, axis=1)[r, k] - 1
-    shape = (part.shape[0], int(np.max(pos, initial=-1)) + 1)
-    I_rows, J_rows = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
-    v_rows = np.zeros(shape)
-    I_rows[r, pos], J_rows[r, pos], v_rows[r, pos] = I[k], J[k], vals[r, k]
-    return I_rows, J_rows, v_rows
+    gt = _gathers(d)
+    rows = np.flatnonzero(np.any(part != 0.0, axis=1))
+    part = part[rows]
+    diag = part[:, gt.full[:: d + 1]]
+    piv = np.argmax(np.abs(diag), axis=1)
+    pivot = diag[np.arange(rows.size), piv]
+    col = np.take_along_axis(part, gt.full.reshape(d, d)[piv], axis=1) \
+        / gt.dsc.reshape(d, d)[piv]
+    single = pivot != 0.0
+    root = np.sqrt(np.abs(np.where(single, pivot, 1.0)))
+    v1 = col / root[:, None]
+    g1 = np.sign(pivot)
+    recon = v1[:, gt.iu0] * v1[:, gt.iu1] * (g1[:, None] * gt.sc)
+    single &= np.all(np.abs(recon - part)
+                     <= _RANK_ONE_TOL * np.max(np.abs(part), axis=1)[:, None], axis=1)
+
+    counts = np.where(single, 1, d)
+    starts = np.cumsum(counts) - counts
+    g = np.empty(int(counts.sum()))
+    V = np.empty((d, g.size))
+    g[starts[single]] = g1[single]
+    V[:, starts[single]] = v1[single].T
+    many = np.flatnonzero(~single)
+    if many.size:
+        lam, vecs = np.linalg.eigh(_smat(part[many], d))
+        cols = (starts[many][:, None] + np.arange(d)).ravel()
+        g[cols] = lam.ravel()
+        V[:, cols] = vecs.transpose(1, 0, 2).reshape(d, -1)
+    return _RankOneRows(rows, starts, g, V)
 
 
 class _Core:
@@ -502,60 +574,61 @@ class _Core:
         self.m_c = prob.n_cols
         self.nu = self.n_orth + sum(prob.psd_dims) + 1
         self.unit = np.ones(self.m_c)
-        # Per block: the rows that touch it, and each of their constraint
-        # matrices P_r as the coordinates (I, J, v) of its nonzeros, both
-        # triangles, so that the congruence R' P_r R = (R[I] * v)' R[J] costs
-        # 2 nnz(P_r) d^2 flops instead of 4 d^3 (a Hankel row of an SOS
-        # program has at most d nonzeros). _KKT forms a chunk of rows with
-        # one matmul; the chunks hold few enough rows that its temporaries
-        # stay within the rows * d^2 floats of the congruences themselves.
-        self.psd_chunks = []
+        # Per block: the rows that touch it as rank-one terms g v v', so that
+        # a congruence R' P_r R costs d^2 flops per term (one per row of an
+        # SOS program) instead of 4 d^3.
+        self.psd_rows = []
         for d, sl in self.blocks:
             self.unit[sl] = svec(np.eye(d))
-            part = self.A[:, sl]
-            rows = np.flatnonzero(np.abs(part).sum(axis=1) > 0.0)
-            I, J, v = _row_nonzeros(part[rows], d)
-            step = max(1, rows.size * d // (2 * I.shape[1] + d))
-            self.psd_chunks.append([
-                (rows[k: k + step], I[k: k + step], J[k: k + step], v[k: k + step])
-                for k in range(0, rows.size, step)])
-        # Constant Gram factor of A, used to project the primal defect out
-        # of recovered directions (the scaling-amplified noise of the PSD
-        # blocks in dx otherwise puts a floor on the primal residual). The
-        # correction is unweighted, so on an orthant-only program it can pin
-        # a coordinate at its bound until the step collapses; those go
-        # without it.
-        self.eq_gram_inv = _inverse_gram_factor(self.A) if self.blocks else None
-
-    def project_primal_defect(self, dx: np.ndarray, defect: np.ndarray) -> np.ndarray:
-        """Least-squares correction of dx so that A dx absorbs `defect`."""
-        if self.eq_gram_inv is None or defect.size == 0:
-            return dx
-        t = self.eq_gram_inv.T @ (self.eq_gram_inv @ defect)
-        return dx + self.A.T @ t
+            self.psd_rows.append(_rank_one_rows(prob.A[:, sl], d))
+        # The constant block part of the defect projection's Gram matrix.
+        psd = self.A[:, self.n_orth:]
+        self.psd_gram = psd @ psd.T if self.blocks else None
 
     def polish(self, x: np.ndarray) -> np.ndarray:
         """Return the interior point x with its equality residual cleared.
 
-        The cone part moves by the least-squares correction that absorbs
-        b - A x, with orthant coordinate i weighted by min(x_i, 1): a
-        coordinate near its bound moves in proportion to its value and keeps
-        its sign. PSD coordinates have weight one; the correction is of the
-        order of the residual, far inside the eigenvalue margin. The answer
-        then meets A x = b to rounding, which certificates checked in badly
-        scaled coordinates (monomial Gram matrices) depend on.
+        Two least-squares corrections absorb b - A x in turn. Orthant
+        coordinate i is weighted by min(x_i, 1) in both: a coordinate near
+        its bound moves in proportion to its value and keeps its sign. The
+        first weighs each block by X itself (see ``_polish_in_range``) and
+        the second by one; it clears the residual that the first leaves at
+        rounding level. The answer then meets A x = b to rounding, which the
+        certificate's node residuals are checked against.
         """
-        n = self.n_orth
         if self.b.size == 0:
             return x
-        root = np.ones(self.m_c)
-        root[:n] = np.sqrt(np.minimum(x[:n], 1.0))
-        scaled = self.A * root
-        inv = _inverse_gram_factor(scaled)
+        root = np.sqrt(np.minimum(x[: self.n_orth], 1.0))
+        if self.blocks:
+            x = self._polish_in_range(x, root)
+        weights = np.ones(self.m_c)
+        weights[: self.n_orth] = root
+        scaled = self.A * weights
+        inv = _inverse_gram_factor(scaled @ scaled.T)
         if inv is None:
             return x
         defect = self.b - self.A @ x
-        return x + root * (scaled.T @ (inv.T @ (inv @ defect)))
+        return x + weights * (scaled.T @ (inv.T @ (inv @ defect)))
+
+    def _polish_in_range(self, x: np.ndarray, root: np.ndarray) -> np.ndarray:
+        """The correction of ``polish`` that moves each block X by X S X,
+        with S a combination of the rows' constraint matrices. It is formed
+        as R (R' S R) R' from a factor R R' = X, so a nearly singular block
+        moves only along its range and stays PSD."""
+        factors = []
+        for d, sl in self.blocks:
+            lam, vecs = np.linalg.eigh(_smat(x[sl], d))
+            factors.append(vecs * np.sqrt(np.maximum(lam, 0.0)))
+        scaled = _scaled_constraints(self, root, factors)
+        inv = _inverse_gram_factor(scaled.T @ scaled)
+        if inv is None:
+            return x
+        step = scaled @ (inv.T @ (inv @ (self.b - self.A @ x)))
+        x = x.copy()
+        x[: self.n_orth] += root * step[: self.n_orth]
+        for (d, sl), R in zip(self.blocks, factors):
+            x[sl] += svec(R @ _smat(step[sl], d) @ R.T)
+        return x
 
 
 @dataclass
@@ -666,7 +739,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
 
         dy1 = kkt.solve_normal(kkt.ghat.T @ kkt.chat + core.b)
         dx1 = scal.wsq_apply(core.A.T @ dy1 - core.c)
-        dx1 = core.project_primal_defect(dx1, core.b - core.A @ dx1)
+        dx1 = kkt.project_primal_defect(dx1, core.b - core.A @ dx1)
         denom = kkt.tau_denominator_part(core.b) + kappa / tau
         if not np.isfinite(denom) or denom <= 0.0:
             return _from_best(best, best_merit, tol, history,
@@ -677,7 +750,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
             w1 = scal.winv_apply(g) - eta * r_d
             dy0 = kkt.solve_normal(-eta * r_p - kkt.awsq(w1))
             dx0 = scal.wsq_apply(core.A.T @ dy0 + w1)
-            dx0 = core.project_primal_defect(dx0, -eta * r_p - core.A @ dx0)
+            dx0 = kkt.project_primal_defect(dx0, -eta * r_p - core.A @ dx0)
             val0 = float(core.b @ dy0 - core.c @ dx0)
             dtau = (-eta * r_g + d_tk / tau - val0) / denom
             dy = dy0 + dtau * dy1

@@ -1,36 +1,45 @@
 """Exact reformulation of polynomial nonnegativity on [0, 1] as finite LMIs.
 
-The key map lifts a polynomial p of degree <= q to
+A polynomial F of degree n is nonnegative on [0, 1] exactly when it has the
+Markov-Lukacs form
 
-    Pi(x) = (1 + x^2)^q * p(x^2 / (1 + x^2)),
+    F = s0 + x (1 - x) s1      (n even),
+    F = x s0 + (1 - x) s1      (n odd),
 
-a polynomial of degree 2q that is nonnegative on the whole real line exactly
-when p is nonnegative on [0, 1]. A univariate polynomial nonnegative on the
-line is a sum of squares, witnessed by a PSD Gram matrix B over the monomials
-1, x, ..., x^q whose antidiagonal sums reproduce the coefficients:
+with s0 and s1 sums of squares of degree at most n, each witnessed by a PSD
+Gram matrix (Powers & Reznick, "Polynomials that are positive on an
+interval", 2000). The Gram blocks are taken over the shifted Chebyshev basis
+T_i(2x - 1), i < d, with d = n/2 + 1 and n/2 (n even) or (n + 1)/2 for both
+(n odd); an empty block is left out.
 
-    Pi_l = sum_{i+j=l} B_ij,   0 <= l <= 2q,   B >= 0.
+Both sides have degree at most n, so they are equal exactly when they agree
+at n + 1 distinct points. The identity is imposed at the first-kind
+Chebyshev nodes x_j = (1 + cos t_j) / 2, t_j = (2j + 1) pi / (2n + 2),
+j = 0..n (Loefberg & Parrilo, "From coefficients to samples", 2004): one
+equality per node,
 
-Because the lift is linear and the design coefficients enter the constraint
-polynomial affinely, the resulting feasibility sets are affine slices of the
-PSD cone, so the rate and threshold design problems become semidefinite
-programs with no relaxation. This module builds those programs and verifies
-returned Gram certificates.
+    F(x_j) - sum_k u_jk' X_k u_jk = 0,
+    u_jk = sqrt(w_k(x_j)) * c * [cos(i t_j)]_i,   c = sqrt(2 / (n + 1)),
 
-Two exact reductions shrink the programs:
+with w_k the block's weight (1, x(1 - x), x or 1 - x). Each row is one
+rank-one matrix per block, which ``ldpcopt.solver`` takes as such. The
+scale c is the DCT's, under which the node vectors of a block are
+orthonormal in the mean.
 
-- Parity split. Pi is even, so with D = diag((-1)^i) the average of B and
-  DBD is again a Gram matrix of Pi, with no entries between even and odd
-  monomials: B is taken as an even block and an odd block, and only the
-  q + 1 even coefficient equations remain (Gatermann & Parrilo, "Symmetry
-  groups, semidefinite programs, and sums of squares", 2004).
-- Factored zeros. When the family's k lowest coefficients vanish
-  identically, p = x^k p~ and Pi = x^(2k) Pi~ with Pi~ the order q - k lift
-  of p~; every Gram matrix of Pi is zero in its first k rows, so the program
-  is posed for Pi~ (k = 1 for the lambda and threshold families).
+Because the design coefficients enter the constraint polynomial affinely,
+the feasibility sets are affine slices of the PSD cone and the rate and
+threshold design problems are semidefinite programs with no relaxation. A
+family is carried as its values at the nodes, evaluated in composed form
+(``ensemble.psi`` and its running powers); nothing here expands monomials.
+When the family's k lowest orders vanish identically, the program is posed
+for F = P / x^k (k = 1 for the lambda and threshold families): all nodes are
+interior, so the division is safe.
 
-``certificate_from_solution`` reassembles the (q + 1) x (q + 1) Gram matrix
-of Pi, zero off parity and in the factored rows, for ``verify_certificate``.
+``verify_certificate`` checks the Gram blocks a solve returns: each block is
+PSD, and the node residuals r_j = F(x_j) - s(x_j) are small. With
+first-kind nodes the residual interpolant bounds the error on the whole
+interval, |F - s| <= Lambda_n max |r_j| on [0, 1], with the Lebesgue
+constant Lambda_n <= (2 / pi) ln(n + 1) + 1.
 """
 
 from __future__ import annotations
@@ -41,230 +50,174 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import DegreeDistribution
+from .ensemble import DegreeDistribution, psi, running_powers
 from .poly import Polynomial
 from .solver import ConicProblem
 
-# The constant row of the lambda and threshold families is floating residue
-# of rho(1) = 1 and must stay below this before it is zeroed; anything
-# larger means a degree distribution that is not normalized.
-CONSTANT_TERM_TOL = 1e-12
-
 GRAM_SYMMETRY_TOL = 1e-12
 GRAM_PSD_TOL = 1e-9
+# Bound on max |F - s| over [0, 1], relative to 1 + max |F(x_j)|.
 GRAM_RECONSTRUCTION_TOL = 1e-7
 
-# Largest monomial Gram matrix (q + 1) a program may have. At the cap
-# (Dv = 52 at deg rho = 6: blocks of 128 and 127, 256 rows) the build peaks
-# at 96 MB and a solve at 285 MB in 5 s on 2 vCPUs, both growing as d^3, and
-# the monomial basis already fails numerically there (from Dv = 40 on).
+# Largest degree + 1 of a constraint polynomial P, before x^k is factored
+# out. At the cap (Dv = 52 at deg rho = 6: blocks of 128 and 127, 255 node
+# rows) the build takes 0.1-0.2 s and peaks at 138 MB resident, and a solve
+# takes 23 iterations and 5.7-6.9 s at 2 BLAS threads, 22 and 6.9-8.2 s at
+# one, peaking at 255 MB (2 vCPUs); time grows as d^3 and memory as d^2.
 # Larger programs are refused before anything is built.
 MAX_GRAM_DIM = 256
 
 
 class GramTooLarge(ValueError):
-    """The lifted program would need a Gram block above ``MAX_GRAM_DIM``."""
+    """The constraint polynomial's degree + 1 exceeds ``MAX_GRAM_DIM``."""
 
 
-def _check_gram_dim(q: int) -> None:
-    """Refuse a lift of order q whose Gram block exceeds ``MAX_GRAM_DIM``."""
-    if q + 1 > MAX_GRAM_DIM:
+def _check_gram_dim(degree: int) -> None:
+    """Refuse a constraint polynomial of degree + 1 above ``MAX_GRAM_DIM``."""
+    if degree + 1 > MAX_GRAM_DIM:
         raise GramTooLarge(
-            f"Gram dimension {q + 1} exceeds the limit of {MAX_GRAM_DIM}")
+            f"Gram dimension {degree + 1} exceeds the limit of {MAX_GRAM_DIM}")
 
 
 # ---------------------------------------------------------------------------
-# Lift
+# Nodes and the Markov-Lukacs blocks
 # ---------------------------------------------------------------------------
 
-def lift_matrix(degree_in: int, q: int) -> np.ndarray:
-    """Linear map from coefficients of p (degree <= degree_in) to those of Pi.
-
-    Row 2m is  Pi_{2m} = sum_{i<=m} C(q-i, m-i) * p_i; odd rows are zero.
-    """
-    if q < degree_in:
-        raise ValueError(f"lift order q={q} is below the polynomial degree {degree_in}")
-    L = np.zeros((2 * q + 1, degree_in + 1))
-    for m in range(q + 1):
-        for i in range(0, min(m, degree_in) + 1):
-            L[2 * m, i] = math.comb(q - i, m - i)
-    return L
+def chebyshev_nodes(n: int):
+    """The angles t_j = (2j + 1) pi / (2n + 2) and nodes x_j = (1 + cos t_j) / 2,
+    j = 0..n, of degree n."""
+    theta = (2.0 * np.arange(n + 1) + 1.0) * math.pi / (2.0 * n + 2.0)
+    return theta, 0.5 * (1.0 + np.cos(theta))
 
 
-def lift_to_real_line(p: Polynomial, q: int) -> Polynomial:
-    """Pi(x) = (1 + x^2)^q p(x^2/(1+x^2)); rejects q below deg(p)."""
-    if q < p.degree:
-        raise ValueError(f"lift order q={q} is below the polynomial degree {p.degree}")
-    if p.degree < 0:
-        return Polynomial.zero()
-    return Polynomial(lift_matrix(p.degree, q) @ p.coeffs)
+def _node_vectors(n: int) -> list:
+    """For each Gram block of the degree-n Markov-Lukacs form, the matrix of
+    its node vectors u_j (one row per node, see the module docstring)."""
+    theta, x = chebyshev_nodes(n)
+    if n % 2 == 0:
+        blocks = [(n // 2 + 1, np.ones_like(x)), (n // 2, x * (1.0 - x))]
+    else:
+        blocks = [((n + 1) // 2, x), ((n + 1) // 2, 1.0 - x)]
+    c = math.sqrt(2.0 / (n + 1))
+    return [np.sqrt(w)[:, None] * c * np.cos(np.outer(theta, np.arange(d)))
+            for d, w in blocks if d > 0]
 
 
 # ---------------------------------------------------------------------------
-# Affine families of polynomials
+# Affine families of polynomials, sampled at the nodes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AffinePolynomialFamily:
-    """Polynomial whose coefficients are affine in named decision variables.
+class SampledFamily:
+    """Constraint polynomial P whose coefficients are affine in named decision
+    variables, carried as F = P / x^k at the Chebyshev nodes of degree
+    n = deg P - k.
 
-    ``table`` has one row per monomial power; column 0 is the constant part
-    and column 1+v multiplies variable v. Affine maps commute with the lift,
-    so a family can be lifted symbolically and evaluated later.
+    ``values`` has one row per node; column 0 is the constant part of
+    F(x_j) and column 1+v multiplies variable v.
     """
 
     variable_names: tuple
-    table: np.ndarray
+    k: int
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=np.float64))
-        if self.table.ndim != 2 or self.table.shape[1] != 1 + len(self.variable_names):
-            raise ValueError("coefficient table shape does not match the variable count")
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        if self.values.ndim != 2 or self.values.shape[1] != 1 + len(self.variable_names):
+            raise ValueError("value table shape does not match the variable count")
+
+    @property
+    def n(self) -> int:
+        """deg F, the degree of the Markov-Lukacs form."""
+        return self.values.shape[0] - 1
 
     @property
     def degree(self) -> int:
-        return self.table.shape[0] - 1
+        """deg P, the degree the Gram dimension cap applies to."""
+        return self.n + self.k
 
     @property
     def n_vars(self) -> int:
         return len(self.variable_names)
 
-    def at(self, values: Sequence[float]) -> Polynomial:
+    def at(self, values: Sequence[float]) -> np.ndarray:
+        """F at the nodes for the given variable values."""
         v = np.concatenate([[1.0], np.asarray(values, dtype=np.float64)])
-        if v.size != self.table.shape[1]:
+        if v.size != self.values.shape[1]:
             raise ValueError("wrong number of variable values")
-        return Polynomial(self.table @ v)
-
-    def lift(self, q: int) -> "AffinePolynomialFamily":
-        return AffinePolynomialFamily(
-            self.variable_names, lift_matrix(self.degree, q) @ self.table)
+        return self.values @ v
 
 
-def check_map(rho: DegreeDistribution, eps: float) -> Polynomial:
-    """psi(x) = 1 - rho(1 - eps*x), the check-node half of the erasure map.
-
-    `rho` is an edge-perspective degree distribution (see
-    ``ensemble.DegreeDistribution``); psi(0) vanishes because rho(1) = 1.
-    The expanded coefficients serve the family tables only; values of psi
-    come from the composed ``ensemble.psi``.
-    """
-    return Polynomial((1.0,)).sub(
-        rho.edge_polynomial().compose(Polynomial((1.0, -eps))))
-
-
-def without_constant_term(coeffs: np.ndarray) -> np.ndarray:
-    """Copy of `coeffs` with row 0 (the x**0 coefficients) set to zero.
-
-    Rows are monomial powers; a 2-D table holds one column per affine
-    variable. The row must be floating residue of rho(1) = 1, at most
-    ``CONSTANT_TERM_TOL`` in magnitude, so that the family's equality
-    constraints are exactly consistent; anything larger means a degree
-    distribution that is not normalized.
-    """
-    c0 = float(np.max(np.abs(coeffs[:1]), initial=0.0))
-    if c0 > CONSTANT_TERM_TOL:
-        raise ValueError(
-            f"constant term {c0!r} exceeds {CONSTANT_TERM_TOL}; "
-            "degree distribution is not normalized")
-    out = np.array(coeffs, dtype=np.float64)
-    out[:1] = 0.0
-    return out
+def coefficient_family(variable_names: tuple, table: np.ndarray) -> SampledFamily:
+    """The family whose P has the monomial coefficient table ``table`` (one
+    row per power; column 0 constant, column 1+v variable v). Its exactly
+    zero low rows are factored out as x^k."""
+    table = np.asarray(table, dtype=np.float64)
+    _check_gram_dim(table.shape[0] - 1)
+    k = 0
+    while k < table.shape[0] - 1 and not np.any(table[k]):
+        k += 1
+    _, x = chebyshev_nodes(table.shape[0] - 1 - k)
+    values = np.polynomial.polynomial.polyval(x, table[k:]).T
+    return SampledFamily(tuple(variable_names), k, values)
 
 
-def design_lift_order(fixed: DegreeDistribution, max_degree: int) -> int:
-    """Lift order q of the lambda and rho design families: the degree of
-    their constraint polynomial, (max_degree - 1) * deg(fixed)."""
+def _design_degree(fixed: DegreeDistribution, max_degree: int) -> int:
+    """Degree of the lambda and rho design families' constraint polynomial,
+    (max_degree - 1) * deg(fixed)."""
     return (max_degree - 1) * (fixed.max_degree - 1)
 
 
 def lambda_constraint_family(rho: DegreeDistribution, eps: float,
-                             max_var_degree: int) -> AffinePolynomialFamily:
+                             max_var_degree: int) -> SampledFamily:
     """P(x) = x - sum_i lam_i * psi(x)**(i-1), psi(x) = 1 - rho(1 - eps*x).
 
-    Affine in the variable-side coefficients lam_2..lam_Dv.
+    Affine in the variable-side coefficients lam_2..lam_Dv; P(0) = 0
+    identically, so the program is posed for P / x.
     """
-    q = design_lift_order(rho, max_var_degree)
-    _check_gram_dim(q)
-    table = np.zeros((q + 1, max_var_degree))
-    table[1, 0] = 1.0
-    for i, block in enumerate(check_map(rho, eps).powers(max_var_degree - 1), 2):
-        table[: block.degree + 1, i - 1] -= block.coeffs
-    return AffinePolynomialFamily(
-        tuple(f"lambda_{i}" for i in range(2, max_var_degree + 1)),
-        without_constant_term(table))
+    degree = _design_degree(rho, max_var_degree)
+    _check_gram_dim(degree)
+    _, x = chebyshev_nodes(degree - 1)
+    powers = running_powers(psi(rho.edge_polynomial(), eps, x), max_var_degree - 1)
+    values = np.concatenate([np.ones((x.size, 1)), -powers / x[:, None]], axis=1)
+    return SampledFamily(tuple(f"lambda_{i}" for i in range(2, max_var_degree + 1)),
+                         1, values)
 
 
 def rho_constraint_family(lam: DegreeDistribution, eps: float,
-                          max_check_degree: int) -> AffinePolynomialFamily:
+                          max_check_degree: int) -> SampledFamily:
     """Q(x) = sum_j rho_j * phi(x)**(j-1) - 1 + x, phi(x) = 1 - eps*lam(x).
 
     Affine in the check-side coefficients rho_2..rho_Dc; Q >= 0 on [0, 1] is
-    the check-side form of the zero-erasure condition. The constant row is
+    the check-side form of the zero-erasure condition. Q(0) is
     sum_j rho_j - 1, which vanishes on the simplex rather than identically.
     """
-    phi = Polynomial((1.0,)).sub(lam.edge_polynomial().scale(eps))
-    q = design_lift_order(lam, max_check_degree)
-    _check_gram_dim(q)
-    table = np.zeros((q + 1, max_check_degree))
-    table[0, 0] = -1.0
-    table[1, 0] = 1.0
-    for j, block in enumerate(phi.powers(max_check_degree - 1), 2):
-        table[: block.degree + 1, j - 1] += block.coeffs
-    return AffinePolynomialFamily(
-        tuple(f"rho_{j}" for j in range(2, max_check_degree + 1)), table)
+    degree = _design_degree(lam, max_check_degree)
+    _check_gram_dim(degree)
+    _, x = chebyshev_nodes(degree)
+    phi = 1.0 - eps * lam.edge_polynomial().evaluate_many(x)
+    values = np.concatenate(
+        [(x - 1.0)[:, None], running_powers(phi, max_check_degree - 1)], axis=1)
+    return SampledFamily(tuple(f"rho_{j}" for j in range(2, max_check_degree + 1)),
+                         0, values)
 
 
 def threshold_constraint_family(lam: DegreeDistribution,
-                                rho: DegreeDistribution) -> AffinePolynomialFamily:
-    """T(x) = t*x - lam(1 - rho(1 - x)), affine in the single variable t."""
-    _check_gram_dim((lam.max_degree - 1) * (rho.max_degree - 1))
-    fixed = lam.edge_polynomial().compose(check_map(rho, 1.0))
-    q = max(fixed.degree, 1)
-    table = np.zeros((q + 1, 2))
-    table[: fixed.degree + 1, 0] -= fixed.coeffs
-    table[1, 1] = 1.0
-    return AffinePolynomialFamily(("t",), without_constant_term(table))
+                                rho: DegreeDistribution) -> SampledFamily:
+    """T(x) = t*x - lam(1 - rho(1 - x)), affine in the single variable t;
+    T(0) = 0 identically, so the program is posed for T / x."""
+    degree = (lam.max_degree - 1) * (rho.max_degree - 1)
+    _check_gram_dim(degree)
+    _, x = chebyshev_nodes(degree - 1)
+    fixed = lam.edge_polynomial().evaluate_many(psi(rho.edge_polynomial(), 1.0, x))
+    return SampledFamily(("t",), 1, np.stack([-fixed / x, np.ones_like(x)], axis=1))
 
 
 # ---------------------------------------------------------------------------
 # Problem builders
 # ---------------------------------------------------------------------------
 
-def gram_basis_weights(q: int) -> np.ndarray:
-    """Diagonal scaling sqrt(C(q, i)) applied to the Gram basis.
-
-    The lifted polynomials carry binomial-sized coefficients (the lift of the
-    constant 1 is (1+x^2)^q), so the Gram matrix in the plain monomial basis
-    spans ~C(q, q/2) orders of magnitude and double arithmetic cannot meet
-    tight residual tolerances at q ~ 30. Conjugating by this diagonal is an
-    exact, cone-preserving change of basis under which the identity matrix
-    certifies (1+x^2)^q and well-behaved certificates stay O(1).
-    """
-    # Float binomials: past q = 66, C(q, q/2) > 2^63 and a list of exact
-    # ints would become an object array that np.sqrt rejects.
-    return np.array([math.sqrt(math.comb(q, i)) for i in range(q + 1)])
-
-
-def _parity_blocks(q: int):
-    """The monomial powers of the even and the odd Gram block of a degree-2q
-    even polynomial (an empty block is left out), and for each svec
-    coordinate of the blocks the m and weight with which it enters
-    Pi_{2m} = sum_{i+j=2m} w_i w_j Btilde_ij, w = ``gram_basis_weights(q)``."""
-    w = gram_basis_weights(q)
-    powers, rows, weights = [], [], []
-    for parity in (0, 1):
-        idx = np.arange(parity, q + 1, 2)
-        if idx.size == 0:
-            continue
-        iu0, iu1 = np.triu_indices(idx.size)
-        i, j = idx[iu0], idx[iu1]
-        powers.append(idx)
-        rows.append((i + j) // 2)
-        weights.append(w[i] * w[j] * np.where(i == j, 1.0, math.sqrt(2.0)))
-    return powers, np.concatenate(rows), np.concatenate(weights)
-
-
-def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
+def assemble_sos_program(family: SampledFamily, sense: str,
                          objective: Sequence[float],
                          var_lo: Sequence[float], var_hi: Sequence[float],
                          extra_eq: Sequence[tuple] = ()) -> ConicProblem:
@@ -272,42 +225,43 @@ def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
 
     ``extra_eq`` rows are (coefficients over the decision variables, rhs).
     Variable layout of the result: the family's variables first (bounded
-    below by var_lo), then one slack per finite var_hi, then svec of the
-    even and the odd Gram block of the order q - k lift of family / x^k, k
-    the number of identically zero low rows (see the module docstring). A
-    finite var_hi[v] is the row var_v + s = var_hi[v] with a slack s >= 0,
-    after the extra rows. Raises ``GramTooLarge`` when q + 1 exceeds
-    ``MAX_GRAM_DIM``.
+    below by var_lo), then one slack per finite var_hi, then svec of each
+    Markov-Lukacs Gram block. Rows: one per node, then the extra rows, then
+    for each finite var_hi[v] the row var_v + s = var_hi[v] with a slack
+    s >= 0.
     """
-    _check_gram_dim(q)
-    k = 0   # identically zero low rows, factored out as x^k
-    while k < family.degree and not np.any(family.table[k]):
-        k += 1
-    qr = q - k
-    lifted = AffinePolynomialFamily(family.variable_names, family.table[k:]).lift(qr)
-    even = lifted.table[::2]
+    n_nodes = family.n + 1
     nv = family.n_vars
     hi = np.asarray(var_hi, dtype=np.float64)
     capped = np.flatnonzero(np.isfinite(hi))
     ns = nv + capped.size   # decision variables and slacks
-    powers, gram_rows, weights = _parity_blocks(qr)
-    sdim = weights.size
+    us = _node_vectors(family.n)
+    sdim = sum(u.shape[1] * (u.shape[1] + 1) // 2 for u in us)
 
-    n_rows = (qr + 1) + len(extra_eq) + capped.size
+    n_rows = n_nodes + len(extra_eq) + capped.size
     A = np.zeros((n_rows, ns + sdim))
     b = np.zeros(n_rows)
-    A[: qr + 1, :nv] = even[:, 1:]
-    A[gram_rows, ns + np.arange(sdim)] = -weights
-    b[: qr + 1] = -even[:, 0]
+    A[:n_nodes, :nv] = family.values[:, 1:]
+    b[:n_nodes] = -family.values[:, 0]
+    # Node j of block k is the rank-one row -svec(u_jk u_jk'), written from
+    # the upper triangle straight into A.
+    col = ns
+    for u in us:
+        iu0, iu1 = np.triu_indices(u.shape[1])
+        block = A[:n_nodes, col: col + iu0.size]
+        np.multiply(u[:, iu0], u[:, iu1], out=block)
+        block *= np.where(iu0 == iu1, -1.0, -math.sqrt(2.0))
+        col += iu0.size
     for r, (coeffs, rhs) in enumerate(extra_eq):
-        A[qr + 1 + r, :nv] = coeffs
-        b[qr + 1 + r] = rhs
+        A[n_nodes + r, :nv] = coeffs
+        b[n_nodes + r] = rhs
     caps = np.arange(n_rows - capped.size, n_rows)
     A[caps, capped] = A[caps, nv + np.arange(capped.size)] = 1.0
     b[caps] = hi[capped]
 
-    # Equilibrate: the lift rows still grow binomially with l, so normalize
-    # each equality to unit max coefficient (an exact reformulation).
+    # Equilibrate: normalize each equality to unit max coefficient (an exact
+    # reformulation). Without it, 4 of 200 random threshold programs (the
+    # A8 generator, seed 42) end numerical-failure.
     scale = np.maximum(np.max(np.abs(A), axis=1), 1e-30)
     scale = np.maximum(scale, np.abs(b))
     A /= scale[:, None]
@@ -320,7 +274,7 @@ def assemble_sos_program(family: AffinePolynomialFamily, q: int, sense: str,
         n_nonneg=0,
         box_lo=np.concatenate([np.asarray(var_lo, dtype=np.float64),
                                np.zeros(capped.size)]),
-        psd_dims=tuple(idx.size for idx in powers),
+        psd_dims=tuple(u.shape[1] for u in us),
         var_names=family.variable_names,
     )
 
@@ -343,8 +297,8 @@ def build_lambda_problem(rho: DegreeDistribution, eps: float,
     """Maximize sum_i lam_i / i over DE-feasible variable-side distributions.
 
     The check side and the erasure probability are fixed; decision variables
-    are lam_2..lam_Dv (each boxed to [0, 1]) plus the Gram block of the lifted
-    constraint polynomial. q = (Dv - 1) * deg(rho).
+    are lam_2..lam_Dv (each boxed to [0, 1]) plus the Gram blocks of the
+    constraint polynomial, of degree (Dv - 1) * deg(rho).
     """
     eps = _check_eps(eps, allow_zero=True)
     if max_var_degree < 2:
@@ -352,7 +306,7 @@ def build_lambda_problem(rho: DegreeDistribution, eps: float,
     family = lambda_constraint_family(rho, eps, max_var_degree)
     degrees = range(2, max_var_degree + 1)
     return assemble_sos_program(
-        family, family.degree, "max",
+        family, "max",
         objective=[1.0 / i for i in degrees],
         var_lo=np.zeros(max_var_degree - 1),
         var_hi=np.ones(max_var_degree - 1),
@@ -369,7 +323,7 @@ def build_rho_problem(lam: DegreeDistribution, eps: float,
     family = rho_constraint_family(lam, eps, max_check_degree)
     degrees = range(2, max_check_degree + 1)
     return assemble_sos_program(
-        family, family.degree, "min",
+        family, "min",
         objective=[1.0 / j for j in degrees],
         var_lo=np.zeros(max_check_degree - 1),
         var_hi=np.full(max_check_degree - 1, np.inf),
@@ -385,7 +339,7 @@ def build_threshold_problem(lam: DegreeDistribution,
     """
     family = threshold_constraint_family(lam, rho)
     return assemble_sos_program(
-        family, family.degree, "min",
+        family, "min",
         objective=[1.0],
         var_lo=np.array([1.0]),
         var_hi=np.array([np.inf]),
@@ -393,43 +347,16 @@ def build_threshold_problem(lam: DegreeDistribution,
 
 
 def build_sos_feasibility(p: Polynomial) -> ConicProblem:
-    """Feasibility program: does p admit a Gram certificate over [0, 1]?
-
-    The lift order is deg p.
-    """
+    """Feasibility program: does p admit a Markov-Lukacs certificate on [0, 1]?"""
     if p.degree < 0:
         raise ValueError("the zero polynomial needs no certificate")
-    family = AffinePolynomialFamily((), p.padded(p.degree + 1).reshape(-1, 1))
-    return assemble_sos_program(family, p.degree, "min", objective=[],
-                                var_lo=np.zeros(0), var_hi=np.zeros(0))
+    return assemble_sos_program(coefficient_family((), p.coeffs[:, None]), "min",
+                                objective=[], var_lo=np.zeros(0), var_hi=np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SosCertificate:
-    """Gram matrix witnessing nonnegativity of a lifted polynomial on R."""
-
-    gram: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        g = np.asarray(self.gram, dtype=np.float64)
-        object.__setattr__(self, "gram", g)
-        if g.shape != (self.q + 1, self.q + 1):
-            raise ValueError(f"gram must be {self.q + 1}x{self.q + 1}, got {g.shape}")
-
-    def reconstructed_coeffs(self) -> np.ndarray:
-        """Antidiagonal sums, i.e. the polynomial the Gram matrix certifies."""
-        d = self.q + 1
-        out = np.zeros(2 * self.q + 1)
-        for l in range(2 * self.q + 1):
-            i = np.arange(max(0, l - self.q), min(l, self.q) + 1)
-            out[l] = float(self.gram[i, l - i].sum())
-        return out
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -444,57 +371,47 @@ class CertificateReport:
         return self.psd_ok and self.reconstruction_ok
 
 
-def certificate_from_solution(problem: ConicProblem, solution, q: int) -> SosCertificate:
-    """Reassemble the Gram matrix of the order-q lift from a solved SOS program.
-
-    ``q`` is the lift order the program was built with (the block sizes fix
-    only q - k, see ``assemble_sos_program``). Undoes the internal basis
-    scaling and places the even and odd blocks at their monomials, shifted
-    by the k factored powers, returning the (q + 1) x (q + 1) matrix B with
-    Pi_l = sum_{i+j=l} B_ij in plain monomial coordinates.
-    """
+def certificate_from_solution(problem: ConicProblem, solution) -> list:
+    """The Gram blocks of a solved SOS program, in ``problem.psd_dims`` order."""
     blocks = solution.psd_matrices(problem)
     if not blocks:
         raise ValueError("solution carries no PSD block")
-    qr = sum(problem.psd_dims) - 1
-    if not 0 <= qr <= q:
-        raise ValueError(f"blocks {problem.psd_dims} do not fit a lift of order {q}")
-    powers, _, _ = _parity_blocks(qr)
-    w = gram_basis_weights(qr)
-    gram = np.zeros((q + 1, q + 1))
-    for idx, block in zip(powers, blocks):
-        gram[np.ix_(q - qr + idx, q - qr + idx)] = block * np.outer(w[idx], w[idx])
-    return SosCertificate(gram=gram, q=q)
+    return blocks
 
 
-def verify_certificate(cert: SosCertificate, target: Polynomial) -> CertificateReport:
-    """Check a Gram certificate against the polynomial it is supposed to prove.
+def verify_certificate(grams: Sequence[np.ndarray], target: np.ndarray) -> CertificateReport:
+    """Check Gram blocks against F at the n + 1 Chebyshev nodes of degree n.
 
-    Verifies symmetry, positive semidefiniteness (eigenvalue floor scaled by
-    the matrix norm) and that the antidiagonal sums reproduce the target
-    coefficients within ``GRAM_RECONSTRUCTION_TOL`` per coefficient. The
-    reconstruction tolerance is scaled by the coefficient magnitude of the
-    target: lifted polynomials carry binomial-sized coefficients, so an
-    absolute per-coefficient test would sit below double rounding at q ~ 30.
+    Verifies symmetry and positive semidefiniteness of every block (an
+    eigenvalue floor scaled by the largest eigenvalue magnitude) and the
+    node residuals r_j = F(x_j) - s(x_j): the certificate polynomial s
+    deviates from F by at most Lambda_n max |r_j| on [0, 1], which must stay
+    within ``GRAM_RECONSTRUCTION_TOL`` (1 + max |F(x_j)|).
     """
-    if target.degree > 2 * cert.q:
-        raise ValueError(
-            f"target degree {target.degree} exceeds certificate capacity {2 * cert.q}")
-    g = cert.gram
-    sym_res = float(np.max(np.abs(g - g.T), initial=0.0))
-    sym = 0.5 * (g + g.T)
-    eigs = np.linalg.eigvalsh(sym)
-    min_eig = float(eigs[0])
-    norm = float(max(abs(eigs[0]), abs(eigs[-1])))
+    target = np.asarray(target, dtype=np.float64)
+    n = target.size - 1
+    us = _node_vectors(n) if n >= 0 else []
+    if [u.shape[1] for u in us] != [np.shape(g)[0] for g in grams]:
+        raise ValueError(f"Gram blocks {[np.shape(g) for g in grams]} do not fit "
+                         f"a form of degree {n}")
+    sym_res, min_eig, norm = 0.0, math.inf, 0.0
+    sigma = np.zeros(n + 1)
+    for u, g in zip(us, grams):
+        g = np.asarray(g, dtype=np.float64)
+        sym_res = max(sym_res, float(np.max(np.abs(g - g.T), initial=0.0)))
+        sym = 0.5 * (g + g.T)
+        eigs = np.linalg.eigvalsh(sym)
+        min_eig = min(min_eig, float(eigs[0]))
+        norm = max(norm, abs(float(eigs[0])), abs(float(eigs[-1])))
+        sigma += np.sum((u @ sym) * u, axis=1)
     psd_ok = (min_eig >= -GRAM_PSD_TOL * (1.0 + norm)) and \
         (sym_res <= GRAM_SYMMETRY_TOL * (1.0 + norm))
-    coeffs = target.padded(2 * cert.q + 1)
-    residual = cert.reconstructed_coeffs() - coeffs
-    max_residual = float(np.max(np.abs(residual), initial=0.0))
-    coeff_scale = 1.0 + float(np.max(np.abs(coeffs), initial=0.0))
+    max_residual = float(np.max(np.abs(target - sigma)))
+    lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
+    scale = 1.0 + float(np.max(np.abs(target)))
     return CertificateReport(
         psd_ok=psd_ok,
-        reconstruction_ok=max_residual <= GRAM_RECONSTRUCTION_TOL * coeff_scale,
+        reconstruction_ok=lebesgue * max_residual <= GRAM_RECONSTRUCTION_TOL * scale,
         min_eig=min_eig,
         max_residual=max_residual,
         symmetry_residual=sym_res,

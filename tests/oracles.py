@@ -1,10 +1,11 @@
 """Independent oracles the tests compare the library against.
 
 Each is written without the code path it checks: the multinomial theorem
-against ``Polynomial.powers``, the expanded decoding polynomial
-``de_polynomial`` against the lambda family of ``sos`` (and a binomial
-closed form against it), and a dense sampling of both sides against the
-[0, 1] -> R lift of ``sos.lift_to_real_line``.
+against ``powers``, and the expanded decoding polynomial ``de_polynomial``
+against the composed lambda family of ``sos`` (and a binomial closed form
+against it). The monomial arithmetic below (sums, products, powers,
+composition) has no caller in the library, which evaluates everything in
+composed form.
 """
 
 import math
@@ -13,7 +14,48 @@ from typing import Sequence
 import numpy as np
 
 from ldpcopt.poly import Polynomial
-from ldpcopt.sos import check_map, lift_to_real_line, without_constant_term
+
+# The constant term of the expanded decoding polynomial is floating residue
+# of rho(1) = 1 and must stay below this before it is zeroed.
+CONSTANT_TERM_TOL = 1e-12
+
+
+def add(p: Polynomial, q: Polynomial) -> Polynomial:
+    n = max(p.degree, q.degree) + 1
+    return Polynomial(p.padded(n) + q.padded(n))
+
+
+def sub(p: Polynomial, q: Polynomial) -> Polynomial:
+    n = max(p.degree, q.degree) + 1
+    return Polynomial(p.padded(n) - q.padded(n))
+
+
+def scale(p: Polynomial, s: float) -> Polynomial:
+    return Polynomial(p.coeffs * float(s))
+
+
+def mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    if p.degree < 0 or q.degree < 0:
+        return Polynomial.zero()
+    return Polynomial(np.convolve(p.coeffs, q.coeffs))
+
+
+def powers(p: Polynomial, k: int) -> list:
+    """[p, p**2, ..., p**k], each the previous one times p."""
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    out = [Polynomial.one()]
+    for _ in range(k):
+        out.append(mul(out[-1], p))
+    return out[1:]
+
+
+def compose(p: Polynomial, inner: Polynomial) -> Polynomial:
+    """p(inner(x)) by Horner-style accumulation."""
+    out = Polynomial.zero()
+    for c in p.coeffs[::-1]:
+        out = add(mul(out, inner), Polynomial((c,)))
+    return out
 
 
 def de_polynomial(lam, rho, eps: float) -> Polynomial:
@@ -21,22 +63,29 @@ def de_polynomial(lam, rho, eps: float) -> Polynomial:
 
     `lam` and `rho` are edge-perspective degree distributions (see
     ``ensemble.DegreeDistribution``). P is expanded by composing lam with
-    the check map, not by summing the lambda family's powers of psi. P(0)
-    vanishes identically because rho(1) = 1; the tiny floating residue of
-    the computed constant term is removed by ``without_constant_term``.
+    the check map psi(x) = 1 - rho(1 - eps*x), not by summing the lambda
+    family's powers of psi. P(0) vanishes identically because rho(1) = 1;
+    the tiny floating residue of the computed constant term is removed.
     """
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    p = Polynomial((0.0, 1.0)).sub(lam.edge_polynomial().compose(check_map(rho, eps)))
-    return Polynomial(without_constant_term(p.coeffs))
+    check = sub(Polynomial.one(), compose(rho.edge_polynomial(), Polynomial((1.0, -eps))))
+    p = sub(Polynomial((0.0, 1.0)), compose(lam.edge_polynomial(), check))
+    coeffs = np.array(p.coeffs)
+    c0 = float(np.max(np.abs(coeffs[:1]), initial=0.0))
+    if c0 > CONSTANT_TERM_TOL:
+        raise ValueError(f"constant term {c0!r} exceeds {CONSTANT_TERM_TOL}; "
+                         "degree distribution is not normalized")
+    coeffs[:1] = 0.0
+    return Polynomial(coeffs)
 
 
 def multinomial_power_coefficients(base: Sequence[float], k: int) -> np.ndarray:
     """Coefficients of (a1*x + ... + an*x^n)**k via the multinomial theorem.
 
     `base[l-1]` is the coefficient a_l of x**l (no constant term). This stays
-    independent of ``Polynomial.powers`` (no convolutions) so the two can be
+    independent of ``powers`` (no convolutions) so the two can be
     cross-checked against each other.
     """
     a = [float(v) for v in base]
@@ -88,20 +137,3 @@ def de_coefficients_monomial_rho(lam, n: int, eps: float) -> np.ndarray:
         psi = multinomial_power_coefficients(base, i - 1)
         out[: psi.size] -= coeff * psi
     return out
-
-
-def lift_preserves_nonnegativity_check(p: Polynomial, q: int, n_grid: int = 4001) -> bool:
-    """Test helper: do p on [0, 1] and its lift on R agree about nonnegativity?
-
-    The line is sampled through the substitution x = sqrt(t/(1-t)), which maps
-    a uniform t-grid on [0, 1) onto the whole nonnegative axis (the lift is
-    even, so the negative axis adds nothing).
-    """
-    pi = lift_to_real_line(p, q)
-    ts = np.linspace(0.0, 1.0, n_grid)
-    min_p = float(np.min(p.evaluate_many(ts)))
-    ts_open = ts[:-1]
-    xs = np.sqrt(ts_open / (1.0 - ts_open))
-    min_pi = float(np.min(pi.evaluate_many(xs)))
-    tol = 1e-12
-    return (min_p >= -tol) == (min_pi >= -tol)

@@ -25,14 +25,12 @@ from ldpcopt.ensemble import (
 from ldpcopt.poly import Polynomial
 from ldpcopt.solver import solve
 from ldpcopt.sos import (
-    AffinePolynomialFamily,
-    SosCertificate,
     assemble_sos_program,
     build_lambda_problem,
     build_sos_feasibility,
     build_threshold_problem,
     certificate_from_solution,
-    lift_to_real_line,
+    coefficient_family,
     verify_certificate,
 )
 
@@ -44,9 +42,12 @@ from conftest import (
     random_distribution,
 )
 from oracles import (
+    add,
     de_coefficients_monomial_rho,
     de_polynomial,
+    mul,
     multinomial_power_coefficients,
+    powers,
 )
 
 # DE feasibility slack for optimizer outputs (solver-tolerance allowance).
@@ -98,10 +99,10 @@ def optimizer_reports():
 def test_a01_quadratic_box_sdp_exact():
     # Maximize b subject to 1 + b x + x^2 >= 0 on [0, 1] with b boxed to
     # [0, 1]: the exact optimum is b = 1.
-    fam = AffinePolynomialFamily(
+    fam = coefficient_family(
         ("b",), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
     t0 = time.perf_counter()
-    sol = solve(assemble_sos_program(fam, 2, "max", [1.0], [0.0], [1.0]))
+    sol = solve(assemble_sos_program(fam, "max", [1.0], [0.0], [1.0]))
     elapsed = time.perf_counter() - t0
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
@@ -246,16 +247,17 @@ def test_a09_certificate_soundness():
         a = Polynomial(rng.normal(size=4))
         b = Polynomial(rng.normal(size=3))
         c = Polynomial(rng.normal(size=3))
-        p = a.mul(a).add(Polynomial((0.0, 1.0)).mul(b.mul(b))).add(
-            Polynomial([1.0, -1.0]).mul(c.mul(c)))
+        p = add(add(mul(a, a), mul(Polynomial((0.0, 1.0)), mul(b, b))),
+                mul(Polynomial([1.0, -1.0]), mul(c, c)))
         assert _min_on_unit_interval(p) >= -1e-12
         prob = build_sos_feasibility(p)
         sol = solve(prob)
         assert sol.status == "optimal", f"nonnegative trial {trial}"
-        cert = certificate_from_solution(prob, sol, p.degree)
-        report = verify_certificate(cert, lift_to_real_line(p, p.degree))
+        cert = certificate_from_solution(prob, sol)
+        target = coefficient_family((), p.coeffs[:, None]).at([])
+        report = verify_certificate(cert, target)
         assert report.ok, f"nonnegative trial {trial}"
-        certified.append((cert, lift_to_real_line(p, p.degree)))
+        certified.append((cert, target))
     rejected = 0
     for trial in range(50):
         while True:
@@ -267,10 +269,14 @@ def test_a09_certificate_soundness():
         rejected += 1
     # A diagonal dent of -1e-3 must invalidate every stored certificate.
     for cert, target in certified:
-        k = int(rng.integers(0, cert.q + 1))
-        bad = cert.gram.copy()
-        bad[k, k] -= 1e-3
-        assert not verify_certificate(SosCertificate(bad, cert.q), target).ok
+        k = int(rng.integers(0, sum(g.shape[0] for g in cert)))
+        bad = [g.copy() for g in cert]
+        for g in bad:
+            if k < g.shape[0]:
+                g[k, k] -= 1e-3
+                break
+            k -= g.shape[0]
+        assert not verify_certificate(bad, target).ok
     elapsed = time.perf_counter() - t0
     print(f"[PASS] A9 certificates: 50 nonnegative certified, {rejected} negative "
           f"proven infeasible, 50 dented Gram matrices rejected, {elapsed:.0f}s")
@@ -284,7 +290,7 @@ def test_a10_oracle_equivalences():
         base = rng.normal(size=n)
         lhs = multinomial_power_coefficients(base, k)
         p = Polynomial(np.concatenate([[0.0], base]))
-        rhs = ([Polynomial.one()] + p.powers(k))[k].padded(lhs.size)
+        rhs = ([Polynomial.one()] + powers(p, k))[k].padded(lhs.size)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
     for n in range(2, 8):
         lam = random_distribution(rng, int(rng.integers(3, 8)))
@@ -295,28 +301,8 @@ def test_a10_oracle_equivalences():
         # Coefficients grow combinatorially with n; 1e-10 is enforced per
         # coefficient relative to its magnitude (absolute below O(1) scale).
         assert np.max(np.abs(closed - direct) / (1.0 + np.abs(direct))) <= 1e-10
-    for _ in range(10):
-        deg = int(rng.integers(0, 9))
-        p = Polynomial(rng.normal(size=deg + 1))
-        pi = lift_to_real_line(p, deg + int(rng.integers(0, 3)))
-        assert np.all(pi.padded(pi.degree + 1)[1::2] == 0.0)
-    fam = AffinePolynomialFamily(
-        ("a", "b", "c"),
-        np.array([[0.0, 0.0, 0.0, 1.0],
-                  [0.0, 0.0, 1.0, 0.0],
-                  [0.0, 1.0, 0.0, 0.0]]))
-    lifted = fam.lift(2)
-    expect = np.array([
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 2.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 1.0, 1.0],
-    ])
-    assert np.array_equal(lifted.table, expect)
     print("[PASS] A10 oracles: multinomial/power <= 1e-12, monomial-check "
-          "closed form <= 1e-10, odd lift coefficients exactly zero, "
-          "quadratic lift table exact")
+          "closed form <= 1e-10")
 
 
 def test_a11_capacity_bound_on_outputs(optimizer_reports):

@@ -8,12 +8,15 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ldpcopt import cli, solver, sos
+from ldpcopt import cli, de, solver, sos
 from ldpcopt.cli import main
+
+from conftest import random_distribution
 
 
 def run_cli(capsys, *argv):
@@ -218,10 +221,9 @@ def test_verify_twelve_tap_design(capsys):
 
 
 def test_optimize_lambda_large_degree_cap(capsys):
-    # q = 75 > 66: C(q, q/2) exceeds 2^63, so the Gram basis weights must be
-    # computed from float binomials. Dv = 26 and 34 (q = 125 and 165) need
-    # the parity-split program: the single Gram block failed its check at 34.
-    for dv in (16, 26, 34):
+    # Constraint polynomials of degree 75 to 195. The lifted program, with
+    # binomial coefficients up to 5.0e44 at Dv = 34, failed from Dv = 40 on.
+    for dv in (16, 26, 34, 40):
         code, out, _ = run_cli(
             capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
             "--epsilon", "0.48", "--max-var-degree", str(dv))
@@ -244,6 +246,48 @@ def test_design_verified_at_one_blas_thread():
     report = json.loads(proc.stdout)
     assert report["status"] == "optimal"
     assert report["certificate"]["reconstruction_ok"]
+
+
+def test_large_design_verified_at_one_blas_thread():
+    # The Dv = 40 design ended numerical-failure at one BLAS thread when it
+    # was posed through the [0, 1] -> R lift.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ldpcopt.cli", "optimize-lambda",
+         "--rho", '{"6": 1.0}', "--epsilon", "0.48", "--max-var-degree", "40"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "optimal"
+    assert report["certificate"]["psd_ok"] and report["certificate"]["reconstruction_ok"]
+    assert report["de_check"]["feasible"]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), check_degree=st.integers(3, 7),
+       eps=st.floats(0.05, 0.95), max_var_degree=st.integers(3, 10))
+def test_random_design_round_trip(tmp_path, capsys, seed, check_degree, eps,
+                                  max_var_degree):
+    # rho from the A8 generator: a designed ensemble is optimal with a
+    # passing certificate and DE check, or the program is infeasible; the
+    # design then verifies, with a bisection threshold of at least eps.
+    rho = random_distribution(np.random.default_rng(seed), check_degree)
+    code, out, _ = run_cli(
+        capsys, "optimize-lambda", "--rho", json.dumps(rho.to_json_dict()),
+        "--epsilon", repr(eps), "--max-var-degree", str(max_var_degree))
+    assert code in (0, 2), out
+    if code == 2:
+        return
+    report = json.loads(out)
+    assert report["status"] == "optimal"
+    assert report["certificate"]["psd_ok"] and report["certificate"]["reconstruction_ok"]
+    assert report["de_check"]["feasible"]
+    path = tmp_path / "designed.json"
+    path.write_text(json.dumps(report["ensemble"]))
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 0, out
+    assert json.loads(out)["threshold"] >= eps - de.BISECT_PRECISION
 
 
 def test_console_entry_point():

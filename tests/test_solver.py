@@ -359,13 +359,14 @@ def _random_interior(rng, core):
     return v
 
 
-def _assert_congruence_matches_dense(problem, rng):
+def _assert_congruence_matches_dense(problem, rng, terms_per_row):
     core = solver._Core(problem)
     scal = solver._Scaling(core, _random_interior(rng, core), _random_interior(rng, core))
     ghat = solver._KKT(core, scal).ghat
     assert len(scal.blocks) == len(problem.psd_dims)
-    for b, chunks in zip(scal.blocks, core.psd_chunks):
-        for r in np.concatenate([rows for rows, _, _, _ in chunks]):
+    for b, terms in zip(scal.blocks, core.psd_rows):
+        assert terms.g.size == terms_per_row(b.d) * terms.rows.size
+        for r in terms.rows:
             dense = b.R.T @ smat(core.A[r, b.sl], b.d) @ b.R
             expected = svec(0.5 * (dense + dense.T))
             scale = np.max(np.abs(expected))
@@ -373,15 +374,18 @@ def _assert_congruence_matches_dense(problem, rng):
 
 
 def test_sparse_congruence_matches_dense_on_sos_problem(rng):
-    _assert_congruence_matches_dense(reference_lambda_problem("check7_eps038"), rng)
+    # Every node row of a sampled SOS program is one rank-one term.
+    _assert_congruence_matches_dense(reference_lambda_problem("check7_eps038"), rng,
+                                     lambda d: 1)
 
 
 def test_sparse_congruence_matches_dense_on_dense_rows(rng):
+    # A general row is held as the d terms of its eigendecomposition.
     dims, p = (6, 3), 4
     A = rng.normal(size=(p, 2 + svec_dim(6) + svec_dim(3)))
     problem = ConicProblem(sense="min", c=rng.normal(size=A.shape[1]), A=A,
                            b=rng.normal(size=p), n_nonneg=2, psd_dims=dims)
-    _assert_congruence_matches_dense(problem, rng)
+    _assert_congruence_matches_dense(problem, rng, lambda d: d)
 
 
 def _max_step_one_direction(scal, v):
@@ -425,8 +429,8 @@ def test_fused_step_search_matches_separate_searches(rng):
 
 def test_solves_repeat_to_the_bit():
     # Identical inputs give identical iterates on the PSD path: the A8
-    # threshold programs (seed 42) and the Dv = 20 design, whose blocks
-    # (29, 28) take several congruence chunks.
+    # threshold programs (seed 42) and the Dv = 20 design, with blocks
+    # (29, 28).
     rng = np.random.default_rng(42)
     problems = [build_lambda_problem(DegreeDistribution({4: 1.0}), 0.6, 20)]
     for _ in range(20):
