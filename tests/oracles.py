@@ -30,10 +30,6 @@ def sub(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(p.padded(n) - q.padded(n))
 
 
-def scale(p: Polynomial, s: float) -> Polynomial:
-    return Polynomial(p.coeffs * float(s))
-
-
 def mul(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.degree < 0 or q.degree < 0:
         return Polynomial.zero()
