@@ -2,15 +2,16 @@
 """Time the interior-point solver on the design programs, split by phase.
 
 Builds the 11 SOS programs of the benchmark's ``design`` workload, the
-README's (3, 6) threshold program and four large designs (rho = x^5,
-eps = 0.48, Dv = 26, 34, 40 and 52) through ``ldpcopt.sos`` and solves each
-with ``ldpcopt.solver.solve``. The solver is
+README's (3, 6) threshold program, a check-side design at eps = 0.95 that
+the solver has failed on, and four large designs (rho = x^5, eps = 0.48,
+Dv = 26, 34, 40 and 52) through ``ldpcopt.sos`` and solves each with
+``ldpcopt.solver.solve``. The solver is
 not edited: while a pass runs, its private per-iteration methods are wrapped
 from outside with timers, and each call is charged to one phase:
 
 - scaling: ``_Scaling.__init__`` (NT scaling of every block);
-- kkt: ``_KKT.__init__`` (scaled constraint matrix, its Gram matrix and
-  Cholesky factor);
+- kkt: ``_KKT.__init__`` (the rows under the scaling, their Gram matrix
+  and its Cholesky factor);
 - directions: ``_KKT.solve_normal``, ``_Scaling._apply`` (every scaled cone
   product, including the scaling of the step search's input) and
   ``_KKT.project_primal_defect``;
@@ -19,8 +20,10 @@ from outside with timers, and each call is charged to one phase:
 
 A wrapped call made inside another (``_KKT.__init__`` scales c) is charged
 to the outer one. Each program's solve runs ``PASSES`` times
-(``LARGE_PASSES`` for the large designs, about 10 s each at Dv = 52); the
-table shows the median pass. Run as:  python benchmarks/bench_solver.py
+(``LARGE_PASSES`` for the large designs, about 2 s each at Dv = 52); the
+table shows the median pass. The process's peak resident set size
+(``ru_maxrss``) is printed after the standard programs and again after the
+large ones. Run as:  python benchmarks/bench_solver.py
 
 A first table, printed before the timings, gives each program's status,
 iteration count and the first 12 hex digits of the SHA-1 of its answer: the
@@ -33,6 +36,7 @@ on these programs when that table is the same for both:
 """
 
 import hashlib
+import resource
 import time
 
 import numpy as np
@@ -59,6 +63,7 @@ PROGRAMS = [
     ("check6_eps048_dv14", "lambda", {6: 1.0}, 0.48, 14),
     ("check4_eps06_dv20", "lambda", {4: 1.0}, 0.6, 20),
     ("threshold_3_6", "threshold", {3: 1.0}, {6: 1.0}),
+    ("rho_dv7_eps095", "rho", {7: 0.7035163711045316, 2: 0.2964836288954685}, 0.95, 7),
 ]
 LARGE_PROGRAMS = [(f"check6_eps048_dv{dv}", "lambda", {6: 1.0}, 0.48, dv)
                   for dv in (26, 34, 40, 52)]
@@ -139,14 +144,24 @@ def time_program(problem, n_passes):
     return len(sol.history) - 1, total, split
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main():
-    problems = [(name, build(*spec), PASSES) for name, *spec in PROGRAMS]
-    problems += [(name, build(*spec), LARGE_PASSES) for name, *spec in LARGE_PROGRAMS]
+    # The large programs are built only once the standard ones are solved,
+    # so that the first peak is theirs alone.
+    problems, peaks = [], []
     print(f"{'program':20s} {'status':>8s} {'iters':>5s} {'x sha1':>12s}")
-    for name, problem, _ in problems:
-        sol = solver.solve(problem)
-        print(f"{name:20s} {sol.status:>8s} {len(sol.history) - 1:5d} "
-              f"{answer_digest(problem, sol):>12s}")
+    for specs, n_passes in ((PROGRAMS, PASSES), (LARGE_PROGRAMS, LARGE_PASSES)):
+        for name, *spec in specs:
+            problem = build(*spec)
+            sol = solver.solve(problem)
+            print(f"{name:20s} {sol.status:>8s} {len(sol.history) - 1:5d} "
+                  f"{answer_digest(problem, sol):>12s}")
+            problems.append((name, problem, n_passes))
+        peaks.append(peak_rss_mb())
     print()
 
     phases = list(PHASES) + ["other"]
@@ -170,6 +185,9 @@ def main():
     print(f"{'all (ms per iter)':20s} {'':4s} {'':>7s} {iters_all:5d} "
           f"{total_all * 1e3:7.2f} {total_all / iters_all * 1e3:7.3f} "
           + " ".join(f"{split_all[p] / iters_all * 1e3:10.3f}" for p in phases))
+    print()
+    print(f"peak RSS {peaks[0]:.1f} MB after the standard programs, "
+          f"{peaks[1]:.1f} MB after the large programs")
 
 
 if __name__ == "__main__":

@@ -3,35 +3,35 @@ scalars plus any number of PSD matrix blocks.
 
 Problem form
 ------------
-Variables are ordered ``[nonneg | boxed | svec(X_1) | svec(X_2) | ...]`` and
-the data is
+Variables are ordered ``[nonneg | boxed | X_1 | X_2 | ...]``, scalars x_s
+first, and the data is
 
     minimize / maximize   c @ x  (+ offset)
-    subject to            A @ x = b
+    subject to            A[r] @ x_s + sum_k <P_rk, X_k> = b[r]   for every row r
                           x_nonneg >= 0,   x_box >= lo  (lo = ``box_lo``),
-                          smat(x_k) positive semidefinite for every block k
+                          X_k positive semidefinite for every block k
 
 The cone is the orthant times the PSD blocks; an upper bound is the caller's
-to pose, as a nonnegative slack and an equality row.
+to pose, as a nonnegative slack and an equality row. ``A`` holds the scalar
+columns, one row per equality even without scalars. ``psd_rows[k] =
+(rows, g, V)`` gives block k's constraint matrices as rank-one terms: term t
+adds g[t] V[:, t] V[:, t]' to P_{rows[t], k}; a node row of a sampled SOS
+program (``ldpcopt.sos``) is one term per block, a general row several (its
+eigenpairs, say). In ``c`` and in a solution a block of dimension d is its
+scaled upper triangle (``svec``, off-diagonals times sqrt(2)), so that the
+matrix inner product is the dot product. A block costs O(d^3) per
+iteration: splitting one in halves (by a symmetry, left to the caller)
+costs a quarter.
 
-``ConicProblem.psd_dims`` lists the block dimensions. A block of dimension d
-is carried as its scaled upper triangle (``svec``, length d*(d+1)/2,
-off-diagonals multiplied by sqrt(2)) so that the matrix inner product equals
-the Euclidean dot product. Splitting a PSD variable into independent blocks
-(for instance by a symmetry of the problem) is left to the caller; each block
-costs O(d^3) per iteration, so two halves cost a quarter of the whole.
-
-Each block moves between svec and matrix form through cached gathers (one
-set of flat index maps per dimension), and the per-iteration work on it is a
-few large numpy calls. The constraint matrix P_r of every row is held as
-rank-one terms g v v': one term for a row of a sampled SOS program
-(``ldpcopt.sos``), found in O(d^2) when the solve starts, and the d terms
-of its eigendecomposition for any other row. The congruences R' P_r R of
-all rows are then g svec(u u') over U = R' V, one matrix product per block,
-and the step search takes the smallest eigenvalues of the x and z
-directions from one stacked call. A batched call does the same
-floating-point operations in the same order as one call per matrix, so
-batching changes no rounding and no iterate.
+No row is ever formed densely: every use of the rows is one of three
+products on the terms under a congruence R, with U = R' V: the values
+g_t u_t' W u_t, the matrix U diag(g y[rows]) U' and the Gram matrix
+(g g') o (U'U) o (U'U), each summed per row or pair of rows (PSD as a Schur
+product; DSDP forms its Schur matrix so, Benson, Ye & Zhang 2000). R = I
+gives A x and A' y, R the Nesterov-Todd factor the normal matrix, R a factor
+of X the first polish. The blocks are stacked, zero-padded to the largest,
+so these products and the scaling's congruences are a few batched numpy
+calls whatever the number of blocks.
 
 Algorithm
 ---------
@@ -55,7 +55,7 @@ primal part is then polished by least-squares corrections that clear the
 equality residual, so the answer satisfies A x = b to rounding even when the
 iterates stalled just below the tolerance. The first weighs each block X by
 X itself (a correction X S X), so that nearly singular blocks stay PSD; the
-second, with unit weights, clears what rounding leaves of the residual.
+second, with unit block weights, clears what rounding leaves of the residual.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class _Gathers(NamedTuple):
     iu0: np.ndarray     # row i of each svec entry (i, j), i <= j
     iu1: np.ndarray     # its column j
     tri: np.ndarray     # flat position of each svec entry (i, j), i <= j
-    tri_t: np.ndarray   # flat position of its mirror (j, i)
     sc: np.ndarray      # svec scale: 1 on the diagonal, sqrt(2) off it
     full: np.ndarray    # svec index of every flat position
     dsc: np.ndarray     # the svec scale at every flat position
@@ -115,7 +114,7 @@ def _gathers(d: int) -> _Gathers:
     sc = np.where(iu0 == iu1, 1.0, _SQRT2)
     full = np.empty(d * d, dtype=np.intp)
     full[tri] = full[tri_t] = np.arange(tri.size)
-    maps = _Gathers(iu0, iu1, tri, tri_t, sc, full, sc[full])
+    maps = _Gathers(iu0, iu1, tri, sc, full, sc[full])
     for a in maps:
         a.flags.writeable = False
     return maps
@@ -141,6 +140,13 @@ def smat(v: np.ndarray, d: Optional[int] = None) -> np.ndarray:
     return _smat(v, d)
 
 
+def svec_max_abs(V: np.ndarray) -> np.ndarray:
+    """The largest |svec(v v')| entry of each column v of V, rounded as svec
+    rounds it: max(v1^2, sqrt(2) v1 v2) over its two largest magnitudes."""
+    top = -np.sort(-np.abs(np.vstack([V, np.zeros_like(V[:1])])), axis=0)
+    return np.maximum(top[0] * top[0], top[0] * top[1] * _SQRT2)
+
+
 def _smat(v: np.ndarray, d: int) -> np.ndarray:
     """``smat`` of float64 svec data of dimension d, unchecked: the solver's
     own calls, whose slices match their blocks by construction."""
@@ -148,6 +154,11 @@ def _smat(v: np.ndarray, d: int) -> np.ndarray:
     # Divided by sqrt(2), not multiplied by its reciprocal: the two round
     # differently, and the iterate sequence depends on the last bit.
     return (v[..., g.full] / g.dsc).reshape(v.shape[:-1] + (d, d))
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transposes of a stack of matrices."""
+    return m.transpose(0, 2, 1)
 
 
 def _block_slices(start: int, dims) -> list:
@@ -175,11 +186,14 @@ class ConicProblem:
     n_nonneg: int = 0
     box_lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     psd_dims: tuple = ()
+    psd_rows: tuple = ()
     offset: float = 0.0
     var_names: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "psd_dims", tuple(int(d) for d in self.psd_dims))
+        object.__setattr__(self, "psd_rows", tuple((np.asarray(rows, np.intp), np.asarray(
+            g, np.float64), np.asarray(V, np.float64)) for rows, g, V in self.psd_rows))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
         object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=np.float64)))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
@@ -218,13 +232,20 @@ class ConicProblem:
             raise SolverError("problem has no variables")
         if self.c.shape != (n,):
             raise SolverError(f"objective has shape {self.c.shape}, expected ({n},)")
-        if self.A.size == 0:
-            object.__setattr__(self, "A", np.zeros((0, n)))
-        if self.A.shape[1] != n:
-            raise SolverError(f"A has {self.A.shape[1]} columns, expected {n}")
-        if self.b.shape != (self.A.shape[0],):
-            raise SolverError("b length does not match the number of equalities")
-        for arr in (self.c, self.A, self.b, self.box_lo):
+        p = self.b.size
+        if self.b.ndim != 1 or self.A.shape != (p, self.n_scalars):
+            raise SolverError(f"A has shape {self.A.shape} and b {self.b.shape}; "
+                              f"expected ({p}, {self.n_scalars}) and ({p},)")
+        if len(self.psd_rows) != len(self.psd_dims):
+            raise SolverError("psd_rows needs one (rows, g, V) per PSD block")
+        for d, (rows, g, V) in zip(self.psd_dims, self.psd_rows):
+            if V.shape[:1] != (d,) or not rows.shape == g.shape == V.shape[1:]:
+                raise SolverError(f"terms of a {d} x {d} block: rows {rows.shape}, "
+                                  f"g {g.shape} and V {V.shape} do not match")
+            if rows.size and (rows.min() < 0 or rows.max() >= p):
+                raise SolverError(f"a PSD term's row lies outside 0..{p - 1}")
+        terms = [a for t in self.psd_rows for a in t[1:]]
+        for arr in [self.c, self.A, self.b, self.box_lo] + terms:
             if arr.size and not np.all(np.isfinite(arr)):
                 raise SolverError("problem data must be finite")
 
@@ -284,7 +305,6 @@ class _BlockScaling:
         root = np.sqrt(sv)
         self.R = (Lx @ vt.T) / root[None, :]
         self.Rit = (Lz @ u_mat) / root[None, :]   # equals R^{-T}
-        self.T = self.R @ self.R.T
         self.lam = sv
         self.root_outer = np.outer(root, root)
 
@@ -293,23 +313,28 @@ class _Scaling:
     """NT scaling of the whole cone; vectors are [orthant | svec blocks]."""
 
     def __init__(self, core, xc: np.ndarray, zc: np.ndarray):
-        n = core.n_orth
-        self.n_orth = n
+        self.n_orth = n = core.n_orth
         xo, zo = xc[:n], zc[:n]
         self.w2 = xo / zo
         self.w = np.sqrt(self.w2)
         self.lam_orth = np.sqrt(xo * zo)
+        self.core = core
         self.blocks = [_BlockScaling(d, sl, xc, zc) for d, sl in core.blocks]
+        # The factors and Jordan divisors 0.5 (lam_i + lam_j), stacked.
+        self.R = self.Rit = self.T = self.lam_mid = None
+        if self.blocks:
+            self.R = core.pad([b.R for b in self.blocks])
+            self.Rit = core.pad([b.Rit for b in self.blocks])
+            self.T = self.R @ _t(self.R)
+            self.lam_mid = core.pad([0.5 * (b.lam[:, None] + b.lam[None, :])
+                                     for b in self.blocks], 1.0)
 
     def _apply(self, v: np.ndarray, orth, block) -> np.ndarray:
-        """``orth`` on the orthant part of v, ``block(b, V)`` on each block
-        matrix V, symmetrized back into svec by one gather."""
+        """``orth`` on the orthant part of v, ``block`` on its block stack."""
         out = np.empty_like(v)
         out[: self.n_orth] = orth(v[: self.n_orth])
-        for b in self.blocks:
-            f = block(b, _smat(v[b.sl], b.d)).ravel()
-            g = _gathers(b.d)
-            out[b.sl] = 0.5 * (f[g.tri] + f[g.tri_t]) * g.sc
+        if self.blocks:
+            out[self.n_orth:] = self.core.unstack(block(self.core.stack(v)))
         return out
 
     def lam_sq(self) -> np.ndarray:
@@ -317,24 +342,25 @@ class _Scaling:
                               + [svec(np.diag(b.lam ** 2)) for b in self.blocks])
 
     def wsq_apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: self.w2 * vo, lambda b, m: b.T @ m @ b.T)
+        return self._apply(v, lambda vo: self.w2 * vo, lambda m: self.T @ m @ self.T)
 
     def winv_apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: vo / self.w, lambda b, m: b.Rit @ m @ b.Rit.T)
+        return self._apply(v, lambda vo: vo / self.w,
+                           lambda m: self.Rit @ m @ _t(self.Rit))
 
     def scale_x(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: vo / self.w, lambda b, m: b.Rit.T @ m @ b.Rit)
+        return self._apply(v, lambda vo: vo / self.w,
+                           lambda m: _t(self.Rit) @ m @ self.Rit)
 
     def scale_z(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: self.w * vo, lambda b, m: b.R.T @ m @ b.R)
+        return self._apply(v, lambda vo: self.w * vo, lambda m: _t(self.R) @ m @ self.R)
 
     def jordan_div(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: vo / self.lam_orth,
-                           lambda b, m: m / (0.5 * (b.lam[:, None] + b.lam[None, :])))
+        return self._apply(v, lambda vo: vo / self.lam_orth, lambda m: m / self.lam_mid)
 
     def jordan_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        def block(b, um):
-            vm = _smat(v[b.sl], b.d)
+        def block(um):
+            vm = self.core.stack(v)
             return 0.5 * (um @ vm + vm @ um)
         return self._apply(u, lambda uo: uo * v[: self.n_orth], block)
 
@@ -405,62 +431,73 @@ def _inverse_gram_factor(gram: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
-def _scaled_constraints(core, w_orth: np.ndarray, factors) -> np.ndarray:
-    """The constraint rows under a congruence scaling, one column per row:
-    w_orth * a_r on the orthant and svec(R' P_r R) on each block, with
-    factors[k] the R of block k. Each P_r is a sum of rank-one terms
-    g v v', so its block is the sum of g svec(u u') over U = R' V."""
-    G = np.zeros((core.m_c, core.A.shape[0]))
-    n = core.n_orth
-    G[:n, :] = core.A[:, :n].T * w_orth[:, None]
-    for (d, sl), terms, R in zip(core.blocks, core.psd_rows, factors):
-        gt = _gathers(d)
-        U = R.T @ terms.V
-        prod = U[gt.iu0]
-        prod *= U[gt.iu1] * terms.g
-        prod *= gt.sc[:, None]
-        if terms.starts.size < terms.g.size:
-            prod = np.add.reduceat(prod, terms.starts, axis=1)
-        G[sl, terms.rows] = prod
-    return G
+class _Rows:
+    """The rows under a congruence as a matrix G, one column per row, never
+    formed: column r is ``orth[:, r]`` on the orthant and R_k' P_rk R_k on
+    block k (R = ``factors``, I when omitted). ``dot`` is G' v, ``combine``
+    G y and ``gram`` G' G: the module docstring's three products."""
+
+    def __init__(self, core, orth: np.ndarray, factors: Optional[np.ndarray] = None):
+        self.core, self.orth = core, orth
+        self.U = core.V if factors is None else _t(factors) @ core.V
+        self.Ug = self.U * core.g[:, None, :]
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        core = self.core
+        out = self.orth.T @ v[: core.n_orth]
+        if core.blocks:
+            vals = np.einsum("kit,kit->kt", self.Ug, core.stack(v) @ self.U)
+            out += np.bincount(core.term_rows.ravel(), vals.ravel(), out.size)
+        return out
+
+    def combine(self, y: np.ndarray) -> np.ndarray:
+        core = self.core
+        out = np.empty(core.m_c)
+        out[: core.n_orth] = self.orth @ y
+        if core.blocks:
+            out[core.n_orth:] = core.unstack(
+                (self.Ug * y[core.term_rows][:, None, :]) @ _t(self.U))
+        return out
+
+    def gram(self) -> np.ndarray:
+        out = self.orth.T @ self.orth
+        if self.core.blocks:
+            m = _t(self.Ug) @ self.U
+            out += np.bincount(self.core.pairs, (m * _t(m)).ravel(),
+                               out.size).reshape(out.shape)
+        return out
 
 
 class _KKT:
-    """Per-iteration factorization of the reduced system.
+    """Per-iteration factorization of the reduced system. The normal matrix
+    phi = Ghat' Ghat, the Gram matrix of the rows under the NT scaling, is
+    PSD by construction, and quadratic forms in phi^{-1} are explicit
+    squared norms (they set the sign of the tau-step denominator and must
+    never go negative through cancellation)."""
 
-    Builds the scaled constraint matrix Ghat (columns W a_r) so that
-    phi = Ghat' Ghat is PSD by construction, and quadratic forms in phi^{-1}
-    can be evaluated as explicit squared norms (they control the sign of the
-    tau-step denominator and must never go negative through cancellation).
-    """
-
-    def __init__(self, core, scaling: _Scaling):
-        self.scaling = scaling
-        self.A = core.A
-        p = core.A.shape[0]
+    def __init__(self, core, scaling: _Scaling, a_rows: _Rows):
+        self.scaling, self.a_rows = scaling, a_rows
+        p = core.b.size
         # Inverse factor of A D A', D = diag(x/z on the orthant, 1 on the
         # blocks), for the defect projection. A program without blocks has
         # no PSD noise to project out and goes without it.
         self.defect_inv = None
         if core.psd_gram is not None:
-            orth = core.A[:, :scaling.n_orth]
             self.defect_inv = _inverse_gram_factor(
-                core.psd_gram + (orth * scaling.w2) @ orth.T)
-        ghat = _scaled_constraints(core, scaling.w, [b.R for b in scaling.blocks])
-        self.ghat = ghat
+                core.psd_gram + (core.A * scaling.w2) @ core.A.T)
+        self.rows = _Rows(core, core.A.T * scaling.w[:, None], scaling.R)
         self.chat = scaling.scale_z(core.c)
-        phi = ghat.T @ ghat
-        phi = 0.5 * (phi + phi.T)
-        self.phi = phi
+        self.g_chat = self.rows.dot(self.chat)
+        phi = self.rows.gram()
+        self.phi = phi = 0.5 * (phi + phi.T)
         scale = max(1.0, float(np.trace(phi)) / max(p, 1))
         shift = 0.0
-        for attempt in range(8):
+        for _ in range(8):
             try:
                 chol = np.linalg.cholesky(phi + shift * np.eye(p))
                 break
             except np.linalg.LinAlgError:
-                shift = scale * 1e-14 * (100.0 ** attempt) if shift == 0.0 \
-                    else shift * 100.0
+                shift = shift * 100.0 if shift else scale * 1e-14
         else:
             raise _NumericalFailure("KKT matrix could not be factorized")
         self.chol_inv = _tril_inverse(chol)
@@ -476,19 +513,15 @@ class _KKT:
         """
         if self.defect_inv is None or defect.size == 0:
             return dx
-        corr = self.A.T @ (self.defect_inv.T @ (self.defect_inv @ defect))
+        corr = self.a_rows.combine(self.defect_inv.T @ (self.defect_inv @ defect))
         corr[: self.scaling.n_orth] *= self.scaling.w2
         return dx + corr
-
-    def awsq(self, v: np.ndarray) -> np.ndarray:
-        """A (W'W) v, formed through the scaled matrix."""
-        return self.ghat.T @ self.scaling.scale_z(v)
 
     def tau_denominator_part(self, b: np.ndarray) -> float:
         """b' phi^{-1} b + || (I - P) W c ||^2 with P the projector onto
         range(Ghat); both terms are squared norms, hence nonnegative."""
         t1 = self.chol_inv @ b
-        resid = self.chat - self.ghat @ self._chol_solve(self.ghat.T @ self.chat)
+        resid = self.chat - self.rows.combine(self._chol_solve(self.g_chat))
         return float(t1 @ t1 + resid @ resid)
 
     def _chol_solve(self, rhs):
@@ -501,61 +534,6 @@ class _KKT:
         return dy
 
 
-class _RankOneRows(NamedTuple):
-    """The rows of A that touch one PSD block, each as a sum of rank-one
-    terms: term t adds g[t] V[:, t] V[:, t]' to the constraint matrix of
-    row ``rows[k]`` for t from ``starts[k]`` up to the next start."""
-
-    rows: np.ndarray
-    starts: np.ndarray
-    g: np.ndarray
-    V: np.ndarray
-
-
-# A row is rank one when its pivot column reproduces it to within this
-# multiple of its largest entry: a few roundings of each product.
-_RANK_ONE_TOL = 1e-14
-
-
-def _rank_one_rows(part: np.ndarray, d: int) -> _RankOneRows:
-    """Split the svec rows ``part`` of one block into rank-one terms.
-
-    A row P that is g v v' (an SOS node row) is recovered in O(d^2) from
-    its largest diagonal entry P_ii: v = P[:, i] / sqrt|P_ii|, g = sign P_ii,
-    and is kept when g v v' matches P to rounding. Any other row is held
-    as all d terms of its eigendecomposition, which is exact.
-    """
-    gt = _gathers(d)
-    rows = np.flatnonzero(np.any(part != 0.0, axis=1))
-    part = part[rows]
-    diag = part[:, gt.full[:: d + 1]]
-    piv = np.argmax(np.abs(diag), axis=1)
-    pivot = diag[np.arange(rows.size), piv]
-    col = np.take_along_axis(part, gt.full.reshape(d, d)[piv], axis=1) \
-        / gt.dsc.reshape(d, d)[piv]
-    single = pivot != 0.0
-    root = np.sqrt(np.abs(np.where(single, pivot, 1.0)))
-    v1 = col / root[:, None]
-    g1 = np.sign(pivot)
-    recon = v1[:, gt.iu0] * v1[:, gt.iu1] * (g1[:, None] * gt.sc)
-    single &= np.all(np.abs(recon - part)
-                     <= _RANK_ONE_TOL * np.max(np.abs(part), axis=1)[:, None], axis=1)
-
-    counts = np.where(single, 1, d)
-    starts = np.cumsum(counts) - counts
-    g = np.empty(int(counts.sum()))
-    V = np.empty((d, g.size))
-    g[starts[single]] = g1[single]
-    V[:, starts[single]] = v1[single].T
-    many = np.flatnonzero(~single)
-    if many.size:
-        lam, vecs = np.linalg.eigh(_smat(part[many], d))
-        cols = (starts[many][:, None] + np.arange(d)).ravel()
-        g[cols] = lam.ravel()
-        V[:, cols] = vecs.transpose(1, 0, 2).reshape(d, -1)
-    return _RankOneRows(rows, starts, g, V)
-
-
 class _Core:
     """The problem as the interior point takes it: minimize c @ x over the
     orthant times the PSD blocks, each boxed scalar shifted to x - lo >= 0."""
@@ -564,8 +542,7 @@ class _Core:
         self.sign = 1.0 if prob.sense == "min" else -1.0
         self.c = self.sign * prob.c
         # Fortran order: BLAS sums a matrix product in an order that depends
-        # on the layout. The iterates are pinned to this one; with a C-ordered
-        # A every SOS solve drifts by rounding and iteration counts move by 1.
+        # on the layout, and the iterates are pinned to this one.
         self.A = np.asfortranarray(prob.A)
         box = slice(prob.n_nonneg, prob.n_scalars)
         self.b = prob.b - prob.A[:, box] @ prob.box_lo
@@ -574,61 +551,91 @@ class _Core:
         self.m_c = prob.n_cols
         self.nu = self.n_orth + sum(prob.psd_dims) + 1
         self.unit = np.ones(self.m_c)
-        # Per block: the rows that touch it as rank-one terms g v v', so that
-        # a congruence R' P_r R costs d^2 flops per term (one per row of an
-        # SOS program) instead of 4 d^3.
-        self.psd_rows = []
-        for d, sl in self.blocks:
+        # The K blocks' terms zero-padded to D coordinates and T terms (g = 0
+        # pads them, so no sum changes), and gathers between svec and (K, D, D).
+        p, K, D = self.b.size, len(self.blocks), prob.psd_dim
+        T = max((g.size for _, g, _ in prob.psd_rows), default=0)
+        self.V, self.g = np.zeros((K, D, T)), np.zeros((K, T))
+        self.term_rows = np.zeros((K, T), np.intp)
+        self.to_stack, self.stack_scale = np.zeros((K, D, D), np.intp), np.zeros((K, D, D))
+        self.from_stack = np.empty((2, self.m_c - self.n_orth), np.intp)
+        self.svec_scale = np.empty(self.m_c - self.n_orth)
+        for k, ((d, sl), (rows, g, V)) in enumerate(zip(self.blocks, prob.psd_rows)):
+            gt, psd = _gathers(d), slice(sl.start - self.n_orth, sl.stop - self.n_orth)
             self.unit[sl] = svec(np.eye(d))
-            self.psd_rows.append(_rank_one_rows(prob.A[:, sl], d))
+            self.V[k, :d, : g.size], self.g[k, : g.size] = V, g
+            self.term_rows[k, : g.size] = rows
+            self.to_stack[k, :d, :d] = sl.start + gt.full.reshape(d, d)
+            self.stack_scale[k, :d, :d] = 1.0 / gt.dsc.reshape(d, d)
+            self.from_stack[:, psd] = ((k * D + gt.iu0) * D + gt.iu1,
+                                       (k * D + gt.iu1) * D + gt.iu0)
+            self.svec_scale[psd] = 0.5 * gt.sc
+        self.pairs = (self.term_rows[:, :, None] * p + self.term_rows[:, None, :]).ravel()
         # The constant block part of the defect projection's Gram matrix.
-        psd = self.A[:, self.n_orth:]
-        self.psd_gram = psd @ psd.T if self.blocks else None
+        self.psd_gram = _Rows(self, self.A.T[:0]).gram() if self.blocks else None
+
+    def stack(self, v: np.ndarray) -> np.ndarray:
+        """The (K, D, D) stack of the block matrices of svec data v."""
+        return v[self.to_stack] * self.stack_scale
+
+    def unstack(self, m: np.ndarray) -> np.ndarray:
+        """The svec data of the symmetric parts of a stack of block matrices."""
+        f = m.ravel()
+        return (f[self.from_stack[0]] + f[self.from_stack[1]]) * self.svec_scale
+
+    def pad(self, mats, fill: float = 0.0) -> np.ndarray:
+        """Per-block d x d matrices stacked as the blocks are, padded with ``fill``."""
+        out = np.full(self.stack_scale.shape, fill)
+        for k, m in enumerate(mats):
+            out[k, : m.shape[0], : m.shape[1]] = m
+        return out
 
     def polish(self, x: np.ndarray) -> np.ndarray:
         """Return the interior point x with its equality residual cleared.
 
-        Two least-squares corrections absorb b - A x in turn. Orthant
-        coordinate i is weighted by min(x_i, 1) in both: a coordinate near
-        its bound moves in proportion to its value and keeps its sign. The
-        first weighs each block by X itself (see ``_polish_in_range``) and
-        the second by one; it clears the residual that the first leaves at
-        rounding level. The answer then meets A x = b to rounding, which the
-        certificate's node residuals are checked against.
+        Two least-squares corrections absorb b - A x in turn, each moving a
+        coordinate near its bound in proportion to its value. The first
+        weighs the blocks and the orthant by x itself (``_polish_in_range``),
+        the second orthant coordinate i by min(x_i, 1) and the blocks by one,
+        clearing what rounding leaves for the certificate's node residuals.
         """
         if self.b.size == 0:
             return x
         root = np.sqrt(np.minimum(x[: self.n_orth], 1.0))
         if self.blocks:
-            x = self._polish_in_range(x, root)
-        weights = np.ones(self.m_c)
-        weights[: self.n_orth] = root
-        scaled = self.A * weights
-        inv = _inverse_gram_factor(scaled @ scaled.T)
-        if inv is None:
+            x = self._polish_in_range(x)
+        step = self._least_squares_step(_Rows(self, (self.A * root).T), x)
+        if step is None:
             return x
-        defect = self.b - self.A @ x
-        return x + weights * (scaled.T @ (inv.T @ (inv @ defect)))
+        step[: self.n_orth] *= root
+        return x + step
 
-    def _polish_in_range(self, x: np.ndarray, root: np.ndarray) -> np.ndarray:
+    def _polish_in_range(self, x: np.ndarray) -> np.ndarray:
         """The correction of ``polish`` that moves each block X by X S X,
         with S a combination of the rows' constraint matrices. It is formed
         as R (R' S R) R' from a factor R R' = X, so a nearly singular block
-        moves only along its range and stays PSD."""
+        moves only along its range and stays PSD. Orthant coordinate i is
+        the 1 x 1 block w_i = min(x_i, 1) and moves by w_i s_i w_i."""
+        w = np.minimum(x[: self.n_orth], 1.0)
         factors = []
         for d, sl in self.blocks:
             lam, vecs = np.linalg.eigh(_smat(x[sl], d))
             factors.append(vecs * np.sqrt(np.maximum(lam, 0.0)))
-        scaled = _scaled_constraints(self, root, factors)
-        inv = _inverse_gram_factor(scaled.T @ scaled)
-        if inv is None:
+        R = self.pad(factors)
+        step = self._least_squares_step(_Rows(self, self.A.T * w[:, None], R), x)
+        if step is None:
             return x
-        step = scaled @ (inv.T @ (inv @ (self.b - self.A @ x)))
         x = x.copy()
-        x[: self.n_orth] += root * step[: self.n_orth]
-        for (d, sl), R in zip(self.blocks, factors):
-            x[sl] += svec(R @ _smat(step[sl], d) @ R.T)
+        x[: self.n_orth] += w * step[: self.n_orth]
+        x[self.n_orth:] += self.unstack(R @ self.stack(step) @ _t(R))
         return x
+
+    def _least_squares_step(self, rows: _Rows, x: np.ndarray) -> Optional[np.ndarray]:
+        """G y with G' G y = b - A x for the scaled ``rows`` G, or None."""
+        inv = _inverse_gram_factor(rows.gram())
+        if inv is None:
+            return None
+        return rows.combine(inv.T @ (inv @ (self.b - _Rows(self, self.A.T).dot(x))))
 
 
 @dataclass
@@ -648,21 +655,20 @@ def _from_best(best, best_merit, tol, history, message) -> _HsdResult:
         x_hat, y_hat, gap, pres, it = best
         return _HsdResult("optimal", x_hat, y_hat, gap, pres, it,
                           tuple(history), f"best iterate returned: {message}")
-    if best is not None:
-        _, _, gap, pres, it = best
-        return _HsdResult("numerical-failure", None, None, gap, pres,
-                          len(history) - 1, tuple(history), message)
-    return _HsdResult("numerical-failure", None, None, math.inf, math.inf,
+    gap, pres = best[2:4] if best is not None else (math.inf, math.inf)
+    return _HsdResult("numerical-failure", None, None, gap, pres,
                       len(history) - 1, tuple(history), message)
 
 
 def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
-    p = core.A.shape[0]
     nu = core.nu
+    # A x is a_rows.dot(x), A' y a_rows.combine(y); held here, since in the
+    # core a reference cycle would keep each solve alive until a full gc pass.
+    a_rows = _Rows(core, core.A.T)
 
     x = core.unit.copy()
     z = core.unit.copy()
-    y = np.zeros(p)
+    y = np.zeros(core.b.size)
     tau, kappa = 1.0, 1.0
 
     history = []
@@ -680,8 +686,9 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
             )
 
     for it in range(MAX_ITERS + 1):
-        r_p = core.A @ x - core.b * tau
-        r_d = -core.A.T @ y + core.c * tau
+        ax, aty = a_rows.dot(x), a_rows.combine(y)
+        r_p = ax - core.b * tau
+        r_d = -aty + core.c * tau
         r_d -= z
         r_g = core.b @ y - core.c @ x - kappa
 
@@ -714,14 +721,14 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
 
         by = float(core.b @ y)
         if by > 0.0:
-            cert = -core.A.T @ y
+            cert = -aty
             cert -= z
             if np.max(np.abs(cert), initial=0.0) <= tol * by:
                 return _HsdResult("infeasible", None, None, math.inf, pres, it,
                                   tuple(history), "primal infeasibility certificate found")
         cx = float(core.c @ x)
         if cx < 0.0:
-            if np.max(np.abs(core.A @ x), initial=0.0) <= tol * (-cx):
+            if np.max(np.abs(ax), initial=0.0) <= tol * (-cx):
                 return _HsdResult("unbounded", None, None, math.inf, pres, it,
                                   tuple(history), "unboundedness certificate found")
 
@@ -730,16 +737,16 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
 
         try:
             scal = _Scaling(core, x, z)
-            kkt = _KKT(core, scal)
+            kkt = _KKT(core, scal, a_rows)
         except (np.linalg.LinAlgError, _NumericalFailure) as exc:
             return _from_best(best, best_merit, tol, history,
                               f"scaling/factorization failed: {exc}")
 
         mu = compl / nu
 
-        dy1 = kkt.solve_normal(kkt.ghat.T @ kkt.chat + core.b)
-        dx1 = scal.wsq_apply(core.A.T @ dy1 - core.c)
-        dx1 = kkt.project_primal_defect(dx1, core.b - core.A @ dx1)
+        dy1 = kkt.solve_normal(kkt.g_chat + core.b)
+        dx1 = scal.wsq_apply(a_rows.combine(dy1) - core.c)
+        dx1 = kkt.project_primal_defect(dx1, core.b - a_rows.dot(dx1))
         denom = kkt.tau_denominator_part(core.b) + kappa / tau
         if not np.isfinite(denom) or denom <= 0.0:
             return _from_best(best, best_merit, tol, history,
@@ -748,14 +755,14 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         def direction(eta, d_c, d_tk):
             g = scal.jordan_div(d_c)
             w1 = scal.winv_apply(g) - eta * r_d
-            dy0 = kkt.solve_normal(-eta * r_p - kkt.awsq(w1))
-            dx0 = scal.wsq_apply(core.A.T @ dy0 + w1)
-            dx0 = kkt.project_primal_defect(dx0, -eta * r_p - core.A @ dx0)
+            dy0 = kkt.solve_normal(-eta * r_p - kkt.rows.dot(scal.scale_z(w1)))
+            dx0 = scal.wsq_apply(a_rows.combine(dy0) + w1)
+            dx0 = kkt.project_primal_defect(dx0, -eta * r_p - a_rows.dot(dx0))
             val0 = float(core.b @ dy0 - core.c @ dx0)
             dtau = (-eta * r_g + d_tk / tau - val0) / denom
             dy = dy0 + dtau * dy1
             dx = dx0 + dtau * dx1
-            dz = -core.A.T @ dy + core.c * dtau + eta * r_d
+            dz = -a_rows.combine(dy) + core.c * dtau + eta * r_d
             dkappa = (d_tk - kappa * dtau) / tau
             return dx, dy, dz, dtau, dkappa
 
@@ -821,14 +828,15 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
     if res.status == "optimal":
         x = core.polish(res.x_hat)
         x[problem.n_nonneg: problem.n_scalars] += problem.box_lo
-        return _finalize_optimal(problem, res, x, core.sign * res.y_hat, tol)
+        return _finalize_optimal(problem, core, res, x, core.sign * res.y_hat, tol)
     gap = res.gap if np.isfinite(res.gap) else math.inf
     return ConicSolution(res.status, None, None, gap, res.pres, res.iterations,
                          message=res.message, history=res.history)
 
 
-def _finalize_optimal(problem, res, x, y, tol):
-    eq_residual = float(np.max(np.abs(problem.A @ x - problem.b), initial=0.0))
+def _finalize_optimal(problem, core, res, x, y, tol):
+    ax = _Rows(core, problem.A.T).dot(x)
+    eq_residual = float(np.max(np.abs(ax - problem.b), initial=0.0))
     objective = float(problem.c @ x + problem.offset)
     min_eig = None
     checks_ok = eq_residual <= tol * (1.0 + np.max(np.abs(problem.b), initial=0.0)) * 1.01

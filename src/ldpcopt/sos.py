@@ -52,7 +52,7 @@ import numpy as np
 
 from .ensemble import DegreeDistribution, psi, running_powers
 from .poly import Polynomial
-from .solver import ConicProblem
+from .solver import ConicProblem, svec_dim, svec_max_abs
 
 GRAM_SYMMETRY_TOL = 1e-12
 GRAM_PSD_TOL = 1e-9
@@ -61,10 +61,10 @@ GRAM_RECONSTRUCTION_TOL = 1e-7
 
 # Largest degree + 1 of a constraint polynomial P, before x^k is factored
 # out. At the cap (Dv = 52 at deg rho = 6: blocks of 128 and 127, 255 node
-# rows) the build takes 0.1-0.2 s and peaks at 138 MB resident, and a solve
-# takes 23 iterations and 5.7-6.9 s at 2 BLAS threads, 22 and 6.9-8.2 s at
-# one, peaking at 255 MB (2 vCPUs); time grows as d^3 and memory as d^2.
-# Larger programs are refused before anything is built.
+# rows) the build takes under 0.01 s and 32 MB resident, and a solve takes
+# 21 iterations and 1.7-2.0 s at 1 or 2 BLAS threads, peaking at 57 MB
+# (2 vCPUs); time grows as d^3 and memory as d^2. Larger programs are
+# refused before anything is built.
 MAX_GRAM_DIM = 256
 
 
@@ -225,33 +225,21 @@ def assemble_sos_program(family: SampledFamily, sense: str,
 
     ``extra_eq`` rows are (coefficients over the decision variables, rhs).
     Variable layout of the result: the family's variables first (bounded
-    below by var_lo), then one slack per finite var_hi, then svec of each
+    below by var_lo), then one slack per finite var_hi, then each
     Markov-Lukacs Gram block. Rows: one per node, then the extra rows, then
     for each finite var_hi[v] the row var_v + s = var_hi[v] with a slack
-    s >= 0.
+    s >= 0. Node j enters block k as the single term -u_jk u_jk'.
     """
-    n_nodes = family.n + 1
-    nv = family.n_vars
+    n_nodes, nv = family.n + 1, family.n_vars
     hi = np.asarray(var_hi, dtype=np.float64)
     capped = np.flatnonzero(np.isfinite(hi))
     ns = nv + capped.size   # decision variables and slacks
     us = _node_vectors(family.n)
-    sdim = sum(u.shape[1] * (u.shape[1] + 1) // 2 for u in us)
 
     n_rows = n_nodes + len(extra_eq) + capped.size
-    A = np.zeros((n_rows, ns + sdim))
-    b = np.zeros(n_rows)
+    A, b = np.zeros((n_rows, ns)), np.zeros(n_rows)
     A[:n_nodes, :nv] = family.values[:, 1:]
     b[:n_nodes] = -family.values[:, 0]
-    # Node j of block k is the rank-one row -svec(u_jk u_jk'), written from
-    # the upper triangle straight into A.
-    col = ns
-    for u in us:
-        iu0, iu1 = np.triu_indices(u.shape[1])
-        block = A[:n_nodes, col: col + iu0.size]
-        np.multiply(u[:, iu0], u[:, iu1], out=block)
-        block *= np.where(iu0 == iu1, -1.0, -math.sqrt(2.0))
-        col += iu0.size
     for r, (coeffs, rhs) in enumerate(extra_eq):
         A[n_nodes + r, :nv] = coeffs
         b[n_nodes + r] = rhs
@@ -260,21 +248,24 @@ def assemble_sos_program(family: SampledFamily, sense: str,
     b[caps] = hi[capped]
 
     # Equilibrate: normalize each equality to unit max coefficient (an exact
-    # reformulation). Without it, 4 of 200 random threshold programs (the
-    # A8 generator, seed 42) end numerical-failure.
-    scale = np.maximum(np.max(np.abs(A), axis=1), 1e-30)
+    # reformulation), the largest entry of node j's -u_jk u_jk' included.
+    # Without it, 4 of 200 random threshold programs (the A8 generator,
+    # seed 42) end numerical-failure.
+    scale = np.maximum(np.max(np.abs(A), axis=1, initial=0.0), 1e-30)
+    for u in us:
+        scale[:n_nodes] = np.maximum(scale[:n_nodes], svec_max_abs(u.T))
     scale = np.maximum(scale, np.abs(b))
     A /= scale[:, None]
     b /= scale
 
-    c = np.zeros(ns + sdim)
+    c = np.zeros(ns + sum(svec_dim(u.shape[1]) for u in us))
     c[:nv] = objective
     return ConicProblem(
         sense=sense, c=c, A=A, b=b,
-        n_nonneg=0,
         box_lo=np.concatenate([np.asarray(var_lo, dtype=np.float64),
                                np.zeros(capped.size)]),
         psd_dims=tuple(u.shape[1] for u in us),
+        psd_rows=tuple((np.arange(n_nodes), -1.0 / scale[:n_nodes], u.T) for u in us),
         var_names=family.variable_names,
     )
 

@@ -1,9 +1,10 @@
 """Independent oracles the tests compare the library against.
 
 Each is written without the code path it checks: the multinomial theorem
-against ``powers``, and the expanded decoding polynomial ``de_polynomial``
+against ``powers``, the expanded decoding polynomial ``de_polynomial``
 against the composed lambda family of ``sos`` (and a binomial closed form
-against it). The monomial arithmetic below (sums, products, powers,
+against it), and the dense svec constraint columns ``dense_congruence``
+against the solver's products on rank-one PSD terms. The monomial arithmetic below (sums, products, powers,
 composition) has no caller in the library, which evaluates everything in
 composed form.
 """
@@ -14,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ldpcopt.poly import Polynomial
+from ldpcopt.solver import svec
 
 # The constant term of the expanded decoding polynomial is floating residue
 # of rho(1) = 1 and must stay below this before it is zeroed.
@@ -133,3 +135,20 @@ def de_coefficients_monomial_rho(lam, n: int, eps: float) -> np.ndarray:
         psi = multinomial_power_coefficients(base, i - 1)
         out[: psi.size] -= coeff * psi
     return out
+
+
+def dense_congruence(problem, w_orth, factors=None) -> np.ndarray:
+    """The scaled constraint matrix of ``problem`` written out densely, one
+    column per equality row r: w_orth * A[r] on the scalars, then
+    svec(R_k' P_rk R_k) on each PSD block k, with P_rk summed term by term
+    from ``psd_rows`` and R_k = factors[k] (the identity when omitted)."""
+    p = problem.b.size
+    cols = [problem.A.T * np.asarray(w_orth)[:, None]]
+    for k, (d, (rows, g, V)) in enumerate(zip(problem.psd_dims, problem.psd_rows)):
+        mats = np.zeros((p, d, d))
+        for r, gt, v in zip(rows, g, V.T):
+            mats[r] += gt * np.outer(v, v)
+        if factors is not None:
+            mats = factors[k].T @ mats @ factors[k]
+        cols.append(svec(0.5 * (mats + mats.transpose(0, 2, 1))).T)
+    return np.vstack(cols)

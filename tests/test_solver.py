@@ -21,6 +21,24 @@ from ldpcopt.solver import (
 from ldpcopt.sos import build_lambda_problem, build_threshold_problem
 
 from conftest import REFERENCE_DESIGNS, TWO_TAP_DESIGN, random_distribution
+from oracles import dense_congruence
+
+
+def terms(*entries):
+    """psd_rows of one block from (row, g, v) entries, each adding g v v' to
+    the constraint matrix of its row."""
+    rows, g, vs = zip(*entries)
+    return np.array(rows), np.array(g, dtype=float), np.array(vs, dtype=float).T
+
+
+def off_diagonal(row, scale):
+    """The terms of scale * (E01 + E10) on a 2 x 2 block, exactly:
+    (e0 + e1)(e0 + e1)' - (e0 - e1)(e0 - e1)' = 2 (E01 + E10)."""
+    return [(row, 0.5 * scale, (1.0, 1.0)), (row, -0.5 * scale, (1.0, -1.0))]
+
+
+def no_scalars(p):
+    return np.zeros((p, 0))
 
 
 def box_lp(sense="max"):
@@ -111,10 +129,12 @@ def test_lp_unbounded():
     assert solve(prob).status == "unbounded"
 
 
+DIAGONAL_ROWS = (terms((0, 1.0, (1.0, 0.0)), (1, 1.0, (0.0, 1.0))),)
+
+
 def test_sdp_diagonal():
-    A = np.vstack([svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, 1.0]))])
-    prob = ConicProblem(sense="min", c=svec(np.eye(2)), A=A,
-                        b=np.array([1.0, 2.0]), psd_dims=(2,))
+    prob = ConicProblem(sense="min", c=svec(np.eye(2)), A=no_scalars(2),
+                        b=np.array([1.0, 2.0]), psd_dims=(2,), psd_rows=DIAGONAL_ROWS)
     sol = solve(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-7)
@@ -123,9 +143,9 @@ def test_sdp_diagonal():
 
 def test_sdp_offdiagonal_coupling():
     # max 2*X01 with X00 = X11 = 1 drives X to the rank-one all-ones matrix.
-    A = np.vstack([svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, 1.0]))])
     c = svec(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    prob = ConicProblem(sense="max", c=c, A=A, b=np.array([1.0, 1.0]), psd_dims=(2,))
+    prob = ConicProblem(sense="max", c=c, A=no_scalars(2), b=np.array([1.0, 1.0]),
+                        psd_dims=(2,), psd_rows=DIAGONAL_ROWS)
     sol = solve(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-6)
@@ -135,9 +155,9 @@ def test_sdp_offdiagonal_coupling():
 
 def test_sdp_infeasible():
     # X00 = -1 cannot hold for a PSD matrix.
-    prob = ConicProblem(sense="min", c=svec(np.eye(2)),
-                        A=svec(np.diag([1.0, 0.0]))[None, :],
-                        b=np.array([-1.0]), psd_dims=(2,))
+    prob = ConicProblem(sense="min", c=svec(np.eye(2)), A=no_scalars(1),
+                        b=np.array([-1.0]), psd_dims=(2,),
+                        psd_rows=(terms((0, 1.0, (1.0, 0.0))),))
     assert solve(prob).status == "infeasible"
 
 
@@ -152,10 +172,10 @@ def test_two_block_sdp():
     # X1_01 + X2 = 1 and s + X2 = 1/2. tr(X1) >= 2 X1_01, so the cost is at
     # least 3 - X1_01 >= 2, attained at X1 = ones, X2 = 0, s = 1/2.
     c = np.concatenate([[0.0], svec(np.eye(2)), [3.0]])
-    A = np.array([np.concatenate([[0.0], svec(0.5 * _unit(2, 0, 1)), [1.0]]),
-                  np.concatenate([[1.0], np.zeros(3), [1.0]])])
-    prob = ConicProblem(sense="min", c=c, A=A, b=np.array([1.0, 0.5]),
-                        n_nonneg=1, psd_dims=(2, 1))
+    prob = ConicProblem(sense="min", c=c, A=np.array([[0.0], [1.0]]),
+                        b=np.array([1.0, 0.5]), n_nonneg=1, psd_dims=(2, 1),
+                        psd_rows=(terms(*off_diagonal(0, 0.5)),
+                                  terms((0, 1.0, (1.0,)), (1, 1.0, (1.0,)))))
     sol = solve(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-7)
@@ -169,9 +189,9 @@ def test_pinned_face_contradiction_is_infeasible():
     # X00 = 0 pins row 0 of X to zero, so X01 = 1 cannot hold. No exact
     # Farkas certificate exists (the problem is only weakly infeasible); the
     # embedding still finds one within the tolerance.
-    A = np.vstack([svec(_unit(2, 0, 0)), svec(0.5 * _unit(2, 0, 1))])
-    prob = ConicProblem(sense="min", c=np.zeros(3), A=A, b=np.array([0.0, 1.0]),
-                        psd_dims=(2,))
+    prob = ConicProblem(sense="min", c=np.zeros(3), A=no_scalars(2),
+                        b=np.array([0.0, 1.0]), psd_dims=(2,),
+                        psd_rows=(terms((0, 1.0, (1.0, 0.0)), *off_diagonal(1, 0.5)),))
     assert solve(prob).status == "infeasible"
 
 
@@ -179,9 +199,8 @@ def test_pinned_face_optimum_is_reached():
     # max X01 with X00 = 0, X11 = 1: the face forces X01 = 0. Neither side
     # has a strictly feasible point, so the objective converges no faster
     # than the gap and is held to ten times the tolerance.
-    A = np.vstack([svec(_unit(2, 0, 0)), svec(_unit(2, 1, 1))])
-    prob = ConicProblem(sense="max", c=svec(0.5 * _unit(2, 0, 1)), A=A,
-                        b=np.array([0.0, 1.0]), psd_dims=(2,))
+    prob = ConicProblem(sense="max", c=svec(0.5 * _unit(2, 0, 1)), A=no_scalars(2),
+                        b=np.array([0.0, 1.0]), psd_dims=(2,), psd_rows=DIAGONAL_ROWS)
     sol = solve(prob, tol=1e-8)
     assert sol.status == "optimal"
     assert abs(sol.objective) <= 1e-7
@@ -189,13 +208,11 @@ def test_pinned_face_optimum_is_reached():
 
 def test_lp_sdp_diagonal_consistency():
     # A PSD block forced diagonal by equalities must reproduce the LP optimum.
-    off = np.zeros((2, 2)); off[0, 1] = off[1, 0] = 1.0
-    A = np.vstack([
-        svec(np.eye(2)),          # X00 + X11 = 3
-        svec(0.5 * off),          # X01 = 0
-    ])
+    rows = terms((0, 1.0, (1.0, 0.0)), (0, 1.0, (0.0, 1.0)),   # X00 + X11 = 3
+                 *off_diagonal(1, 0.5))                        # X01 = 0
     c = svec(np.diag([1.0, -1.0]))
-    sdp = ConicProblem(sense="max", c=c, A=A, b=np.array([3.0, 0.0]), psd_dims=(2,))
+    sdp = ConicProblem(sense="max", c=c, A=no_scalars(2), b=np.array([3.0, 0.0]),
+                       psd_dims=(2,), psd_rows=(rows,))
     lp = ConicProblem(sense="max", c=np.array([1.0, -1.0]),
                       A=np.array([[1.0, 1.0]]), b=np.array([3.0]), n_nonneg=2)
     s1, s2 = solve(sdp), solve(lp)
@@ -265,6 +282,47 @@ def test_validation_errors():
     with pytest.raises(SolverError):
         ConicProblem(sense="min", c=np.zeros(1), A=np.zeros((0, 1)), b=np.zeros(0),
                      psd_dims=(1, 0))
+
+
+def _block_problem(psd_rows):
+    # min tr X subject to X00 = X11 = 1 with DIAGONAL_ROWS: X = I.
+    return ConicProblem(sense="min", c=svec(np.eye(2)), A=no_scalars(2), b=np.ones(2),
+                        psd_dims=(2,), psd_rows=psd_rows)
+
+
+def test_psd_term_validation_errors():
+    rows, g, V = DIAGONAL_ROWS[0]
+    _block_problem(((rows, g, V),))
+    bad = [
+        (),                                          # no terms for the block
+        ((rows, g, V), (rows, g, V)),                # terms for a second block
+        ((rows, g, np.vstack([V, V])),),             # V of 4 rows for d = 2
+        ((rows, g, V[0]),),                          # V not a matrix
+        ((rows, g[:1], V),),                         # g shorter than rows
+        ((rows[:1], g, V),),                         # rows shorter than g
+        ((np.array([0, 2]), g, V),),                 # row 2 of 2 rows
+        ((np.array([-1, 0]), g, V),),                # a negative row
+        ((rows, np.array([1.0, np.inf]), V),),       # g not finite
+        ((rows, g, np.array([[1.0, 0.0], [np.nan, 1.0]])),),   # V not finite
+    ]
+    for psd_rows in bad:
+        with pytest.raises(SolverError):
+            _block_problem(psd_rows)
+
+
+def test_rows_without_scalars_are_kept():
+    # A feasibility program has equality rows but no scalar column; its
+    # rows must survive as rows of A with zero columns.
+    problem = _block_problem(DIAGONAL_ROWS)
+    assert problem.A.shape == (2, 0)
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert sol.y.shape == (2,)
+    x, = sol.psd_matrices(problem)
+    assert np.allclose(x, np.eye(2), atol=1e-7)
+    with pytest.raises(SolverError):
+        ConicProblem(sense="min", c=np.zeros(3), A=np.zeros((0, 0)), b=np.ones(2),
+                     psd_dims=(2,), psd_rows=DIAGONAL_ROWS)
 
 
 def test_upper_bounds_are_not_part_of_the_form():
@@ -359,33 +417,79 @@ def _random_interior(rng, core):
     return v
 
 
-def _assert_congruence_matches_dense(problem, rng, terms_per_row):
+def _random_terms_problem(rng, p=None):
+    """Random scalars and PSD terms: random block dimensions, several terms
+    per row and rows repeated across blocks, and a last row that touches
+    no block."""
+    dims = tuple(int(d) for d in rng.integers(1, 8, size=rng.integers(1, 4)))
+    p = int(rng.integers(2, 9)) if p is None else p
+    n_scalars = int(rng.integers(0, 3))
+    psd_rows = []
+    for d in dims:
+        n_terms = int(rng.integers(1, 3 * p))
+        psd_rows.append((rng.integers(0, p - 1, size=n_terms), rng.normal(size=n_terms),
+                         rng.normal(size=(d, n_terms))))
+    return ConicProblem(sense="min", c=rng.normal(size=n_scalars + sum(map(svec_dim, dims))),
+                        A=rng.normal(size=(p, n_scalars)), b=rng.normal(size=p),
+                        n_nonneg=n_scalars, psd_dims=dims, psd_rows=tuple(psd_rows))
+
+
+def _assert_rows_match_dense(problem, rng, w, factors):
     core = solver._Core(problem)
-    scal = solver._Scaling(core, _random_interior(rng, core), _random_interior(rng, core))
-    ghat = solver._KKT(core, scal).ghat
-    assert len(scal.blocks) == len(problem.psd_dims)
-    for b, terms in zip(scal.blocks, core.psd_rows):
-        assert terms.g.size == terms_per_row(b.d) * terms.rows.size
-        for r in terms.rows:
-            dense = b.R.T @ smat(core.A[r, b.sl], b.d) @ b.R
-            expected = svec(0.5 * (dense + dense.T))
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(ghat[b.sl, r] - expected)) <= 1e-12 * scale
+    rows = solver._Rows(core, core.A.T * w[:, None],
+                        None if factors is None else core.pad(factors))
+    dense = dense_congruence(problem, w, factors)
+    v, y = rng.normal(size=core.m_c), rng.normal(size=problem.b.size)
+    for got, want in ((rows.dot(v), dense.T @ v), (rows.combine(y), dense @ y),
+                      (rows.gram(), dense.T @ dense)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    # The adjoint identity <G'v, y> = <v, G y>.
+    lhs, rhs = rows.dot(v) @ y, v @ rows.combine(y)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(v) @ np.abs(dense @ y))
 
 
-def test_sparse_congruence_matches_dense_on_sos_problem(rng):
-    # Every node row of a sampled SOS program is one rank-one term.
-    _assert_congruence_matches_dense(reference_lambda_problem("check7_eps038"), rng,
-                                     lambda d: 1)
+def test_block_row_operations_match_dense_svec(rng):
+    # The three block products, with R = I and with random congruences R,
+    # against the constraint matrix written out in svec coordinates.
+    for _ in range(30):
+        problem = _random_terms_problem(rng)
+        w = rng.uniform(0.5, 2.0, problem.n_scalars)
+        _assert_rows_match_dense(problem, rng, np.ones(problem.n_scalars), None)
+        _assert_rows_match_dense(problem, rng, w,
+                                 [rng.normal(size=(d, d)) for d in problem.psd_dims])
 
 
-def test_sparse_congruence_matches_dense_on_dense_rows(rng):
-    # A general row is held as the d terms of its eigendecomposition.
-    dims, p = (6, 3), 4
-    A = rng.normal(size=(p, 2 + svec_dim(6) + svec_dim(3)))
-    problem = ConicProblem(sense="min", c=rng.normal(size=A.shape[1]), A=A,
-                           b=rng.normal(size=p), n_nonneg=2, psd_dims=dims)
-    _assert_congruence_matches_dense(problem, rng, lambda d: d)
+def test_block_row_operations_on_sos_problem(rng):
+    # Every node row of a sampled SOS program is one term per block.
+    problem = reference_lambda_problem("check7_eps038")
+    assert all(g.size == len(set(rows.tolist())) for rows, g, _ in problem.psd_rows)
+    w = rng.uniform(0.5, 2.0, problem.n_scalars)
+    _assert_rows_match_dense(problem, rng, w,
+                             [rng.normal(size=(d, d)) for d in problem.psd_dims])
+
+
+def test_stacked_scaling_products_match_per_block(rng):
+    # The scaling's congruences run on the zero-padded stack of blocks;
+    # each block must come out as its own product, symmetrized.
+    # Blocks of 23 and 22 (one padded coordinate), and random blocks.
+    uneven = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.48, 10)
+    for problem in (uneven, _random_terms_problem(rng, p=4)):
+        core = solver._Core(problem)
+        scal = solver._Scaling(core, _random_interior(rng, core), _random_interior(rng, core))
+        u, v = rng.normal(size=core.m_c), rng.normal(size=core.m_c)
+        products = [
+            (scal.wsq_apply(v), lambda b, m: (b.R @ b.R.T) @ m @ (b.R @ b.R.T)),
+            (scal.winv_apply(v), lambda b, m: b.Rit @ m @ b.Rit.T),
+            (scal.scale_x(v), lambda b, m: b.Rit.T @ m @ b.Rit),
+            (scal.scale_z(v), lambda b, m: b.R.T @ m @ b.R),
+            (scal.jordan_div(v), lambda b, m: m / (0.5 * (b.lam[:, None] + b.lam[None, :]))),
+            (scal.jordan_mul(u, v), lambda b, m: smat(u[b.sl]) @ m),
+        ]
+        for got, block in products:
+            for b in scal.blocks:
+                f = block(b, smat(v[b.sl], b.d))
+                want = svec(0.5 * (f + f.T))
+                assert np.max(np.abs(got[b.sl] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def _max_step_one_direction(scal, v):
@@ -406,11 +510,8 @@ def _max_step_one_direction(scal, v):
 
 
 def test_fused_step_search_matches_separate_searches(rng):
-    dims = (6, 3)
-    A = rng.normal(size=(4, 2 + svec_dim(6) + svec_dim(3)))
-    dense = ConicProblem(sense="min", c=rng.normal(size=A.shape[1]), A=A,
-                         b=rng.normal(size=4), n_nonneg=2, psd_dims=dims)
-    for problem in (reference_lambda_problem("check7_eps038"), dense):
+    for problem in (reference_lambda_problem("check7_eps038"),
+                    _random_terms_problem(rng, p=4)):
         core = solver._Core(problem)
         for _ in range(10):
             scal = solver._Scaling(core, _random_interior(rng, core),

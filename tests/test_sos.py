@@ -82,7 +82,12 @@ def test_lambda_problem_dimensions():
     # variable.
     prob = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.49, 7)
     assert prob.psd_dims == (15, 15)
-    assert prob.A.shape == (31 + 6, 2 * 6 + 2 * svec_dim(15))
+    assert prob.A.shape == (31 + 6, 2 * 6)
+    assert prob.c.shape == (2 * 6 + 2 * svec_dim(15),)
+    for rows, g, V in prob.psd_rows:
+        assert rows.tolist() == list(range(30))
+        assert g.shape == (30,) and np.all(g < 0.0)
+        assert V.shape == (15, 30)
     assert prob.n_box == 12
     prob2 = build_lambda_problem(DegreeDistribution({5: 1.0}), 0.56, 5)
     assert prob2.psd_dims == (8, 8)  # deg P = 16, F of degree 15
