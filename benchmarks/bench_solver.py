@@ -9,13 +9,14 @@ Dv = 26, 34, 40 and 52) through ``ldpcopt.sos`` and solves each with
 not edited: while a pass runs, its private per-iteration methods are wrapped
 from outside with timers, and each call is charged to one phase:
 
-- scaling: ``_Scaling.__init__`` (NT scaling of every block);
+- scaling: ``_Scaling.__init__`` (NT scaling of every block: one stacked
+  Cholesky call and one stacked SVD call);
 - kkt: ``_KKT.__init__`` (the rows under the scaling, their Gram matrix
-  and its Cholesky factor);
-- directions: ``_KKT.solve_normal``, ``_Scaling._apply`` (every scaled cone
-  product, including the scaling of the step search's input) and
-  ``_KKT.project_primal_defect``;
-- step: ``_Scaling.max_step`` (ratio test and block eigenvalues);
+  and its Cholesky factor, the one factorization of an iteration);
+- directions: ``_KKT.solve_normal`` and ``_Scaling._apply`` (every scaled
+  cone product, including the scaling of the step search's input);
+- step: ``_Scaling.max_step`` (ratio test and one call for the block
+  eigenvalues of both directions);
 - other: the rest of ``solve`` (residuals, set-up, polish, final check).
 
 A wrapped call made inside another (``_KKT.__init__`` scales c) is charged
@@ -71,8 +72,7 @@ LARGE_PROGRAMS = [(f"check6_eps048_dv{dv}", "lambda", {6: 1.0}, 0.48, dv)
 PHASES = {
     "scaling": [(solver._Scaling, "__init__")],
     "kkt": [(solver._KKT, "__init__")],
-    "directions": [(solver._KKT, "solve_normal"), (solver._Scaling, "_apply"),
-                   (solver._KKT, "project_primal_defect")],
+    "directions": [(solver._KKT, "solve_normal"), (solver._Scaling, "_apply")],
     "step": [(solver._Scaling, "max_step")],
 }
 

@@ -266,9 +266,11 @@ def _critical_points(slopes) -> list:
     by bisection on the sign changes of a dense scan.
 
     Every interval that starts on a zero or changes sign is bisected at
-    once, each element taking the same 64 halvings as a scalar bisection: an
-    exact zero at the midpoint collapses the interval onto it, which later
-    halvings keep.
+    once, each element taking the same halvings as a 64-step scalar
+    bisection: an exact zero at the midpoint collapses the interval onto it,
+    which later halvings keep. A halving is a fixed map of (a, b, fa), so
+    once one leaves them unchanged the remaining ones would too, and the
+    loop stops there with the 64-step answer.
     """
     xs = np.linspace(0.0, 1.0, CRITICAL_SCAN_POINTS)
     dv = slopes(xs)
@@ -282,8 +284,11 @@ def _critical_points(slopes) -> list:
         m = 0.5 * (a + b)
         fm = slopes(m)
         left = fa * fm < 0.0
+        state = (a, b, fa)
         b = np.where(left | (fm == 0.0), m, b)
         a = np.where(left, a, m)
         fa = np.where(left, fa, fm)
+        if all(old.tobytes() == new.tobytes() for old, new in zip(state, (a, b, fa))):
+            break
     roots = np.where(on_zero, xs[k], 0.5 * (a + b))
     return [r for r in roots.tolist() if 0.0 < r < 1.0]

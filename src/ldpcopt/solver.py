@@ -29,33 +29,37 @@ g_t u_t' W u_t, the matrix U diag(g y[rows]) U' and the Gram matrix
 (g g') o (U'U) o (U'U), each summed per row or pair of rows (PSD as a Schur
 product; DSDP forms its Schur matrix so, Benson, Ye & Zhang 2000). R = I
 gives A x and A' y, R the Nesterov-Todd factor the normal matrix, R a factor
-of X the first polish. The blocks are stacked, zero-padded to the largest,
-so these products and the scaling's congruences are a few batched numpy
-calls whatever the number of blocks.
+of X the first polish. The blocks are stacked, padded to the largest, so
+these products and the cone kernels are a few batched numpy calls whatever
+the number of blocks: one Cholesky call factors the X and Z of every block
+and one SVD call gives their Nesterov-Todd scalings, and one eigenvalue call
+serves each step search.
 
 Algorithm
 ---------
 A primal-dual path-following method on the homogeneous self-dual embedding:
-Nesterov-Todd scaling, block by block, Mehrotra predictor-corrector steps,
-dense factorizations throughout. Every variable lies in a cone, so each
-search direction comes from the normal equations (A W'W A') dy = r, solved
-with one step of iterative refinement. Each Cholesky factor is inverted once,
-when it is formed, so every solve with it is a matrix product. Boxed
-variables are shifted by their lower bounds into the nonnegative cone;
-infeasibility and unboundedness are certified from the embedding
-(tau -> 0) rather than via a phase-1, and so is the outcome of a problem with
-no strictly feasible point (a face pinned by its equalities). Identical
-inputs produce identical iterate sequences.
+Nesterov-Todd scaling, Mehrotra predictor-corrector steps, dense
+factorizations throughout. Every variable lies in a cone, so each search
+direction comes from the normal equations (A W'W A') dy = r, solved with one
+step of iterative refinement. Their matrix is the one Gram matrix factorized
+per iteration (as in SDPT3, Toh, Todd & Tutuncu 1999, and DSDP); its
+Cholesky factor is inverted once, when it is formed, so every solve with it
+is a matrix product. Boxed variables are shifted by their lower bounds into
+the nonnegative cone; infeasibility and unboundedness are certified from the
+embedding (tau -> 0) rather than via a phase-1, and so is the outcome of a
+problem with no strictly feasible point (a face pinned by its equalities).
+Identical inputs produce identical iterate sequences.
 
 The method keeps the iterate with the smallest merit max(primal residual,
 dual residual, relative gap). Once that merit meets the tolerance, an
-iteration that does not at least halve it ends the solve, and the best
-iterate is returned (its message starts with ``best iterate returned:``). Its
-primal part is then polished by least-squares corrections that clear the
-equality residual, so the answer satisfies A x = b to rounding even when the
-iterates stalled just below the tolerance. The first weighs each block X by
-X itself (a correction X S X), so that nearly singular blocks stay PSD; the
-second, with unit block weights, clears what rounding leaves of the residual.
+iteration that does not at least halve it, or that brings it to the rounding
+unit, ends the solve, and the best iterate is returned (its message starts
+with ``best iterate returned:``). Its primal part is then polished by
+least-squares corrections that clear the equality residual, so the answer
+satisfies A x = b to rounding even when the iterates stalled just below the
+tolerance. The first weighs each block X by X itself (a correction X S X),
+so that nearly singular blocks stay PSD; the second, with unit block
+weights, clears what rounding leaves of the residual.
 """
 
 from __future__ import annotations
@@ -76,6 +80,9 @@ _MIN_STEP = 1e-13
 # Past the tolerance an iteration counts as progress only if it multiplies
 # the best merit by at most this factor; slower gains are the rounding floor.
 _MIN_PROGRESS = 0.5
+# A merit this small has reached the rounding unit: past the tolerance,
+# further iterations can only shrink it until it underflows.
+_MERIT_FLOOR = float(np.finfo(np.float64).eps)
 
 
 class SolverError(ValueError):
@@ -293,24 +300,18 @@ class ConicSolution:
 # Nesterov-Todd scaling for the orthant x PSD blocks
 # ---------------------------------------------------------------------------
 
-class _BlockScaling:
-    """NT scaling of one PSD block: W = R R' maps Z to X (W Z W = X), and
-    R' Z R = R^{-1} X R^{-T} = diag(lam)."""
-
-    def __init__(self, d: int, sl: slice, xc: np.ndarray, zc: np.ndarray):
-        self.d, self.sl = d, sl
-        Lx = np.linalg.cholesky(_smat(xc[sl], d))
-        Lz = np.linalg.cholesky(_smat(zc[sl], d))
-        u_mat, sv, vt = np.linalg.svd(Lz.T @ Lx)
-        root = np.sqrt(sv)
-        self.R = (Lx @ vt.T) / root[None, :]
-        self.Rit = (Lz @ u_mat) / root[None, :]   # equals R^{-T}
-        self.lam = sv
-        self.root_outer = np.outer(root, root)
-
-
 class _Scaling:
-    """NT scaling of the whole cone; vectors are [orthant | svec blocks]."""
+    """NT scaling of the whole cone; vectors are [orthant | svec blocks].
+
+    On block k, W = R R' maps Z to X (W Z W = X), and R' Z R = R^{-1} X
+    R^{-T} = diag(lam). All blocks are scaled at once on the stack: X and Z
+    padded with the identity go through one Cholesky call, whose factor of
+    diag(X, I) is diag(L, I) exactly, and Lz' Lx padded with zeros through
+    one SVD call. Its singular values are positive on the block and zero on
+    the pad, so the pad's sort last and tie none of the block's (an identity
+    pad would tie a unit singular value, and the SVD could mix the two
+    coordinates); the factors' pads are then set to the identity.
+    """
 
     def __init__(self, core, xc: np.ndarray, zc: np.ndarray):
         self.n_orth = n = core.n_orth
@@ -319,27 +320,34 @@ class _Scaling:
         self.w = np.sqrt(self.w2)
         self.lam_orth = np.sqrt(xo * zo)
         self.core = core
-        self.blocks = [_BlockScaling(d, sl, xc, zc) for d, sl in core.blocks]
-        # The factors and Jordan divisors 0.5 (lam_i + lam_j), stacked.
-        self.R = self.Rit = self.T = self.lam_mid = None
-        if self.blocks:
-            self.R = core.pad([b.R for b in self.blocks])
-            self.Rit = core.pad([b.Rit for b in self.blocks])
+        # The factors, the eigenvalues lam (1 on the pad), their roots'
+        # outer products and the Jordan divisors 0.5 (lam_i + lam_j), stacked.
+        self.R = self.Rit = self.T = self.lam = self.root_outer = self.lam_mid = None
+        if core.blocks:
+            eye = core.pad_eye
+            Lx, Lz = np.linalg.cholesky(core.stack(np.stack((xc, zc))) + eye)
+            u_mat, sv, vt = np.linalg.svd(_t(Lz) @ Lx - eye)
+            self.lam = sv + core.pad_diag
+            root = np.sqrt(self.lam)[:, None, :]
+            self.R = np.where(core.in_block, (Lx @ _t(vt)) / root, eye)
+            self.Rit = np.where(core.in_block, (Lz @ u_mat) / root, eye)   # R^{-T}
             self.T = self.R @ _t(self.R)
-            self.lam_mid = core.pad([0.5 * (b.lam[:, None] + b.lam[None, :])
-                                     for b in self.blocks], 1.0)
+            self.root_outer = _t(root) * root
+            self.lam_mid = 0.5 * (self.lam[:, :, None] + self.lam[:, None, :])
 
     def _apply(self, v: np.ndarray, orth, block) -> np.ndarray:
         """``orth`` on the orthant part of v, ``block`` on its block stack."""
         out = np.empty_like(v)
         out[: self.n_orth] = orth(v[: self.n_orth])
-        if self.blocks:
+        if self.R is not None:
             out[self.n_orth:] = self.core.unstack(block(self.core.stack(v)))
         return out
 
     def lam_sq(self) -> np.ndarray:
-        return np.concatenate([self.lam_orth ** 2]
-                              + [svec(np.diag(b.lam ** 2)) for b in self.blocks])
+        if self.R is None:
+            return self.lam_orth ** 2
+        diag = self.lam[:, :, None] ** 2 * np.eye(self.lam.shape[1])
+        return np.concatenate([self.lam_orth ** 2, self.core.unstack(diag)])
 
     def wsq_apply(self, v: np.ndarray) -> np.ndarray:
         return self._apply(v, lambda vo: self.w2 * vo, lambda m: self.T @ m @ self.T)
@@ -369,10 +377,11 @@ class _Scaling:
 
         The orthant takes a ratio test per direction, each block the
         smallest eigenvalue of lam^{-1/2} V lam^{-1/2}, from one call on the
-        x and z matrices stacked. A min is exact, so taking it per direction
-        and then over both gives the same alpha; 1 / -min(lo) is the min
-        over 1 / -lo to the bit, since a correctly rounded quotient is
-        monotone in its divisor.
+        blocks of both directions stacked. Their zero pads add eigenvalues
+        0, which never limit the step. A min is exact, so taking it per
+        direction and block and then over all gives the same alpha;
+        1 / -min(lo) is the min over 1 / -lo to the bit, since a correctly
+        rounded quotient is monotone in its divisor.
         """
         n = self.n_orth
         alpha = math.inf
@@ -381,12 +390,9 @@ class _Scaling:
             neg = vo < 0.0
             if neg.any():
                 alpha = min(alpha, float((self.lam_orth[neg] / -vo[neg]).min()))
-        for b in self.blocks:
-            # smat and the outer product are symmetric to the bit, so the
-            # matrices need no symmetrizing.
-            both = np.stack((dx_scaled[b.sl], dz_scaled[b.sl]))
-            g = _smat(both, b.d) / b.root_outer
-            lo = float(np.linalg.eigvalsh(g)[:, 0].min())
+        if self.R is not None:
+            g = self.core.stack(np.stack((dx_scaled, dz_scaled))) / self.root_outer
+            lo = float(np.linalg.eigvalsh(g)[..., 0].min())
             if lo < 0.0:
                 alpha = min(alpha, 1.0 / -lo)
         return alpha
@@ -475,16 +481,8 @@ class _KKT:
     squared norms (they set the sign of the tau-step denominator and must
     never go negative through cancellation)."""
 
-    def __init__(self, core, scaling: _Scaling, a_rows: _Rows):
-        self.scaling, self.a_rows = scaling, a_rows
+    def __init__(self, core, scaling: _Scaling):
         p = core.b.size
-        # Inverse factor of A D A', D = diag(x/z on the orthant, 1 on the
-        # blocks), for the defect projection. A program without blocks has
-        # no PSD noise to project out and goes without it.
-        self.defect_inv = None
-        if core.psd_gram is not None:
-            self.defect_inv = _inverse_gram_factor(
-                core.psd_gram + (core.A * scaling.w2) @ core.A.T)
         self.rows = _Rows(core, core.A.T * scaling.w[:, None], scaling.R)
         self.chat = scaling.scale_z(core.c)
         self.g_chat = self.rows.dot(self.chat)
@@ -501,21 +499,6 @@ class _KKT:
         else:
             raise _NumericalFailure("KKT matrix could not be factorized")
         self.chol_inv = _tril_inverse(chol)
-
-    def project_primal_defect(self, dx: np.ndarray, defect: np.ndarray) -> np.ndarray:
-        """Least-squares correction of dx so that A dx absorbs `defect`.
-
-        The scaling-amplified noise of the PSD blocks in a recovered
-        direction otherwise puts a floor on the primal residual. The orthant
-        is weighted by its scaling x/z, so a scalar at its bound stays
-        there; an unweighted correction can pin it until the step
-        collapses.
-        """
-        if self.defect_inv is None or defect.size == 0:
-            return dx
-        corr = self.a_rows.combine(self.defect_inv.T @ (self.defect_inv @ defect))
-        corr[: self.scaling.n_orth] *= self.scaling.w2
-        return dx + corr
 
     def tau_denominator_part(self, b: np.ndarray) -> float:
         """b' phi^{-1} b + || (I - P) W c ||^2 with P the projector onto
@@ -557,7 +540,8 @@ class _Core:
         T = max((g.size for _, g, _ in prob.psd_rows), default=0)
         self.V, self.g = np.zeros((K, D, T)), np.zeros((K, T))
         self.term_rows = np.zeros((K, T), np.intp)
-        self.to_stack, self.stack_scale = np.zeros((K, D, D), np.intp), np.zeros((K, D, D))
+        self.to_stack = np.zeros((K, D, D), np.intp)
+        self.stack_div = np.full((K, D, D), math.inf)
         self.from_stack = np.empty((2, self.m_c - self.n_orth), np.intp)
         self.svec_scale = np.empty(self.m_c - self.n_orth)
         for k, ((d, sl), (rows, g, V)) in enumerate(zip(self.blocks, prob.psd_rows)):
@@ -566,26 +550,32 @@ class _Core:
             self.V[k, :d, : g.size], self.g[k, : g.size] = V, g
             self.term_rows[k, : g.size] = rows
             self.to_stack[k, :d, :d] = sl.start + gt.full.reshape(d, d)
-            self.stack_scale[k, :d, :d] = 1.0 / gt.dsc.reshape(d, d)
+            self.stack_div[k, :d, :d] = gt.dsc.reshape(d, d)
             self.from_stack[:, psd] = ((k * D + gt.iu0) * D + gt.iu1,
                                        (k * D + gt.iu1) * D + gt.iu0)
             self.svec_scale[psd] = 0.5 * gt.sc
         self.pairs = (self.term_rows[:, :, None] * p + self.term_rows[:, None, :]).ravel()
-        # The constant block part of the defect projection's Gram matrix.
-        self.psd_gram = _Rows(self, self.A.T[:0]).gram() if self.blocks else None
+        # Where the stack holds a block, and the identity on its pad.
+        self.in_block = self.stack_div != math.inf
+        self.pad_eye = np.where(self.in_block, 0.0, np.eye(D))
+        self.pad_diag = self.pad_eye.diagonal(axis1=1, axis2=2)
 
     def stack(self, v: np.ndarray) -> np.ndarray:
-        """The (K, D, D) stack of the block matrices of svec data v."""
-        return v[self.to_stack] * self.stack_scale
+        """The (K, D, D) stack of the block matrices of svec data v, or one
+        per vector along v's leading axes, zero-padded (divided by inf).
+        Divided by sqrt(2) as ``_smat`` divides: an ulp in the scaling's
+        input can move a degenerate program's iterates across the
+        tolerance."""
+        return v[..., self.to_stack] / self.stack_div
 
     def unstack(self, m: np.ndarray) -> np.ndarray:
         """The svec data of the symmetric parts of a stack of block matrices."""
         f = m.ravel()
         return (f[self.from_stack[0]] + f[self.from_stack[1]]) * self.svec_scale
 
-    def pad(self, mats, fill: float = 0.0) -> np.ndarray:
-        """Per-block d x d matrices stacked as the blocks are, padded with ``fill``."""
-        out = np.full(self.stack_scale.shape, fill)
+    def pad(self, mats) -> np.ndarray:
+        """Per-block d x d matrices stacked as the blocks are, zero-padded."""
+        out = np.zeros(self.stack_div.shape)
         for k, m in enumerate(mats):
             out[k, : m.shape[0], : m.shape[1]] = m
         return out
@@ -706,7 +696,8 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         # still falls by the factor _MIN_PROGRESS: past that point the
         # residuals have reached their rounding floor and further steps
         # shrink without gaining accuracy (the final polish in `solve` clears
-        # the primal residual instead).
+        # the primal residual instead). A merit that keeps falling fast ends
+        # the solve once it reaches _MERIT_FLOOR.
         merit = max(pres, dres, relgap)
         stalled = best_merit <= tol and merit > _MIN_PROGRESS * best_merit
         if merit < best_merit:
@@ -715,6 +706,9 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         if stalled:
             return _from_best(best, best_merit, tol, history,
                               "no further progress after convergence")
+        if best_merit <= tol and merit <= _MERIT_FLOOR:
+            return _from_best(best, best_merit, tol, history,
+                              "merit reached the rounding unit")
         if merit > 1e3 * best_merit:
             return _from_best(best, best_merit, tol, history,
                               "iterates diverged after best point")
@@ -737,7 +731,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
 
         try:
             scal = _Scaling(core, x, z)
-            kkt = _KKT(core, scal, a_rows)
+            kkt = _KKT(core, scal)
         except (np.linalg.LinAlgError, _NumericalFailure) as exc:
             return _from_best(best, best_merit, tol, history,
                               f"scaling/factorization failed: {exc}")
@@ -746,7 +740,6 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
 
         dy1 = kkt.solve_normal(kkt.g_chat + core.b)
         dx1 = scal.wsq_apply(a_rows.combine(dy1) - core.c)
-        dx1 = kkt.project_primal_defect(dx1, core.b - a_rows.dot(dx1))
         denom = kkt.tau_denominator_part(core.b) + kappa / tau
         if not np.isfinite(denom) or denom <= 0.0:
             return _from_best(best, best_merit, tol, history,
@@ -757,7 +750,6 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
             w1 = scal.winv_apply(g) - eta * r_d
             dy0 = kkt.solve_normal(-eta * r_p - kkt.rows.dot(scal.scale_z(w1)))
             dx0 = scal.wsq_apply(a_rows.combine(dy0) + w1)
-            dx0 = kkt.project_primal_defect(dx0, -eta * r_p - a_rows.dot(dx0))
             val0 = float(core.b @ dy0 - core.c @ dx0)
             dtau = (-eta * r_g + d_tk / tau - val0) / denom
             dy = dy0 + dtau * dy1

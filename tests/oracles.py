@@ -152,3 +152,26 @@ def dense_congruence(problem, w_orth, factors=None) -> np.ndarray:
             mats = factors[k].T @ mats @ factors[k]
         cols.append(svec(0.5 * (mats + mats.transpose(0, 2, 1))).T)
     return np.vstack(cols)
+
+
+def critical_points_64(slopes, scan_points: int) -> list:
+    """Roots in (0, 1) of `slopes` by the array bisection of
+    ``ensemble._critical_points`` with all 64 halvings always taken: the
+    reference for its early stop, which must return the same roots to the
+    bit."""
+    xs = np.linspace(0.0, 1.0, scan_points)
+    dv = slopes(xs)
+    k = np.flatnonzero((dv[:-1] == 0.0) | (dv[:-1] * dv[1:] < 0.0))
+    if not k.size:
+        return []
+    on_zero = dv[k] == 0.0
+    a, b, fa = xs[k], xs[k + 1], dv[k]
+    for _ in range(64):
+        m = 0.5 * (a + b)
+        fm = slopes(m)
+        left = fa * fm < 0.0
+        b = np.where(left | (fm == 0.0), m, b)
+        a = np.where(left, a, m)
+        fa = np.where(left, fa, fm)
+    roots = np.where(on_zero, xs[k], 0.5 * (a + b))
+    return [r for r in roots.tolist() if 0.0 < r < 1.0]

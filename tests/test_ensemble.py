@@ -20,7 +20,7 @@ from ldpcopt.ensemble import (
 from ldpcopt.poly import Polynomial
 
 from conftest import COMPARISON_DESIGNS, REFERENCE_DESIGNS, random_distribution
-from oracles import de_polynomial
+from oracles import critical_points_64, de_polynomial
 
 
 def test_distribution_validation():
@@ -261,6 +261,30 @@ def test_critical_points_match_full_scan(rng):
         found = ensemble._critical_points(p.derivative().evaluate_many)
         assert found == _critical_points_by_scan(p)
     assert a in ensemble._critical_points(polys[-1].derivative().evaluate_many)
+
+
+def test_critical_points_early_stop_matches_64_halvings(rng):
+    # The bisection stops once a halving changes nothing; the roots must be
+    # those of all 64 halvings to the bit: on composed DE slopes as the
+    # check takes them, on random polynomials, where the slope vanishes
+    # exactly on scan points, and where it vanishes exactly on a midpoint
+    # (the collapse onto an exact zero).
+    xs = np.linspace(0.0, 1.0, ensemble.CRITICAL_SCAN_POINTS)
+    slopes = []
+    for _ in range(30):
+        p = ensemble._DecodingMap(random_distribution(rng, 9), random_distribution(rng, 8))
+        slopes.append(lambda ys, p=p, eps=float(rng.uniform(0.1, 0.9)): p.slopes(eps, ys))
+    for _ in range(20):
+        slopes.append(Polynomial(rng.normal(size=int(rng.integers(3, 12)))).evaluate_many)
+    a, b = float(xs[1000]), float(xs[3000])
+    slopes.append(Polynomial([0.0, a * b, -0.5 * (a + b), 1.0 / 3.0]).derivative().evaluate_many)
+    mid = 0.5 * (xs[1234] + xs[1235])
+    slopes.append(lambda ys: ys - mid)
+    assert mid in ensemble._critical_points(slopes[-1])
+    for f in slopes:
+        found = ensemble._critical_points(f)
+        want = critical_points_64(f, ensemble.CRITICAL_SCAN_POINTS)
+        assert np.array(found).tobytes() == np.array(want).tobytes()
 
 
 def test_feasible_implies_rate_below_capacity(rng):

@@ -325,6 +325,22 @@ def test_rows_without_scalars_are_kept():
                      psd_dims=(2,), psd_rows=DIAGONAL_ROWS)
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_objective_stops_at_the_rounding_floor():
+    # min 0 subject to X00 = X11 = 1: any X01 in [-1, 1] is optimal, and
+    # the merit falls about 100x per iteration. Past the tolerance the solve
+    # must end once the merit reaches the rounding unit, not run on until it
+    # underflows and the scaling breaks down (which raised warnings here).
+    problem = ConicProblem(sense="min", c=np.zeros(3), A=no_scalars(2), b=np.ones(2),
+                           psd_dims=(2,), psd_rows=DIAGONAL_ROWS)
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert sol.iterations <= 10
+    assert sol.message == "best iterate returned: merit reached the rounding unit"
+    x, = sol.psd_matrices(problem)
+    assert np.allclose(np.diag(x), 1.0, atol=1e-9) and abs(x[0, 1]) <= 1.0
+
+
 def test_upper_bounds_are_not_part_of_the_form():
     # The cone is orthant x PSD: an upper bound is a slack and a row.
     with pytest.raises(TypeError):
@@ -468,49 +484,92 @@ def test_block_row_operations_on_sos_problem(rng):
                              [rng.normal(size=(d, d)) for d in problem.psd_dims])
 
 
+def _block_scalings(core, xc, zc):
+    """The NT scaling of each block on its own d x d matrices, one Cholesky
+    pair and one SVD per block: (d, slice, R, R^{-T}, lam) per block (the
+    reference for the stacked scaling)."""
+    out = []
+    for d, sl in core.blocks:
+        lx, lz = np.linalg.cholesky(smat(xc[sl], d)), np.linalg.cholesky(smat(zc[sl], d))
+        u, lam, vt = np.linalg.svd(lz.T @ lx)
+        root = np.sqrt(lam)
+        out.append((d, sl, (lx @ vt.T) / root, (lz @ u) / root, lam))
+    return out
+
+
+def _close(got, want, rel=1e-12):
+    return np.max(np.abs(got - want), initial=0.0) <= rel * max(1.0, np.max(np.abs(want)))
+
+
 def test_stacked_scaling_products_match_per_block(rng):
-    # The scaling's congruences run on the zero-padded stack of blocks;
-    # each block must come out as its own product, symmetrized.
+    # The scaling factors every block at once on the padded stack; each
+    # block must come out as its own NT scaling with an identity pad, and
+    # each congruence as that block's own product, symmetrized.
     # Blocks of 23 and 22 (one padded coordinate), and random blocks.
     uneven = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.48, 10)
-    for problem in (uneven, _random_terms_problem(rng, p=4)):
+    for problem in (uneven, _random_terms_problem(rng, p=4), _random_terms_problem(rng, p=4)):
         core = solver._Core(problem)
-        scal = solver._Scaling(core, _random_interior(rng, core), _random_interior(rng, core))
+        xc, zc = _random_interior(rng, core), _random_interior(rng, core)
+        scal = solver._Scaling(core, xc, zc)
         u, v = rng.normal(size=core.m_c), rng.normal(size=core.m_c)
-        products = [
-            (scal.wsq_apply(v), lambda b, m: (b.R @ b.R.T) @ m @ (b.R @ b.R.T)),
-            (scal.winv_apply(v), lambda b, m: b.Rit @ m @ b.Rit.T),
-            (scal.scale_x(v), lambda b, m: b.Rit.T @ m @ b.Rit),
-            (scal.scale_z(v), lambda b, m: b.R.T @ m @ b.R),
-            (scal.jordan_div(v), lambda b, m: m / (0.5 * (b.lam[:, None] + b.lam[None, :]))),
-            (scal.jordan_mul(u, v), lambda b, m: smat(u[b.sl]) @ m),
-        ]
-        for got, block in products:
-            for b in scal.blocks:
-                f = block(b, smat(v[b.sl], b.d))
-                want = svec(0.5 * (f + f.T))
-                assert np.max(np.abs(got[b.sl] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        D = problem.psd_dim
+        for k, (d, sl, R, Rit, lam) in enumerate(_block_scalings(core, xc, zc)):
+            # A singular pair's sign is free: align the reference's to the
+            # stack's, which is as valid an NT scaling.
+            sign = np.sign(np.sum(R * scal.R[k, :d, :d], axis=0))
+            R, Rit = R * sign, Rit * sign
+            assert _close(scal.lam[k, :d], lam) and np.all(scal.lam[k, d:] == 1.0)
+            assert _close(scal.R[k, :d, :d], R) and _close(scal.Rit[k, :d, :d], Rit)
+            for stacked in (scal.R[k], scal.Rit[k]):
+                pad = stacked.copy()
+                pad[:d, :d] = 0.0
+                assert np.array_equal(pad, np.diag(np.arange(D) >= d).astype(float))
+            products = [
+                (scal.wsq_apply(v), lambda m: (R @ R.T) @ m @ (R @ R.T)),
+                (scal.winv_apply(v), lambda m: Rit @ m @ Rit.T),
+                (scal.scale_x(v), lambda m: Rit.T @ m @ Rit),
+                (scal.scale_z(v), lambda m: R.T @ m @ R),
+                (scal.jordan_div(v), lambda m: m / (0.5 * (lam[:, None] + lam[None, :]))),
+                (scal.jordan_mul(u, v), lambda m: smat(u[sl]) @ m),
+            ]
+            for got, block in products:
+                f = block(smat(v[sl], d))
+                assert _close(got[sl], svec(0.5 * (f + f.T)))
+        lam_sq = np.concatenate([scal.lam_orth ** 2] + [
+            svec(np.diag(scal.lam[k, :d] ** 2)) for k, (d, _) in enumerate(core.blocks)])
+        assert np.array_equal(scal.lam_sq(), lam_sq)
 
 
 def _max_step_one_direction(scal, v):
     """The step search on one scaled direction, one eigenvalue call per
-    block (the reference for the fused search)."""
+    block (the reference for the single call). Each block's matrix is
+    zero-padded to the stack's dimension, as the single call pads it: LAPACK
+    rounds a padded matrix's eigenvalues differently, within a few ulps of
+    the unpadded ones, which is checked too."""
     vo = v[:scal.n_orth]
     alpha = math.inf
     neg = vo < 0.0
     if np.any(neg):
         alpha = float(np.min(scal.lam_orth[neg] / -vo[neg]))
-    for b in scal.blocks:
-        root = np.sqrt(b.lam)
-        g = smat(v[b.sl], b.d) / np.outer(root, root)
-        lo = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+    D = scal.lam.shape[1] if scal.lam is not None else 0
+    for k, (d, sl) in enumerate(scal.core.blocks):
+        root = np.sqrt(scal.lam[k, :d])
+        g = smat(v[sl], d) / np.outer(root, root)
+        padded = np.zeros((D, D))
+        padded[:d, :d] = g
+        lo = float(np.linalg.eigvalsh(padded)[0])
+        assert abs(min(lo, 0.0) - min(float(np.linalg.eigvalsh(g)[0]), 0.0)) \
+            <= 1e-13 * max(1.0, np.max(np.abs(g)))
         if lo < 0.0:
             alpha = min(alpha, 1.0 / -lo)
     return alpha
 
 
 def test_fused_step_search_matches_separate_searches(rng):
+    # One eigenvalue call over both directions and every block against one
+    # call per direction and block.
     for problem in (reference_lambda_problem("check7_eps038"),
+                    build_lambda_problem(DegreeDistribution({6: 1.0}), 0.48, 10),
                     _random_terms_problem(rng, p=4)):
         core = solver._Core(problem)
         for _ in range(10):
