@@ -1,7 +1,7 @@
 """Maximum-rate irregular LDPC degree distributions for the binary erasure
 channel, via an exact sum-of-squares reformulation of the density-evolution
-constraint, with independent verification by threshold bisection on the
-fixed-point iteration and a discretized-LP baseline.
+constraint, with independent verification by the closed-form erasure
+threshold and a discretized-LP baseline.
 """
 
 from .ensemble import (

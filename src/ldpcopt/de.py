@@ -1,14 +1,15 @@
-"""Independent verification layer: threshold bisection on the erasure
-decoder's fixed-point predicate, and the discretized-LP baseline.
+"""Independent verification layer: the erasure threshold in closed form,
+and the discretized-LP baseline.
 
 Nothing here touches the sum-of-squares machinery or its expanded
-polynomial coefficients, so that the routes check each other. The
-fixed-point iteration (``kernels.de_final``), the predicate's fixed-point
-probes and the LP columns all evaluate the erasure map in composed form, on
-the degree polynomials themselves (``ensemble._DecodingMap`` and
-``ensemble.psi``). The LP baseline enforces the decoding constraint only on
-finitely many grid points: a relaxation whose objective upper-bounds the
-exact program and converges to it as the grid is refined.
+polynomial coefficients, so that the routes check each other. The threshold
+is 1 / max H for the fixed-point gain H(x) = lam(1 - rho(1 - x)) / x, found
+by a grid and a bisection on the sign changes of H'; the threshold and the
+LP columns both evaluate the erasure map in composed form, on the degree
+polynomials themselves (``ensemble._DecodingMap`` and ``ensemble.psi``).
+The LP baseline enforces the decoding constraint only on finitely many grid
+points: a relaxation whose objective upper-bounds the exact program and
+converges to it as the grid is refined.
 
 The grid LP is handed to the solver in dual form: one nonnegative multiplier
 per grid point and only Dv - 2 equality rows (the simplex row is eliminated
@@ -24,112 +25,37 @@ from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import kernels, solver
-from .ensemble import (DegreeDistribution, _DecodingMap, design_rate, psi,
-                       running_powers)
+from . import solver
+from .ensemble import (GRID_POINTS, DegreeDistribution, _critical_points,
+                       _DecodingMap, design_rate, psi, running_powers)
 from .solver import ConicProblem, ConicSolution
 
-ZERO_CUTOFF = 1e-9
-# Width of the bracket at which threshold bisection stops.
-BISECT_PRECISION = 1e-6
-
-# Budget ladder for the threshold predicate, as cumulative step totals. Each
-# rung resumes the simulation where the previous rung left it (the kernel
-# takes the last iterate and step as its start), so a run ends each rung on
-# the same iterate as a fresh run of that many steps from x0 = eps, and
-# stops early on an exactly zero step. Most runs above threshold are settled
-# by the zero step or by a fixed-point witness after the short first rung;
-# near-threshold runs contract at a factor close to 1 and need the longer
-# rungs, either to reach the zero cutoff or to settle close enough to their
-# fixed point for a witness. After the last rung a dense logarithmic scan
-# between the cutoff and the last iterate is the backstop.
-_PREDICATE_BUDGETS = (1_000, 10_000, 300_000)
-_FIXED_POINT_SCAN = 4096
-# Smallest positive double: abs(step) < _ZERO_STEP holds only for a zero step.
-_ZERO_STEP = float(np.nextafter(0.0, 1.0))
-# Witness probes step down from the last iterate by the Aitken remainder
-# estimate times powers of this ratio.
-_WITNESS_RATIO = 2.0 ** 0.125
-
-
-def _witness_probes(final: float, d_last: float, d_prev: float) -> np.ndarray:
-    """Points in [ZERO_CUTOFF, final] where a fixed point below `final` is
-    likely: final - R * _WITNESS_RATIO**j for j = 0, 1, ..., where
-    R = -d_last * r / (1 - r) with r = d_last / d_prev is the Aitken estimate
-    of the distance still to go, plus ZERO_CUTOFF itself."""
-    r = d_last / d_prev if d_prev != 0.0 else 0.0
-    remainder = -d_last * r / (1.0 - r) if 0.0 < r < 1.0 else -d_last
-    span = final - ZERO_CUTOFF
-    if not 0.0 < remainder < span:
-        return np.array([ZERO_CUTOFF])
-    count = int(np.log(span / remainder) / np.log(_WITNESS_RATIO)) + 1
-    ys = final - remainder * _WITNESS_RATIO ** np.arange(count)
-    return np.append(ys[ys >= ZERO_CUTOFF], ZERO_CUTOFF)
-
-
-def _converges_to_zero(dmap: _DecodingMap, eps: float) -> bool:
-    """Threshold predicate: does the erasure fixed point reach zero?
-
-    `dmap` is the erasure map of the ensemble. The kernel runs from
-    x0 = eps up to each total of ``_PREDICATE_BUDGETS`` in turn, resuming
-    from the previous rung's last iterate. ``True`` is
-    never extrapolated: it comes from a run that drops below ``ZERO_CUTOFF``
-    or, once the last run ends still descending, from the backstop scan (no
-    x with f(x) >= x on a dense logarithmic grid between the cutoff and the
-    last iterate, where f(x) = eps * lam(1 - rho(1 - x))). ``False`` is
-    decided as soon as it is proved:
-
-    * zero-step stop: the kernel stops on an exactly zero step, so the last
-      iterate is a fixed point of the computed map above the cutoff;
-    * fixed-point witness: after each run, a probe y in [ZERO_CUTOFF, last
-      iterate] with f(y) >= y, computed in the kernel's arithmetic. Rounding
-      is monotone and every coefficient is nonnegative, so the computed map
-      is nondecreasing on [0, 1]: an iterate x >= y steps to
-      f(x) >= f(y) >= y, and the run never drops below y. The probes follow
-      the Aitken estimate of the fixed point the run approaches (see
-      ``_witness_probes``).
-    """
-    if eps <= 0.0:
-        return True
-    lam_c, rho_c = dmap.lam.coeffs, dmap.rho.coeffs
-    start, done = None, 0
-    for budget in _PREDICATE_BUDGETS:
-        final, _, stopped, d_last, d_prev = kernels.de_final(
-            lam_c, rho_c, eps, budget - done, _ZERO_STEP, ZERO_CUTOFF * 0.1,
-            start)
-        if final < ZERO_CUTOFF:
-            return True
-        if stopped:
-            return False
-        probes = _witness_probes(final, d_last, d_prev)
-        if np.any(dmap.steps(eps, probes) >= probes):
-            return False
-        start, done = (final, d_last), budget
-    xs = np.exp(np.linspace(np.log(ZERO_CUTOFF), np.log(final), _FIXED_POINT_SCAN))
-    return not np.any(dmap.steps(eps, xs) >= xs)
+# Allowance for rounding, and for coefficient sums off 1 by up to SUM_TOL,
+# in the check that the threshold respects the capacity bound.
+CAPACITY_SLACK = 1e-8
 
 
 def bisect_threshold(lam: DegreeDistribution, rho: DegreeDistribution) -> float:
     """Largest erasure probability whose fixed point still reaches zero.
 
-    Bisection on [0, 1] with the `_converges_to_zero` predicate, down to a
-    bracket of ``BISECT_PRECISION``. The result also satisfies the
-    capacity-side bound eps* <= (sum rho_j / j) / (sum lam_i / i) up to that
-    precision.
+    DE from x0 = eps reaches zero exactly when eps * H(x) < 1 on (0, 1],
+    where H(x) = lam(1 - rho(1 - x)) / x (Richardson & Urbanke, *Modern
+    Coding Theory*, ch. 3), so eps* = 1 / max H. The maximum is taken over
+    the same uniform grid and bisected roots of H' as ``check_de_feasible``
+    takes the minimum of P, with H in division-free form (see
+    ``_DecodingMap``). H(1) = 1, so eps* <= 1. The result also satisfies
+    the capacity-side bound eps* <= (sum rho_j / j) / (sum lam_i / i), up to
+    ``CAPACITY_SLACK``.
     """
     dmap = _DecodingMap(lam, rho)
-    lo, hi = 0.0, 1.0
-    if _converges_to_zero(dmap, hi):
-        return hi
-    while hi - lo > BISECT_PRECISION:
-        mid = 0.5 * (lo + hi)
-        if _converges_to_zero(dmap, mid):
-            lo = mid
-        else:
-            hi = mid
-    threshold = 0.5 * (lo + hi)
+    # H' vanishes identically only for lam = rho = x, where H = 1: it has no
+    # roots to find then, and every point holds the maximum.
+    constant = dmap.lam_quot.degree <= 0 and dmap.rho_quot.degree <= 0
+    roots = [] if constant else _critical_points(dmap.gain_slopes)
+    xs = np.append(np.linspace(0.0, 1.0, GRID_POINTS), roots)
+    threshold = min(1.0, 1.0 / float(np.max(dmap.gains(xs))))
     cap = rho.inv_degree_moment() / lam.inv_degree_moment()
-    if threshold > cap + BISECT_PRECISION:
+    if threshold > cap + CAPACITY_SLACK:
         raise RuntimeError(
             f"threshold {threshold} exceeds the capacity bound {cap}")
     return threshold

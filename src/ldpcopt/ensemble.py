@@ -196,15 +196,23 @@ class _DecodingMap:
 
         P(x)  = x - lam(psi(x)),
         P'(x) = 1 - eps lam'(psi(x)) rho'(1 - eps*x),
-        f(y)  = eps * lam(1 - rho(1 - y)),   the fixed-point step.
 
-    Both edge polynomials have nonnegative coefficients summing to 1 and are
-    evaluated on [0, 1] only, so the rounding error of P stays of order
-    (deg lam) * (deg rho) units in the last place. The expanded monomial
-    coefficients of P grow like binomials instead (1.8e16 at degree 195),
-    and evaluating them loses every digit at large degrees. ``steps`` makes
-    the operations of ``kernels.de_final``, so it maps an iterate to the
-    next one bit for bit.
+    and, at eps = 1, the fixed-point gain H(x) = lam(psi(x)) / x, whose
+    maximum over [0, 1] is 1 / eps* (see ``de.bisect_threshold``):
+
+        H(x)  = Lam(psi(x)) R(1 - x),
+        H'(x) = Lam'(psi(x)) rho'(1 - x) R(1 - x) - Lam(psi(x)) R'(1 - x),
+
+    with Lam(z) = lam(z) / z = sum_i lam_i z**(i-2) and
+    R(u) = (1 - rho(u)) / (1 - u), whose coefficient k is
+    sum_{j >= k+2} rho_j. H carries no division, so H(0) = lam_2 rho'(1)
+    (the stability bound) and H(1) = 1 come out as they are.
+
+    Every polynomial here has nonnegative coefficients and is evaluated on
+    [0, 1] only, so the rounding error of P and H stays of order
+    (deg lam) * (deg rho) units in the last place. The expanded monomial coefficients of P grow
+    like binomials instead (1.8e16 at degree 195), and evaluating them loses
+    every digit at large degrees.
     """
 
     def __init__(self, lam: DegreeDistribution, rho: DegreeDistribution):
@@ -212,6 +220,10 @@ class _DecodingMap:
         self.rho = rho.edge_polynomial()
         self.dlam = self.lam.derivative()
         self.drho = self.rho.derivative()
+        self.lam_quot = Polynomial(self.lam.coeffs[1:])
+        self.dlam_quot = self.lam_quot.derivative()
+        self.rho_quot = Polynomial(np.cumsum(self.rho.coeffs[:0:-1])[::-1])
+        self.drho_quot = self.rho_quot.derivative()
 
     def values(self, eps: float, xs: np.ndarray) -> np.ndarray:
         return xs - self.lam.evaluate_many(psi(self.rho, eps, xs))
@@ -220,8 +232,15 @@ class _DecodingMap:
         return 1.0 - eps * self.dlam.evaluate_many(psi(self.rho, eps, xs)) \
             * self.drho.evaluate_many(1.0 - eps * xs)
 
-    def steps(self, eps: float, ys: np.ndarray) -> np.ndarray:
-        return eps * self.lam.evaluate_many(psi(self.rho, 1.0, ys))
+    def gains(self, xs: np.ndarray) -> np.ndarray:
+        return self.lam_quot.evaluate_many(psi(self.rho, 1.0, xs)) \
+            * self.rho_quot.evaluate_many(1.0 - xs)
+
+    def gain_slopes(self, xs: np.ndarray) -> np.ndarray:
+        ys, us = psi(self.rho, 1.0, xs), 1.0 - xs
+        return self.dlam_quot.evaluate_many(ys) * self.drho.evaluate_many(us) \
+            * self.rho_quot.evaluate_many(us) \
+            - self.lam_quot.evaluate_many(ys) * self.drho_quot.evaluate_many(us)
 
 
 def check_de_feasible(spec: EnsembleSpec) -> FeasibilityReport:

@@ -1,14 +1,13 @@
-"""Erasure fixed-point kernels: the one sequential hot loop of the package.
+"""Erasure fixed-point simulation: the reference for tests and the kernel
+probe; the library does not call it.
 
-The iteration x <- eps * lam(1 - rho(1 - x)) behind threshold bisection runs
-here in plain Python. Each call reads its coefficients once as Python floats
-(``tolist``): indexing a numpy array inside the loop would box a numpy scalar
-on every operation, and both round identically, so only the speed differs.
-A run's whole state is its iterate and last step, so ``de_final`` can resume
-a run where an earlier call left it instead of repeating its steps. The
-module holds no scalar Horner: the loop writes both recurrences out inline,
-and every other evaluation of the erasure map is vectorized
-(``ensemble._DecodingMap``).
+The iteration x <- eps * lam(1 - rho(1 - x)) runs here in plain Python; the
+threshold itself is found in closed form (``de.bisect_threshold``). Each
+call reads its coefficients once as Python floats (``tolist``): indexing a
+numpy array inside the loop would box a numpy scalar on every operation,
+and both round identically, so only the speed differs. A run's whole state
+is its iterate and last step, so ``de_final`` can resume a run where an
+earlier call left it instead of repeating its steps.
 """
 
 import sys
@@ -41,8 +40,7 @@ def de_final(lam_coeffs, rho_coeffs, eps, max_iters, tol, stop_below=0.0,
     """
     # Both Horner recurrences run inline, acc = acc * x + c from 0.0 over the
     # coefficients in descending order, the same operations as
-    # ``Polynomial.evaluate_many``, so ``ensemble._DecodingMap.steps`` maps an
-    # iterate to its successor bit for bit.
+    # ``Polynomial.evaluate_many``.
     lam = _as_floats(lam_coeffs)[::-1]
     rho = _as_floats(rho_coeffs)[::-1]
     eps, tol, stop_below = float(eps), float(tol), float(stop_below)

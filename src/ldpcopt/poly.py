@@ -76,7 +76,7 @@ class Polynomial:
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at each point of `xs`: acc = acc * x + c_k from
-        0.0 down the coefficients, the recurrence of ``kernels.de_final``."""
+        0.0 down the coefficients."""
         xs = np.asarray(xs, dtype=np.float64)
         acc = np.zeros_like(xs)
         for k in range(self._c.size - 1, -1, -1):

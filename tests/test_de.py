@@ -1,4 +1,4 @@
-"""Fixed-point simulation, threshold bisection, and the LP baseline."""
+"""Fixed-point simulation, the closed-form threshold, and the LP baseline."""
 
 import io
 from fractions import Fraction
@@ -10,19 +10,12 @@ from hypothesis import strategies as st
 
 from ldpcopt import kernels
 from ldpcopt.de import (
-    ZERO_CUTOFF,
-    _converges_to_zero,
     bisect_threshold,
     build_discretized_lp,
     lp_baseline_sweep,
     sweep_rows_to_csv,
 )
-from ldpcopt.ensemble import (
-    DegreeDistribution,
-    EnsembleSpec,
-    _DecodingMap,
-    check_de_feasible,
-)
+from ldpcopt.ensemble import DegreeDistribution, EnsembleSpec, check_de_feasible
 from ldpcopt.solver import solve
 from ldpcopt.sos import build_lambda_problem, build_threshold_problem
 
@@ -30,6 +23,8 @@ from conftest import random_distribution, trajectory
 
 LAM36 = DegreeDistribution({3: 1.0})
 RHO36 = DegreeDistribution({6: 1.0})
+# A simulation below this value counts as having reached zero.
+ZERO_CUTOFF = 1e-9
 
 
 def fine_scan_threshold(lam, rho, n=200_001):
@@ -40,12 +35,12 @@ def fine_scan_threshold(lam, rho, n=200_001):
     return 1.0 / float(np.max(ratios))
 
 
-def simulate(spec, max_iters=10_000, tol=1e-12):
+def simulate(spec, max_iters=10_000, tol=1e-12, stop_below=0.0):
     """``kernels.de_final`` on the spec's edge polynomials from x0 = eps:
     (final, steps, stopped_by_tol, delta_last, delta_prev)."""
     return kernels.de_final(spec.lam.edge_polynomial().coeffs,
                             spec.rho.edge_polynomial().coeffs,
-                            spec.epsilon, max_iters, tol)
+                            spec.epsilon, max_iters, tol, stop_below)
 
 
 def test_de_iterate_zero_eps():
@@ -79,16 +74,17 @@ def test_de_trace_monotone_and_reproducible():
 
 
 def test_bisect_threshold_trivial_pair():
+    # lam = rho = x: H = 1 everywhere, so eps* is exactly 1.
     d2 = DegreeDistribution({2: 1.0})
-    thr = bisect_threshold(d2, d2)
-    assert thr >= 1.0 - 2e-6
+    assert bisect_threshold(d2, d2) == 1.0
 
 
 def test_bisect_threshold_regular_pair():
     thr = bisect_threshold(LAM36, RHO36)
     oracle = fine_scan_threshold(LAM36, RHO36)
-    assert thr == pytest.approx(0.4294, abs=1e-3)
     assert thr == pytest.approx(oracle, abs=1e-4)
+    # The (3, 6) threshold, 1 / max H computed to 40 digits and rounded.
+    assert abs(thr - 0.42943981441949184) <= 1e-15
 
 
 def test_bisect_threshold_reference_taps():
@@ -96,73 +92,6 @@ def test_bisect_threshold_reference_taps():
     thr = bisect_threshold(lam, RHO36)
     # The quoted operating point 0.49 must be within the threshold.
     assert thr >= 0.49 - 1e-4
-
-
-# Thresholds returned by the bisection before the predicate stopped runs on
-# fixed-point witnesses; the new predicate must reproduce them bit for bit.
-PINNED_THRESHOLDS = [
-    ({3: 1.0}, {6: 1.0}, 0.4294400215148926),
-    ({2: 0.4949, 3: 0.5051},
-     {2: 0.044, 3: 0.0136, 4: 0.2287, 5: 0.2219, 6: 0.4918},
-     0.4258303642272949),
-    ({2: 0.409, 3: 0.2601, 4: 0.2827, 5: 0.0481},
-     {2: 0.0519, 3: 0.1978, 4: 0.1122, 5: 0.3649, 6: 0.2045, 7: 0.0687},
-     0.5745835304260254),
-]
-
-
-@pytest.mark.parametrize("lam_taps,rho_taps,expected", PINNED_THRESHOLDS)
-def test_bisect_threshold_pinned(lam_taps, rho_taps, expected):
-    thr = bisect_threshold(DegreeDistribution(lam_taps, normalize=True),
-                           DegreeDistribution(rho_taps, normalize=True))
-    assert thr == expected
-
-
-def _count_kernel_steps(monkeypatch):
-    steps = []
-    real = kernels.de_final
-
-    def counting(*args):
-        out = real(*args)
-        steps.append(out[1])
-        return out
-
-    monkeypatch.setattr(kernels, "de_final", counting)
-    return steps
-
-
-def test_bisect_threshold_step_count(monkeypatch):
-    # Runs above threshold end on a zero step or a fixed-point witness
-    # instead of exhausting their budgets (380,073 steps when they did).
-    steps = _count_kernel_steps(monkeypatch)
-    bisect_threshold(LAM36, RHO36)
-    assert sum(steps) <= 50_000
-
-
-def test_bisect_threshold_resumes_rungs(monkeypatch):
-    # Each rung resumes the previous rung's run, so no step is taken twice.
-    steps = _count_kernel_steps(monkeypatch)
-    bisect_threshold(LAM36, RHO36)
-    assert (len(steps), sum(steps)) == (23, 14_151)
-
-
-def test_predicate_settles_above_threshold_in_first_rung(monkeypatch):
-    steps = _count_kernel_steps(monkeypatch)
-    dmap = _DecodingMap(LAM36, RHO36)
-    assert not _converges_to_zero(dmap, 0.4375)
-    assert sum(steps) <= 1_000
-    assert _converges_to_zero(dmap, 0.42)
-
-
-def test_step_map_matches_kernel_bit_for_bit():
-    # The witness is sound only if it evaluates the map exactly as the
-    # simulation does.
-    for lam, rho, eps in [(LAM36, RHO36, 0.44),
-                          (DegreeDistribution({2: 0.3, 4: 0.7}),
-                           DegreeDistribution({3: 0.4, 7: 0.6}), 0.5)]:
-        lam_p, rho_p = lam.edge_polynomial(), rho.edge_polynomial()
-        trace, _ = trajectory(lam_p.coeffs, rho_p.coeffs, eps, 500, 0.0)
-        assert np.array_equal(_DecodingMap(lam, rho).steps(eps, trace[:-1]), trace[1:])
 
 
 @st.composite
@@ -179,13 +108,19 @@ def degree_distributions(draw):
 @settings(max_examples=8, derandomize=True, deadline=None, database=None)
 @given(lam=degree_distributions(), rho=degree_distributions())
 def test_predicate_brackets_sdp_threshold(lam, rho):
+    # Two references: the SDP's 1 / t*, and the fixed-point simulation,
+    # which reaches zero just below eps* and not just above it.
     sol = solve(build_threshold_problem(lam, rho))
     assert sol.status == "optimal"
-    eps_star = 1.0 / float(sol.x[0])
-    dmap = _DecodingMap(lam, rho)
-    assert _converges_to_zero(dmap, eps_star * (1.0 - 1e-3))
+    eps_star = bisect_threshold(lam, rho)
+    assert abs(eps_star - 1.0 / float(sol.x[0])) <= 1e-7
+    below = EnsembleSpec(lam, rho, eps_star * (1.0 - 1e-3))
+    assert simulate(below, 300_000, 0.0, ZERO_CUTOFF)[0] < ZERO_CUTOFF
     if eps_star * (1.0 + 1e-3) <= 1.0:
-        assert not _converges_to_zero(dmap, eps_star * (1.0 + 1e-3))
+        # Above eps* the run settles on a fixed point: it stops once a step
+        # falls below 1e-15, or when its budget runs out.
+        above = EnsembleSpec(lam, rho, eps_star * (1.0 + 1e-3))
+        assert simulate(above, 300_000, 1e-15, ZERO_CUTOFF)[0] >= ZERO_CUTOFF
 
 
 def test_bisect_threshold_capacity_bound(rng):

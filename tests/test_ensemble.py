@@ -219,6 +219,45 @@ def test_composed_p_within_horner_bound_of_exact(case):
         assert abs(Fraction(v) - exact_p(lam, rho, eps, x)) <= bound
 
 
+def _dyadic_distribution(rng, max_degree):
+    """Taps in multiples of 1/1024 that sum to exactly 1, so that the
+    rational lam(psi(x)) / x has no tap-sum defect to divide by a small x."""
+    counts = rng.multinomial(1024, np.ones(max_degree - 1) / (max_degree - 1))
+    return DegreeDistribution({d: c / 1024 for d, c in
+                               zip(range(2, max_degree + 1), counts.tolist()) if c})
+
+
+def test_gain_within_horner_bound_of_exact(rng):
+    # H = Lam(psi) R(1 - x) and H' against lam(psi(x)) / x and its derivative
+    # in rationals, at the point 1 - fl(1 - x) the float map sees, and H(0)
+    # against its limit lam_2 rho'(1). Every factor has nonnegative
+    # coefficients and is evaluated on [0, 1], so no digit is lost near 0.
+    u = 2.0 ** -53
+    for _ in range(100):
+        lam = _dyadic_distribution(rng, int(rng.integers(2, 30)))
+        rho = _dyadic_distribution(rng, int(rng.integers(2, 12)))
+        p = ensemble._DecodingMap(lam, rho)
+        lc, rc = p.lam.coeffs.tolist(), p.rho.coeffs.tolist()
+        dlc, drc = p.dlam.coeffs.tolist(), p.drho.coeffs.tolist()
+        size = (p.lam.degree + 1) * (p.rho.degree + 1)
+        xs = np.concatenate([[0.0, 1e-12, 1e-3, 1.0], rng.uniform(0.0, 1.0, 5)])
+        for x, h, dh in zip(xs.tolist(), p.gains(xs).tolist(),
+                            p.gain_slopes(xs).tolist()):
+            y = 1 - Fraction(1.0 - x)
+            if y == 0:
+                want = Fraction(lam.get(2)) * sum(Fraction(c) * (j - 1)
+                                                  for j, c in rho.items())
+            else:
+                psi = 1 - _exact_horner(rc, 1 - y)
+                value = _exact_horner(lc, psi)
+                want = value / y
+                slope = (_exact_horner(dlc, psi) * _exact_horner(drc, 1 - y) * y
+                         - value) / y ** 2
+                assert abs(Fraction(dh) - slope) <= \
+                    4 * u * size ** 2 * max(1, abs(slope)), (lam, rho, x)
+            assert abs(Fraction(h) - want) <= 4 * u * size * max(1, want), (lam, rho, x)
+
+
 def _critical_points_by_scan(p):
     """The interval-by-interval scan that _critical_points replaces."""
     dp = p.derivative()
