@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the interior-point solver on the design programs, split by phase.
+"""Time the interior-point solver on the design programs, split by phase,
+or against another version of the solver.
 
 Builds the 11 SOS programs of the benchmark's ``design`` workload, the
 README's (3, 6) threshold program, a check-side design at eps = 0.95 that
@@ -12,15 +13,21 @@ from outside with timers, and each call is charged to one phase:
 - scaling: ``_Scaling.__init__`` (NT scaling of every block: one stacked
   Cholesky call and one stacked SVD call);
 - kkt: ``_KKT.__init__`` (the rows under the scaling, their Gram matrix
-  and its Cholesky factor, the one factorization of an iteration);
-- directions: ``_KKT.solve_normal`` and ``_Scaling._apply`` (every scaled
-  cone product, including the scaling of the step search's input);
+  and its Cholesky factor, the one factorization of an iteration; c and
+  r_d in the scaled space; the direction per unit dtau);
+- directions: ``_KKT.direction`` (the predictor's and the corrector's
+  scaled directions), and the scaled cone products ``_Scaling.unscale``
+  (the accepted step out of the scaled space), ``_Scaling.jordan_div`` and
+  ``_Scaling.jordan_mul``;
 - step: ``_Scaling.max_step`` (ratio test and one call for the block
   eigenvalues of both directions);
-- other: the rest of ``solve`` (residuals, set-up, polish, final check).
+- rows: ``_Rows.dot`` and ``_Rows.combine`` outside the phases above (the
+  residuals, the dual step, the polish and the final check);
+- other: the rest of ``solve`` (set-up, vector updates, the polish's
+  factorizations, final check).
 
-A wrapped call made inside another (``_KKT.__init__`` scales c) is charged
-to the outer one. Each program's solve runs ``PASSES`` times
+A wrapped call made inside another (``_KKT.__init__`` scales c, and
+``_KKT.direction`` multiplies by the rows) is charged to the outer one. Each program's solve runs ``PASSES`` times
 (``LARGE_PASSES`` for the large designs, about 2 s each at Dv = 52); the
 table shows the median pass. The process's peak resident set size
 (``ru_maxrss``) is printed after the standard programs and again after the
@@ -34,10 +41,22 @@ on these programs when that table is the same for both:
 
     diff <(python benchmarks/bench_solver.py | sed -n '1,/^$/p') \
          <(PYTHONPATH=other/src python benchmarks/bench_solver.py | sed -n '1,/^$/p')
+
+Given the path of another tree's ``solver.py`` (it imports only numpy),
+the script instead compares the two: it loads that file under the module
+name ``other_solver``, rebuilds each program as that module's
+``ConicProblem``, and alternates passes between the two solvers, so that
+drift in the machine's speed falls on both alike. It prints each program's
+status and iterations under both, and the median pass of each side by side:
+
+    python benchmarks/bench_solver.py other/src/ldpcopt/solver.py
 """
 
+import dataclasses
 import hashlib
+import importlib.util
 import resource
+import sys
 import time
 
 import numpy as np
@@ -72,8 +91,10 @@ LARGE_PROGRAMS = [(f"check6_eps048_dv{dv}", "lambda", {6: 1.0}, 0.48, dv)
 PHASES = {
     "scaling": [(solver._Scaling, "__init__")],
     "kkt": [(solver._KKT, "__init__")],
-    "directions": [(solver._KKT, "solve_normal"), (solver._Scaling, "_apply")],
+    "directions": [(solver._KKT, "direction"), (solver._Scaling, "unscale"),
+                   (solver._Scaling, "jordan_div"), (solver._Scaling, "jordan_mul")],
     "step": [(solver._Scaling, "max_step")],
+    "rows": [(solver._Rows, "dot"), (solver._Rows, "combine")],
 }
 
 
@@ -149,7 +170,55 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def load_solver(path):
+    """The solver module at ``path``, loaded as ``other_solver``."""
+    spec = importlib.util.spec_from_file_location("other_solver", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses look their module up while defined.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def rebuild(module, problem):
+    """``problem`` as the ``ConicProblem`` of another solver module."""
+    return module.ConicProblem(**{f.name: getattr(problem, f.name)
+                                  for f in dataclasses.fields(problem)})
+
+
+def compare(other):
+    """Alternate passes of this solver and ``other`` on every program and
+    print the median pass of each side by side."""
+    print(f"{'program':20s} {'status':>8s} {'other':>8s} {'iters':>5s} {'other':>5s} "
+          f"{'|d obj|':>8s} {'ms':>8s} {'other ms':>8s} {'ratio':>6s}")
+    sums = [0.0, 0.0]
+    for specs, n_passes in ((PROGRAMS, PASSES), (LARGE_PROGRAMS, LARGE_PASSES)):
+        for name, *spec in specs:
+            problem = build(*spec)
+            sides = [(solver, problem), (other, rebuild(other, problem))]
+            seconds, sols = ([], []), [None, None]
+            for i in range(n_passes):
+                # This solver first on even passes, the other first on odd.
+                for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                    module, prob = sides[side]
+                    t0 = time.perf_counter()
+                    sols[side] = module.solve(prob)
+                    seconds[side].append(time.perf_counter() - t0)
+            ms = [sorted(s)[len(s) // 2] * 1e3 for s in seconds]
+            sums = [a + b for a, b in zip(sums, ms)]
+            objs = [s.objective for s in sols]
+            shift = "-" if None in objs else f"{abs(objs[0] - objs[1]):8.1e}"
+            print(f"{name:20s} {sols[0].status:>8s} {sols[1].status:>8s} "
+                  f"{len(sols[0].history) - 1:5d} {len(sols[1].history) - 1:5d} "
+                  f"{shift:>8s} {ms[0]:8.2f} {ms[1]:8.2f} {ms[0] / ms[1]:6.3f}")
+    print(f"{'all (sum of medians)':20s} {'':>8s} {'':>8s} {'':>5s} {'':>5s} {'':>8s} "
+          f"{sums[0]:8.2f} {sums[1]:8.2f} {sums[0] / sums[1]:6.3f}")
+
+
 def main():
+    if len(sys.argv) > 1:
+        compare(load_solver(sys.argv[1]))
+        return
     # The large programs are built only once the standard ones are solved,
     # so that the first peak is theirs alone.
     problems, peaks = [], []

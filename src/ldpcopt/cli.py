@@ -237,7 +237,9 @@ def _optimize_common(args, kind: str) -> int:
     else:
         lam, rho = fixed, opt
     spec = EnsembleSpec(lam, rho, eps)
-    rate = max(design_rate(lam, rho), 0.0)
+    # A design below rate 0 is reported at 0, with its own rate beside it.
+    unclamped = design_rate(lam, rho)
+    rate = max(unclamped, 0.0)
     # The certificate proves the program's own constraint at the solver's
     # values; the reported taps are checked by the DE route.
     family = (sos.lambda_constraint_family if kind == "lambda"
@@ -254,6 +256,8 @@ def _optimize_common(args, kind: str) -> int:
         "duality_gap": solution.duality_gap,
         "eq_residual": solution.eq_residual,
     })
+    if rate != unclamped:
+        report["unclamped_rate"] = unclamped
     report["duration_seconds"] = time.perf_counter() - t0
     verified = report["certificate"]["psd_ok"] and \
         report["certificate"]["reconstruction_ok"] and report["de_check"]["feasible"]

@@ -23,29 +23,41 @@ matrix inner product is the dot product. A block costs O(d^3) per
 iteration: splitting one in halves (by a symmetry, left to the caller)
 costs a quarter.
 
+Inside the solver every cone vector (iterates, residuals, directions) is
+flat, ``[orthant | K x D x D stack]`` with the K blocks zero-padded to the
+largest dimension D, so that a block view is a reshape; svec appears only
+where ``c`` comes in and the solution goes out. The flat dot product is the
+svec one, and the dual residual is measured in the svec max-norm.
+
 No row is ever formed densely: every use of the rows is one of three
 products on the terms under a congruence R, with U = R' V: the values
 g_t u_t' W u_t, the matrix U diag(g y[rows]) U' and the Gram matrix
 (g g') o (U'U) o (U'U), each summed per row or pair of rows (PSD as a Schur
 product; DSDP forms its Schur matrix so, Benson, Ye & Zhang 2000). R = I
 gives A x and A' y, R the Nesterov-Todd factor the normal matrix, R a factor
-of X the first polish. The blocks are stacked, padded to the largest, so
-these products and the cone kernels are a few batched numpy calls whatever
-the number of blocks: one Cholesky call factors the X and Z of every block
-and one SVD call gives their Nesterov-Todd scalings, and one eigenvalue call
-serves each step search.
+of X the first polish. These products and the cone kernels are a few
+batched numpy calls on the stack whatever the number of blocks: one
+Cholesky call factors the X and Z of every block and one SVD call gives
+their Nesterov-Todd scalings, and one eigenvalue call serves each step
+search. Every block product is symmetrized, 0.5 (M + M').
 
 Algorithm
 ---------
 A primal-dual path-following method on the homogeneous self-dual embedding:
 Nesterov-Todd scaling, Mehrotra predictor-corrector steps, dense
-factorizations throughout. Every variable lies in a cone, so each search
-direction comes from the normal equations (A W'W A') dy = r, solved with one
-step of iterative refinement. Their matrix is the one Gram matrix factorized
-per iteration (as in SDPT3, Toh, Todd & Tutuncu 1999, and DSDP); its
-Cholesky factor is inverted once, when it is formed, so every solve with it
-is a matrix product. Boxed variables are shifted by their lower bounds into
-the nonnegative cone; infeasibility and unboundedness are certified from the
+factorizations throughout. Directions are solved for in the scaled space
+(Todd, Toh & Tutuncu 1998; Vandenberghe 2010): with W = R R' the NT
+scaling, R' Z R = R^-1 X R^-T = diag(lam), dx = R^-1 dX R^-T and dz = R' dZ
+R, the complementarity row lam o (dx + dz) = d_c is diagonal. dy solves the
+normal equations (Ghat' Ghat) dy = r, Ghat the rows under R, with one step
+of iterative refinement; then dx = Ghat dy + g - eta R' r_d R + dtau dx_1
+and dz = g - dx, with g = lam^-1 o d_c (-lam for the predictor). The step
+search and the corrector read dx and dz; only the accepted step is mapped
+back, dX = R dx R' and dZ from A' dy. The normal matrix is the one Gram
+matrix factorized per iteration (as in SDPT3, Toh, Todd & Tutuncu 1999, and
+DSDP); its Cholesky factor is inverted once, so every solve with it is a
+matrix product. Boxed variables are shifted by their lower bounds into the
+nonnegative cone; infeasibility and unboundedness are certified from the
 embedding (tau -> 0) rather than via a phase-1, and so is the outcome of a
 problem with no strictly feasible point (a face pinned by its equalities).
 Identical inputs produce identical iterate sequences.
@@ -57,9 +69,10 @@ unit, ends the solve, and the best iterate is returned (its message starts
 with ``best iterate returned:``). Its primal part is then polished by
 least-squares corrections that clear the equality residual, so the answer
 satisfies A x = b to rounding even when the iterates stalled just below the
-tolerance. The first weighs each block X by X itself (a correction X S X),
-so that nearly singular blocks stay PSD; the second, with unit block
-weights, clears what rounding leaves of the residual.
+tolerance. The first weighs each block X by X itself (a correction X S X);
+the second, with unit block weights, clears what rounding leaves of the
+residual. A correction that would leave the cone is halved until it does
+not.
 """
 
 from __future__ import annotations
@@ -103,8 +116,6 @@ def svec_dim(d: int) -> int:
 class _Gathers(NamedTuple):
     """Flat index maps between a d x d matrix and its svec."""
 
-    iu0: np.ndarray     # row i of each svec entry (i, j), i <= j
-    iu1: np.ndarray     # its column j
     tri: np.ndarray     # flat position of each svec entry (i, j), i <= j
     sc: np.ndarray      # svec scale: 1 on the diagonal, sqrt(2) off it
     full: np.ndarray    # svec index of every flat position
@@ -121,7 +132,7 @@ def _gathers(d: int) -> _Gathers:
     sc = np.where(iu0 == iu1, 1.0, _SQRT2)
     full = np.empty(d * d, dtype=np.intp)
     full[tri] = full[tri_t] = np.arange(tri.size)
-    maps = _Gathers(iu0, iu1, tri, sc, full, sc[full])
+    maps = _Gathers(tri, sc, full, sc[full])
     for a in maps:
         a.flags.writeable = False
     return maps
@@ -158,14 +169,17 @@ def _smat(v: np.ndarray, d: int) -> np.ndarray:
     """``smat`` of float64 svec data of dimension d, unchecked: the solver's
     own calls, whose slices match their blocks by construction."""
     g = _gathers(d)
-    # Divided by sqrt(2), not multiplied by its reciprocal: the two round
-    # differently, and the iterate sequence depends on the last bit.
     return (v[..., g.full] / g.dsc).reshape(v.shape[:-1] + (d, d))
 
 
 def _t(m: np.ndarray) -> np.ndarray:
     """The transposes of a stack of matrices."""
     return m.transpose(0, 2, 1)
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    """The symmetric parts of a stack of matrices."""
+    return 0.5 * (m + _t(m))
 
 
 def _block_slices(start: int, dims) -> list:
@@ -301,78 +315,71 @@ class ConicSolution:
 # ---------------------------------------------------------------------------
 
 class _Scaling:
-    """NT scaling of the whole cone; vectors are [orthant | svec blocks].
+    """NT scaling of the whole cone on the flat layout.
 
     On block k, W = R R' maps Z to X (W Z W = X), and R' Z R = R^{-1} X
-    R^{-T} = diag(lam). All blocks are scaled at once on the stack: X and Z
-    padded with the identity go through one Cholesky call, whose factor of
-    diag(X, I) is diag(L, I) exactly, and Lz' Lx padded with zeros through
-    one SVD call. Its singular values are positive on the block and zero on
-    the pad, so the pad's sort last and tie none of the block's (an identity
-    pad would tie a unit singular value, and the SVD could mix the two
-    coordinates); the factors' pads are then set to the identity.
+    R^{-T} = diag(lam); on the orthant w = sqrt(x / z) and lam = sqrt(x z).
+    ``lam`` is the scaled iterate (x and z alike), flat. All blocks are
+    scaled at once on the stack: X and Z padded with the identity go
+    through one Cholesky call, whose factor of diag(X, I) is diag(L, I)
+    exactly, and Lz' Lx padded with zeros through one SVD call. Its singular
+    values are positive on the block and zero on the pad, so the pad's sort
+    last and tie none of the block's (an identity pad would tie a unit
+    singular value, and the SVD could mix the two coordinates); the
+    factor's pad is then set to the identity.
     """
 
-    def __init__(self, core, xc: np.ndarray, zc: np.ndarray):
-        self.n_orth = n = core.n_orth
-        xo, zo = xc[:n], zc[:n]
-        self.w2 = xo / zo
-        self.w = np.sqrt(self.w2)
-        self.lam_orth = np.sqrt(xo * zo)
+    def __init__(self, core, x: np.ndarray, z: np.ndarray):
         self.core = core
-        # The factors, the eigenvalues lam (1 on the pad), their roots'
-        # outer products and the Jordan divisors 0.5 (lam_i + lam_j), stacked.
-        self.R = self.Rit = self.T = self.lam = self.root_outer = self.lam_mid = None
-        if core.blocks:
+        n = core.n_orth
+        self.w = np.sqrt(x[:n] / z[:n])
+        self.lam = np.zeros(core.m_c)
+        self.lam[:n] = np.sqrt(x[:n] * z[:n])
+        # The Jordan divisors, flat: lam on the orthant, 0.5 (lam_i + lam_j)
+        # on the blocks (lam is 1 on the pads). The factors and their
+        # eigenvalues' roots' outer products are stacked.
+        self.lam_mid = self.lam.copy()
+        self.R = self.root_outer = None
+        if core.n_blocks:
             eye = core.pad_eye
-            Lx, Lz = np.linalg.cholesky(core.stack(np.stack((xc, zc))) + eye)
-            u_mat, sv, vt = np.linalg.svd(_t(Lz) @ Lx - eye)
-            self.lam = sv + core.pad_diag
-            root = np.sqrt(self.lam)[:, None, :]
+            Lx, Lz = np.linalg.cholesky(core.blocks_of(np.stack((x, z))) + eye)
+            _, sv, vt = np.linalg.svd(_t(Lz) @ Lx - eye)
+            lam = sv + core.pad_diag
+            root = np.sqrt(lam)[:, None, :]
             self.R = np.where(core.in_block, (Lx @ _t(vt)) / root, eye)
-            self.Rit = np.where(core.in_block, (Lz @ u_mat) / root, eye)   # R^{-T}
-            self.T = self.R @ _t(self.R)
             self.root_outer = _t(root) * root
-            self.lam_mid = 0.5 * (self.lam[:, :, None] + self.lam[:, None, :])
+            core.blocks_of(self.lam_mid)[...] = 0.5 * (lam[:, :, None] + lam[:, None, :])
+            core.blocks_of(self.lam)[...] = core.blocks_of(core.unit) * lam[:, :, None]
 
-    def _apply(self, v: np.ndarray, orth, block) -> np.ndarray:
-        """``orth`` on the orthant part of v, ``block`` on its block stack."""
+    def _congruence(self, v: np.ndarray, left: bool) -> np.ndarray:
+        """w v on the orthant, R' M R (or R M R' if ``left``) on each block."""
         out = np.empty_like(v)
-        out[: self.n_orth] = orth(v[: self.n_orth])
+        out[: self.core.n_orth] = self.w * v[: self.core.n_orth]
         if self.R is not None:
-            out[self.n_orth:] = self.core.unstack(block(self.core.stack(v)))
+            R, m = self.R, self.core.blocks_of(v)
+            self.core.blocks_of(out)[...] = _sym(R @ m @ _t(R) if left else _t(R) @ m @ R)
         return out
 
-    def lam_sq(self) -> np.ndarray:
-        if self.R is None:
-            return self.lam_orth ** 2
-        diag = self.lam[:, :, None] ** 2 * np.eye(self.lam.shape[1])
-        return np.concatenate([self.lam_orth ** 2, self.core.unstack(diag)])
+    def scale(self, v: np.ndarray) -> np.ndarray:
+        """Dual-space data (c, r_d) in the scaled space: R' v R."""
+        return self._congruence(v, False)
 
-    def wsq_apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: self.w2 * vo, lambda m: self.T @ m @ self.T)
-
-    def winv_apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: vo / self.w,
-                           lambda m: self.Rit @ m @ _t(self.Rit))
-
-    def scale_x(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: vo / self.w,
-                           lambda m: _t(self.Rit) @ m @ self.Rit)
-
-    def scale_z(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: self.w * vo, lambda m: _t(self.R) @ m @ self.R)
+    def unscale(self, dx: np.ndarray) -> np.ndarray:
+        """A scaled primal direction in the primal space: R dx R'."""
+        return self._congruence(dx, True)
 
     def jordan_div(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, lambda vo: vo / self.lam_orth, lambda m: m / self.lam_mid)
+        """lam^{-1} o v: the solution u of the Jordan product lam o u = v."""
+        return v / self.lam_mid
 
     def jordan_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        def block(um):
-            vm = self.core.stack(v)
-            return 0.5 * (um @ vm + vm @ um)
-        return self._apply(u, lambda uo: uo * v[: self.n_orth], block)
+        out = u * v
+        if self.R is not None:
+            blocks = self.core.blocks_of
+            blocks(out)[...] = _sym(blocks(u) @ blocks(v))
+        return out
 
-    def max_step(self, dx_scaled: np.ndarray, dz_scaled: np.ndarray) -> float:
+    def max_step(self, dx: np.ndarray, dz: np.ndarray) -> float:
         """Largest step along both scaled directions that stays in the cone.
 
         The orthant takes a ratio test per direction, each block the
@@ -383,15 +390,15 @@ class _Scaling:
         1 / -min(lo) is the min over 1 / -lo to the bit, since a correctly
         rounded quotient is monotone in its divisor.
         """
-        n = self.n_orth
+        n = self.core.n_orth
         alpha = math.inf
-        for v in (dx_scaled, dz_scaled):
+        for v in (dx, dz):
             vo = v[:n]
             neg = vo < 0.0
             if neg.any():
-                alpha = min(alpha, float((self.lam_orth[neg] / -vo[neg]).min()))
+                alpha = min(alpha, float((self.lam[:n][neg] / -vo[neg]).min()))
         if self.R is not None:
-            g = self.core.stack(np.stack((dx_scaled, dz_scaled))) / self.root_outer
+            g = self.core.blocks_of(np.stack((dx, dz))) / self.root_outer
             lo = float(np.linalg.eigvalsh(g)[..., 0].min())
             if lo < 0.0:
                 alpha = min(alpha, 1.0 / -lo)
@@ -425,15 +432,20 @@ def _lower_mask(p: int) -> np.ndarray:
 
 
 def _inverse_gram_factor(gram: np.ndarray) -> Optional[np.ndarray]:
-    """Inverse Cholesky factor of a Gram matrix plus a small relative jitter,
-    or None if it cannot be factorized."""
+    """Inverse Cholesky factor of a Gram matrix, or None if it cannot be
+    factorized. A matrix that fails as it is is retried with a diagonal
+    shift, from 1e-14 of its mean diagonal up by factors of 100: a shift
+    tried first would bias every solve, and leave the part of a
+    least-squares right-hand side along the Gram's small eigenvalues
+    unsolved."""
     p = gram.shape[0]
-    jitter = 1e-12 * max(1.0, float(np.trace(gram)) / max(p, 1))
-    for _ in range(6):
+    scale = max(1.0, float(np.trace(gram)) / max(p, 1))
+    shift = 0.0
+    for _ in range(8):
         try:
-            return _tril_inverse(np.linalg.cholesky(gram + jitter * np.eye(p)))
+            return _tril_inverse(np.linalg.cholesky(gram + shift * np.eye(p)))
         except np.linalg.LinAlgError:
-            jitter *= 100.0
+            shift = shift * 100.0 if shift else scale * 1e-14
     return None
 
 
@@ -451,8 +463,8 @@ class _Rows:
     def dot(self, v: np.ndarray) -> np.ndarray:
         core = self.core
         out = self.orth.T @ v[: core.n_orth]
-        if core.blocks:
-            vals = np.einsum("kit,kit->kt", self.Ug, core.stack(v) @ self.U)
+        if core.n_blocks:
+            vals = np.einsum("kit,kit->kt", self.Ug, core.blocks_of(v) @ self.U)
             out += np.bincount(core.term_rows.ravel(), vals.ravel(), out.size)
         return out
 
@@ -460,14 +472,14 @@ class _Rows:
         core = self.core
         out = np.empty(core.m_c)
         out[: core.n_orth] = self.orth @ y
-        if core.blocks:
-            out[core.n_orth:] = core.unstack(
+        if core.n_blocks:
+            core.blocks_of(out)[...] = _sym(
                 (self.Ug * y[core.term_rows][:, None, :]) @ _t(self.U))
         return out
 
     def gram(self) -> np.ndarray:
         out = self.orth.T @ self.orth
-        if self.core.blocks:
+        if self.core.n_blocks:
             m = _t(self.Ug) @ self.U
             out += np.bincount(self.core.pairs, (m * _t(m)).ravel(),
                                out.size).reshape(out.shape)
@@ -475,37 +487,33 @@ class _Rows:
 
 
 class _KKT:
-    """Per-iteration factorization of the reduced system. The normal matrix
-    phi = Ghat' Ghat, the Gram matrix of the rows under the NT scaling, is
-    PSD by construction, and quadratic forms in phi^{-1} are explicit
-    squared norms (they set the sign of the tau-step denominator and must
-    never go negative through cancellation)."""
+    """The linearized embedding at one iterate (x, y, z, tau, kappa) with
+    residuals r_p, r_d and r_g, solved in the scaled space of ``scaling``
+    (module docstring). Its one factorization is of the normal matrix
+    phi = Ghat' Ghat, the Gram matrix of the rows under the NT scaling. It
+    is PSD by construction, and quadratic forms in phi^{-1} are explicit
+    squared norms (they set the sign of the tau-step denominator ``denom``
+    and must never go negative through cancellation)."""
 
-    def __init__(self, core, scaling: _Scaling):
-        p = core.b.size
+    def __init__(self, core, scaling: _Scaling, tau, kappa, r_p, r_d, r_g):
         self.rows = _Rows(core, core.A.T * scaling.w[:, None], scaling.R)
-        self.chat = scaling.scale_z(core.c)
-        self.g_chat = self.rows.dot(self.chat)
+        self.chat = scaling.scale(core.c)
+        g_chat = self.rows.dot(self.chat)
         phi = self.rows.gram()
-        self.phi = phi = 0.5 * (phi + phi.T)
-        scale = max(1.0, float(np.trace(phi)) / max(p, 1))
-        shift = 0.0
-        for _ in range(8):
-            try:
-                chol = np.linalg.cholesky(phi + shift * np.eye(p))
-                break
-            except np.linalg.LinAlgError:
-                shift = shift * 100.0 if shift else scale * 1e-14
-        else:
+        self.phi = 0.5 * (phi + phi.T)
+        self.chol_inv = _inverse_gram_factor(self.phi)
+        if self.chol_inv is None:
             raise _NumericalFailure("KKT matrix could not be factorized")
-        self.chol_inv = _tril_inverse(chol)
-
-    def tau_denominator_part(self, b: np.ndarray) -> float:
-        """b' phi^{-1} b + || (I - P) W c ||^2 with P the projector onto
-        range(Ghat); both terms are squared norms, hence nonnegative."""
-        t1 = self.chol_inv @ b
-        resid = self.chat - self.rows.combine(self._chol_solve(self.g_chat))
-        return float(t1 @ t1 + resid @ resid)
+        self.b, self.tau, self.kappa, self.r_p, self.r_g = core.b, tau, kappa, r_p, r_g
+        self.rd_scaled = scaling.scale(r_d)
+        # The direction per unit dtau, and the denominator of dtau:
+        # b' phi^{-1} b + || (I - P) chat ||^2 + kappa / tau, with P the
+        # projector onto range(Ghat).
+        self.dy1 = self.solve_normal(g_chat + core.b)
+        self.dx1 = self.rows.combine(self.dy1) - self.chat
+        t1 = self.chol_inv @ core.b
+        resid = self.chat - self.rows.combine(self._chol_solve(g_chat))
+        self.denom = float(t1 @ t1 + resid @ resid) + kappa / tau
 
     def _chol_solve(self, rhs):
         return self.chol_inv.T @ (self.chol_inv @ rhs)
@@ -516,69 +524,87 @@ class _KKT:
         dy += self._chol_solve(u - self.phi @ dy)
         return dy
 
+    def direction(self, eta: float, g: np.ndarray, d_tk: float):
+        """The scaled (dx, dz) with dx + dz = g, and dy, dtau and dkappa,
+        for the right-hand sides eta r and (g, d_tk) of the complementarity
+        rows (g = lam^{-1} o d_c)."""
+        w1 = g - eta * self.rd_scaled
+        dy0 = self.solve_normal(-eta * self.r_p - self.rows.dot(w1))
+        dx0 = self.rows.combine(dy0) + w1
+        val0 = float(self.b @ dy0 - self.chat @ dx0)
+        dtau = (-eta * self.r_g + d_tk / self.tau - val0) / self.denom
+        dx = dx0 + dtau * self.dx1
+        return (dx, g - dx, dy0 + dtau * self.dy1, dtau,
+                (d_tk - self.kappa * dtau) / self.tau)
+
 
 class _Core:
     """The problem as the interior point takes it: minimize c @ x over the
-    orthant times the PSD blocks, each boxed scalar shifted to x - lo >= 0."""
+    orthant times the PSD blocks, each boxed scalar shifted to x - lo >= 0,
+    with every cone vector on the flat layout ``[orthant | K x D x D]``."""
 
     def __init__(self, prob: ConicProblem):
         self.sign = 1.0 if prob.sense == "min" else -1.0
-        self.c = self.sign * prob.c
         # Fortran order: BLAS sums a matrix product in an order that depends
         # on the layout, and the iterates are pinned to this one.
         self.A = np.asfortranarray(prob.A)
         box = slice(prob.n_nonneg, prob.n_scalars)
         self.b = prob.b - prob.A[:, box] @ prob.box_lo
-        self.n_orth = prob.n_scalars
-        self.blocks = _block_slices(self.n_orth, prob.psd_dims)
-        self.m_c = prob.n_cols
-        self.nu = self.n_orth + sum(prob.psd_dims) + 1
-        self.unit = np.ones(self.m_c)
+        self.n_orth = n = prob.n_scalars
+        self.dims = prob.psd_dims
+        p, K, D = self.b.size, len(self.dims), prob.psd_dim
+        self.n_blocks, self.shape = K, (K, D, D)
+        self.m_c = n + K * D * D
+        self.nu = n + sum(self.dims) + 1
         # The K blocks' terms zero-padded to D coordinates and T terms (g = 0
-        # pads them, so no sum changes), and gathers between svec and (K, D, D).
-        p, K, D = self.b.size, len(self.blocks), prob.psd_dim
+        # pads them, so no sum changes).
         T = max((g.size for _, g, _ in prob.psd_rows), default=0)
         self.V, self.g = np.zeros((K, D, T)), np.zeros((K, T))
         self.term_rows = np.zeros((K, T), np.intp)
-        self.to_stack = np.zeros((K, D, D), np.intp)
-        self.stack_div = np.full((K, D, D), math.inf)
-        self.from_stack = np.empty((2, self.m_c - self.n_orth), np.intp)
-        self.svec_scale = np.empty(self.m_c - self.n_orth)
-        for k, ((d, sl), (rows, g, V)) in enumerate(zip(self.blocks, prob.psd_rows)):
-            gt, psd = _gathers(d), slice(sl.start - self.n_orth, sl.stop - self.n_orth)
-            self.unit[sl] = svec(np.eye(d))
+        self.in_block = np.zeros(self.shape, bool)
+        from_svec = [np.arange(n)]
+        for k, ((d, sl), (rows, g, V)) in enumerate(zip(_block_slices(n, self.dims),
+                                                         prob.psd_rows)):
             self.V[k, :d, : g.size], self.g[k, : g.size] = V, g
             self.term_rows[k, : g.size] = rows
-            self.to_stack[k, :d, :d] = sl.start + gt.full.reshape(d, d)
-            self.stack_div[k, :d, :d] = gt.dsc.reshape(d, d)
-            self.from_stack[:, psd] = ((k * D + gt.iu0) * D + gt.iu1,
-                                       (k * D + gt.iu1) * D + gt.iu0)
-            self.svec_scale[psd] = 0.5 * gt.sc
+            self.in_block[k, :d, :d] = True
+            from_svec.append(sl.start + _gathers(d).full)
         self.pairs = (self.term_rows[:, :, None] * p + self.term_rows[:, None, :]).ravel()
-        # Where the stack holds a block, and the identity on its pad.
-        self.in_block = self.stack_div != math.inf
-        self.pad_eye = np.where(self.in_block, 0.0, np.eye(D))
+        # The boundary gathers: the flat positions that hold svec data, and
+        # the flat position of every svec coordinate (an upper triangle's).
+        eye = np.eye(D)
+        upper = self.in_block & np.triu(np.ones((D, D), bool))
+        self.at = np.concatenate([np.arange(n), n + np.flatnonzero(self.in_block)])
+        self.to_svec = np.concatenate([np.arange(n), n + np.flatnonzero(upper)])
+        self.from_svec = np.concatenate(from_svec)
+        # The identity on the pads, the unit of the cone and the weight of
+        # each flat entry in the svec max-norm.
+        self.pad_eye = np.where(self.in_block, 0.0, eye)
         self.pad_diag = self.pad_eye.diagonal(axis1=1, axis2=2)
+        self.unit = np.concatenate([np.ones(n), (eye - self.pad_eye).ravel()])
+        self.svec_weight = np.concatenate([np.ones(n), np.where(
+            self.in_block, np.where(eye == 1.0, 1.0, _SQRT2), 0.0).ravel()])
+        self.c = self.sign * self.flat(prob.c)
 
-    def stack(self, v: np.ndarray) -> np.ndarray:
-        """The (K, D, D) stack of the block matrices of svec data v, or one
-        per vector along v's leading axes, zero-padded (divided by inf).
-        Divided by sqrt(2) as ``_smat`` divides: an ulp in the scaling's
-        input can move a degenerate program's iterates across the
-        tolerance."""
-        return v[..., self.to_stack] / self.stack_div
+    def blocks_of(self, v: np.ndarray) -> np.ndarray:
+        """The (K, D, D) block view of flat data v, or one per vector along
+        v's leading axes: a reshape, writable when v is."""
+        return v[..., self.n_orth:].reshape(v.shape[:-1] + self.shape)
 
-    def unstack(self, m: np.ndarray) -> np.ndarray:
-        """The svec data of the symmetric parts of a stack of block matrices."""
-        f = m.ravel()
-        return (f[self.from_stack[0]] + f[self.from_stack[1]]) * self.svec_scale
-
-    def pad(self, mats) -> np.ndarray:
-        """Per-block d x d matrices stacked as the blocks are, zero-padded."""
-        out = np.zeros(self.stack_div.shape)
-        for k, m in enumerate(mats):
-            out[k, : m.shape[0], : m.shape[1]] = m
+    def flat(self, v: np.ndarray) -> np.ndarray:
+        """svec data on the flat layout, zero-padded; off-diagonals are
+        divided by sqrt(2), as ``smat`` divides them."""
+        out = np.zeros(self.m_c)
+        out[self.at] = v[self.from_svec] / self.svec_weight[self.at]
         return out
+
+    def svec(self, v: np.ndarray) -> np.ndarray:
+        """Flat data as svec: the upper triangle of each block, scaled."""
+        return v[self.to_svec] * self.svec_weight[self.to_svec]
+
+    def svec_max(self, v: np.ndarray) -> float:
+        """The max-norm of svec(v), without forming it."""
+        return float(np.max(np.abs(v) * self.svec_weight, initial=0.0))
 
     def polish(self, x: np.ndarray) -> np.ndarray:
         """Return the interior point x with its equality residual cleared.
@@ -588,36 +614,47 @@ class _Core:
         weighs the blocks and the orthant by x itself (``_polish_in_range``),
         the second orthant coordinate i by min(x_i, 1) and the blocks by one,
         clearing what rounding leaves for the certificate's node residuals.
+        Neither may leave the cone: each is halved until it stays inside.
         """
         if self.b.size == 0:
             return x
         root = np.sqrt(np.minimum(x[: self.n_orth], 1.0))
-        if self.blocks:
-            x = self._polish_in_range(x)
+        if self.n_blocks:
+            x = self._inside(x, self._polish_in_range(x))
         step = self._least_squares_step(_Rows(self, (self.A * root).T), x)
-        if step is None:
-            return x
-        step[: self.n_orth] *= root
-        return x + step
+        if step is not None:
+            step[: self.n_orth] *= root
+        return self._inside(x, step)
 
-    def _polish_in_range(self, x: np.ndarray) -> np.ndarray:
+    def _polish_in_range(self, x: np.ndarray) -> Optional[np.ndarray]:
         """The correction of ``polish`` that moves each block X by X S X,
         with S a combination of the rows' constraint matrices. It is formed
         as R (R' S R) R' from a factor R R' = X, so a nearly singular block
-        moves only along its range and stays PSD. Orthant coordinate i is
-        the 1 x 1 block w_i = min(x_i, 1) and moves by w_i s_i w_i."""
+        moves only along its range. Orthant coordinate i is the 1 x 1 block
+        w_i = min(x_i, 1) and moves by w_i s_i w_i."""
         w = np.minimum(x[: self.n_orth], 1.0)
-        factors = []
-        for d, sl in self.blocks:
-            lam, vecs = np.linalg.eigh(_smat(x[sl], d))
-            factors.append(vecs * np.sqrt(np.maximum(lam, 0.0)))
-        R = self.pad(factors)
+        R = np.zeros(self.shape)
+        for k, (d, m) in enumerate(zip(self.dims, self.blocks_of(x))):
+            lam, vecs = np.linalg.eigh(m[:d, :d])
+            R[k, :d, :d] = vecs * np.sqrt(np.maximum(lam, 0.0))
         step = self._least_squares_step(_Rows(self, self.A.T * w[:, None], R), x)
-        if step is None:
-            return x
-        x = x.copy()
-        x[: self.n_orth] += w * step[: self.n_orth]
-        x[self.n_orth:] += self.unstack(R @ self.stack(step) @ _t(R))
+        if step is not None:
+            step[: self.n_orth] *= w
+            self.blocks_of(step)[...] = _sym(R @ self.blocks_of(step) @ _t(R))
+        return step
+
+    def _inside(self, x: np.ndarray, step: Optional[np.ndarray]) -> np.ndarray:
+        """x + t step for the largest t in 1, 1/2, ..., 2^-30 that stays in
+        the cone, or x (also when there is no step). The blocks' least
+        eigenvalues come from one call on the stack with identity pads."""
+        for _ in range(0 if step is None else 31):
+            trial = x + step
+            lo = trial[: self.n_orth].min(initial=0.0)
+            if self.n_blocks:
+                lo = min(lo, np.linalg.eigvalsh(self.blocks_of(trial) + self.pad_eye).min())
+            if lo >= 0.0:
+                return trial
+            step = 0.5 * step
         return x
 
     def _least_squares_step(self, rows: _Rows, x: np.ndarray) -> Optional[np.ndarray]:
@@ -686,7 +723,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         dobj = float(core.b @ y / tau)
         compl = float(x @ z + tau * kappa)
         pres = float(np.abs(r_p).max(initial=0.0) / tau)
-        dres = float(np.abs(r_d).max(initial=0.0) / tau)
+        dres = core.svec_max(r_d) / tau
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         record(it, pobj, dobj, compl, pres, dres)
 
@@ -717,7 +754,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         if by > 0.0:
             cert = -aty
             cert -= z
-            if np.max(np.abs(cert), initial=0.0) <= tol * by:
+            if core.svec_max(cert) <= tol * by:
                 return _HsdResult("infeasible", None, None, math.inf, pres, it,
                                   tuple(history), "primal infeasibility certificate found")
         cx = float(core.c @ x)
@@ -731,67 +768,50 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
 
         try:
             scal = _Scaling(core, x, z)
-            kkt = _KKT(core, scal)
+            kkt = _KKT(core, scal, tau, kappa, r_p, r_d, r_g)
         except (np.linalg.LinAlgError, _NumericalFailure) as exc:
             return _from_best(best, best_merit, tol, history,
                               f"scaling/factorization failed: {exc}")
-
-        mu = compl / nu
-
-        dy1 = kkt.solve_normal(kkt.g_chat + core.b)
-        dx1 = scal.wsq_apply(a_rows.combine(dy1) - core.c)
-        denom = kkt.tau_denominator_part(core.b) + kappa / tau
-        if not np.isfinite(denom) or denom <= 0.0:
+        if not np.isfinite(kkt.denom) or kkt.denom <= 0.0:
             return _from_best(best, best_merit, tol, history,
                               "degenerate step equation")
+        mu = compl / nu
 
-        def direction(eta, d_c, d_tk):
-            g = scal.jordan_div(d_c)
-            w1 = scal.winv_apply(g) - eta * r_d
-            dy0 = kkt.solve_normal(-eta * r_p - kkt.rows.dot(scal.scale_z(w1)))
-            dx0 = scal.wsq_apply(a_rows.combine(dy0) + w1)
-            val0 = float(core.b @ dy0 - core.c @ dx0)
-            dtau = (-eta * r_g + d_tk / tau - val0) / denom
-            dy = dy0 + dtau * dy1
-            dx = dx0 + dtau * dx1
-            dz = -a_rows.combine(dy) + core.c * dtau + eta * r_d
-            dkappa = (d_tk - kappa * dtau) / tau
-            return dx, dy, dz, dtau, dkappa
-
-        def max_step(dx_scaled, dz_scaled, dtau, dkappa):
-            alpha = scal.max_step(dx_scaled, dz_scaled)
+        def max_step(dx, dz, dtau, dkappa):
+            alpha = scal.max_step(dx, dz)
             if dtau < 0.0:
                 alpha = min(alpha, tau / -dtau)
             if dkappa < 0.0:
                 alpha = min(alpha, kappa / -dkappa)
             return alpha
 
-        lam_sq = scal.lam_sq()
-        # Predictor (affine) step.
-        dx_a, _, dz_a, dtau_a, dkappa_a = direction(1.0, -lam_sq, -tau * kappa)
-        dxs_a, dzs_a = scal.scale_x(dx_a), scal.scale_z(dz_a)
-        alpha_aff = min(1.0, max_step(dxs_a, dzs_a, dtau_a, dkappa_a))
+        # Directions are solved for in the scaled space, where x and z are
+        # both lam. Predictor (affine) step: d_c = -lam o lam, so g = -lam.
+        lam = scal.lam
+        dx_a, dz_a, _, dtau_a, dkappa_a = kkt.direction(1.0, -lam, -tau * kappa)
+        alpha_aff = min(1.0, max_step(dx_a, dz_a, dtau_a, dkappa_a))
         mu_aff = (
-            (x + alpha_aff * dx_a) @ (z + alpha_aff * dz_a)
+            (lam + alpha_aff * dx_a) @ (lam + alpha_aff * dz_a)
             + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkappa_a)
         ) / nu
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
 
         # Combined centering-corrector step.
-        corr = scal.jordan_mul(dxs_a, dzs_a)
-        d_c = sigma * mu * core.unit - lam_sq - corr
+        d_c = sigma * mu * core.unit - lam * lam - scal.jordan_mul(dx_a, dz_a)
         d_tk = sigma * mu - tau * kappa - dtau_a * dkappa_a
-        dx, dy, dz, dtau, dkappa = direction(1.0 - sigma, d_c, d_tk)
+        eta = 1.0 - sigma
+        dx, dz, dy, dtau, dkappa = kkt.direction(eta, scal.jordan_div(d_c), d_tk)
 
-        alpha = min(1.0, _STEP_FRACTION * max_step(
-            scal.scale_x(dx), scal.scale_z(dz), dtau, dkappa))
+        alpha = min(1.0, _STEP_FRACTION * max_step(dx, dz, dtau, dkappa))
         if alpha < _MIN_STEP:
             return _from_best(best, best_merit, tol, history,
                               "step length collapsed")
 
-        x += alpha * dx
+        # Only the accepted step leaves the scaled space; dZ comes from the
+        # dual equality, so that r_d shrinks by the factor 1 - alpha eta.
+        x += alpha * scal.unscale(dx)
+        z += alpha * (core.c * dtau + eta * r_d - a_rows.combine(dy))
         y += alpha * dy
-        z += alpha * dz
         tau += alpha * dtau
         kappa += alpha * dkappa
         step_taken = alpha
@@ -827,21 +847,15 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
 
 
 def _finalize_optimal(problem, core, res, x, y, tol):
+    """Check the flat answer x and return it as svec data."""
     ax = _Rows(core, problem.A.T).dot(x)
     eq_residual = float(np.max(np.abs(ax - problem.b), initial=0.0))
-    objective = float(problem.c @ x + problem.offset)
     min_eig = None
     checks_ok = eq_residual <= tol * (1.0 + np.max(np.abs(problem.b), initial=0.0)) * 1.01
-    ns = problem.n_scalars
-    nn, nb = problem.n_nonneg, problem.n_box
-    if nn:
-        checks_ok &= float(np.min(x[:nn])) >= -1e-9
-    if nb:
-        seg = x[nn: ns]
-        checks_ok &= bool(np.all(seg >= problem.box_lo - 1e-9))
+    nn, ns = problem.n_nonneg, problem.n_scalars
+    checks_ok &= bool(np.all(x[:nn] >= -1e-9) and np.all(x[nn:ns] >= problem.box_lo - 1e-9))
     # One eigenvalue floor for the block-diagonal matrix of all blocks.
-    eigs = [np.linalg.eigvalsh(_smat(x[sl], d))
-            for d, sl in _block_slices(ns, problem.psd_dims)]
+    eigs = [np.linalg.eigvalsh(m[:d, :d]) for d, m in zip(core.dims, core.blocks_of(x))]
     if eigs:
         min_eig = float(min(e[0] for e in eigs))
         checks_ok &= min_eig >= -1e-9 * (1.0 + float(max(e[-1] for e in eigs)))
@@ -849,8 +863,8 @@ def _finalize_optimal(problem, core, res, x, y, tol):
         return ConicSolution(
             "numerical-failure", None, None, res.gap, eq_residual, res.iterations,
             message="post-hoc constraint check failed", history=res.history)
+    x = core.svec(x)
     return ConicSolution(
-        "optimal", x, objective, res.gap, eq_residual, res.iterations,
-        psd_min_eig=min_eig, y=y,
+        "optimal", x, float(problem.c @ x + problem.offset), res.gap, eq_residual,
+        res.iterations, psd_min_eig=min_eig, y=y,
         message=res.message, history=res.history)
-

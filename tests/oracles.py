@@ -3,10 +3,11 @@
 Each is written without the code path it checks: the multinomial theorem
 against ``powers``, the expanded decoding polynomial ``de_polynomial``
 against the composed lambda family of ``sos`` (and a binomial closed form
-against it), and the dense svec constraint columns ``dense_congruence``
-against the solver's products on rank-one PSD terms. The monomial arithmetic below (sums, products, powers,
-composition) has no caller in the library, which evaluates everything in
-composed form.
+against it), the dense svec constraint columns ``dense_congruence``
+against the solver's products on rank-one PSD terms, and the dense Newton
+system ``newton_residuals`` against the solver's scaled directions. The
+monomial arithmetic below (sums, products, powers, composition) has no
+caller in the library, which evaluates everything in composed form.
 """
 
 import math
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ldpcopt.poly import Polynomial
-from ldpcopt.solver import svec
+from ldpcopt.solver import smat, svec
 
 # The constant term of the expanded decoding polynomial is floating residue
 # of rho(1) = 1 and must stay below this before it is zeroed.
@@ -152,6 +153,67 @@ def dense_congruence(problem, w_orth, factors=None) -> np.ndarray:
             mats = factors[k].T @ mats @ factors[k]
         cols.append(svec(0.5 * (mats + mats.transpose(0, 2, 1))).T)
     return np.vstack(cols)
+
+
+def _sqrtm(m: np.ndarray) -> np.ndarray:
+    lam, q = np.linalg.eigh(m)
+    return (q * np.sqrt(lam)) @ q.T
+
+
+def nt_point(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The Nesterov-Todd scaling point W = X^1/2 (X^1/2 Z X^1/2)^-1/2 X^1/2
+    of two positive definite matrices, the one with W Z W = X, from
+    eigendecompositions."""
+    xh = _sqrtm(X)
+    lam, q = np.linalg.eigh(xh @ Z @ xh)
+    return xh @ ((q / np.sqrt(lam)) @ q.T) @ xh
+
+
+def newton_residuals(A, b, c, n_scalars, dims, point, step, eta, sigma_mu) -> dict:
+    """Relative residuals of the Newton system of the homogeneous self-dual
+    embedding with Nesterov-Todd scaling, written out densely in svec.
+
+    ``A`` is the constraint matrix over svec columns, ``point`` = (x, y, z,
+    tau, kappa) and ``step`` = (dX, dy, W dZ W, dtau, dkappa), with x, z,
+    dX and W dZ W as svec data. W is this oracle's own scaling point: x / z
+    on the scalars and ``nt_point`` on each block; dZ is recovered from
+    W dZ W with it. The rows are
+
+        primal           A dX - b dtau = -eta (A x - b tau)
+        dual             A' dy + dZ - c dtau = eta (c tau - A' y - z)
+        gap              b' dy - c' dX - dkappa = -eta (b' y - c' x - kappa)
+        complementarity  dX + W dZ W = sigma_mu Z^-1 - X
+        tau-kappa        kappa dtau + tau dkappa = sigma_mu - tau kappa
+
+    and each residual is divided by the largest magnitude among its terms.
+    """
+    x, y, z, tau, kappa = point
+    dx, dy, wdzw, dtau, dkappa = step
+    n = n_scalars
+    dz, target = np.empty_like(wdzw), np.empty_like(x)
+    dz[:n] = wdzw[:n] * z[:n] / x[:n]
+    target[:n] = sigma_mu / z[:n] - x[:n]
+    start = n
+    for d in dims:
+        sl = slice(start, start + d * (d + 1) // 2)
+        start = sl.stop
+        X, Z = smat(x[sl], d), smat(z[sl], d)
+        w_inv = np.linalg.inv(nt_point(X, Z))
+        dz[sl] = svec(w_inv @ smat(wdzw[sl], d) @ w_inv)
+        target[sl] = svec(sigma_mu * np.linalg.inv(Z) - X)
+    rows = {
+        "primal": ([A @ dx, -b * dtau], -eta * (A @ x - b * tau)),
+        "dual": ([A.T @ dy, dz, -c * dtau], eta * (c * tau - A.T @ y - z)),
+        "gap": ([b @ dy, -c @ dx, -dkappa], -eta * (b @ y - c @ x - kappa)),
+        "complementarity": ([dx, wdzw], target),
+        "tau-kappa": ([kappa * dtau, tau * dkappa], sigma_mu - tau * kappa),
+    }
+    out = {}
+    for name, (terms, rhs) in rows.items():
+        terms = [np.atleast_1d(t) for t in terms + [rhs]]
+        scale = max(float(np.max(np.abs(t), initial=0.0)) for t in terms)
+        out[name] = float(np.max(np.abs(sum(terms[:-1]) - terms[-1]))) / scale
+    return out
 
 
 def critical_points_64(slopes, scan_points: int) -> list:

@@ -201,7 +201,7 @@ def test_a08_threshold_cross_validation():
     rng = np.random.default_rng(42)
     worst = 0.0
     t0 = time.perf_counter()
-    for trial in range(20):
+    for trial in range(200):
         lam = random_distribution(rng, int(rng.integers(3, 8)))
         rho = random_distribution(rng, int(rng.integers(3, 8)))
         prob = build_threshold_problem(lam, rho)
@@ -224,7 +224,7 @@ def test_a08_threshold_cross_validation():
         assert value == pytest.approx(0.4294, abs=1e-3)
         assert value == pytest.approx(oracle, abs=1e-3)
     elapsed = time.perf_counter() - t0
-    print(f"[PASS] A8 thresholds: 20 random ensembles agree within {worst:.1e} "
+    print(f"[PASS] A8 thresholds: 200 random ensembles agree within {worst:.1e} "
           f"(<= 1e-6); regular pair sdp {eps_sdp:.5f} / bisect {eps_bis:.5f} "
           f"vs scan {oracle:.5f}, {elapsed:.0f}s")
 

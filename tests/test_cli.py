@@ -39,6 +39,27 @@ def test_optimize_lambda_reference(capsys):
     assert report["de_check"]["feasible"]
 
 
+def test_negative_design_rate_is_reported_beside_the_clamp(capsys):
+    # Degree-3 checks at eps = 0.9 decode only designs of negative rate,
+    # 1 - (1/3) / 0.30620 = -0.089: `rate` stays clamped at 0, and the
+    # report says so with the design's own rate.
+    code, out, _ = run_cli(
+        capsys, "optimize-lambda", "--rho", '{"3": 1.0}',
+        "--epsilon", "0.9", "--max-var-degree", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "optimal"
+    assert report["rate"] == 0.0 and report["delta"] == 1.0
+    assert report["unclamped_rate"] == pytest.approx(
+        1.0 - (1.0 / 3.0) / report["objective"], abs=1e-12)
+    assert report["unclamped_rate"] == pytest.approx(-0.0886, abs=1e-4)
+    # A design of positive rate carries no such field.
+    code, out, _ = run_cli(
+        capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
+        "--epsilon", "0.49", "--max-var-degree", "7")
+    assert code == 0 and "unclamped_rate" not in json.loads(out)
+
+
 def test_optimize_lambda_degenerate_epsilon(capsys):
     code, out, _ = run_cli(
         capsys, "optimize-lambda", "--rho", '{"2": 1.0}',

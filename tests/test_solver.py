@@ -21,7 +21,7 @@ from ldpcopt.solver import (
 from ldpcopt.sos import build_lambda_problem, build_threshold_problem
 
 from conftest import REFERENCE_DESIGNS, TWO_TAP_DESIGN, random_distribution
-from oracles import dense_congruence
+from oracles import dense_congruence, newton_residuals
 
 
 def terms(*entries):
@@ -375,6 +375,13 @@ def test_optimal_sos_solve_is_polished():
     sol = solve(reference_lambda_problem("check6_eps049"))
     assert sol.status == "optimal"
     assert sol.eq_residual <= 1e-12
+    # The polish keeps every block PSD: here both blocks of the best
+    # iterate have least eigenvalues near 1.4e-10, which a unit-weight
+    # correction once pushed below zero.
+    sol = solve(build_lambda_problem(DegreeDistribution({5: 1.0}), 0.56, 6))
+    assert sol.status == "optimal"
+    assert sol.eq_residual <= 1e-12
+    assert sol.psd_min_eig >= 0.0
 
 
 def test_dual_has_one_entry_per_row():
@@ -424,10 +431,11 @@ def test_converged_solve_stops_when_progress_stalls():
             best = min(best, merit)
 
 
-def _random_interior(rng, core):
-    v = np.empty(core.m_c)
-    v[:core.n_orth] = rng.uniform(0.5, 2.0, core.n_orth)
-    for d, sl in core.blocks:
+def _random_interior(rng, problem):
+    """A random point inside the cone, as svec data."""
+    v = np.empty(problem.n_cols)
+    v[:problem.n_scalars] = rng.uniform(0.5, 2.0, problem.n_scalars)
+    for d, sl in solver._block_slices(problem.n_scalars, problem.psd_dims):
         g = rng.normal(size=(d, d))
         v[sl] = svec(g @ g.T + np.eye(d))
     return v
@@ -450,17 +458,29 @@ def _random_terms_problem(rng, p=None):
                         n_nonneg=n_scalars, psd_dims=dims, psd_rows=tuple(psd_rows))
 
 
+def _close(got, want, rel=1e-12):
+    scale = max(1.0, np.max(np.abs(want), initial=0.0))
+    return np.max(np.abs(got - want), initial=0.0) <= rel * scale
+
+
 def _assert_rows_match_dense(problem, rng, w, factors):
     core = solver._Core(problem)
-    rows = solver._Rows(core, core.A.T * w[:, None],
-                        None if factors is None else core.pad(factors))
+    stack = None
+    if factors is not None:
+        stack = np.zeros(core.shape)   # the factors zero-padded, as the blocks are
+        for k, f in enumerate(factors):
+            stack[k, :f.shape[0], :f.shape[1]] = f
+    rows = solver._Rows(core, core.A.T * w[:, None], stack)
     dense = dense_congruence(problem, w, factors)
-    v, y = rng.normal(size=core.m_c), rng.normal(size=problem.b.size)
-    for got, want in ((rows.dot(v), dense.T @ v), (rows.combine(y), dense @ y),
-                      (rows.gram(), dense.T @ dense)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    v, y = rng.normal(size=problem.n_cols), rng.normal(size=problem.b.size)
+    # G' v on the flat layout of v, G y on the flat layout of the reference
+    # (symmetric blocks, zero pads).
+    flat_v = core.flat(v)
+    for got, want in ((rows.dot(flat_v), dense.T @ v), (rows.gram(), dense.T @ dense)):
+        assert _close(got, want)
+    assert _close(rows.combine(y), core.flat(dense @ y))
     # The adjoint identity <G'v, y> = <v, G y>.
-    lhs, rhs = rows.dot(v) @ y, v @ rows.combine(y)
+    lhs, rhs = rows.dot(flat_v) @ y, flat_v @ rows.combine(y)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(v) @ np.abs(dense @ y))
 
 
@@ -484,60 +504,75 @@ def test_block_row_operations_on_sos_problem(rng):
                              [rng.normal(size=(d, d)) for d in problem.psd_dims])
 
 
-def _block_scalings(core, xc, zc):
-    """The NT scaling of each block on its own d x d matrices, one Cholesky
-    pair and one SVD per block: (d, slice, R, R^{-T}, lam) per block (the
-    reference for the stacked scaling)."""
+def test_flat_layout_round_trip(rng):
+    # svec data goes onto the flat layout as symmetric blocks with zero
+    # pads and comes back within an ulp (off-diagonals are divided by
+    # sqrt(2) and multiplied back); flat dot products and the max-norm are
+    # the svec ones.
+    for problem in (_random_terms_problem(rng), reference_lambda_problem("check7_eps038")):
+        core = solver._Core(problem)
+        u, v = rng.normal(size=problem.n_cols), rng.normal(size=problem.n_cols)
+        flat = core.flat(v)
+        assert _close(core.svec(flat), v, rel=2.3e-16)
+        blocks = core.blocks_of(flat)
+        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+        assert np.all(blocks[~core.in_block] == 0.0)
+        assert _close(core.flat(u) @ flat, u @ v)
+        assert core.svec_max(flat) == np.max(np.abs(v))
+
+
+def _block_scalings(core, xs, zs):
+    """The NT scaling of each block on its own d x d matrices from svec
+    data, one Cholesky pair and one SVD per block: (d, slice, R, lam) per
+    block (the reference for the stacked scaling)."""
     out = []
-    for d, sl in core.blocks:
-        lx, lz = np.linalg.cholesky(smat(xc[sl], d)), np.linalg.cholesky(smat(zc[sl], d))
+    for d, sl in solver._block_slices(core.n_orth, core.dims):
+        lx, lz = np.linalg.cholesky(smat(xs[sl], d)), np.linalg.cholesky(smat(zs[sl], d))
         u, lam, vt = np.linalg.svd(lz.T @ lx)
-        root = np.sqrt(lam)
-        out.append((d, sl, (lx @ vt.T) / root, (lz @ u) / root, lam))
+        out.append((d, sl, (lx @ vt.T) / np.sqrt(lam), lam))
     return out
-
-
-def _close(got, want, rel=1e-12):
-    return np.max(np.abs(got - want), initial=0.0) <= rel * max(1.0, np.max(np.abs(want)))
 
 
 def test_stacked_scaling_products_match_per_block(rng):
     # The scaling factors every block at once on the padded stack; each
     # block must come out as its own NT scaling with an identity pad, and
-    # each congruence as that block's own product, symmetrized.
+    # each scaled product as that block's own product, symmetrized.
     # Blocks of 23 and 22 (one padded coordinate), and random blocks.
     uneven = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.48, 10)
     for problem in (uneven, _random_terms_problem(rng, p=4), _random_terms_problem(rng, p=4)):
         core = solver._Core(problem)
-        xc, zc = _random_interior(rng, core), _random_interior(rng, core)
-        scal = solver._Scaling(core, xc, zc)
-        u, v = rng.normal(size=core.m_c), rng.normal(size=core.m_c)
+        xs, zs = _random_interior(rng, problem), _random_interior(rng, problem)
+        scal = solver._Scaling(core, core.flat(xs), core.flat(zs))
+        us, vs = rng.normal(size=problem.n_cols), rng.normal(size=problem.n_cols)
+        u, v = core.flat(us), core.flat(vs)
         D = problem.psd_dim
-        for k, (d, sl, R, Rit, lam) in enumerate(_block_scalings(core, xc, zc)):
+        n = core.n_orth
+        lam_orth = np.sqrt(xs[:n] * zs[:n])
+        assert np.array_equal(scal.lam[:n], lam_orth)
+        for k, (d, sl, R, lam) in enumerate(_block_scalings(core, xs, zs)):
             # A singular pair's sign is free: align the reference's to the
             # stack's, which is as valid an NT scaling.
-            sign = np.sign(np.sum(R * scal.R[k, :d, :d], axis=0))
-            R, Rit = R * sign, Rit * sign
-            assert _close(scal.lam[k, :d], lam) and np.all(scal.lam[k, d:] == 1.0)
-            assert _close(scal.R[k, :d, :d], R) and _close(scal.Rit[k, :d, :d], Rit)
-            for stacked in (scal.R[k], scal.Rit[k]):
-                pad = stacked.copy()
-                pad[:d, :d] = 0.0
-                assert np.array_equal(pad, np.diag(np.arange(D) >= d).astype(float))
+            R = R * np.sign(np.sum(R * scal.R[k, :d, :d], axis=0))
+            assert _close(core.blocks_of(scal.lam)[k], np.pad(np.diag(lam), (0, D - d)))
+            assert _close(scal.R[k, :d, :d], R)
+            pad = scal.R[k].copy()
+            pad[:d, :d] = 0.0
+            assert np.array_equal(pad, np.diag(np.arange(D) >= d).astype(float))
+            lam_mid = 0.5 * (lam[:, None] + lam[None, :])
             products = [
-                (scal.wsq_apply(v), lambda m: (R @ R.T) @ m @ (R @ R.T)),
-                (scal.winv_apply(v), lambda m: Rit @ m @ Rit.T),
-                (scal.scale_x(v), lambda m: Rit.T @ m @ Rit),
-                (scal.scale_z(v), lambda m: R.T @ m @ R),
-                (scal.jordan_div(v), lambda m: m / (0.5 * (lam[:, None] + lam[None, :]))),
-                (scal.jordan_mul(u, v), lambda m: smat(u[sl]) @ m),
+                (scal.scale(v), lambda m: R.T @ m @ R),
+                (scal.unscale(v), lambda m: R @ m @ R.T),
+                (scal.jordan_div(v), lambda m: m / lam_mid),
+                (scal.jordan_mul(u, v), lambda m: smat(us[sl], d) @ m),
             ]
             for got, block in products:
-                f = block(smat(v[sl], d))
-                assert _close(got[sl], svec(0.5 * (f + f.T)))
-        lam_sq = np.concatenate([scal.lam_orth ** 2] + [
-            svec(np.diag(scal.lam[k, :d] ** 2)) for k, (d, _) in enumerate(core.blocks)])
-        assert np.array_equal(scal.lam_sq(), lam_sq)
+                f = block(smat(vs[sl], d))
+                assert _close(core.blocks_of(got)[k], np.pad(0.5 * (f + f.T), (0, D - d)))
+        w = np.sqrt(xs[:n] / zs[:n])
+        for got, want in ((scal.scale(v), w * vs[:n]), (scal.unscale(v), w * vs[:n]),
+                          (scal.jordan_div(v), vs[:n] / lam_orth),
+                          (scal.jordan_mul(u, v), us[:n] * vs[:n])):
+            assert _close(got[:n], want)
 
 
 def _max_step_one_direction(scal, v):
@@ -546,15 +581,16 @@ def _max_step_one_direction(scal, v):
     zero-padded to the stack's dimension, as the single call pads it: LAPACK
     rounds a padded matrix's eigenvalues differently, within a few ulps of
     the unpadded ones, which is checked too."""
-    vo = v[:scal.n_orth]
+    core = scal.core
+    vo, lam_orth = v[:core.n_orth], scal.lam[:core.n_orth]
     alpha = math.inf
     neg = vo < 0.0
     if np.any(neg):
-        alpha = float(np.min(scal.lam_orth[neg] / -vo[neg]))
-    D = scal.lam.shape[1] if scal.lam is not None else 0
-    for k, (d, sl) in enumerate(scal.core.blocks):
-        root = np.sqrt(scal.lam[k, :d])
-        g = smat(v[sl], d) / np.outer(root, root)
+        alpha = float(np.min(lam_orth[neg] / -vo[neg]))
+    D = core.shape[1]
+    for k, d in enumerate(core.dims):
+        root = np.sqrt(np.diag(core.blocks_of(scal.lam)[k])[:d])
+        g = core.blocks_of(v)[k, :d, :d] / np.outer(root, root)
         padded = np.zeros((D, D))
         padded[:d, :d] = g
         lo = float(np.linalg.eigvalsh(padded)[0])
@@ -573,18 +609,54 @@ def test_fused_step_search_matches_separate_searches(rng):
                     _random_terms_problem(rng, p=4)):
         core = solver._Core(problem)
         for _ in range(10):
-            scal = solver._Scaling(core, _random_interior(rng, core),
-                                   _random_interior(rng, core))
-            inside = scal.lam_sq()   # a direction along which every step is feasible
-            pairs = [(rng.normal(size=core.m_c), rng.normal(size=core.m_c)),
-                     (rng.normal(size=core.m_c), inside),
-                     (inside, 1e-3 * rng.normal(size=core.m_c)),
+            scal = solver._Scaling(core, core.flat(_random_interior(rng, problem)),
+                                   core.flat(_random_interior(rng, problem)))
+            inside = scal.lam * scal.lam   # a direction along which every step is feasible
+            pairs = [(core.flat(rng.normal(size=problem.n_cols)),
+                      core.flat(rng.normal(size=problem.n_cols))),
+                     (core.flat(rng.normal(size=problem.n_cols)), inside),
+                     (inside, 1e-3 * core.flat(rng.normal(size=problem.n_cols))),
                      (inside, inside)]
             for dx, dz in pairs:
                 expected = min(_max_step_one_direction(scal, dx),
                                _max_step_one_direction(scal, dz))
                 assert scal.max_step(dx, dz) == expected
         assert scal.max_step(inside, inside) == math.inf
+
+
+def test_scaled_direction_solves_the_newton_system(rng):
+    # The direction solved for in the scaled space, mapped back (dX = R dx
+    # R', W dZ W = R dz R'), against the unscaled Newton system of the
+    # embedding written out densely with an independent NT scaling point,
+    # at random interior points of an SOS program and of random programs
+    # (of full row rank, so that the system has a solution).
+    problems = [reference_lambda_problem("check7_eps038")]
+    while len(problems) < 5:
+        problem = _random_terms_problem(rng)
+        if np.linalg.matrix_rank(dense_congruence(problem, np.ones(problem.n_scalars))) \
+                == problem.b.size:
+            problems.append(problem)
+    for problem in problems:
+        core = solver._Core(problem)
+        A = dense_congruence(problem, np.ones(problem.n_scalars)).T
+        c = core.sign * problem.c
+        for _ in range(3):
+            xs, zs = _random_interior(rng, problem), _random_interior(rng, problem)
+            y = rng.normal(size=problem.b.size)
+            tau, kappa = rng.uniform(0.5, 2.0, 2)
+            r_d = c * tau - A.T @ y - zs
+            scal = solver._Scaling(core, core.flat(xs), core.flat(zs))
+            kkt = solver._KKT(core, scal, tau, kappa, A @ xs - core.b * tau,
+                              core.flat(r_d), core.b @ y - c @ xs - kappa)
+            sigma_mu = 0.3 * (xs @ zs + tau * kappa) / core.nu
+            d_c = sigma_mu * core.unit - scal.lam * scal.lam
+            dx, dz, dy, dtau, dkappa = kkt.direction(0.7, scal.jordan_div(d_c),
+                                                     sigma_mu - tau * kappa)
+            step = (core.svec(scal.unscale(dx)), dy, core.svec(scal.unscale(dz)),
+                    dtau, dkappa)
+            residuals = newton_residuals(A, core.b, c, problem.n_scalars, problem.psd_dims,
+                                         (xs, y, zs, tau, kappa), step, 0.7, sigma_mu)
+            assert max(residuals.values()) <= 1e-10, residuals
 
 
 def test_solves_repeat_to_the_bit():
