@@ -27,9 +27,9 @@ from outside with timers, and each call is charged to one phase:
   factorizations, final check).
 
 A wrapped call made inside another (``_KKT.__init__`` scales c, and
-``_KKT.direction`` multiplies by the rows) is charged to the outer one. Each program's solve runs ``PASSES`` times
-(``LARGE_PASSES`` for the large designs, about 2 s each at Dv = 52); the
-table shows the median pass. The process's peak resident set size
+``_KKT.direction`` multiplies by the rows) is charged to the outer one.
+Each program's solve runs ``PASSES`` times (``LARGE_PASSES`` for the large
+designs, about 2 s each at Dv = 52); the table shows the median pass. The process's peak resident set size
 (``ru_maxrss``) is printed after the standard programs and again after the
 large ones. Run as:  python benchmarks/bench_solver.py
 
