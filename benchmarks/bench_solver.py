@@ -35,8 +35,7 @@ large ones. Run as:  python benchmarks/bench_solver.py
 
 A first table, printed before the timings, gives each program's status,
 iteration count and the first 12 hex digits of the SHA-1 of its answer: the
-named decision variables followed by the PSD blocks, which leaves out any
-slack the builder adds. Two versions of the solver take bit-identical steps
+named decision variables followed by the PSD blocks. Two versions of the solver take bit-identical steps
 on these programs when that table is the same for both:
 
     diff <(python benchmarks/bench_solver.py | sed -n '1,/^$/p') \
@@ -59,8 +58,6 @@ import resource
 import sys
 import time
 
-import numpy as np
-
 from ldpcopt import solver, sos
 from ldpcopt.ensemble import DegreeDistribution
 
@@ -69,7 +66,7 @@ LARGE_PASSES = 3
 
 # (name, family, fixed distribution, eps, maximum degree), as in the design
 # workload of perfbench/workloads.py; the threshold program takes (lambda,
-# rho) instead, and its t >= 1 covers a nonzero lower bound.
+# rho) instead.
 PROGRAMS = [
     ("check4_eps064", "lambda", {4: 1.0}, 0.64, 5),
     ("check6_eps049", "lambda", {6: 1.0}, 0.49, 7),
@@ -106,13 +103,12 @@ def build(family, fixed, *args):
     return builder(dist, *args)
 
 
-def answer_digest(problem, sol) -> str:
-    """First 12 hex digits of the SHA-1 of the decision variables and the
-    PSD blocks of a solution ('-' when there is none)."""
+def answer_digest(sol) -> str:
+    """First 12 hex digits of the SHA-1 of a solution's x, its decision
+    variables and PSD blocks ('-' when there is none)."""
     if sol.x is None:
         return "-"
-    x = np.concatenate([sol.x[: len(problem.var_names)], sol.x[problem.n_scalars:]])
-    return hashlib.sha1(x.tobytes()).hexdigest()[:12]
+    return hashlib.sha1(sol.x.tobytes()).hexdigest()[:12]
 
 
 class PhaseTimer:
@@ -228,7 +224,7 @@ def main():
             problem = build(*spec)
             sol = solver.solve(problem)
             print(f"{name:20s} {sol.status:>8s} {len(sol.history) - 1:5d} "
-                  f"{answer_digest(problem, sol):>12s}")
+                  f"{answer_digest(sol):>12s}")
             problems.append((name, problem, n_passes))
         peaks.append(peak_rss_mb())
     print()

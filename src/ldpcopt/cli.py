@@ -160,8 +160,9 @@ def _build(fields: str, builder, *args):
 
 
 def _taps_from_solution(solution, degrees) -> dict:
-    # Interior-point outputs can overshoot the box by ~1e-9; clip before the
-    # distribution invariants are enforced.
+    # Interior-point outputs can leave [0, 1] by ~1e-9 (a tap below 0, or
+    # above 1 with the others at 0); clip before the distribution invariants
+    # are enforced.
     values = np.clip(solution.x[: len(degrees)], 0.0, 1.0)
     taps = {d: float(v) for d, v in zip(degrees, values) if v > 1e-12}
     return taps
@@ -402,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p):
+    def add_shared(p, output="json"):
         p.add_argument("--tol", type=_tolerance, default=1e-8,
                        help=f"solver tolerance in (0, {MAX_TOL:g}] (default 1e-8)")
-        p.add_argument("--output", choices=("json", "csv"), default="json",
-                       help="report format on stdout")
+        p.add_argument("--output", choices=("json", "csv"), default=output,
+                       help=f"report format on stdout (default {output})")
 
     p = sub.add_parser("optimize-lambda",
                        help="maximize the design rate over variable-side distributions")
@@ -446,10 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-var-degree", type=int, required=True)
     p.add_argument("--grid-sizes", required=True,
                    help="comma-separated list of grid sizes")
-    p.add_argument("--tol", type=_tolerance, default=1e-8,
-                   help=f"solver tolerance in (0, {MAX_TOL:g}] (default 1e-8)")
-    p.add_argument("--output", choices=("json", "csv"), default="csv",
-                   help="table format on stdout (default csv)")
+    add_shared(p, output="csv")
     p.set_defaults(func=cmd_sweep)
     return parser
 

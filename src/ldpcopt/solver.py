@@ -1,19 +1,18 @@
-"""Dense conic optimizer for problems with nonnegative and lower-bounded
-scalars plus any number of PSD matrix blocks.
+"""Dense conic optimizer for problems with nonnegative scalars plus any
+number of PSD matrix blocks.
 
 Problem form
 ------------
-Variables are ordered ``[nonneg | boxed | X_1 | X_2 | ...]``, scalars x_s
+Variables are ordered ``[x_s | X_1 | X_2 | ...]``, the ``n_nonneg`` scalars
 first, and the data is
 
     minimize / maximize   c @ x  (+ offset)
     subject to            A[r] @ x_s + sum_k <P_rk, X_k> = b[r]   for every row r
-                          x_nonneg >= 0,   x_box >= lo  (lo = ``box_lo``),
-                          X_k positive semidefinite for every block k
+                          x_s >= 0,   X_k positive semidefinite for every block k
 
-The cone is the orthant times the PSD blocks; an upper bound is the caller's
-to pose, as a nonnegative slack and an equality row. ``A`` holds the scalar
-columns, one row per equality even without scalars. ``psd_rows[k] =
+The cone is the orthant times the PSD blocks; any other bound is the
+caller's to pose, as a nonnegative slack and an equality row. ``A`` holds
+the scalar columns, one row per equality even without scalars. ``psd_rows[k] =
 (rows, g, V)`` gives block k's constraint matrices as rank-one terms: term t
 adds g[t] V[:, t] V[:, t]' to P_{rows[t], k}; a node row of a sampled SOS
 program (``ldpcopt.sos``) is one term per block, a general row several (its
@@ -56,8 +55,7 @@ search and the corrector read dx and dz; only the accepted step is mapped
 back, dX = R dx R' and dZ from A' dy. The normal matrix is the one Gram
 matrix factorized per iteration (as in SDPT3, Toh, Todd & Tutuncu 1999, and
 DSDP); its Cholesky factor is inverted once, so every solve with it is a
-matrix product. Boxed variables are shifted by their lower bounds into the
-nonnegative cone; infeasibility and unboundedness are certified from the
+matrix product. Infeasibility and unboundedness are certified from the
 embedding (tau -> 0) rather than via a phase-1, and so is the outcome of a
 problem with no strictly feasible point (a face pinned by its equalities).
 Identical inputs produce identical iterate sequences.
@@ -79,7 +77,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -205,7 +203,6 @@ class ConicProblem:
     A: np.ndarray
     b: np.ndarray
     n_nonneg: int = 0
-    box_lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     psd_dims: tuple = ()
     psd_rows: tuple = ()
     offset: float = 0.0
@@ -218,21 +215,17 @@ class ConicProblem:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
         object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=np.float64)))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        object.__setattr__(self, "box_lo", np.asarray(self.box_lo, dtype=np.float64))
         self.validate()
 
     @property
     def n_box(self) -> int:
-        return self.box_lo.size
+        # The form has no boxed scalars; read by perfbench/tracing.py.
+        return 0
 
     @property
     def box_hi(self) -> np.ndarray:
-        # Boxed scalars have no upper bound; read by perfbench/tracing.py.
-        return np.full(self.n_box, math.inf)
-
-    @property
-    def n_scalars(self) -> int:
-        return self.n_nonneg + self.n_box
+        # Read by perfbench/tracing.py.
+        return np.zeros(0)
 
     @property
     def psd_dim(self) -> int:
@@ -241,7 +234,7 @@ class ConicProblem:
 
     @property
     def n_cols(self) -> int:
-        return self.n_scalars + sum(svec_dim(d) for d in self.psd_dims)
+        return self.n_nonneg + sum(svec_dim(d) for d in self.psd_dims)
 
     def validate(self):
         if self.sense not in ("min", "max"):
@@ -254,9 +247,9 @@ class ConicProblem:
         if self.c.shape != (n,):
             raise SolverError(f"objective has shape {self.c.shape}, expected ({n},)")
         p = self.b.size
-        if self.b.ndim != 1 or self.A.shape != (p, self.n_scalars):
+        if self.b.ndim != 1 or self.A.shape != (p, self.n_nonneg):
             raise SolverError(f"A has shape {self.A.shape} and b {self.b.shape}; "
-                              f"expected ({p}, {self.n_scalars}) and ({p},)")
+                              f"expected ({p}, {self.n_nonneg}) and ({p},)")
         if len(self.psd_rows) != len(self.psd_dims):
             raise SolverError("psd_rows needs one (rows, g, V) per PSD block")
         for d, (rows, g, V) in zip(self.psd_dims, self.psd_rows):
@@ -266,7 +259,7 @@ class ConicProblem:
             if rows.size and (rows.min() < 0 or rows.max() >= p):
                 raise SolverError(f"a PSD term's row lies outside 0..{p - 1}")
         terms = [a for t in self.psd_rows for a in t[1:]]
-        for arr in [self.c, self.A, self.b, self.box_lo] + terms:
+        for arr in [self.c, self.A, self.b] + terms:
             if arr.size and not np.all(np.isfinite(arr)):
                 raise SolverError("problem data must be finite")
 
@@ -299,15 +292,15 @@ class ConicSolution:
         """Named scalar variable values (requires var_names on the problem)."""
         if self.x is None:
             return {}
-        names = problem.var_names or tuple(f"x{k}" for k in range(problem.n_scalars))
-        return {name: float(v) for name, v in zip(names, self.x[: problem.n_scalars])}
+        names = problem.var_names or tuple(f"x{k}" for k in range(problem.n_nonneg))
+        return {name: float(v) for name, v in zip(names, self.x[: problem.n_nonneg])}
 
     def psd_matrices(self, problem: ConicProblem) -> Optional[list]:
         """One matrix per PSD block, in ``problem.psd_dims`` order."""
         if self.x is None:
             return None
         return [_smat(self.x[sl], d)
-                for d, sl in _block_slices(problem.n_scalars, problem.psd_dims)]
+                for d, sl in _block_slices(problem.n_nonneg, problem.psd_dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +533,16 @@ class _KKT:
 
 class _Core:
     """The problem as the interior point takes it: minimize c @ x over the
-    orthant times the PSD blocks, each boxed scalar shifted to x - lo >= 0,
-    with every cone vector on the flat layout ``[orthant | K x D x D]``."""
+    orthant times the PSD blocks, with every cone vector on the flat layout
+    ``[orthant | K x D x D]``."""
 
     def __init__(self, prob: ConicProblem):
         self.sign = 1.0 if prob.sense == "min" else -1.0
         # Fortran order: BLAS sums a matrix product in an order that depends
         # on the layout, and the iterates are pinned to this one.
         self.A = np.asfortranarray(prob.A)
-        box = slice(prob.n_nonneg, prob.n_scalars)
-        self.b = prob.b - prob.A[:, box] @ prob.box_lo
-        self.n_orth = n = prob.n_scalars
+        self.b = prob.b
+        self.n_orth = n = prob.n_nonneg
         self.dims = prob.psd_dims
         p, K, D = self.b.size, len(self.dims), prob.psd_dim
         self.n_blocks, self.shape = K, (K, D, D)
@@ -838,9 +830,8 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
     res = _solve_hsd(core, tol, trace)
 
     if res.status == "optimal":
-        x = core.polish(res.x_hat)
-        x[problem.n_nonneg: problem.n_scalars] += problem.box_lo
-        return _finalize_optimal(problem, core, res, x, core.sign * res.y_hat, tol)
+        return _finalize_optimal(problem, core, res, core.polish(res.x_hat),
+                                 core.sign * res.y_hat, tol)
     gap = res.gap if np.isfinite(res.gap) else math.inf
     return ConicSolution(res.status, None, None, gap, res.pres, res.iterations,
                          message=res.message, history=res.history)
@@ -852,8 +843,7 @@ def _finalize_optimal(problem, core, res, x, y, tol):
     eq_residual = float(np.max(np.abs(ax - problem.b), initial=0.0))
     min_eig = None
     checks_ok = eq_residual <= tol * (1.0 + np.max(np.abs(problem.b), initial=0.0)) * 1.01
-    nn, ns = problem.n_nonneg, problem.n_scalars
-    checks_ok &= bool(np.all(x[:nn] >= -1e-9) and np.all(x[nn:ns] >= problem.box_lo - 1e-9))
+    checks_ok &= bool(np.all(x[: problem.n_nonneg] >= -1e-9))
     # One eigenvalue floor for the block-diagonal matrix of all blocks.
     eigs = [np.linalg.eigvalsh(m[:d, :d]) for d, m in zip(core.dims, core.blocks_of(x))]
     if eigs:

@@ -62,7 +62,7 @@ GRAM_RECONSTRUCTION_TOL = 1e-7
 # Largest degree + 1 of a constraint polynomial P, before x^k is factored
 # out. At the cap (Dv = 52 at deg rho = 6: blocks of 128 and 127, 255 node
 # rows) the build takes under 0.01 s and 32 MB resident, and a solve takes
-# 21 iterations and 1.7-2.0 s at 1 or 2 BLAS threads, peaking at 57 MB
+# 17 iterations and 0.8-0.9 s at 1 or 2 BLAS threads, peaking at 53 MB
 # (2 vCPUs); time grows as d^3 and memory as d^2. Larger programs are
 # refused before anything is built.
 MAX_GRAM_DIM = 256
@@ -219,33 +219,27 @@ def threshold_constraint_family(lam: DegreeDistribution,
 
 def assemble_sos_program(family: SampledFamily, sense: str,
                          objective: Sequence[float],
-                         var_lo: Sequence[float], var_hi: Sequence[float],
                          extra_eq: Sequence[tuple] = ()) -> ConicProblem:
-    """Generic builder: decision variables + Gram blocks for ``family`` >= 0 on [0,1].
+    """Generic builder: nonnegative decision variables + Gram blocks for
+    ``family`` >= 0 on [0, 1].
 
     ``extra_eq`` rows are (coefficients over the decision variables, rhs).
-    Variable layout of the result: the family's variables first (bounded
-    below by var_lo), then one slack per finite var_hi, then each
-    Markov-Lukacs Gram block. Rows: one per node, then the extra rows, then
-    for each finite var_hi[v] the row var_v + s = var_hi[v] with a slack
-    s >= 0. Node j enters block k as the single term -u_jk u_jk'.
+    Variable layout of the result: the family's variables, then each
+    Markov-Lukacs Gram block. Rows: one per node, then the extra rows. Node
+    j enters block k as the single term -u_jk u_jk'. Any other bound on a
+    variable is the caller's to pose, as a variable of the family and an
+    extra row.
     """
     n_nodes, nv = family.n + 1, family.n_vars
-    hi = np.asarray(var_hi, dtype=np.float64)
-    capped = np.flatnonzero(np.isfinite(hi))
-    ns = nv + capped.size   # decision variables and slacks
     us = _node_vectors(family.n)
 
-    n_rows = n_nodes + len(extra_eq) + capped.size
-    A, b = np.zeros((n_rows, ns)), np.zeros(n_rows)
-    A[:n_nodes, :nv] = family.values[:, 1:]
+    n_rows = n_nodes + len(extra_eq)
+    A, b = np.zeros((n_rows, nv)), np.zeros(n_rows)
+    A[:n_nodes] = family.values[:, 1:]
     b[:n_nodes] = -family.values[:, 0]
     for r, (coeffs, rhs) in enumerate(extra_eq):
-        A[n_nodes + r, :nv] = coeffs
+        A[n_nodes + r] = coeffs
         b[n_nodes + r] = rhs
-    caps = np.arange(n_rows - capped.size, n_rows)
-    A[caps, capped] = A[caps, nv + np.arange(capped.size)] = 1.0
-    b[caps] = hi[capped]
 
     # Equilibrate: normalize each equality to unit max coefficient (an exact
     # reformulation), the largest entry of node j's -u_jk u_jk' included.
@@ -258,23 +252,20 @@ def assemble_sos_program(family: SampledFamily, sense: str,
     A /= scale[:, None]
     b /= scale
 
-    c = np.zeros(ns + sum(svec_dim(u.shape[1]) for u in us))
+    c = np.zeros(nv + sum(svec_dim(u.shape[1]) for u in us))
     c[:nv] = objective
     return ConicProblem(
-        sense=sense, c=c, A=A, b=b,
-        box_lo=np.concatenate([np.asarray(var_lo, dtype=np.float64),
-                               np.zeros(capped.size)]),
+        sense=sense, c=c, A=A, b=b, n_nonneg=nv,
         psd_dims=tuple(u.shape[1] for u in us),
         psd_rows=tuple((np.arange(n_nodes), -1.0 / scale[:n_nodes], u.T) for u in us),
         var_names=family.variable_names,
     )
 
 
-def _check_eps(eps: float, allow_zero: bool) -> float:
+def _check_eps(eps: float) -> float:
     eps = float(eps)
-    lo_ok = eps >= 0.0 if allow_zero else eps > 0.0
-    if not lo_ok or eps >= 1.0:
-        raise ValueError(f"eps must lie in {'[0, 1)' if allow_zero else '(0, 1)'}, got {eps}")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
     return eps
 
 
@@ -288,10 +279,10 @@ def build_lambda_problem(rho: DegreeDistribution, eps: float,
     """Maximize sum_i lam_i / i over DE-feasible variable-side distributions.
 
     The check side and the erasure probability are fixed; decision variables
-    are lam_2..lam_Dv (each boxed to [0, 1]) plus the Gram blocks of the
-    constraint polynomial, of degree (Dv - 1) * deg(rho).
+    are lam_2..lam_Dv >= 0, which the simplex row keeps at most 1, plus the
+    Gram blocks of the constraint polynomial, of degree (Dv - 1) * deg(rho).
     """
-    eps = _check_eps(eps, allow_zero=True)
+    eps = _check_eps(eps)
     if max_var_degree < 2:
         raise ValueError("max_var_degree must be at least 2")
     family = lambda_constraint_family(rho, eps, max_var_degree)
@@ -299,8 +290,6 @@ def build_lambda_problem(rho: DegreeDistribution, eps: float,
     return assemble_sos_program(
         family, "max",
         objective=[1.0 / i for i in degrees],
-        var_lo=np.zeros(max_var_degree - 1),
-        var_hi=np.ones(max_var_degree - 1),
         extra_eq=[(np.ones(max_var_degree - 1), 1.0)],
     )
 
@@ -308,7 +297,7 @@ def build_lambda_problem(rho: DegreeDistribution, eps: float,
 def build_rho_problem(lam: DegreeDistribution, eps: float,
                       max_check_degree: int) -> ConicProblem:
     """Minimize sum_j rho_j / j over check-side distributions feasible at eps."""
-    eps = _check_eps(eps, allow_zero=True)
+    eps = _check_eps(eps)
     if max_check_degree < 2:
         raise ValueError("max_check_degree must be at least 2")
     family = rho_constraint_family(lam, eps, max_check_degree)
@@ -316,25 +305,20 @@ def build_rho_problem(lam: DegreeDistribution, eps: float,
     return assemble_sos_program(
         family, "min",
         objective=[1.0 / j for j in degrees],
-        var_lo=np.zeros(max_check_degree - 1),
-        var_hi=np.full(max_check_degree - 1, np.inf),
         extra_eq=[(np.ones(max_check_degree - 1), 1.0)],
     )
 
 
 def build_threshold_problem(lam: DegreeDistribution,
                             rho: DegreeDistribution) -> ConicProblem:
-    """Minimize t >= 1 with t*x - lam(1 - rho(1 - x)) >= 0 on [0, 1].
+    """Minimize t >= 0 with t*x - lam(1 - rho(1 - x)) >= 0 on [0, 1].
 
-    The maximum tolerable erasure probability is recovered as 1 / t*.
+    The constraint at x = 1 reads t - lam(1) = t - 1 >= 0, so t >= 1 needs
+    no row of its own. The maximum tolerable erasure probability is
+    recovered as 1 / t*.
     """
-    family = threshold_constraint_family(lam, rho)
-    return assemble_sos_program(
-        family, "min",
-        objective=[1.0],
-        var_lo=np.array([1.0]),
-        var_hi=np.array([np.inf]),
-    )
+    return assemble_sos_program(threshold_constraint_family(lam, rho), "min",
+                                objective=[1.0])
 
 
 def build_sos_feasibility(p: Polynomial) -> ConicProblem:
@@ -342,7 +326,7 @@ def build_sos_feasibility(p: Polynomial) -> ConicProblem:
     if p.degree < 0:
         raise ValueError("the zero polynomial needs no certificate")
     return assemble_sos_program(coefficient_family((), p.coeffs[:, None]), "min",
-                                objective=[], var_lo=np.zeros(0), var_hi=np.zeros(0))
+                                objective=[])
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,13 @@ def optimizer_reports():
 
 def test_a01_quadratic_box_sdp_exact():
     # Maximize b subject to 1 + b x + x^2 >= 0 on [0, 1] with b boxed to
-    # [0, 1]: the exact optimum is b = 1.
+    # [0, 1], b <= 1 posed as b + s = 1 with s >= 0: the exact optimum is
+    # b = 1.
     fam = coefficient_family(
-        ("b",), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        ("b", "s"), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
     t0 = time.perf_counter()
-    sol = solve(assemble_sos_program(fam, "max", [1.0], [0.0], [1.0]))
+    sol = solve(assemble_sos_program(fam, "max", [1.0, 0.0],
+                                     extra_eq=[([1.0, 1.0], 1.0)]))
     elapsed = time.perf_counter() - t0
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-6)

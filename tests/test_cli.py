@@ -100,6 +100,20 @@ def test_threshold_methods_agree(capsys):
     assert report["agreement"] <= 1e-4
 
 
+@pytest.mark.parametrize("lam", ['{"2": 1.0}', '{"2": 0.5, "3": 0.5}'])
+def test_threshold_at_one_needs_no_lower_bound_on_t(capsys, lam):
+    # Degree-2 checks decode every erasure rate below 1, so t* = 1: the
+    # threshold program's constraint at x = 1, t - 1 >= 0, is the bound
+    # that binds, with no t >= 1 posed beside it.
+    code, out, _ = run_cli(capsys, "threshold", "--lambda", lam,
+                           "--rho", '{"2": 1.0}', "--method", "both")
+    assert code == 0
+    report = json.loads(out)
+    assert report["sdp"]["status"] == "optimal"
+    assert abs(report["sdp"]["epsilon"] - 1.0) <= 1e-9
+    assert report["agreement"] <= 1e-9
+
+
 def test_verify_feasible(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--lambda", '{"2": 0.4021, "3": 0.2137, "7": 0.3902}',

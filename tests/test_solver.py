@@ -342,13 +342,13 @@ def test_zero_objective_stops_at_the_rounding_floor():
 
 
 def test_upper_bounds_are_not_part_of_the_form():
-    # The cone is orthant x PSD: an upper bound is a slack and a row.
+    # The cone is orthant x PSD: any other bound is a slack and a row.
     with pytest.raises(TypeError):
         ConicProblem(sense="min", c=np.zeros(1), A=np.zeros((0, 1)), b=np.zeros(0),
-                     box_lo=np.zeros(1), box_hi=np.ones(1))
+                     box_lo=np.zeros(1))
     problem = ConicProblem(sense="min", c=np.zeros(1), A=np.zeros((0, 1)),
-                           b=np.zeros(0), box_lo=np.zeros(1))
-    assert problem.box_hi.tolist() == [math.inf]
+                           b=np.zeros(0), n_nonneg=1)
+    assert problem.n_box == 0 and problem.box_hi.size == 0
 
 
 def test_best_iterate_fallback_is_reported():
@@ -434,8 +434,8 @@ def test_converged_solve_stops_when_progress_stalls():
 def _random_interior(rng, problem):
     """A random point inside the cone, as svec data."""
     v = np.empty(problem.n_cols)
-    v[:problem.n_scalars] = rng.uniform(0.5, 2.0, problem.n_scalars)
-    for d, sl in solver._block_slices(problem.n_scalars, problem.psd_dims):
+    v[:problem.n_nonneg] = rng.uniform(0.5, 2.0, problem.n_nonneg)
+    for d, sl in solver._block_slices(problem.n_nonneg, problem.psd_dims):
         g = rng.normal(size=(d, d))
         v[sl] = svec(g @ g.T + np.eye(d))
     return v
@@ -489,8 +489,8 @@ def test_block_row_operations_match_dense_svec(rng):
     # against the constraint matrix written out in svec coordinates.
     for _ in range(30):
         problem = _random_terms_problem(rng)
-        w = rng.uniform(0.5, 2.0, problem.n_scalars)
-        _assert_rows_match_dense(problem, rng, np.ones(problem.n_scalars), None)
+        w = rng.uniform(0.5, 2.0, problem.n_nonneg)
+        _assert_rows_match_dense(problem, rng, np.ones(problem.n_nonneg), None)
         _assert_rows_match_dense(problem, rng, w,
                                  [rng.normal(size=(d, d)) for d in problem.psd_dims])
 
@@ -499,7 +499,7 @@ def test_block_row_operations_on_sos_problem(rng):
     # Every node row of a sampled SOS program is one term per block.
     problem = reference_lambda_problem("check7_eps038")
     assert all(g.size == len(set(rows.tolist())) for rows, g, _ in problem.psd_rows)
-    w = rng.uniform(0.5, 2.0, problem.n_scalars)
+    w = rng.uniform(0.5, 2.0, problem.n_nonneg)
     _assert_rows_match_dense(problem, rng, w,
                              [rng.normal(size=(d, d)) for d in problem.psd_dims])
 
@@ -633,12 +633,12 @@ def test_scaled_direction_solves_the_newton_system(rng):
     problems = [reference_lambda_problem("check7_eps038")]
     while len(problems) < 5:
         problem = _random_terms_problem(rng)
-        if np.linalg.matrix_rank(dense_congruence(problem, np.ones(problem.n_scalars))) \
+        if np.linalg.matrix_rank(dense_congruence(problem, np.ones(problem.n_nonneg))) \
                 == problem.b.size:
             problems.append(problem)
     for problem in problems:
         core = solver._Core(problem)
-        A = dense_congruence(problem, np.ones(problem.n_scalars)).T
+        A = dense_congruence(problem, np.ones(problem.n_nonneg)).T
         c = core.sign * problem.c
         for _ in range(3):
             xs, zs = _random_interior(rng, problem), _random_interior(rng, problem)
@@ -654,7 +654,7 @@ def test_scaled_direction_solves_the_newton_system(rng):
                                                      sigma_mu - tau * kappa)
             step = (core.svec(scal.unscale(dx)), dy, core.svec(scal.unscale(dz)),
                     dtau, dkappa)
-            residuals = newton_residuals(A, core.b, c, problem.n_scalars, problem.psd_dims,
+            residuals = newton_residuals(A, core.b, c, problem.n_nonneg, problem.psd_dims,
                                          (xs, y, zs, tau, kappa), step, 0.7, sigma_mu)
             assert max(residuals.values()) <= 1e-10, residuals
 

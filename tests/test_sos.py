@@ -78,28 +78,40 @@ def test_threshold_family_structure():
 def test_lambda_problem_dimensions():
     # deg P = 30; the lambda family vanishes at 0, so the program is posed
     # for F = P(x)/x of odd degree 29: blocks of 15 under the weights x and
-    # 1 - x, 30 node rows, the sum row and one row lambda_i + s_i = 1 per
-    # variable.
+    # 1 - x, 30 node rows and the sum row. The six taps are nonnegative
+    # scalars; the sum row alone keeps each at most 1.
     prob = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.49, 7)
     assert prob.psd_dims == (15, 15)
-    assert prob.A.shape == (31 + 6, 2 * 6)
-    assert prob.c.shape == (2 * 6 + 2 * svec_dim(15),)
+    assert prob.A.shape == (31, 6)
+    assert prob.n_nonneg == 6
+    assert prob.c.shape == (6 + 2 * svec_dim(15),)
     for rows, g, V in prob.psd_rows:
         assert rows.tolist() == list(range(30))
         assert g.shape == (30,) and np.all(g < 0.0)
         assert V.shape == (15, 30)
-    assert prob.n_box == 12
     prob2 = build_lambda_problem(DegreeDistribution({5: 1.0}), 0.56, 5)
     assert prob2.psd_dims == (8, 8)  # deg P = 16, F of degree 15
 
 
-def test_lambda_slacks_are_the_upper_bound_gaps():
-    prob = build_lambda_problem(DegreeDistribution({6: 1.0}), 0.49, 7)
-    sol = solve(prob)
-    assert sol.status == "optimal"
-    lam, slack = sol.x[:6], sol.x[6:12]
-    assert np.all(slack >= -1e-9)
-    assert np.max(np.abs(slack - (1.0 - lam))) <= 1e-12
+def test_lambda_taps_stay_on_the_simplex():
+    # Nonnegativity and the sum row bound every tap by 1; no cap row is
+    # posed. Over random (rho, eps, Dv <= 12) each solve ends optimal or
+    # infeasible, and every optimal answer has taps in [0, 1] summing to 1.
+    rng = np.random.default_rng(19)
+    for _ in range(12):
+        degrees = rng.choice(np.arange(3, 9), size=int(rng.integers(1, 3)),
+                             replace=False)
+        rho = DegreeDistribution({int(d): float(w) for d, w in
+                                  zip(degrees, rng.dirichlet(np.ones(degrees.size)))},
+                                 normalize=True)
+        dv = int(rng.integers(2, 13))
+        prob = build_lambda_problem(rho, float(rng.uniform(0.05, 0.9)), dv)
+        sol = solve(prob)
+        assert sol.status in ("optimal", "infeasible")
+        if sol.status == "optimal":
+            lam = sol.x[:dv - 1]
+            assert np.all(lam >= -1e-9) and np.all(lam <= 1.0 + 1e-9)
+            assert abs(float(np.sum(lam)) - 1.0) <= 1e-9
 
 
 def test_lambda_problem_rejects_bad_eps():
@@ -275,11 +287,13 @@ def test_feasibility_program_negative_polynomial():
 
 
 def test_generic_builder_quadratic_box():
-    # Maximize b with 1 + b x + x^2 >= 0 on [0, 1] and b boxed to [0, 1]:
-    # the box binds, so b* = 1.
+    # Maximize b with 1 + b x + x^2 >= 0 on [0, 1] and b boxed to [0, 1],
+    # the cap posed as the variable s >= 0 and the row b + s = 1: the box
+    # binds, so b* = 1.
     fam = coefficient_family(
-        ("b",), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-    prob = assemble_sos_program(fam, "max", [1.0], [0.0], [1.0])
+        ("b", "s"), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+    prob = assemble_sos_program(fam, "max", [1.0, 0.0], extra_eq=[([1.0, 1.0], 1.0)])
+    assert prob.n_nonneg == 2 and prob.A.shape == (4, 2)
     sol = solve(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
