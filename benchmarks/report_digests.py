@@ -13,9 +13,12 @@ the same reports for these commands when the output is the same for both:
 The commands are the README examples (with ``design.json`` holding the
 published Dv = 7 design), the 11 command lines of the benchmark's ``design``
 workload, the type-MB ``verify``, two ``threshold`` pairs drawn by the A8
-generator (seeds 0 and 1) and the README ``sweep``, as CSV and as JSON. They
-are copied here, so that a change to the benchmark does not change them.
-Together they take about 3 s on a 2-vCPU host.
+generator (seeds 0 and 1), the README ``sweep``, as CSV and as JSON, and two
+large-degree lines that take the root refinement to high degree (the
+Dv = 26 design, and the closed-form threshold of a pair with degree-30
+nodes on both sides). They are copied here, so that a change to the
+benchmark does not change them. Together they take about 4 s on a 2-vCPU
+host.
 Run as:  python benchmarks/report_digests.py
 """
 
@@ -79,6 +82,9 @@ COMMANDS = [
                   "--method", "both")),
     ("readme_sweep_csv", README_SWEEP),
     ("readme_sweep_json", README_SWEEP + ("--output", "json")),
+    ("check6_eps048_dv26", _optimize_lambda('{"6": 1.0}', "0.48", "26")),
+    ("threshold_deg30", ("threshold", "--lambda", '{"2": 0.5, "30": 0.5}',
+                         "--rho", '{"30": 1.0}', "--method", "bisect")),
 ]
 
 _DURATION = re.compile(r'^\s*"duration_seconds": .*\n', re.MULTILINE)

@@ -41,11 +41,12 @@ def bisect_threshold(lam: DegreeDistribution, rho: DegreeDistribution) -> float:
     DE from x0 = eps reaches zero exactly when eps * H(x) < 1 on (0, 1],
     where H(x) = lam(1 - rho(1 - x)) / x (Richardson & Urbanke, *Modern
     Coding Theory*, ch. 3), so eps* = 1 / max H. The maximum is taken over
-    the same uniform grid and bisected roots of H' as ``check_de_feasible``
-    takes the minimum of P, with H in division-free form (see
-    ``_DecodingMap``). H(1) = 1, so eps* <= 1. The result also satisfies
-    the capacity-side bound eps* <= (sum rho_j / j) / (sum lam_i / i), up to
-    ``CAPACITY_SLACK``.
+    the same uniform grid and roots of H' as ``check_de_feasible`` takes
+    the minimum of P, with H in division-free form (see ``_DecodingMap``):
+    one vectorized scan of H' finds its sign changes, and each is bisected
+    on Python floats (``_critical_points``). H(1) = 1, so eps* <= 1. The
+    result also satisfies the capacity-side bound
+    eps* <= (sum rho_j / j) / (sum lam_i / i), up to ``CAPACITY_SLACK``.
     """
     dmap = _DecodingMap(lam, rho)
     # H' vanishes identically only for lam = rho = x, where H = 1: it has no

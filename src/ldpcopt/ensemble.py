@@ -175,9 +175,10 @@ class FeasibilityReport:
     endpoint_value: float   # P(1), the last grid point
 
 
-def psi(rho: Polynomial, eps: float, xs: np.ndarray) -> np.ndarray:
-    """psi(x) = 1 - rho(1 - eps*x) at each point of `xs`, by Horner on the
-    edge polynomial `rho`: the check-side half of the erasure map."""
+def psi(rho: Polynomial, eps: float, xs):
+    """psi(x) = 1 - rho(1 - eps*x) at each point of `xs` (an array, or one
+    Python float), by Horner on the edge polynomial `rho`: the check-side
+    half of the erasure map."""
     return 1.0 - rho.evaluate_many(1.0 - eps * xs)
 
 
@@ -213,6 +214,9 @@ class _DecodingMap:
     (deg lam) * (deg rho) units in the last place. The expanded monomial coefficients of P grow
     like binomials instead (1.8e16 at degree 195), and evaluating them loses
     every digit at large degrees.
+
+    Each method takes an array of points, or one Python float and then
+    returns a float with the bits the array would hold there.
     """
 
     def __init__(self, lam: DegreeDistribution, rho: DegreeDistribution):
@@ -248,10 +252,11 @@ def check_de_feasible(spec: EnsembleSpec) -> FeasibilityReport:
     polynomial.
 
     P is sampled on a uniform 10001-point grid; the interior critical points
-    of P (bisection on the sign changes of P' over a 4096-point scan) are
-    evaluated too, so the reported minimum is not limited by grid
-    resolution. The grid minimum alone is reported next to it. P and P' are
-    evaluated in composed form (see ``_DecodingMap``).
+    of P (the sign changes of P' over a 4096-point scan, each bisected on
+    Python floats by ``_critical_points``) are evaluated too, so the
+    reported minimum is not limited by grid resolution. The grid minimum
+    alone is reported next to it. P and P' are evaluated in composed form
+    (see ``_DecodingMap``).
     """
     p, eps = _DecodingMap(spec.lam, spec.rho), spec.epsilon
     xs = np.linspace(0.0, 1.0, GRID_POINTS)
@@ -281,33 +286,40 @@ def check_de_feasible(spec: EnsembleSpec) -> FeasibilityReport:
 
 
 def _critical_points(slopes) -> list:
-    """Roots in (0, 1) of the function that `slopes` evaluates on an array,
-    by bisection on the sign changes of a dense scan.
+    """Roots in (0, 1) of the function that `slopes` evaluates, by bisection
+    on the sign changes of a dense scan.
 
-    Every interval that starts on a zero or changes sign is bisected at
-    once, each element taking the same halvings as a 64-step scalar
-    bisection: an exact zero at the midpoint collapses the interval onto it,
-    which later halvings keep. A halving is a fixed map of (a, b, fa), so
-    once one leaves them unchanged the remaining ones would too, and the
-    loop stops there with the 64-step answer.
+    One vectorized call scans the function on 4096 points; a scan point
+    where it is zero is a root as it stands. Every interval that changes
+    sign is then halved on Python floats, `slopes` taking one float per
+    call, with the halvings of a 64-step bisection: an exact zero at the
+    midpoint collapses the interval onto it, which later halvings keep. A
+    halving is a fixed map of (a, b, fa), so once one leaves them unchanged
+    the remaining ones would too, and the loop stops there with the 64-step
+    answer. Float and array arithmetic round alike, so the roots are those
+    of the same bisection run on arrays (``tests/oracles.py``) to the bit.
+
+    A numpy call on the few elements of a batched halving costs more in
+    overhead than in arithmetic. The loop over intervals stays faster until
+    the scan finds about 40 sign changes; the slopes of the DE check and
+    the threshold show at most 4 (an optimized design's P', where P
+    touches zero).
     """
     xs = np.linspace(0.0, 1.0, CRITICAL_SCAN_POINTS)
     dv = slopes(xs)
     # Only intervals that start on a zero or change sign hold a root.
     k = np.flatnonzero((dv[:-1] == 0.0) | (dv[:-1] * dv[1:] < 0.0))
-    if not k.size:
-        return []
-    on_zero = dv[k] == 0.0
-    a, b, fa = xs[k], xs[k + 1], dv[k]
-    for _ in range(64):
-        m = 0.5 * (a + b)
-        fm = slopes(m)
-        left = fa * fm < 0.0
-        state = (a, b, fa)
-        b = np.where(left | (fm == 0.0), m, b)
-        a = np.where(left, a, m)
-        fa = np.where(left, fa, fm)
-        if all(old.tobytes() == new.tobytes() for old, new in zip(state, (a, b, fa))):
-            break
-    roots = np.where(on_zero, xs[k], 0.5 * (a + b))
-    return [r for r in roots.tolist() if 0.0 < r < 1.0]
+    roots = []
+    for a, b, fa in zip(xs[k].tolist(), xs[k + 1].tolist(), dv[k].tolist()):
+        if fa == 0.0:
+            roots.append(a)
+            continue
+        for _ in range(64):
+            m = 0.5 * (a + b)
+            fm = slopes(m)
+            state = (a, m, fa) if fa * fm < 0.0 else (m, m if fm == 0.0 else b, fm)
+            if state == (a, b, fa):
+                break
+            a, b, fa = state
+        roots.append(0.5 * (a + b))
+    return [r for r in roots if 0.0 < r < 1.0]

@@ -5,8 +5,9 @@ x**k), as double-precision floats. Trailing coefficients at or below
 ``TRIM_TOL`` are dropped at construction; the zero polynomial stores no
 coefficients and has degree -1 by convention.
 
-Evaluation is array Horner only (``evaluate_many``; a 0-d input gives a
-scalar); the only arithmetic is the derivative. The library evaluates the
+Evaluation is one Horner loop (``evaluate_many``) on a Python float or on
+an array, rounding the same way on both, so a float gives the array's value
+to the bit; the only arithmetic is the derivative. The library evaluates the
 erasure map in composed form, on the edge polynomials themselves
 (``ldpcopt.ensemble``), and never expands products or powers.
 """
@@ -23,7 +24,7 @@ TRIM_TOL = 1e-14
 class Polynomial:
     """Immutable dense univariate polynomial over the reals."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_desc")
 
     def __init__(self, coeffs: Iterable[float] = ()):
         if not isinstance(coeffs, np.ndarray):
@@ -38,6 +39,7 @@ class Polynomial:
             n -= 1
         self._c = c[:n].copy()
         self._c.flags.writeable = False
+        self._desc = tuple(self._c[::-1].tolist())
 
     # -- construction helpers -------------------------------------------------
 
@@ -74,13 +76,21 @@ class Polynomial:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
+    def evaluate_many(self, xs):
         """Horner evaluation at each point of `xs`: acc = acc * x + c_k from
-        0.0 down the coefficients."""
-        xs = np.asarray(xs, dtype=np.float64)
-        acc = np.zeros_like(xs)
-        for k in range(self._c.size - 1, -1, -1):
-            acc = acc * xs + self._c[k]
+        0.0 down the coefficients.
+
+        A Python float runs the loop on Python floats and gives a float; any
+        other input runs it on a float64 array (a 0-d input gives a numpy
+        scalar). Both round each multiply and add once, so the results agree
+        to the bit.
+        """
+        acc = 0.0
+        if type(xs) is not float:
+            xs = np.asarray(xs, dtype=np.float64)
+            acc = np.zeros_like(xs)
+        for c in self._desc:
+            acc = acc * xs + c
         return acc
 
     def derivative(self) -> "Polynomial":

@@ -1,6 +1,7 @@
 """Degree distributions, rates, stability, and feasibility checking."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpcopt import ensemble
+from ldpcopt import ensemble, solver, sos
 from ldpcopt.ensemble import (
     DegreeDistribution,
     EnsembleSpec,
@@ -320,6 +321,19 @@ def test_critical_points_early_stop_matches_64_halvings(rng):
     mid = 0.5 * (xs[1234] + xs[1235])
     slopes.append(lambda ys: ys - mid)
     assert mid in ensemble._critical_points(slopes[-1])
+    # P' of the Dv = 52 design (rho = x^5, eps = 0.48), every solved tap
+    # kept, so lam has degree 51.
+    rho = DegreeDistribution({6: 1.0})
+    sol = solver.solve(sos.build_lambda_problem(rho, 0.48, 52))
+    lam = DegreeDistribution(dict(zip(range(2, 53), np.clip(sol.x[:51], 0.0, 1.0))),
+                             normalize=True)
+    dmap = ensemble._DecodingMap(lam, rho)
+    assert dmap.lam.degree == 51
+    slopes.append(lambda ys: dmap.slopes(0.48, ys))
+    # Many sign changes: 31 well-separated simple roots.
+    centres = [(j + 0.3) / 31 for j in range(31)]
+    slopes.append(lambda ys: math.prod(ys - c for c in centres))
+    assert len(ensemble._critical_points(slopes[-1])) == 31
     for f in slopes:
         found = ensemble._critical_points(f)
         want = critical_points_64(f, ensemble.CRITICAL_SCAN_POINTS)

@@ -133,6 +133,25 @@ def test_evaluate_many_matches_scalar(rng):
     assert np.array_equal(many, np.polynomial.polynomial.polyval(xs, p.coeffs))
 
 
+def test_float_evaluation_is_the_array_evaluation_to_the_bit(rng):
+    # A Python float takes the Horner loop on Python floats and gives a
+    # float; it must carry the bits the array loop gives at that point. 0-d
+    # and array inputs keep numpy types.
+    for degree in range(256):
+        p = Polynomial(rng.normal(size=degree + 1))
+        assert p.degree == degree
+        xs = np.concatenate([[0.0, 1.0, -1.0, 2.0], rng.uniform(-1.0, 2.0, size=6)])
+        many = p.evaluate_many(xs)
+        assert type(many) is np.ndarray and many.shape == xs.shape
+        for x, want in zip(xs.tolist(), many):
+            got = p.evaluate_many(x)
+            assert type(got) is float, degree
+            assert np.float64(got).tobytes() == want.tobytes(), (degree, x)
+            assert type(p.evaluate_many(np.asarray(x))) is np.float64
+            assert type(p.evaluate_many(np.float64(x))) is np.float64
+    assert type(Polynomial.zero().evaluate_many(0.5)) is float
+
+
 # -- decoding-success polynomial ------------------------------------------------
 
 
