@@ -13,10 +13,13 @@ the same reports for these commands when the output is the same for both:
 The commands are the README examples (with ``design.json`` holding the
 published Dv = 7 design), the 11 command lines of the benchmark's ``design``
 workload, the type-MB ``verify``, two ``threshold`` pairs drawn by the A8
-generator (seeds 0 and 1), the README ``sweep``, as CSV and as JSON, and two
+generator (seeds 0 and 1), the README ``sweep``, as CSV and as JSON, two
 large-degree lines that take the root refinement to high degree (the
 Dv = 26 design, and the closed-form threshold of a pair with degree-30
-nodes on both sides). They are copied here, so that a change to the
+nodes on both sides), and two designs that break the stability condition
+eps lam_2 rho'(1) <= 1 by about 2e-5 (the ``optimize-rho`` design at
+eps = 0.95, which fails its DE check and exits 3, and a ``verify`` just
+above its threshold, which exits 2). They are copied here, so that a change to the
 benchmark does not change them. Together they take about 4 s on a 2-vCPU
 host.
 Run as:  python benchmarks/report_digests.py
@@ -85,6 +88,12 @@ COMMANDS = [
     ("check6_eps048_dv26", _optimize_lambda('{"6": 1.0}', "0.48", "26")),
     ("threshold_deg30", ("threshold", "--lambda", '{"2": 0.5, "30": 0.5}',
                          "--rho", '{"30": 1.0}', "--method", "bisect")),
+    ("rho_dv7_eps095", ("optimize-rho", "--lambda",
+                        '{"7": 0.7035163711045316, "2": 0.2964836288954685}',
+                        "--epsilon", "0.95", "--max-check-degree", "7")),
+    ("verify_unstable_lam2", ("verify", "--lambda", '{"2": 0.904, "3": 0.096}',
+                              "--rho", '{"2": 0.011, "3": 0.529, "4": 0.46}',
+                              "--epsilon", "0.4517")),
 ]
 
 _DURATION = re.compile(r'^\s*"duration_seconds": .*\n', re.MULTILINE)

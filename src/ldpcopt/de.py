@@ -3,10 +3,11 @@ and the discretized-LP baseline.
 
 Nothing here touches the sum-of-squares machinery or its expanded
 polynomial coefficients, so that the routes check each other. The threshold
-is 1 / max H for the fixed-point gain H(x) = lam(1 - rho(1 - x)) / x, found
-by a grid and a bisection on the sign changes of H'; the threshold and the
-LP columns both evaluate the erasure map in composed form, on the degree
-polynomials themselves (``ensemble._DecodingMap`` and ``ensemble.psi``).
+is 1 / max H for the fixed-point gain H(x) = lam(1 - rho(1 - x)) / x, taken
+on the grid-plus-roots scan of H that the DE check reads P(x) / x from;
+the threshold and the LP columns both evaluate the erasure map in composed
+form, on the degree polynomials themselves (``ensemble._gain_scan`` and
+``ensemble.psi``).
 The LP baseline enforces the decoding constraint only on finitely many grid
 points: a relaxation whose objective upper-bounds the exact program and
 converges to it as the grid is refined.
@@ -26,8 +27,8 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from . import solver
-from .ensemble import (GRID_POINTS, DegreeDistribution, _critical_points,
-                       _DecodingMap, design_rate, psi, running_powers)
+from .ensemble import (DegreeDistribution, _gain_scan, design_rate, psi,
+                       running_powers)
 from .solver import ConicProblem, ConicSolution
 
 # Allowance for rounding, and for coefficient sums off 1 by up to SUM_TOL,
@@ -40,21 +41,15 @@ def bisect_threshold(lam: DegreeDistribution, rho: DegreeDistribution) -> float:
 
     DE from x0 = eps reaches zero exactly when eps * H(x) < 1 on (0, 1],
     where H(x) = lam(1 - rho(1 - x)) / x (Richardson & Urbanke, *Modern
-    Coding Theory*, ch. 3), so eps* = 1 / max H. The maximum is taken over
-    the same uniform grid and roots of H' as ``check_de_feasible`` takes
-    the minimum of P, with H in division-free form (see ``_DecodingMap``):
-    one vectorized scan of H' finds its sign changes, and each is bisected
-    on Python floats (``_critical_points``). H(1) = 1, so eps* <= 1. The
-    result also satisfies the capacity-side bound
+    Coding Theory*, ch. 3), so eps* = 1 / max H. The maximum is taken on
+    the scan that ``check_de_feasible`` takes F = 1 - eps H(eps x) on, at
+    eps = 1 (``ensemble._gain_scan``): the uniform grid and the roots of H',
+    with H in division-free form (see ``_DecodingMap``). H(1) = 1, so
+    eps* <= 1. The result also satisfies the capacity-side bound
     eps* <= (sum rho_j / j) / (sum lam_i / i), up to ``CAPACITY_SLACK``.
     """
-    dmap = _DecodingMap(lam, rho)
-    # H' vanishes identically only for lam = rho = x, where H = 1: it has no
-    # roots to find then, and every point holds the maximum.
-    constant = dmap.lam_quot.degree <= 0 and dmap.rho_quot.degree <= 0
-    roots = [] if constant else _critical_points(dmap.gain_slopes)
-    xs = np.append(np.linspace(0.0, 1.0, GRID_POINTS), roots)
-    threshold = min(1.0, 1.0 / float(np.max(dmap.gains(xs))))
+    _, gains = _gain_scan(lam, rho, 1.0)
+    threshold = min(1.0, 1.0 / float(np.max(gains)))
     cap = rho.inv_degree_moment() / lam.inv_degree_moment()
     if threshold > cap + CAPACITY_SLACK:
         raise RuntimeError(

@@ -5,7 +5,7 @@ of edges attached to nodes of that degree; the associated edge polynomial is
 sum_i coeff_i * x**(i-1). An ``EnsembleSpec`` bundles a variable-side and a
 check-side distribution with an erasure probability and is the unit of
 verification: its decoding-success polynomial P(x) = x - lam(1 - rho(1 - eps*x))
-must be nonnegative on [0, 1].
+must be nonnegative on [0, 1], which the check tests as P(x) / x >= 0.
 """
 
 from __future__ import annotations
@@ -167,12 +167,12 @@ def stability_lambda2_bound(rho: DegreeDistribution, eps: float) -> float:
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool          # worst_value >= -FEASIBILITY_TOL
-    worst_x: float          # minimum of P over the grid and its critical points
+    worst_x: float          # minimum of F = P / x over the grid and its critical points
     worst_value: float
     grid_feasible: bool     # grid_value >= -FEASIBILITY_TOL
-    grid_x: float           # minimum of P over the grid alone
+    grid_x: float           # minimum of F over the grid alone
     grid_value: float
-    endpoint_value: float   # P(1), the last grid point
+    endpoint_value: float   # F(1) = P(1), the last grid point
 
 
 def psi(rho: Polynomial, eps: float, xs):
@@ -193,27 +193,25 @@ def running_powers(base: np.ndarray, count: int) -> np.ndarray:
 
 
 class _DecodingMap:
-    """The erasure map of one (lam, rho) pair in composed form, eps per call:
+    """The fixed-point gain of one (lam, rho) pair in composed form,
 
-        P(x)  = x - lam(psi(x)),
-        P'(x) = 1 - eps lam'(psi(x)) rho'(1 - eps*x),
+        H(y)  = lam(psi(y)) / y = Lam(psi(y)) R(1 - y),
+        H'(y) = Lam'(psi(y)) rho'(1 - y) R(1 - y) - Lam(psi(y)) R'(1 - y),
 
-    and, at eps = 1, the fixed-point gain H(x) = lam(psi(x)) / x, whose
-    maximum over [0, 1] is 1 / eps* (see ``de.bisect_threshold``):
-
-        H(x)  = Lam(psi(x)) R(1 - x),
-        H'(x) = Lam'(psi(x)) rho'(1 - x) R(1 - x) - Lam(psi(x)) R'(1 - x),
-
-    with Lam(z) = lam(z) / z = sum_i lam_i z**(i-2) and
-    R(u) = (1 - rho(u)) / (1 - u), whose coefficient k is
-    sum_{j >= k+2} rho_j. H carries no division, so H(0) = lam_2 rho'(1)
-    (the stability bound) and H(1) = 1 come out as they are.
+    with psi(y) = 1 - rho(1 - y), Lam(z) = lam(z) / z = sum_i lam_i z**(i-2)
+    and R(u) = (1 - rho(u)) / (1 - u), whose coefficient k is
+    sum_{j >= k+2} rho_j. Every DE question is a question about H: at
+    erasure probability eps the decoding-success polynomial is
+    P(x) = x - lam(psi(eps x)) = x F(x) with F(x) = 1 - eps H(eps x), and
+    the threshold is eps* = 1 / max H (see ``de.bisect_threshold``). H
+    carries no division, so H(0) = lam_2 rho'(1) (the stability bound, and
+    F(0) = 1 - eps lam_2 rho'(1)) and H(1) = 1 come out as they are.
 
     Every polynomial here has nonnegative coefficients and is evaluated on
-    [0, 1] only, so the rounding error of P and H stays of order
-    (deg lam) * (deg rho) units in the last place. The expanded monomial coefficients of P grow
-    like binomials instead (1.8e16 at degree 195), and evaluating them loses
-    every digit at large degrees.
+    [0, 1] only, so the rounding error of H stays of order
+    (deg lam) * (deg rho) units in the last place. The expanded monomial
+    coefficients of P grow like binomials instead (1.8e16 at degree 195),
+    and evaluating them loses every digit at large degrees.
 
     Each method takes an array of points, or one Python float and then
     returns a float with the bits the array would hold there.
@@ -222,66 +220,60 @@ class _DecodingMap:
     def __init__(self, lam: DegreeDistribution, rho: DegreeDistribution):
         self.lam = lam.edge_polynomial()
         self.rho = rho.edge_polynomial()
-        self.dlam = self.lam.derivative()
         self.drho = self.rho.derivative()
         self.lam_quot = Polynomial(self.lam.coeffs[1:])
         self.dlam_quot = self.lam_quot.derivative()
         self.rho_quot = Polynomial(np.cumsum(self.rho.coeffs[:0:-1])[::-1])
         self.drho_quot = self.rho_quot.derivative()
 
-    def values(self, eps: float, xs: np.ndarray) -> np.ndarray:
-        return xs - self.lam.evaluate_many(psi(self.rho, eps, xs))
+    def gains(self, ys: np.ndarray) -> np.ndarray:
+        return self.lam_quot.evaluate_many(psi(self.rho, 1.0, ys)) \
+            * self.rho_quot.evaluate_many(1.0 - ys)
 
-    def slopes(self, eps: float, xs: np.ndarray) -> np.ndarray:
-        return 1.0 - eps * self.dlam.evaluate_many(psi(self.rho, eps, xs)) \
-            * self.drho.evaluate_many(1.0 - eps * xs)
-
-    def gains(self, xs: np.ndarray) -> np.ndarray:
-        return self.lam_quot.evaluate_many(psi(self.rho, 1.0, xs)) \
-            * self.rho_quot.evaluate_many(1.0 - xs)
-
-    def gain_slopes(self, xs: np.ndarray) -> np.ndarray:
-        ys, us = psi(self.rho, 1.0, xs), 1.0 - xs
-        return self.dlam_quot.evaluate_many(ys) * self.drho.evaluate_many(us) \
+    def gain_slopes(self, ys: np.ndarray) -> np.ndarray:
+        zs, us = psi(self.rho, 1.0, ys), 1.0 - ys
+        return self.dlam_quot.evaluate_many(zs) * self.drho.evaluate_many(us) \
             * self.rho_quot.evaluate_many(us) \
-            - self.lam_quot.evaluate_many(ys) * self.drho_quot.evaluate_many(us)
+            - self.lam_quot.evaluate_many(zs) * self.drho_quot.evaluate_many(us)
+
+
+def _gain_scan(lam: DegreeDistribution, rho: DegreeDistribution, eps: float):
+    """(xs, H(eps * xs)) for the gain H of ``_DecodingMap``: xs is the
+    uniform 10001-point grid on [0, 1] followed by the roots of
+    x -> H'(eps x) in (0, 1) (``_critical_points``), so that the extremes
+    of H on [0, eps] are not limited by grid resolution."""
+    dmap = _DecodingMap(lam, rho)
+    # The slope has no roots to find when it is constant: at eps = 0, and
+    # for lam = rho = x, where H = 1. Every point holds the extreme then.
+    constant = eps == 0.0 or (dmap.lam_quot.degree <= 0 and dmap.rho_quot.degree <= 0)
+    roots = [] if constant else _critical_points(lambda xs: dmap.gain_slopes(eps * xs))
+    xs = np.append(np.linspace(0.0, 1.0, GRID_POINTS), roots)
+    return xs, dmap.gains(eps * xs)
 
 
 def check_de_feasible(spec: EnsembleSpec) -> FeasibilityReport:
-    """Check P(x) >= -FEASIBILITY_TOL on [0, 1] for the decoding-success
-    polynomial.
+    """Check F(x) = P(x) / x >= -FEASIBILITY_TOL on [0, 1], with P the
+    decoding-success polynomial.
 
-    P is sampled on a uniform 10001-point grid; the interior critical points
-    of P (the sign changes of P' over a 4096-point scan, each bisected on
-    Python floats by ``_critical_points``) are evaluated too, so the
-    reported minimum is not limited by grid resolution. The grid minimum
-    alone is reported next to it. P and P' are evaluated in composed form
-    (see ``_DecodingMap``).
+    F = 1 - eps H(eps x) is taken on the scan of ``_gain_scan``: the uniform
+    grid, where F(0) = 1 - eps lam_2 rho'(1) is the stability condition, and
+    the interior critical points of F, so that the reported minimum is not
+    limited by grid resolution. The grid minimum alone is reported next to
+    it. F holds the sign of P without its factor x, which would hide a
+    broken stability condition near 0 inside the tolerance.
     """
-    p, eps = _DecodingMap(spec.lam, spec.rho), spec.epsilon
-    xs = np.linspace(0.0, 1.0, GRID_POINTS)
-    values = p.values(eps, xs)
-    worst = int(np.argmin(values))
-    grid_x = worst_x = float(xs[worst])
-    grid_value = worst_value = float(values[worst])
-    # P' is constant when both edge polynomials are linear. It has no roots
-    # to find then: P is linear and smallest at an endpoint, which the grid
-    # holds.
-    linear = p.lam.degree <= 1 and p.rho.degree <= 1
-    roots = [] if linear else _critical_points(lambda ys: p.slopes(eps, ys))
-    for x, v in zip(roots, p.values(eps, np.array(roots)).tolist()):
-        if v < worst_value:
-            worst_value = v
-            worst_x = x
-
+    eps = spec.epsilon
+    xs, gains = _gain_scan(spec.lam, spec.rho, eps)
+    values = 1.0 - eps * gains
+    grid, worst = int(np.argmin(values[:GRID_POINTS])), int(np.argmin(values))
     return FeasibilityReport(
-        feasible=bool(worst_value >= -FEASIBILITY_TOL),
-        worst_x=worst_x,
-        worst_value=worst_value,
-        grid_feasible=bool(grid_value >= -FEASIBILITY_TOL),
-        grid_x=grid_x,
-        grid_value=grid_value,
-        endpoint_value=float(values[-1]),
+        feasible=bool(values[worst] >= -FEASIBILITY_TOL),
+        worst_x=float(xs[worst]),
+        worst_value=float(values[worst]),
+        grid_feasible=bool(values[grid] >= -FEASIBILITY_TOL),
+        grid_x=float(xs[grid]),
+        grid_value=float(values[grid]),
+        endpoint_value=float(values[GRID_POINTS - 1]),
     )
 
 
@@ -301,9 +293,9 @@ def _critical_points(slopes) -> list:
 
     A numpy call on the few elements of a batched halving costs more in
     overhead than in arithmetic. The loop over intervals stays faster until
-    the scan finds about 40 sign changes; the slopes of the DE check and
-    the threshold show at most 4 (an optimized design's P', where P
-    touches zero).
+    the scan finds about 40 sign changes; the gain slopes of the DE check
+    and the threshold show at most 3 (an optimized design's, where
+    eps H(eps x) touches 1).
     """
     xs = np.linspace(0.0, 1.0, CRITICAL_SCAN_POINTS)
     dv = slopes(xs)

@@ -134,6 +134,43 @@ def test_verify_infeasible_exit_code(capsys):
     assert report["de_minimum"]["worst_value"] < 0.0
 
 
+def test_verify_fails_a_broken_stability_condition(capsys):
+    # lam_2 = 0.904 lies above its stability bound 1 / (eps rho'(1)) =
+    # 0.9039848, and eps lies 7.6e-6 above the threshold. P(x) itself dips
+    # below 0 only by about (1 - eps lam_2 rho'(1)) x, inside the tolerance
+    # near x = 0; F = P / x reads the violation at x = 0.
+    code, out, _ = run_cli(
+        capsys, "verify", "--lambda", '{"2": 0.904, "3": 0.096}',
+        "--rho", '{"2": 0.011, "3": 0.529, "4": 0.46}', "--epsilon", "0.4517")
+    assert code == 2
+    report = json.loads(out)
+    assert report["stability"]["lambda2"] > report["stability"]["bound"]
+    assert report["threshold_margin"] < 0.0
+    for key in ("de_grid", "de_minimum"):
+        assert not report[key]["feasible"] and report[key]["worst_x"] == 0.0
+
+
+def test_optimize_rho_design_breaking_stability_is_not_reported(tmp_path, capsys):
+    # The check-side program at this point has no strictly feasible point;
+    # the solver ends `optimal` on a design with eps lam_2 rho'(1) =
+    # 1.000019 > 1, which does not decode to zero. The DE check fails it at
+    # x = 0, and `verify` of the printed design exits 2.
+    code, out, _ = run_cli(
+        capsys, "optimize-rho",
+        "--lambda", '{"7": 0.7035163711045316, "2": 0.2964836288954685}',
+        "--epsilon", "0.95", "--max-check-degree", "7")
+    assert code == 3
+    report = json.loads(out)
+    assert report["status"] == "verification-failed"
+    assert not report["de_check"]["feasible"]
+    assert report["de_check"]["worst_x"] == 0.0
+    path = tmp_path / "designed.json"
+    path.write_text(json.dumps(report["ensemble"]))
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert not json.loads(out)["de_minimum"]["feasible"]
+
+
 def test_verify_spec_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({
@@ -322,9 +359,10 @@ def test_random_design_round_trip(tmp_path, capsys, seed, check_degree, eps,
     path.write_text(json.dumps(report["ensemble"]))
     code, out, _ = run_cli(capsys, "verify", "--spec", str(path))
     assert code == 0, out
-    # The DE check passes P >= -FEASIBILITY_TOL, so eps* may sit a little
-    # below eps; the closed-form threshold has no bracket of its own.
-    assert json.loads(out)["threshold"] >= eps - 1e-6
+    # The DE check passes F = 1 - eps H(eps x) >= -FEASIBILITY_TOL on the
+    # threshold's own scan, so eps max H <= 1 + 1e-9 there: eps* may sit
+    # below eps by that factor and the rounding of H, no more.
+    assert json.loads(out)["threshold"] >= eps * (1 - 2e-9)
 
 
 def test_console_entry_point():

@@ -150,6 +150,25 @@ def test_feasibility_implies_convergence(rng):
     assert hits >= 100
 
 
+def test_check_agrees_with_threshold():
+    # F = 1 - eps H(eps x) >= 0 on [0, 1] exactly when eps <= eps* =
+    # 1 / max H: H(y) <= 1 / y puts the maximizer of H in [0, eps*], inside
+    # the scan at every eps >= eps*. So the check passes just below eps*
+    # and fails just above it, on A8-generator pairs whose eps* < 1.
+    rng = np.random.default_rng(3)
+    pairs = 0
+    while pairs < 400:
+        lam = random_distribution(rng, int(rng.integers(3, 8)))
+        rho = random_distribution(rng, int(rng.integers(3, 8)))
+        eps_star = bisect_threshold(lam, rho)
+        if eps_star * (1 + 1e-8) > 1.0:
+            continue
+        pairs += 1
+        for eps in (eps_star * (1 - 1e-8), eps_star * (1 + 1e-8)):
+            feasible = check_de_feasible(EnsembleSpec(lam, rho, eps)).feasible
+            assert feasible == (eps <= eps_star), (lam, rho, eps_star, eps)
+
+
 def test_feasibility_implies_convergence_reference_designs():
     from conftest import COMPARISON_DESIGNS, REFERENCE_DESIGNS
 

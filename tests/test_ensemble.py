@@ -106,10 +106,11 @@ def test_rate_invariant_under_renormalization(rng):
 def test_check_de_feasible_trivial():
     spec = EnsembleSpec(DegreeDistribution({2: 1.0}),
                         DegreeDistribution({2: 1.0}), 0.5)
+    # lam = rho = x: H = 1, so F = 1 - eps everywhere.
     rep = check_de_feasible(spec)
     assert rep.feasible
     assert rep.worst_x == pytest.approx(0.0)
-    assert rep.worst_value == pytest.approx(0.0, abs=1e-15)
+    assert rep.worst_value == pytest.approx(0.5, abs=1e-15)
 
 
 def test_check_de_feasible_reference_taps():
@@ -145,13 +146,14 @@ def test_grid_and_minimum_modes_agree(rng):
 
 
 def test_endpoint_value_is_p_at_one(rng):
-    # P(1) = 1 - lam(1 - rho(1 - eps)), composed as the check evaluates it.
+    # F(1) = P(1) = 1 - lam(1 - rho(1 - eps)), against the exact rational
+    # P(1) at the Horner bound of test_composed_p_within_horner_bound_of_exact.
     for _ in range(10):
         lam, rho = random_distribution(rng, 7), random_distribution(rng, 6)
         eps = float(rng.uniform(0.1, 0.9))
         rep = check_de_feasible(EnsembleSpec(lam, rho, eps))
-        psi = 1.0 - rho.edge_polynomial().evaluate_many(1.0 - eps)
-        assert rep.endpoint_value == 1.0 - lam.edge_polynomial().evaluate_many(psi)
+        bound = 4 * 2.0 ** -53 * lam.max_degree * rho.max_degree
+        assert abs(Fraction(rep.endpoint_value) - exact_p(lam, rho, eps, 1.0)) <= bound
 
 
 def _exact_horner(coeffs, x):
@@ -188,16 +190,18 @@ def test_composed_check_at_degree_195():
 
 @st.composite
 def _composed_cases(draw):
-    """(lam, rho, eps, xs) with P of nominal degree up to 250."""
+    """(lam, rho, eps, xs) with P of nominal degree up to 250, and taps in
+    multiples of 1/4096 that sum to exactly 1, so that the rational P(x) / x
+    has no tap-sum defect to divide by a small x."""
     check_degree = draw(st.integers(2, 11))
     var_degree = draw(st.integers(2, 1 + 250 // (check_degree - 1)))
 
     def distribution(max_degree):
-        degrees = draw(st.lists(st.integers(2, max_degree), max_size=4))
-        weights = {d: draw(st.floats(0.01, 1.0)) for d in degrees + [max_degree]}
-        total = sum(weights.values())
-        return DegreeDistribution({d: w / total for d, w in weights.items()},
-                                  normalize=True)
+        degrees = draw(st.lists(st.integers(2, max_degree - 1), max_size=4)) \
+            if max_degree > 2 else []
+        counts = {d: draw(st.integers(1, 1000)) for d in degrees}
+        counts[max_degree] = 4096 - sum(counts.values())
+        return DegreeDistribution({d: c / 4096 for d, c in counts.items()})
 
     lam, rho = distribution(var_degree), distribution(check_degree)
     eps = draw(st.floats(0.0, 1.0))
@@ -208,16 +212,24 @@ def _composed_cases(draw):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(case=_composed_cases())
 def test_composed_p_within_horner_bound_of_exact(case):
-    # lam and rho have nonnegative coefficients summing to 1 and are
-    # evaluated on [0, 1], so Horner on each errs by at most 2 n u and
-    # magnifies an input error by at most its degree n (the bound of its
-    # derivative there). Chaining 1 - eps*x, rho, 1 - r, lam and x - l
-    # gives at most 4 u (deg lam + 1)(deg rho + 1), u = 2**-53.
+    # F(x) = 1 - eps H(eps x), as check_de_feasible takes it, against the
+    # exact P(x) / x, and F(0) against its limit 1 - eps lam_2 rho'(1).
+    # The bound is P's: lam and rho have nonnegative coefficients summing
+    # to 1 and are evaluated on [0, 1], so Horner on each errs by at most
+    # 2 n u and magnifies an input error by at most its degree n (the bound
+    # of its derivative there); chaining 1 - eps*x, rho, 1 - r, lam and
+    # x - l gives at most 4 u (deg lam + 1)(deg rho + 1), u = 2**-53. F's
+    # chain (eps*x, 1 - y, rho, 1 - r, Lam, R, 1 - eps h) has the same
+    # degrees, and its largest error over these cases is a quarter of it.
     lam, rho, eps, xs = case
     p = ensemble._DecodingMap(lam, rho)
     bound = 4 * 2.0 ** -53 * (p.lam.degree + 1) * (p.rho.degree + 1)
-    for x, v in zip(xs, p.values(eps, np.array(xs)).tolist()):
-        assert abs(Fraction(v) - exact_p(lam, rho, eps, x)) <= bound
+    xs = [0.0] + xs
+    stability = 1 - Fraction(eps) * Fraction(lam.get(2)) * sum(
+        Fraction(c) * (j - 1) for j, c in rho.items())
+    for x, v in zip(xs, (1.0 - eps * p.gains(eps * np.array(xs))).tolist()):
+        want = exact_p(lam, rho, eps, x) / Fraction(x) if x else stability
+        assert abs(Fraction(v) - want) <= bound, (lam, rho, eps, x)
 
 
 def _dyadic_distribution(rng, max_degree):
@@ -239,7 +251,7 @@ def test_gain_within_horner_bound_of_exact(rng):
         rho = _dyadic_distribution(rng, int(rng.integers(2, 12)))
         p = ensemble._DecodingMap(lam, rho)
         lc, rc = p.lam.coeffs.tolist(), p.rho.coeffs.tolist()
-        dlc, drc = p.dlam.coeffs.tolist(), p.drho.coeffs.tolist()
+        dlc, drc = p.lam.derivative().coeffs.tolist(), p.drho.coeffs.tolist()
         size = (p.lam.degree + 1) * (p.rho.degree + 1)
         xs = np.concatenate([[0.0, 1e-12, 1e-3, 1.0], rng.uniform(0.0, 1.0, 5)])
         for x, h, dh in zip(xs.tolist(), p.gains(xs).tolist(),
@@ -305,15 +317,16 @@ def test_critical_points_match_full_scan(rng):
 
 def test_critical_points_early_stop_matches_64_halvings(rng):
     # The bisection stops once a halving changes nothing; the roots must be
-    # those of all 64 halvings to the bit: on composed DE slopes as the
-    # check takes them, on random polynomials, where the slope vanishes
+    # those of all 64 halvings to the bit: on the gain slopes H'(eps x) as
+    # the check takes them, on random polynomials, where the slope vanishes
     # exactly on scan points, and where it vanishes exactly on a midpoint
     # (the collapse onto an exact zero).
     xs = np.linspace(0.0, 1.0, ensemble.CRITICAL_SCAN_POINTS)
     slopes = []
     for _ in range(30):
         p = ensemble._DecodingMap(random_distribution(rng, 9), random_distribution(rng, 8))
-        slopes.append(lambda ys, p=p, eps=float(rng.uniform(0.1, 0.9)): p.slopes(eps, ys))
+        slopes.append(lambda ys, p=p, eps=float(rng.uniform(0.1, 0.9)):
+                      p.gain_slopes(eps * ys))
     for _ in range(20):
         slopes.append(Polynomial(rng.normal(size=int(rng.integers(3, 12)))).evaluate_many)
     a, b = float(xs[1000]), float(xs[3000])
@@ -321,7 +334,7 @@ def test_critical_points_early_stop_matches_64_halvings(rng):
     mid = 0.5 * (xs[1234] + xs[1235])
     slopes.append(lambda ys: ys - mid)
     assert mid in ensemble._critical_points(slopes[-1])
-    # P' of the Dv = 52 design (rho = x^5, eps = 0.48), every solved tap
+    # H'(eps x) of the Dv = 52 design (rho = x^5, eps = 0.48), every solved tap
     # kept, so lam has degree 51.
     rho = DegreeDistribution({6: 1.0})
     sol = solver.solve(sos.build_lambda_problem(rho, 0.48, 52))
@@ -329,7 +342,7 @@ def test_critical_points_early_stop_matches_64_halvings(rng):
                              normalize=True)
     dmap = ensemble._DecodingMap(lam, rho)
     assert dmap.lam.degree == 51
-    slopes.append(lambda ys: dmap.slopes(0.48, ys))
+    slopes.append(lambda ys: dmap.gain_slopes(0.48 * ys))
     # Many sign changes: 31 well-separated simple roots.
     centres = [(j + 0.3) / 31 for j in range(31)]
     slopes.append(lambda ys: math.prod(ys - c for c in centres))
