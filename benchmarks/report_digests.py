@@ -19,9 +19,11 @@ Dv = 26 design, and the closed-form threshold of a pair with degree-30
 nodes on both sides), and two designs that break the stability condition
 eps lam_2 rho'(1) <= 1 by about 2e-5 (the ``optimize-rho`` design at
 eps = 0.95, which fails its DE check and exits 3, and a ``verify`` just
-above its threshold, which exits 2). They are copied here, so that a change to the
-benchmark does not change them. Together they take about 4 s on a 2-vCPU
-host.
+above its threshold, which exits 2). The README ``optimize-lambda`` and
+``threshold`` again with ``--output csv`` cover the flattened report, and the
+README sweep with ``--grid-sizes ""`` its exact row alone. They are copied
+here, so that a change to the benchmark does not change them. Together they
+take about 4 s on a 2-vCPU host.
 Run as:  python benchmarks/report_digests.py
 """
 
@@ -38,6 +40,8 @@ from ldpcopt.cli import main as cli_main
 DESIGN_SPEC = {"lambda": {"2": 0.4021, "3": 0.2137, "7": 0.3902},
                "rho": {"6": 1.0}, "epsilon": 0.49}
 
+README_THRESHOLD = ("threshold", "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}',
+                    "--method", "both")
 README_SWEEP = ("sweep", "--rho", '{"5": 1.0}', "--epsilon", "0.56",
                 "--max-var-degree", "5", "--grid-sizes", "10,50,100,500,1000")
 
@@ -47,13 +51,14 @@ def _optimize_lambda(rho, eps, dv):
             "--max-var-degree", dv)
 
 
+README_OPTIMIZE_LAMBDA = _optimize_lambda('{"6": 1.0}', "0.49", "7")
+
 # (label, argv); "{spec}" stands for the path of a file holding DESIGN_SPEC.
 COMMANDS = [
-    ("readme_optimize_lambda", _optimize_lambda('{"6": 1.0}', "0.49", "7")),
+    ("readme_optimize_lambda", README_OPTIMIZE_LAMBDA),
     ("readme_optimize_rho", ("optimize-rho", "--lambda", '{"3": 1.0}',
                              "--epsilon", "0.4294", "--max-check-degree", "6")),
-    ("readme_threshold", ("threshold", "--lambda", '{"3": 1.0}', "--rho", '{"6": 1.0}',
-                          "--method", "both")),
+    ("readme_threshold", README_THRESHOLD),
     ("readme_verify_spec", ("verify", "--spec", "{spec}")),
     ("check4_eps064", _optimize_lambda('{"4": 1.0}', "0.64", "5")),
     ("check6_eps049", _optimize_lambda('{"6": 1.0}', "0.49", "7")),
@@ -94,9 +99,13 @@ COMMANDS = [
     ("verify_unstable_lam2", ("verify", "--lambda", '{"2": 0.904, "3": 0.096}',
                               "--rho", '{"2": 0.011, "3": 0.529, "4": 0.46}',
                               "--epsilon", "0.4517")),
+    ("readme_optimize_lambda_csv", README_OPTIMIZE_LAMBDA + ("--output", "csv")),
+    ("readme_threshold_csv", README_THRESHOLD + ("--output", "csv")),
+    ("readme_sweep_exact_only", README_SWEEP[:-1] + ("",)),
 ]
 
-_DURATION = re.compile(r'^\s*"duration_seconds": .*\n', re.MULTILINE)
+# The JSON line `  "duration_seconds": ...` or the CSV row `duration_seconds,...`.
+_DURATION = re.compile(r'^\s*"?duration_seconds"?[:,].*\n', re.MULTILINE)
 
 
 def digest(argv) -> tuple:
@@ -114,10 +123,10 @@ def main():
         spec = os.path.join(tmp, "design.json")
         with open(spec, "w") as f:
             json.dump(DESIGN_SPEC, f)
-        print(f"{'command':24s} {'exit':>4s} {'report sha1':>12s}")
+        print(f"{'command':26s} {'exit':>4s} {'report sha1':>12s}")
         for label, argv in COMMANDS:
             code, sha = digest([spec if a == "{spec}" else a for a in argv])
-            print(f"{label:24s} {code:4d} {sha:>12s}")
+            print(f"{label:26s} {code:4d} {sha:>12s}")
 
 
 if __name__ == "__main__":

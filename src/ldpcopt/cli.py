@@ -48,6 +48,7 @@ _STATUS_EXIT = {
     "infeasible": EXIT_INFEASIBLE,
     "unbounded": EXIT_INFEASIBLE,
     "numerical-failure": EXIT_NUMERICAL,
+    "verification-failed": EXIT_NUMERICAL,
 }
 
 
@@ -78,8 +79,13 @@ def _parse_distribution(raw: str, field: str) -> DegreeDistribution:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"field '{field}': invalid JSON ({exc})") from None
+    return _distribution(data, field)
+
+
+def _distribution(data, field: str) -> DegreeDistribution:
+    """Validate a decoded distribution object, from a flag or a spec file."""
     if not isinstance(data, dict):
-        raise InputError(f"field '{field}': must be a JSON object, got {raw!r}")
+        raise InputError(f"field '{field}': must be a JSON object, got {data!r}")
     try:
         dist = DegreeDistribution.from_json_dict(data, normalize=True)
     except ValueError as exc:
@@ -91,16 +97,15 @@ def _parse_distribution(raw: str, field: str) -> DegreeDistribution:
     return dist
 
 
-def _parse_epsilon(value: float, field: str = "epsilon",
-                   allow_one: bool = False) -> float:
+def _parse_epsilon(value: float, allow_one: bool = False) -> float:
     try:
         eps = float(value)
     except (TypeError, ValueError):
-        raise InputError(f"field '{field}': must be a number, got {value!r}") from None
+        raise InputError(f"field 'epsilon': must be a number, got {value!r}") from None
     hi_ok = eps <= 1.0 if allow_one else eps < 1.0
     if not (0.0 <= eps and hi_ok):
         rng = "[0, 1]" if allow_one else "[0, 1)"
-        raise InputError(f"field '{field}': must lie in {rng}, got {eps}")
+        raise InputError(f"field 'epsilon': must lie in {rng}, got {eps}")
     return eps
 
 
@@ -118,17 +123,17 @@ def _load_spec(args) -> EnsembleSpec:
         for key in ("lambda", "rho", "epsilon"):
             if key not in data:
                 raise InputError(f"field '{key}': missing from ensemble spec")
-        lam = _parse_distribution(json.dumps(data["lambda"]), "lambda")
-        rho = _parse_distribution(json.dumps(data["rho"]), "rho")
-        eps = _parse_epsilon(data["epsilon"], allow_one=True)
-        return EnsembleSpec(lam, rho, eps)
-    if args.lam is None or args.rho is None or args.epsilon is None:
+        lam = _distribution(data["lambda"], "lambda")
+        rho = _distribution(data["rho"], "rho")
+        eps = data["epsilon"]
+    elif args.lam is None or args.rho is None or args.epsilon is None:
         raise InputError(
             "field 'spec': provide --spec FILE or all of --lambda, --rho, --epsilon")
-    lam = _parse_distribution(args.lam, "lambda")
-    rho = _parse_distribution(args.rho, "rho")
-    eps = _parse_epsilon(args.epsilon, allow_one=True)
-    return EnsembleSpec(lam, rho, eps)
+    else:
+        lam = _parse_distribution(args.lam, "lambda")
+        rho = _parse_distribution(args.rho, "rho")
+        eps = args.epsilon
+    return EnsembleSpec(lam, rho, _parse_epsilon(eps, allow_one=True))
 
 
 def _emit(report: dict, output: str) -> None:
@@ -150,134 +155,119 @@ def _flatten(data, prefix=""):
     return out
 
 
-def _build(fields: str, builder, *args):
-    """Run an SOS problem builder; a Gram block over ``sos.MAX_GRAM_DIM`` is
-    an input error blamed on the degree fields that set its size."""
-    try:
-        return builder(*args)
-    except sos.GramTooLarge as exc:
-        raise InputError(f"{fields}: {exc}; lower the maximum degree") from None
-
-
-def _taps_from_solution(solution, degrees) -> dict:
+def _read_taps(values, max_degree: int) -> DegreeDistribution:
+    """The distribution that the solver's taps v_2..v_D stand for."""
     # Interior-point outputs can leave [0, 1] by ~1e-9 (a tap below 0, or
     # above 1 with the others at 0); clip before the distribution invariants
     # are enforced.
-    values = np.clip(solution.x[: len(degrees)], 0.0, 1.0)
-    taps = {d: float(v) for d, v in zip(degrees, values) if v > 1e-12}
-    return taps
+    values = np.clip(values, 0.0, 1.0)
+    return DegreeDistribution(
+        {d: float(v) for d, v in zip(range(2, max_degree + 1), values) if v > 1e-12},
+        normalize=True)
 
 
-def _certificate_report(problem, solution, family) -> dict:
-    """Verify the program's Gram certificate against its family at the
-    solver's values."""
-    cert = sos.certificate_from_solution(problem, solution)
-    rep = sos.verify_certificate(cert, family.at(solution.x[: family.n_vars]))
-    return {
-        "psd_ok": rep.psd_ok,
-        "reconstruction_ok": rep.reconstruction_ok,
-        "min_eig": rep.min_eig,
-        "max_residual": rep.max_residual,
-    }
+def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
+    """Build and solve the ``kind`` program of ``sos`` ("lambda", "rho" or
+    "threshold") on ``args``, then verify an optimal answer.
+
+    The Gram certificate is checked against the program's constraint family
+    at the solver's values. A design's taps are read back into an ensemble,
+    which the DE check tests. Returns (status, solution, checks, spec): the
+    solver's status, or "verification-failed" when an optimal answer fails a
+    check; the check reports; and the design's ensemble. ``checks`` is empty
+    and ``spec`` None unless the solve was optimal. A Gram block over
+    ``sos.MAX_GRAM_DIM`` is an input error blamed on ``fields``.
+    """
+    # The sos builders and the checks are looked up when this runs, so that
+    # wrappers set on their modules (perfbench's tracer) take effect.
+    try:
+        problem = getattr(sos, f"build_{kind}_problem")(*args)
+    except sos.GramTooLarge as exc:
+        raise InputError(f"{fields}: {exc}; lower the maximum degree") from None
+    solution = solve(problem, tol=tol)
+    if solution.status != "optimal":
+        return solution.status, solution, {}, None
+    family = getattr(sos, f"{kind}_constraint_family")(*args)
+    values = solution.x[: family.n_vars]
+    cert = sos.verify_certificate(solution.psd_matrices(problem), family.at(values))
+    checks = {"certificate": {
+        "psd_ok": cert.psd_ok,
+        "reconstruction_ok": cert.reconstruction_ok,
+        "min_eig": cert.min_eig,
+        "max_residual": cert.max_residual,
+    }}
+    verified, spec = cert.ok, None
+    if kind != "threshold":
+        fixed, eps, max_degree = args
+        design = _read_taps(values, max_degree)
+        spec = (EnsembleSpec(design, fixed, eps) if kind == "lambda"
+                else EnsembleSpec(fixed, design, eps))
+        de = check_de_feasible(spec)
+        checks["de_check"] = {
+            "feasible": de.feasible,
+            "worst_x": de.worst_x,
+            "worst_value": de.worst_value,
+            "endpoint_value": de.endpoint_value,
+        }
+        verified = verified and de.feasible
+    return ("optimal" if verified else "verification-failed"), solution, checks, spec
 
 
-def _de_report(spec: EnsembleSpec) -> dict:
-    rep = check_de_feasible(spec)
-    return {
-        "feasible": rep.feasible,
-        "worst_x": rep.worst_x,
-        "worst_value": rep.worst_value,
-        "endpoint_value": rep.endpoint_value,
-    }
+def _exit_code(status: str) -> int:
+    """The exit code of a final status; a failed verification is named on
+    stderr."""
+    if status == "verification-failed":
+        print("error: optimal solution failed independent verification",
+              file=sys.stderr)
+    return _STATUS_EXIT[status]
 
 
-def _optimize_common(args, kind: str) -> int:
+def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
-    if kind == "lambda":
-        fixed = _parse_distribution(args.rho, "rho")
-        eps = _parse_epsilon(args.epsilon)
-        max_degree = args.max_var_degree
-        if max_degree < 2:
-            raise InputError("field 'max-var-degree': must be at least 2")
-        problem = _build("field 'max-var-degree'", sos.build_lambda_problem,
-                         fixed, eps, max_degree)
-    else:
-        fixed = _parse_distribution(args.lam, "lambda")
-        eps = _parse_epsilon(args.epsilon)
-        max_degree = args.max_check_degree
-        if max_degree < 2:
-            raise InputError("field 'max-check-degree': must be at least 2")
-        problem = _build("field 'max-check-degree'", sos.build_rho_problem,
-                         fixed, eps, max_degree)
-
-    solution = solve(problem, tol=args.tol)
+    kind = args.side
+    fixed_field, degree_field = (("rho", "max-var-degree") if kind == "lambda"
+                                 else ("lambda", "max-check-degree"))
+    fixed = _parse_distribution(args.fixed, fixed_field)
+    eps = _parse_epsilon(args.epsilon)
+    if args.max_degree < 2:
+        raise InputError(f"field '{degree_field}': must be at least 2")
+    status, solution, checks, spec = _solve_verified(
+        kind, f"field '{degree_field}'", args.tol, fixed, eps, args.max_degree)
     report = {
         "command": f"optimize-{kind}",
         "inputs": {
-            ("rho" if kind == "lambda" else "lambda"): fixed.to_json_dict(),
+            fixed_field: fixed.to_json_dict(),
             "epsilon": eps,
-            "max_degree": max_degree,
+            "max_degree": args.max_degree,
             "tol": args.tol,
         },
-        "status": solution.status,
+        "status": status,
         "iterations": solution.iterations,
         "degenerate_epsilon": sos.is_degenerate_epsilon(eps),
+        **checks,
     }
     if solution.message:
         report["message"] = solution.message
-    if solution.status != "optimal":
-        report["duration_seconds"] = time.perf_counter() - t0
-        _emit(report, args.output)
-        return _STATUS_EXIT[solution.status]
-
-    degrees = list(range(2, max_degree + 1))
-    taps = _taps_from_solution(solution, degrees)
-    opt = DegreeDistribution(taps, normalize=True)
-    if kind == "lambda":
-        lam, rho = opt, fixed
-    else:
-        lam, rho = fixed, opt
-    spec = EnsembleSpec(lam, rho, eps)
-    # A design below rate 0 is reported at 0, with its own rate beside it.
-    unclamped = design_rate(lam, rho)
-    rate = max(unclamped, 0.0)
-    # The certificate proves the program's own constraint at the solver's
-    # values; the reported taps are checked by the DE route.
-    family = (sos.lambda_constraint_family if kind == "lambda"
-              else sos.rho_constraint_family)(fixed, eps, max_degree)
-    report.update({
-        "objective": solution.objective,
-        "ensemble": spec.to_json_dict(),
-        "rate": rate,
-        "capacity": 1.0 - eps,
-        "delta": capacity_gap(rate, eps),
-        "stability_lambda2_bound": stability_lambda2_bound(rho, eps) if eps > 0 else None,
-        "certificate": _certificate_report(problem, solution, family),
-        "de_check": _de_report(spec),
-        "duality_gap": solution.duality_gap,
-        "eq_residual": solution.eq_residual,
-    })
-    if rate != unclamped:
-        report["unclamped_rate"] = unclamped
+    if spec is not None:
+        # A design below rate 0 is reported at 0, with its own rate beside it.
+        unclamped = design_rate(spec.lam, spec.rho)
+        rate = max(unclamped, 0.0)
+        report.update({
+            "objective": solution.objective,
+            "ensemble": spec.to_json_dict(),
+            "rate": rate,
+            "capacity": 1.0 - eps,
+            "delta": capacity_gap(rate, eps),
+            "stability_lambda2_bound":
+                stability_lambda2_bound(spec.rho, eps) if eps > 0 else None,
+            "duality_gap": solution.duality_gap,
+            "eq_residual": solution.eq_residual,
+        })
+        if rate != unclamped:
+            report["unclamped_rate"] = unclamped
     report["duration_seconds"] = time.perf_counter() - t0
-    verified = report["certificate"]["psd_ok"] and \
-        report["certificate"]["reconstruction_ok"] and report["de_check"]["feasible"]
-    if not verified:
-        report["status"] = "verification-failed"
-        _emit(report, args.output)
-        print("error: optimal solution failed independent verification",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
     _emit(report, args.output)
-    return EXIT_OK
-
-
-def cmd_optimize_lambda(args) -> int:
-    return _optimize_common(args, "lambda")
-
-
-def cmd_optimize_rho(args) -> int:
-    return _optimize_common(args, "rho")
+    return _exit_code(status)
 
 
 def cmd_threshold(args) -> int:
@@ -289,28 +279,16 @@ def cmd_threshold(args) -> int:
         "inputs": {"lambda": lam.to_json_dict(), "rho": rho.to_json_dict(),
                    "method": args.method, "tol": args.tol},
     }
-    exit_code = EXIT_OK
     if args.method in ("sdp", "both"):
-        problem = _build("fields 'lambda', 'rho'", sos.build_threshold_problem,
-                         lam, rho)
-        solution = solve(problem, tol=args.tol)
-        sdp_rep = {"status": solution.status, "iterations": solution.iterations}
+        status, solution, checks, _ = _solve_verified(
+            "threshold", "fields 'lambda', 'rho'", args.tol, lam, rho)
+        sdp_rep = {"status": status, "iterations": solution.iterations, **checks}
         if solution.message:
             sdp_rep["message"] = solution.message
-        if solution.status == "optimal":
+        if checks:
             t_star = float(solution.x[0])
             sdp_rep["t"] = t_star
             sdp_rep["epsilon"] = 1.0 / t_star
-            cert = _certificate_report(problem, solution,
-                                       sos.threshold_constraint_family(lam, rho))
-            sdp_rep["certificate"] = cert
-            if not (cert["psd_ok"] and cert["reconstruction_ok"]):
-                sdp_rep["status"] = "verification-failed"
-                exit_code = EXIT_NUMERICAL
-                print("error: SDP threshold failed certificate verification",
-                      file=sys.stderr)
-        else:
-            exit_code = _STATUS_EXIT[solution.status]
         report["sdp"] = sdp_rep
     if args.method in ("bisect", "both"):
         report["bisect"] = {"epsilon": de_mod.bisect_threshold(lam, rho)}
@@ -318,7 +296,7 @@ def cmd_threshold(args) -> int:
         report["agreement"] = abs(report["sdp"]["epsilon"] - report["bisect"]["epsilon"])
     report["duration_seconds"] = time.perf_counter() - t0
     _emit(report, args.output)
-    return exit_code
+    return _exit_code(report["sdp"]["status"]) if "sdp" in report else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -364,20 +342,17 @@ def cmd_sweep(args) -> int:
     if any(n < 1 for n in sizes):
         raise InputError("field 'grid-sizes': entries must be >= 1")
 
-    # Reference row from the exact program (written with the N = inf sentinel),
-    # built first so that an oversized program is refused before the sweep.
-    problem = _build("field 'max-var-degree'", sos.build_lambda_problem,
-                     rho, eps, lam_degrees)
+    # Reference row from the exact program (written with the N = inf
+    # sentinel), solved first so that an oversized program is refused before
+    # the sweep. It is verified like any optimal design.
+    status, solution, _, spec = _solve_verified(
+        "lambda", "field 'max-var-degree'", args.tol, rho, eps, lam_degrees)
     rows = de_mod.lp_baseline_sweep(rho, eps, lam_degrees, sizes, tol=args.tol)
-    solution = solve(problem, tol=args.tol)
-    degrees = list(range(2, lam_degrees + 1))
-    if solution.status == "optimal":
-        taps = _taps_from_solution(solution, degrees)
-        lam = DegreeDistribution(taps, normalize=True)
-        ref = de_mod.LpSweepRow("inf", "optimal", float(solution.objective),
-                                float(design_rate(lam, rho)), taps)
+    if status == "optimal":
+        ref = de_mod.LpSweepRow("inf", status, float(solution.objective),
+                                float(design_rate(spec.lam, rho)), dict(spec.lam.items()))
     else:
-        ref = de_mod.LpSweepRow("inf", solution.status, None, None, None)
+        ref = de_mod.LpSweepRow("inf", status, None, None, None)
 
     all_rows = rows + [ref]
     if args.output == "json":
@@ -389,9 +364,12 @@ def cmd_sweep(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         de_mod.sweep_rows_to_csv(all_rows, lam_degrees, sys.stdout)
-    succeeded = sum(1 for row in all_rows if row.status == "optimal")
-    # With no optimal row, the exact program's status sets the exit code.
-    return EXIT_OK if succeeded else _STATUS_EXIT[ref.status]
+    # A failed verification of the exact row sets the exit code; so does the
+    # exact program's status when no row is optimal.
+    if ref.status != "verification-failed" and any(
+            row.status == "optimal" for row in all_rows):
+        return EXIT_OK
+    return _exit_code(ref.status)
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,20 +389,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-lambda",
                        help="maximize the design rate over variable-side distributions")
-    p.add_argument("--rho", required=True, help="check distribution, JSON by node degree")
+    p.add_argument("--rho", dest="fixed", metavar="RHO", required=True,
+                   help="check distribution, JSON by node degree")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-var-degree", type=int, required=True)
+    p.add_argument("--max-var-degree", dest="max_degree", metavar="MAX_VAR_DEGREE",
+                   type=int, required=True)
     add_shared(p)
-    p.set_defaults(func=cmd_optimize_lambda)
+    p.set_defaults(func=cmd_optimize, side="lambda")
 
     p = sub.add_parser("optimize-rho",
                        help="minimize check-side edge mass at fixed lambda")
-    p.add_argument("--lambda", dest="lam", required=True,
+    p.add_argument("--lambda", dest="fixed", metavar="LAM", required=True,
                    help="variable distribution, JSON by node degree")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-check-degree", type=int, required=True)
+    p.add_argument("--max-check-degree", dest="max_degree",
+                   metavar="MAX_CHECK_DEGREE", type=int, required=True)
     add_shared(p)
-    p.set_defaults(func=cmd_optimize_rho)
+    p.set_defaults(func=cmd_optimize, side="rho")
 
     p = sub.add_parser("threshold", help="maximum tolerable erasure probability")
     p.add_argument("--lambda", dest="lam", required=True)

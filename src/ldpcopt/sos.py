@@ -274,39 +274,38 @@ def is_degenerate_epsilon(eps: float) -> bool:
     return float(eps) == 0.0
 
 
+def _build_design_problem(constraint_family, sense: str, fixed: DegreeDistribution,
+                          eps: float, max_degree: int,
+                          degree_name: str) -> ConicProblem:
+    """Optimize sum_i v_i / i over the taps v_2..v_D >= 0 of one side, which
+    the simplex row keeps at most 1, subject to ``constraint_family`` >= 0."""
+    eps = _check_eps(eps)
+    if max_degree < 2:
+        raise ValueError(f"{degree_name} must be at least 2")
+    return assemble_sos_program(
+        constraint_family(fixed, eps, max_degree), sense,
+        objective=[1.0 / i for i in range(2, max_degree + 1)],
+        extra_eq=[(np.ones(max_degree - 1), 1.0)],
+    )
+
+
 def build_lambda_problem(rho: DegreeDistribution, eps: float,
                          max_var_degree: int) -> ConicProblem:
     """Maximize sum_i lam_i / i over DE-feasible variable-side distributions.
 
-    The check side and the erasure probability are fixed; decision variables
-    are lam_2..lam_Dv >= 0, which the simplex row keeps at most 1, plus the
-    Gram blocks of the constraint polynomial, of degree (Dv - 1) * deg(rho).
+    The check side and the erasure probability are fixed; the decision
+    variables are lam_2..lam_Dv plus the Gram blocks of the constraint
+    polynomial, of degree (Dv - 1) * deg(rho).
     """
-    eps = _check_eps(eps)
-    if max_var_degree < 2:
-        raise ValueError("max_var_degree must be at least 2")
-    family = lambda_constraint_family(rho, eps, max_var_degree)
-    degrees = range(2, max_var_degree + 1)
-    return assemble_sos_program(
-        family, "max",
-        objective=[1.0 / i for i in degrees],
-        extra_eq=[(np.ones(max_var_degree - 1), 1.0)],
-    )
+    return _build_design_problem(lambda_constraint_family, "max", rho, eps,
+                                 max_var_degree, "max_var_degree")
 
 
 def build_rho_problem(lam: DegreeDistribution, eps: float,
                       max_check_degree: int) -> ConicProblem:
     """Minimize sum_j rho_j / j over check-side distributions feasible at eps."""
-    eps = _check_eps(eps)
-    if max_check_degree < 2:
-        raise ValueError("max_check_degree must be at least 2")
-    family = rho_constraint_family(lam, eps, max_check_degree)
-    degrees = range(2, max_check_degree + 1)
-    return assemble_sos_program(
-        family, "min",
-        objective=[1.0 / j for j in degrees],
-        extra_eq=[(np.ones(max_check_degree - 1), 1.0)],
-    )
+    return _build_design_problem(rho_constraint_family, "min", lam, eps,
+                                 max_check_degree, "max_check_degree")
 
 
 def build_threshold_problem(lam: DegreeDistribution,
@@ -344,14 +343,6 @@ class CertificateReport:
     @property
     def ok(self) -> bool:
         return self.psd_ok and self.reconstruction_ok
-
-
-def certificate_from_solution(problem: ConicProblem, solution) -> list:
-    """The Gram blocks of a solved SOS program, in ``problem.psd_dims`` order."""
-    blocks = solution.psd_matrices(problem)
-    if not blocks:
-        raise ValueError("solution carries no PSD block")
-    return blocks
 
 
 def verify_certificate(grams: Sequence[np.ndarray], target: np.ndarray) -> CertificateReport:

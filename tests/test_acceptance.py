@@ -29,7 +29,6 @@ from ldpcopt.sos import (
     build_lambda_problem,
     build_sos_feasibility,
     build_threshold_problem,
-    certificate_from_solution,
     coefficient_family,
     verify_certificate,
 )
@@ -255,7 +254,7 @@ def test_a09_certificate_soundness():
         prob = build_sos_feasibility(p)
         sol = solve(prob)
         assert sol.status == "optimal", f"nonnegative trial {trial}"
-        cert = certificate_from_solution(prob, sol)
+        cert = sol.psd_matrices(prob)
         target = coefficient_family((), p.coeffs[:, None]).at([])
         report = verify_certificate(cert, target)
         assert report.ok, f"nonnegative trial {trial}"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ldpcopt import cli, solver, sos
 from ldpcopt.cli import main
+from ldpcopt.ensemble import DegreeDistribution
 
 from conftest import random_distribution
 
@@ -544,29 +545,42 @@ def test_threshold_unverified_certificate_downgraded(monkeypatch, capsys, method
     assert "verification" in err
 
 
-def test_certificate_proves_the_solver_answer(monkeypatch, capsys):
-    # The reported taps are cleaned up after the solve; the Gram certificate
+@pytest.mark.parametrize("argv", [
+    OPTIMIZE_README,
+    ("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.49", "--max-var-degree", "7",
+     "--grid-sizes", ""),
+    ("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.49", "--max-var-degree", "7",
+     "--grid-sizes", "10"),
+], ids=["optimize-lambda", "sweep-exact-only", "sweep-grid-10"])
+def test_certificate_proves_the_solver_answer(monkeypatch, capsys, argv):
+    # The reported taps are read back after the solve; the Gram certificate
     # belongs to the solver's own values and is checked against them. Moving
-    # 1e-4 between the two largest taps breaks the DE check only.
-    real_taps = cli._taps_from_solution
+    # 1e-4 between the two largest taps breaks the DE check only, and the
+    # sweep's exact row fails like an optimize-lambda report, whatever its
+    # grid rows do.
+    real_read = cli._read_taps
 
-    def shifted_taps(solution, degrees):
-        taps = real_taps(solution, degrees)
+    def shifted_taps(values, max_degree):
+        taps = dict(real_read(values, max_degree).items())
         big, second = sorted(taps, key=taps.get, reverse=True)[:2]
         taps[big] += 1e-4
         taps[second] -= 1e-4
-        return taps
+        return DegreeDistribution(taps)
 
-    monkeypatch.setattr(cli, "_taps_from_solution", shifted_taps)
-    code, out, _ = run_cli(
-        capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
-        "--epsilon", "0.49", "--max-var-degree", "7")
+    monkeypatch.setattr(cli, "_read_taps", shifted_taps)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "verification" in err
+    if argv[0] == "sweep":
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert rows[-1][0] == "inf" and rows[-1][-1] == "verification-failed"
+        assert all(row[-1] == "optimal" for row in rows[:-1])
+        return
     report = json.loads(out)
     assert report["certificate"]["psd_ok"]
     assert report["certificate"]["reconstruction_ok"]
     assert not report["de_check"]["feasible"]
     assert report["status"] == "verification-failed"
-    assert code == 3
 
 
 # -- fuzzed command lines ------------------------------------------------------

@@ -12,7 +12,6 @@ from ldpcopt.sos import (
     build_rho_problem,
     build_sos_feasibility,
     build_threshold_problem,
-    certificate_from_solution,
     chebyshev_nodes,
     coefficient_family,
     GramTooLarge,
@@ -180,7 +179,7 @@ def test_solver_output_passes_de_check():
     assert sol.status == "optimal"
     taps = {i: v for i, v in zip(range(2, 8), sol.x[:6]) if v > 1e-9}
     lam = DegreeDistribution(taps, normalize=True)
-    cert = certificate_from_solution(prob, sol)
+    cert = sol.psd_matrices(prob)
     _, x = chebyshev_nodes(29)
     target = de_polynomial(lam, rho, 0.49).evaluate_many(x) / x
     assert verify_certificate(cert, target).ok
@@ -199,7 +198,7 @@ def test_certificate_checks_small_taps_at_large_degree():
     sol = solve(prob)
     assert sol.status == "optimal"
     fam = lambda_constraint_family(rho, 0.48, 34)
-    cert = certificate_from_solution(prob, sol)
+    cert = sol.psd_matrices(prob)
     x = sol.x[: fam.n_vars].copy()
     assert verify_certificate(cert, fam.at(x)).ok
     _, nodes = chebyshev_nodes(fam.n)
@@ -253,7 +252,7 @@ def test_certificate_rejects_diagonal_perturbation(rng):
     prob = build_sos_feasibility(p)
     sol = solve(prob)
     assert sol.status == "optimal"
-    cert = certificate_from_solution(prob, sol)
+    cert = sol.psd_matrices(prob)
     target = coefficient_family((), p.coeffs[:, None]).at([])
     assert verify_certificate(cert, target).ok
     for b, gram in enumerate(cert):
@@ -275,7 +274,7 @@ def test_parity_blocks_and_factored_root():
     assert prob.A.shape[0] == 3
     sol = solve(prob)
     assert sol.status == "optimal"
-    cert = certificate_from_solution(prob, sol)
+    cert = sol.psd_matrices(prob)
     assert verify_certificate(cert, fam.at([])).ok
     with pytest.raises(ValueError):
         verify_certificate(cert, coefficient_family((), [[0.3], [-1.0]]).at([]))
