@@ -21,9 +21,12 @@ eps lam_2 rho'(1) <= 1 by about 2e-5 (the ``optimize-rho`` design at
 eps = 0.95, which fails its DE check and exits 3, and a ``verify`` just
 above its threshold, which exits 2). The README ``optimize-lambda`` and
 ``threshold`` again with ``--output csv`` cover the flattened report, and the
-README sweep with ``--grid-sizes ""`` its exact row alone. They are copied
-here, so that a change to the benchmark does not change them. Together they
-take about 4 s on a 2-vCPU host.
+README sweep with ``--grid-sizes ""`` its exact row alone. The exact row
+of a Dv = 10 sweep as JSON pins the numeric order of its two-digit degree
+keys, and the eps = 0 ``optimize-lambda`` as CSV the JSON literals of its
+null and boolean values. They are copied here, so that a change to the
+benchmark does not change them. Together they take about 1 s on a 2-vCPU
+host.
 Run as:  python benchmarks/report_digests.py
 """
 
@@ -102,6 +105,11 @@ COMMANDS = [
     ("readme_optimize_lambda_csv", README_OPTIMIZE_LAMBDA + ("--output", "csv")),
     ("readme_threshold_csv", README_THRESHOLD + ("--output", "csv")),
     ("readme_sweep_exact_only", README_SWEEP[:-1] + ("",)),
+    ("sweep_exact_json_dv10", ("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.48",
+                               "--max-var-degree", "10", "--grid-sizes", "",
+                               "--output", "json")),
+    ("optimize_lambda_eps0_csv", _optimize_lambda('{"2": 1.0}', "0.0", "3")
+     + ("--output", "csv")),
 ]
 
 # The JSON line `  "duration_seconds": ...` or the CSV row `duration_seconds,...`.

@@ -19,8 +19,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import de as de_mod
 from .ensemble import (
     DegreeDistribution,
@@ -28,6 +26,7 @@ from .ensemble import (
     capacity_gap,
     check_de_feasible,
     design_rate,
+    read_taps,
     stability_lambda2_bound,
 )
 from .solver import solve
@@ -138,8 +137,10 @@ def _load_spec(args) -> EnsembleSpec:
 
 def _emit(report: dict, output: str) -> None:
     if output == "csv":
+        # A value that is not a string goes out as its JSON literal (true,
+        # null), so that it reads as in the JSON report.
         for key, value in sorted(_flatten(report).items()):
-            print(f"{key},{value}")
+            print(f"{key},{value if isinstance(value, str) else json.dumps(value)}")
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
 
@@ -153,17 +154,6 @@ def _flatten(data, prefix=""):
         else:
             out[name] = value
     return out
-
-
-def _read_taps(values, max_degree: int) -> DegreeDistribution:
-    """The distribution that the solver's taps v_2..v_D stand for."""
-    # Interior-point outputs can leave [0, 1] by ~1e-9 (a tap below 0, or
-    # above 1 with the others at 0); clip before the distribution invariants
-    # are enforced.
-    values = np.clip(values, 0.0, 1.0)
-    return DegreeDistribution(
-        {d: float(v) for d, v in zip(range(2, max_degree + 1), values) if v > 1e-12},
-        normalize=True)
 
 
 def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
@@ -198,8 +188,8 @@ def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
     }}
     verified, spec = cert.ok, None
     if kind != "threshold":
-        fixed, eps, max_degree = args
-        design = _read_taps(values, max_degree)
+        fixed, eps, _ = args
+        design = read_taps(values)
         spec = (EnsembleSpec(design, fixed, eps) if kind == "lambda"
                 else EnsembleSpec(fixed, design, eps))
         de = check_de_feasible(spec)
@@ -348,22 +338,31 @@ def cmd_sweep(args) -> int:
     status, solution, _, spec = _solve_verified(
         "lambda", "field 'max-var-degree'", args.tol, rho, eps, lam_degrees)
     rows = de_mod.lp_baseline_sweep(rho, eps, lam_degrees, sizes, tol=args.tol)
+    ref = de_mod.LpSweepRow("inf", status, None, None, None)
     if status == "optimal":
         ref = de_mod.LpSweepRow("inf", status, float(solution.objective),
-                                float(design_rate(spec.lam, rho)), dict(spec.lam.items()))
-    else:
-        ref = de_mod.LpSweepRow("inf", status, None, None, None)
+                                float(design_rate(spec.lam, rho)), spec.lam)
 
     all_rows = rows + [ref]
+    # One record per row. Its lambda keys stay integers, so that JSON sorts
+    # them numerically.
+    records = [{"N": row.n_points, "status": row.status, "rate": row.rate,
+                "objective": row.objective,
+                "lambda": None if row.lam is None else dict(row.lam.items())}
+               for row in all_rows]
     if args.output == "json":
-        payload = [
-            {"N": row.n_points, "status": row.status, "rate": row.rate,
-             "objective": row.objective, "lambda": row.lam}
-            for row in all_rows
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(records, indent=2, sort_keys=True))
     else:
-        de_mod.sweep_rows_to_csv(all_rows, lam_degrees, sys.stdout)
+        degrees = range(2, lam_degrees + 1)
+        print(",".join(["N", "rate", "objective",
+                        *(f"lambda_{i}" for i in degrees), "status"]))
+        for rec in records:
+            cells = [""] * (2 + len(degrees))
+            if rec["status"] == "optimal":
+                lam = rec["lambda"]
+                cells = [f"{v:.6g}" for v in (rec["rate"], rec["objective"],
+                                              *(lam.get(i, 0.0) for i in degrees))]
+            print(",".join([str(rec["N"]), *cells, rec["status"]]))
     # A failed verification of the exact row sets the exit code; so does the
     # exact program's status when no row is optimal.
     if ref.status != "verification-failed" and any(

@@ -22,13 +22,13 @@ checked against the grid constraints before a row is reported optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import solver
 from .ensemble import (DegreeDistribution, _gain_scan, design_rate, psi,
-                       running_powers)
+                       read_taps, running_powers)
 from .solver import ConicProblem, ConicSolution
 
 # Allowance for rounding, and for coefficient sums off 1 by up to SUM_TOL,
@@ -67,7 +67,7 @@ class LpSweepRow:
     status: str
     objective: Optional[float]
     rate: Optional[float]
-    lam: Optional[dict]
+    lam: Optional[DegreeDistribution]
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,10 @@ def lp_baseline_sweep(rho: DegreeDistribution, eps: float, max_var_degree: int,
 
     A row is ``optimal`` only when the recovered lam passes
     ``DiscretizedLp.is_feasible``; its objective is the dual objective, a
-    verified upper bound. An unbounded dual means an infeasible grid LP.
-    Solver failures are recorded per row and do not abort the sweep.
+    verified upper bound, its ``lam`` the read-back of the recovered taps
+    (``ensemble.read_taps``) and its ``rate`` the design rate of that
+    ``lam``. An unbounded dual means an infeasible grid LP. Solver failures
+    are recorded per row and do not abort the sweep.
     """
     rows = []
     for n in sorted(set(int(n) for n in grid_sizes)):
@@ -170,33 +172,13 @@ def lp_baseline_sweep(rho: DegreeDistribution, eps: float, max_var_degree: int,
         if not lp.is_feasible(lam_vals, tol):
             rows.append(LpSweepRow(n, "numerical-failure", None, None, None))
             continue
-        lam_vals = np.clip(lam_vals, 0.0, 1.0)
-        taps = {i: float(v) for i, v in zip(range(2, max_var_degree + 1), lam_vals)}
-        lam = DegreeDistribution(
-            {i: v for i, v in taps.items() if v > 1e-12}, normalize=True)
+        lam = read_taps(lam_vals)
         rows.append(LpSweepRow(
             n_points=n,
             status="optimal",
             objective=float(sol.objective),
             rate=float(design_rate(lam, rho)),
-            lam=taps,
+            lam=lam,
         ))
     return rows
 
-
-def sweep_rows_to_csv(rows: Sequence[LpSweepRow], max_var_degree: int,
-                      stream: IO[str]) -> None:
-    """Write sweep rows as CSV: N,rate,objective,lambda_2..lambda_Dv,status."""
-    degrees = list(range(2, max_var_degree + 1))
-    header = ["N", "rate", "objective"] + [f"lambda_{i}" for i in degrees] + ["status"]
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [str(row.n_points)]
-        if row.status == "optimal":
-            cells.append(f"{row.rate:.6g}")
-            cells.append(f"{row.objective:.6g}")
-            cells.extend(f"{row.lam.get(i, 0.0):.6g}" for i in degrees)
-        else:
-            cells.extend([""] * (2 + len(degrees)))
-        cells.append(row.status)
-        stream.write(",".join(cells) + "\n")

@@ -107,6 +107,18 @@ class DegreeDistribution:
         return f"DegreeDistribution({self._entries!r})"
 
 
+def read_taps(values) -> DegreeDistribution:
+    """The distribution that solver taps v_2, v_3, ... stand for: the taps
+    clipped to [0, 1], those <= 1e-12 dropped and the rest renormalized."""
+    # Interior-point outputs can leave [0, 1] by ~1e-9 (a tap below 0, or
+    # above 1 with the others at 0); clip before the distribution invariants
+    # are enforced.
+    values = np.clip(values, 0.0, 1.0)
+    return DegreeDistribution(
+        {d: float(v) for d, v in enumerate(values, start=2) if v > 1e-12},
+        normalize=True)
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """One design point: variable and check distributions plus erasure rate."""

@@ -191,11 +191,12 @@ def test_a07_lp_baseline_convergence():
     sdp_rate = design_rate(DegreeDistribution(taps, normalize=True), rho)
     assert rates[-1] - sdp_rate < 5e-3
     assert rates[-1] >= sdp_rate - 1e-8
-    assert rows[-1].lam[4] < 1e-3
+    lam4 = rows[-1].lam.get(4, 0.0)
+    assert lam4 < 1e-3
     assert elapsed < 60.0
     print(f"[PASS] A7 LP baseline: rates decrease {rates[0]:.5f} -> {rates[-1]:.5f}, "
           f"exact-program rate {sdp_rate:.5f} (gap {rates[-1]-sdp_rate:.1e} < 5e-3), "
-          f"lambda_4(N=1000) = {rows[-1].lam[4]:.1e} < 1e-3, {elapsed:.0f}s < 60s")
+          f"lambda_4(N=1000) = {lam4:.1e} < 1e-3, {elapsed:.0f}s < 60s")
 
 
 def test_a08_threshold_cross_validation():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from ldpcopt import cli, solver, sos
 from ldpcopt.cli import main
-from ldpcopt.ensemble import DegreeDistribution
+from ldpcopt.de import lp_baseline_sweep
+from ldpcopt.ensemble import DegreeDistribution, design_rate
 
 from conftest import random_distribution
 
@@ -247,6 +248,35 @@ def test_sweep_csv(capsys):
     assert rates[0] >= rates[-1] - 1e-9
 
 
+def test_sweep_csv_format(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--rho", '{"5": 1.0}', "--epsilon", "0.56",
+        "--max-var-degree", "5", "--grid-sizes", "10")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "N,rate,objective,lambda_2,lambda_3,lambda_4,lambda_5,status"
+    cells = lines[1].split(",")
+    assert cells[0] == "10" and cells[-1] == "optimal"
+    row, = lp_baseline_sweep(DegreeDistribution({5: 1.0}), 0.56, 5, [10])
+    assert float(cells[1]) == pytest.approx(row.rate, rel=1e-5)
+
+
+def test_sweep_rows_print_the_taps_of_their_rate(capsys):
+    # Each optimal row prints the read-back that its rate is the design rate
+    # of: no tap at or below the 1e-12 drop, and the same rate to the bit.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--rho", '{"5": 1.0}', "--epsilon", "0.56",
+        "--max-var-degree", "5", "--grid-sizes", "10,50,100,500,1000",
+        "--output", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["status"] for row in rows] == ["optimal"] * 6
+    rho = DegreeDistribution({5: 1.0})
+    for row in rows:
+        assert all(tap > 1e-12 for tap in row["lambda"].values()), row["N"]
+        assert design_rate(DegreeDistribution(row["lambda"]), rho) == row["rate"]
+
+
 def test_sweep_reference_row_only(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--rho", '{"5": 1.0}', "--epsilon", "0.56",
@@ -263,8 +293,17 @@ def test_report_output_csv(capsys):
         "--rho", '{"6": 1.0}', "--epsilon", "0.49", "--output", "csv")
     assert code == 0
     rows = dict(line.split(",", 1) for line in out.strip().splitlines())
-    assert rows["de_minimum.feasible"] == "True"
+    assert rows["de_minimum.feasible"] == "true"
     assert float(rows["rate"]) == pytest.approx(0.4889, abs=1e-3)
+    # Every value that is not a string is written as its JSON literal.
+    code, out, _ = run_cli(
+        capsys, "optimize-lambda", "--rho", '{"2": 1.0}', "--epsilon", "0.0",
+        "--max-var-degree", "3", "--output", "csv")
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in out.strip().splitlines())
+    assert rows["stability_lambda2_bound"] == "null"
+    assert rows["degenerate_epsilon"] == "true"
+    assert rows["status"] == "optimal"
 
 
 def test_threshold_reference_design(capsys):
@@ -557,17 +596,18 @@ def test_certificate_proves_the_solver_answer(monkeypatch, capsys, argv):
     # belongs to the solver's own values and is checked against them. Moving
     # 1e-4 between the two largest taps breaks the DE check only, and the
     # sweep's exact row fails like an optimize-lambda report, whatever its
-    # grid rows do.
-    real_read = cli._read_taps
+    # grid rows do. Only cli's binding of the read-back is patched, so the
+    # grid rows, read back in ldpcopt.de, stay optimal.
+    real_read = cli.read_taps
 
-    def shifted_taps(values, max_degree):
-        taps = dict(real_read(values, max_degree).items())
+    def shifted_taps(values):
+        taps = dict(real_read(values).items())
         big, second = sorted(taps, key=taps.get, reverse=True)[:2]
         taps[big] += 1e-4
         taps[second] -= 1e-4
         return DegreeDistribution(taps)
 
-    monkeypatch.setattr(cli, "_read_taps", shifted_taps)
+    monkeypatch.setattr(cli, "read_taps", shifted_taps)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert "verification" in err
