@@ -44,9 +44,14 @@ on these programs when that table is the same for both:
 Given the path of another tree's ``solver.py`` (it imports only numpy),
 the script instead compares the two: it loads that file under the module
 name ``other_solver``, rebuilds each program as that module's
-``ConicProblem``, and alternates passes between the two solvers, so that
-drift in the machine's speed falls on both alike. It prints each program's
-status and iterations under both, and the median pass of each side by side:
+``ConicProblem``, and alternates ``COMPARE_PASSES`` passes between the two
+solvers (``LARGE_PASSES`` on the large designs), so that drift in the
+machine's speed falls on both alike. It prints each program's status and
+iterations under both, each side's quartiles of the pass time (q1, median,
+q3, in ms), the ratio of the medians and the passes this solver won. Two
+summary rows follow: the 11 design programs (each pass the sum of their
+times) and the threshold program, whose solve is most of the benchmark's
+``threshold`` op:
 
     python benchmarks/bench_solver.py other/src/ldpcopt/solver.py
 """
@@ -55,6 +60,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import resource
+import statistics
 import sys
 import time
 
@@ -63,10 +69,15 @@ from ldpcopt.ensemble import DegreeDistribution
 
 PASSES = 7
 LARGE_PASSES = 3
+# Alternated passes per program in compare mode: single passes of the small
+# programs spread by more than the gains worth measuring.
+COMPARE_PASSES = 21
 
 # (name, family, fixed distribution, eps, maximum degree), as in the design
-# workload of perfbench/workloads.py; the threshold program takes (lambda,
-# rho) instead.
+# workload of perfbench/workloads.py (its first 11 programs); the threshold
+# program takes (lambda, rho) instead.
+DESIGN_PROGRAMS = 11
+THRESHOLD_PROGRAM = "threshold_3_6"
 PROGRAMS = [
     ("check4_eps064", "lambda", {4: 1.0}, 0.64, 5),
     ("check6_eps049", "lambda", {6: 1.0}, 0.49, 7),
@@ -182,14 +193,27 @@ def rebuild(module, problem):
                                   for f in dataclasses.fields(problem)})
 
 
+def pass_summary(seconds) -> str:
+    """Each side's quartiles of its pass times in ms, the ratio of the
+    medians and the passes this solver (side 0) won, as one table cell."""
+    q = [statistics.quantiles([t * 1e3 for t in s], n=4, method="inclusive")
+         for s in seconds]
+    won = sum(a < b for a, b in zip(*seconds))
+    return (" ".join(f"{v:8.2f}" for v in q[0] + q[1])
+            + f" {q[0][1] / q[1][1]:6.3f} {won:3d}/{len(seconds[0]):<3d}")
+
+
 def compare(other):
     """Alternate passes of this solver and ``other`` on every program and
-    print the median pass of each side by side."""
+    print each side's pass quartiles and the passes won, per program and
+    for the design programs and the threshold program."""
     print(f"{'program':20s} {'status':>8s} {'other':>8s} {'iters':>5s} {'other':>5s} "
-          f"{'|d obj|':>8s} {'ms':>8s} {'other ms':>8s} {'ratio':>6s}")
-    sums = [0.0, 0.0]
-    for specs, n_passes in ((PROGRAMS, PASSES), (LARGE_PROGRAMS, LARGE_PASSES)):
-        for name, *spec in specs:
+          f"{'|d obj|':>8s} " + " ".join(f"{h:>8s}" for h in (
+              "q1 ms", "median", "q3", "other q1", "median", "q3"))
+          + f" {'ratio':>6s} {'won':>7s}")
+    sums, design, threshold = [0.0, 0.0], [None, None], None
+    for specs, n_passes in ((PROGRAMS, COMPARE_PASSES), (LARGE_PROGRAMS, LARGE_PASSES)):
+        for index, (name, *spec) in enumerate(specs):
             problem = build(*spec)
             sides = [(solver, problem), (other, rebuild(other, problem))]
             seconds, sols = ([], []), [None, None]
@@ -200,15 +224,23 @@ def compare(other):
                     t0 = time.perf_counter()
                     sols[side] = module.solve(prob)
                     seconds[side].append(time.perf_counter() - t0)
-            ms = [sorted(s)[len(s) // 2] * 1e3 for s in seconds]
-            sums = [a + b for a, b in zip(sums, ms)]
+            sums = [a + statistics.median(s) * 1e3 for a, s in zip(sums, seconds)]
+            if specs is PROGRAMS and index < DESIGN_PROGRAMS:
+                design = [s if d is None else [a + b for a, b in zip(d, s)]
+                          for d, s in zip(design, seconds)]
+            if name == THRESHOLD_PROGRAM:
+                threshold = seconds
             objs = [s.objective for s in sols]
             shift = "-" if None in objs else f"{abs(objs[0] - objs[1]):8.1e}"
             print(f"{name:20s} {sols[0].status:>8s} {sols[1].status:>8s} "
                   f"{len(sols[0].history) - 1:5d} {len(sols[1].history) - 1:5d} "
-                  f"{shift:>8s} {ms[0]:8.2f} {ms[1]:8.2f} {ms[0] / ms[1]:6.3f}")
-    print(f"{'all (sum of medians)':20s} {'':>8s} {'':>8s} {'':>5s} {'':>5s} {'':>8s} "
-          f"{sums[0]:8.2f} {sums[1]:8.2f} {sums[0] / sums[1]:6.3f}")
+                  f"{shift:>8s} {pass_summary(seconds)}")
+    print()
+    blank = f"{'':>8s} {'':>8s} {'':>5s} {'':>5s} {'':>8s}"
+    print(f"{f'design ({DESIGN_PROGRAMS})':20s} {blank} {pass_summary(design)}")
+    print(f"{'threshold':20s} {blank} {pass_summary(threshold)}")
+    print(f"{'all (sum of medians)':20s} {blank} {'':>8s} {sums[0]:8.2f} {'':>17s} "
+          f"{sums[1]:8.2f} {'':>8s} {sums[0] / sums[1]:6.3f}")
 
 
 def main():

@@ -175,9 +175,12 @@ def _t(m: np.ndarray) -> np.ndarray:
     return m.transpose(0, 2, 1)
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    """The symmetric parts of a stack of matrices."""
-    return 0.5 * (m + _t(m))
+def _sym(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the symmetric parts 0.5 (m + m') of a stack of matrices into
+    ``out`` (a block view, say) and return it."""
+    np.add(m, _t(m), out=out)
+    out *= 0.5
+    return out
 
 
 def _block_slices(start: int, dims) -> list:
@@ -326,31 +329,34 @@ class _Scaling:
         self.core = core
         n = core.n_orth
         self.w = np.sqrt(x[:n] / z[:n])
-        self.lam = np.zeros(core.m_c)
-        self.lam[:n] = np.sqrt(x[:n] * z[:n])
         # The Jordan divisors, flat: lam on the orthant, 0.5 (lam_i + lam_j)
         # on the blocks (lam is 1 on the pads). The factors and their
         # eigenvalues' roots' outer products are stacked.
-        self.lam_mid = self.lam.copy()
+        self.lam, self.lam_mid = np.empty((2, core.m_c))
+        self.lam_mid[:n] = np.sqrt(x[:n] * z[:n], out=self.lam[:n])
         self.R = self.root_outer = None
         if core.n_blocks:
-            eye = core.pad_eye
-            Lx, Lz = np.linalg.cholesky(core.blocks_of(np.stack((x, z))) + eye)
-            _, sv, vt = np.linalg.svd(_t(Lz) @ Lx - eye)
-            lam = sv + core.pad_diag
+            eye, pair = core.pad_eye, core.pair
+            np.add(core.blocks_of(x), eye, out=pair[0])
+            np.add(core.blocks_of(z), eye, out=pair[1])
+            Lx, Lz = np.linalg.cholesky(pair)
+            _, lam, vt = np.linalg.svd(_t(Lz) @ Lx - eye)
+            lam += core.pad_diag
             root = np.sqrt(lam)[:, None, :]
             self.R = np.where(core.in_block, (Lx @ _t(vt)) / root, eye)
+            self.Rt = _t(self.R)
             self.root_outer = _t(root) * root
-            core.blocks_of(self.lam_mid)[...] = 0.5 * (lam[:, :, None] + lam[:, None, :])
-            core.blocks_of(self.lam)[...] = core.blocks_of(core.unit) * lam[:, :, None]
+            _sym(lam[:, :, None], core.blocks_of(self.lam_mid))
+            np.multiply(core.unit_blocks, lam[:, :, None], out=core.blocks_of(self.lam))
 
     def _congruence(self, v: np.ndarray, left: bool) -> np.ndarray:
         """w v on the orthant, R' M R (or R M R' if ``left``) on each block."""
+        n = self.core.n_orth
         out = np.empty_like(v)
-        out[: self.core.n_orth] = self.w * v[: self.core.n_orth]
+        np.multiply(self.w, v[:n], out=out[:n])
         if self.R is not None:
-            R, m = self.R, self.core.blocks_of(v)
-            self.core.blocks_of(out)[...] = _sym(R @ m @ _t(R) if left else _t(R) @ m @ R)
+            R, Rt, m = self.R, self.Rt, self.core.blocks_of(v)
+            _sym(R @ m @ Rt if left else Rt @ m @ R, self.core.blocks_of(out))
         return out
 
     def scale(self, v: np.ndarray) -> np.ndarray:
@@ -369,7 +375,7 @@ class _Scaling:
         out = u * v
         if self.R is not None:
             blocks = self.core.blocks_of
-            blocks(out)[...] = _sym(blocks(u) @ blocks(v))
+            _sym(blocks(u) @ blocks(v), blocks(out))
         return out
 
     def max_step(self, dx: np.ndarray, dz: np.ndarray) -> float:
@@ -391,7 +397,9 @@ class _Scaling:
             if neg.any():
                 alpha = min(alpha, float((self.lam[:n][neg] / -vo[neg]).min()))
         if self.R is not None:
-            g = self.core.blocks_of(np.stack((dx, dz))) / self.root_outer
+            g, blocks = self.core.pair, self.core.blocks_of
+            np.divide(blocks(dx), self.root_outer, out=g[0])
+            np.divide(blocks(dz), self.root_outer, out=g[1])
             lo = float(np.linalg.eigvalsh(g)[..., 0].min())
             if lo < 0.0:
                 alpha = min(alpha, 1.0 / -lo)
@@ -426,19 +434,19 @@ def _lower_mask(p: int) -> np.ndarray:
 
 def _inverse_gram_factor(gram: np.ndarray) -> Optional[np.ndarray]:
     """Inverse Cholesky factor of a Gram matrix, or None if it cannot be
-    factorized. A matrix that fails as it is is retried with a diagonal
-    shift, from 1e-14 of its mean diagonal up by factors of 100: a shift
-    tried first would bias every solve, and leave the part of a
-    least-squares right-hand side along the Gram's small eigenvalues
-    unsolved."""
+    factorized. A matrix that fails as it is is retried (7 times) with a
+    diagonal shift, from 1e-14 of its mean diagonal, at least 1e-14, up by
+    factors of 100: a shift tried first would bias every solve, and leave
+    the part of a least-squares right-hand side along the Gram's small
+    eigenvalues unsolved."""
     p = gram.shape[0]
-    scale = max(1.0, float(np.trace(gram)) / max(p, 1))
-    shift = 0.0
+    shift, shifted = 0.0, gram
     for _ in range(8):
         try:
-            return _tril_inverse(np.linalg.cholesky(gram + shift * np.eye(p)))
+            return _tril_inverse(np.linalg.cholesky(shifted))
         except np.linalg.LinAlgError:
-            shift = shift * 100.0 if shift else scale * 1e-14
+            shift = shift * 100.0 if shift else max(1.0, float(np.trace(gram)) / p) * 1e-14
+            shifted = gram + shift * np.eye(p)
     return None
 
 
@@ -451,23 +459,25 @@ class _Rows:
     def __init__(self, core, orth: np.ndarray, factors: Optional[np.ndarray] = None):
         self.core, self.orth = core, orth
         self.U = core.V if factors is None else _t(factors) @ core.V
-        self.Ug = self.U * core.g[:, None, :]
+        self.Ug, self.Ut = self.U * core.g, _t(self.U)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         core = self.core
-        out = self.orth.T @ v[: core.n_orth]
+        out = self.orth.T.dot(v[: core.n_orth])
         if core.n_blocks:
-            vals = np.einsum("kit,kit->kt", self.Ug, core.blocks_of(v) @ self.U)
-            out += np.bincount(core.term_rows.ravel(), vals.ravel(), out.size)
+            # Summed over each term's coordinates in their order: the
+            # iterates are pinned to this rounding.
+            vals = core.blocks_of(v) @ self.U
+            vals *= self.Ug
+            out += np.bincount(core.term_flat, np.add.reduce(vals, 1).ravel(), out.size)
         return out
 
     def combine(self, y: np.ndarray) -> np.ndarray:
         core = self.core
         out = np.empty(core.m_c)
-        out[: core.n_orth] = self.orth @ y
+        self.orth.dot(y, out=out[: core.n_orth])
         if core.n_blocks:
-            core.blocks_of(out)[...] = _sym(
-                (self.Ug * y[core.term_rows][:, None, :]) @ _t(self.U))
+            _sym((self.Ug * y[core.term_rows]) @ self.Ut, core.blocks_of(out))
         return out
 
     def gram(self) -> np.ndarray:
@@ -504,17 +514,17 @@ class _KKT:
         # projector onto range(Ghat).
         self.dy1 = self.solve_normal(g_chat + core.b)
         self.dx1 = self.rows.combine(self.dy1) - self.chat
-        t1 = self.chol_inv @ core.b
+        t1 = self.chol_inv.dot(core.b)
         resid = self.chat - self.rows.combine(self._chol_solve(g_chat))
-        self.denom = float(t1 @ t1 + resid @ resid) + kappa / tau
+        self.denom = float(t1.dot(t1) + resid.dot(resid)) + kappa / tau
 
     def _chol_solve(self, rhs):
-        return self.chol_inv.T @ (self.chol_inv @ rhs)
+        return self.chol_inv.T.dot(self.chol_inv.dot(rhs))
 
     def solve_normal(self, u: np.ndarray) -> np.ndarray:
         """Solve phi dy = u with one step of iterative refinement."""
         dy = self._chol_solve(u)
-        dy += self._chol_solve(u - self.phi @ dy)
+        dy += self._chol_solve(u - self.phi.dot(dy))
         return dy
 
     def direction(self, eta: float, g: np.ndarray, d_tk: float):
@@ -549,19 +559,21 @@ class _Core:
         self.m_c = n + K * D * D
         self.nu = n + sum(self.dims) + 1
         # The K blocks' terms zero-padded to D coordinates and T terms (g = 0
-        # pads them, so no sum changes).
+        # pads them, so no sum changes); g and the rows are K x 1 x T, to
+        # broadcast over a block's coordinates.
         T = max((g.size for _, g, _ in prob.psd_rows), default=0)
-        self.V, self.g = np.zeros((K, D, T)), np.zeros((K, T))
-        self.term_rows = np.zeros((K, T), np.intp)
+        self.V, self.g = np.zeros((K, D, T)), np.zeros((K, 1, T))
+        self.term_rows = np.zeros((K, 1, T), np.intp)
         self.in_block = np.zeros(self.shape, bool)
         from_svec = [np.arange(n)]
         for k, ((d, sl), (rows, g, V)) in enumerate(zip(_block_slices(n, self.dims),
                                                          prob.psd_rows)):
-            self.V[k, :d, : g.size], self.g[k, : g.size] = V, g
-            self.term_rows[k, : g.size] = rows
+            self.V[k, :d, : g.size], self.g[k, 0, : g.size] = V, g
+            self.term_rows[k, 0, : g.size] = rows
             self.in_block[k, :d, :d] = True
             from_svec.append(sl.start + _gathers(d).full)
-        self.pairs = (self.term_rows[:, :, None] * p + self.term_rows[:, None, :]).ravel()
+        self.pairs = (_t(self.term_rows) * p + self.term_rows).ravel()
+        self.term_flat = self.term_rows.ravel()
         # The boundary gathers: the flat positions that hold svec data, and
         # the flat position of every svec coordinate (an upper triangle's).
         eye = np.eye(D)
@@ -574,14 +586,18 @@ class _Core:
         self.pad_eye = np.where(self.in_block, 0.0, eye)
         self.pad_diag = self.pad_eye.diagonal(axis1=1, axis2=2)
         self.unit = np.concatenate([np.ones(n), (eye - self.pad_eye).ravel()])
+        self.unit_blocks = self.blocks_of(self.unit)
+        # Work space of ``_Scaling`` and its step search, reused by every
+        # iteration of a solve.
+        self.pair = np.empty((2,) + self.shape)
         self.svec_weight = np.concatenate([np.ones(n), np.where(
             self.in_block, np.where(eye == 1.0, 1.0, _SQRT2), 0.0).ravel()])
         self.c = self.sign * self.flat(prob.c)
 
     def blocks_of(self, v: np.ndarray) -> np.ndarray:
-        """The (K, D, D) block view of flat data v, or one per vector along
-        v's leading axes: a reshape, writable when v is."""
-        return v[..., self.n_orth:].reshape(v.shape[:-1] + self.shape)
+        """The (K, D, D) block view of flat data v: a reshape, writable when
+        v is."""
+        return v[self.n_orth:].reshape(self.shape)
 
     def flat(self, v: np.ndarray) -> np.ndarray:
         """svec data on the flat layout, zero-padded; off-diagonals are
@@ -596,7 +612,7 @@ class _Core:
 
     def svec_max(self, v: np.ndarray) -> float:
         """The max-norm of svec(v), without forming it."""
-        return float(np.max(np.abs(v) * self.svec_weight, initial=0.0))
+        return float((np.abs(v) * self.svec_weight).max(initial=0.0))
 
     def polish(self, x: np.ndarray) -> np.ndarray:
         """Return the interior point x with its equality residual cleared.
@@ -632,7 +648,7 @@ class _Core:
         step = self._least_squares_step(_Rows(self, self.A.T * w[:, None], R), x)
         if step is not None:
             step[: self.n_orth] *= w
-            self.blocks_of(step)[...] = _sym(R @ self.blocks_of(step) @ _t(R))
+            _sym(R @ self.blocks_of(step) @ _t(R), self.blocks_of(step))
         return step
 
     def _inside(self, x: np.ndarray, step: Optional[np.ndarray]) -> np.ndarray:
@@ -665,18 +681,18 @@ class _HsdResult:
     gap: float
     pres: float
     iterations: int
-    history: tuple
+    history: list       # IterateStats fields per iterate; made IterateStats by solve
     message: str = ""
 
 
 def _from_best(best, best_merit, tol, history, message) -> _HsdResult:
     if best is not None and best_merit <= tol:
-        x_hat, y_hat, gap, pres, it = best
-        return _HsdResult("optimal", x_hat, y_hat, gap, pres, it,
-                          tuple(history), f"best iterate returned: {message}")
-    gap, pres = best[2:4] if best is not None else (math.inf, math.inf)
+        x, y, tau, gap, pres, it = best
+        return _HsdResult("optimal", x / tau, y / tau, gap, pres, it,
+                          history, f"best iterate returned: {message}")
+    gap, pres = best[3:5] if best is not None else (math.inf, math.inf)
     return _HsdResult("numerical-failure", None, None, gap, pres,
-                      len(history) - 1, tuple(history), message)
+                      len(history) - 1, history, message)
 
 
 def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
@@ -685,6 +701,8 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
     # core a reference cycle would keep each solve alive until a full gc pass.
     a_rows = _Rows(core, core.A.T)
 
+    # x and y are replaced at each step, not updated in place, so that the
+    # best iterate is kept by reference.
     x = core.unit.copy()
     z = core.unit.copy()
     y = np.zeros(core.b.size)
@@ -695,29 +713,23 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
     best = None
     best_merit = math.inf
 
-    def record(it, pobj, dobj, compl, pres, dres):
-        entry = IterateStats(it, pobj, dobj, compl, pres, dres, step_taken)
-        history.append(entry)
-        if trace is not None:
-            trace.write(
-                f"iter {it:3d} gap {abs(pobj - dobj):10.3e} pres {pres:10.3e} "
-                f"dres {dres:10.3e} step {step_taken:8.3e}\n"
-            )
-
     for it in range(MAX_ITERS + 1):
         ax, aty = a_rows.dot(x), a_rows.combine(y)
+        by, cx = float(core.b @ y), float(core.c @ x)
         r_p = ax - core.b * tau
-        r_d = -aty + core.c * tau
+        r_d = core.c * tau - aty
         r_d -= z
-        r_g = core.b @ y - core.c @ x - kappa
+        r_g = by - cx - kappa
 
-        pobj = float(core.c @ x / tau)
-        dobj = float(core.b @ y / tau)
-        compl = float(x @ z + tau * kappa)
+        pobj, dobj = cx / tau, by / tau
+        compl = float(x.dot(z) + tau * kappa)
         pres = float(np.abs(r_p).max(initial=0.0) / tau)
         dres = core.svec_max(r_d) / tau
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        record(it, pobj, dobj, compl, pres, dres)
+        history.append((it, pobj, dobj, compl, pres, dres, step_taken))
+        if trace is not None:
+            trace.write(f"iter {it:3d} gap {abs(pobj - dobj):10.3e} pres {pres:10.3e} "
+                        f"dres {dres:10.3e} step {step_taken:8.3e}\n")
 
         # Keep the best iterate: degenerate problems can destabilize right at
         # the end, and a late bad step must not discard a converged point.
@@ -731,7 +743,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         stalled = best_merit <= tol and merit > _MIN_PROGRESS * best_merit
         if merit < best_merit:
             best_merit = merit
-            best = (x / tau, y / tau, abs(pobj - dobj), pres, it)
+            best = (x, y, tau, abs(pobj - dobj), pres, it)
         if stalled:
             return _from_best(best, best_merit, tol, history,
                               "no further progress after convergence")
@@ -742,18 +754,15 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
             return _from_best(best, best_merit, tol, history,
                               "iterates diverged after best point")
 
-        by = float(core.b @ y)
+        # The certificate's residual is -A'y - z, as exactly -(A'y + z).
         if by > 0.0:
-            cert = -aty
-            cert -= z
-            if core.svec_max(cert) <= tol * by:
+            if core.svec_max(aty + z) <= tol * by:
                 return _HsdResult("infeasible", None, None, math.inf, pres, it,
-                                  tuple(history), "primal infeasibility certificate found")
-        cx = float(core.c @ x)
+                                  history, "primal infeasibility certificate found")
         if cx < 0.0:
-            if np.max(np.abs(ax), initial=0.0) <= tol * (-cx):
+            if np.abs(ax).max(initial=0.0) <= tol * (-cx):
                 return _HsdResult("unbounded", None, None, math.inf, pres, it,
-                                  tuple(history), "unboundedness certificate found")
+                                  history, "unboundedness certificate found")
 
         if it == MAX_ITERS:
             break
@@ -764,7 +773,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         except (np.linalg.LinAlgError, _NumericalFailure) as exc:
             return _from_best(best, best_merit, tol, history,
                               f"scaling/factorization failed: {exc}")
-        if not np.isfinite(kkt.denom) or kkt.denom <= 0.0:
+        if not math.isfinite(kkt.denom) or kkt.denom <= 0.0:
             return _from_best(best, best_merit, tol, history,
                               "degenerate step equation")
         mu = compl / nu
@@ -783,7 +792,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         dx_a, dz_a, _, dtau_a, dkappa_a = kkt.direction(1.0, -lam, -tau * kappa)
         alpha_aff = min(1.0, max_step(dx_a, dz_a, dtau_a, dkappa_a))
         mu_aff = (
-            (lam + alpha_aff * dx_a) @ (lam + alpha_aff * dz_a)
+            (lam + alpha_aff * dx_a).dot(lam + alpha_aff * dz_a)
             + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkappa_a)
         ) / nu
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
@@ -801,9 +810,9 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
 
         # Only the accepted step leaves the scaled space; dZ comes from the
         # dual equality, so that r_d shrinks by the factor 1 - alpha eta.
-        x += alpha * scal.unscale(dx)
+        x = x + alpha * scal.unscale(dx)
         z += alpha * (core.c * dtau + eta * r_d - a_rows.combine(dy))
-        y += alpha * dy
+        y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
         step_taken = alpha
@@ -825,24 +834,24 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
     has passed an independent post-hoc residual check; a numerical failure
     reports the final residuals instead of a doubtful answer.
     """
-    problem.validate()
     core = _Core(problem)
     res = _solve_hsd(core, tol, trace)
+    history = tuple(IterateStats(*h) for h in res.history)
 
     if res.status == "optimal":
         return _finalize_optimal(problem, core, res, core.polish(res.x_hat),
-                                 core.sign * res.y_hat, tol)
+                                 core.sign * res.y_hat, tol, history)
     gap = res.gap if np.isfinite(res.gap) else math.inf
     return ConicSolution(res.status, None, None, gap, res.pres, res.iterations,
-                         message=res.message, history=res.history)
+                         message=res.message, history=history)
 
 
-def _finalize_optimal(problem, core, res, x, y, tol):
+def _finalize_optimal(problem, core, res, x, y, tol, history):
     """Check the flat answer x and return it as svec data."""
     ax = _Rows(core, problem.A.T).dot(x)
-    eq_residual = float(np.max(np.abs(ax - problem.b), initial=0.0))
+    eq_residual = float(np.abs(ax - problem.b).max(initial=0.0))
     min_eig = None
-    checks_ok = eq_residual <= tol * (1.0 + np.max(np.abs(problem.b), initial=0.0)) * 1.01
+    checks_ok = eq_residual <= tol * (1.0 + np.abs(problem.b).max(initial=0.0)) * 1.01
     checks_ok &= bool(np.all(x[: problem.n_nonneg] >= -1e-9))
     # One eigenvalue floor for the block-diagonal matrix of all blocks.
     eigs = [np.linalg.eigvalsh(m[:d, :d]) for d, m in zip(core.dims, core.blocks_of(x))]
@@ -852,9 +861,9 @@ def _finalize_optimal(problem, core, res, x, y, tol):
     if not checks_ok:
         return ConicSolution(
             "numerical-failure", None, None, res.gap, eq_residual, res.iterations,
-            message="post-hoc constraint check failed", history=res.history)
+            message="post-hoc constraint check failed", history=history)
     x = core.svec(x)
     return ConicSolution(
         "optimal", x, float(problem.c @ x + problem.offset), res.gap, eq_residual,
         res.iterations, psd_min_eig=min_eig, y=y,
-        message=res.message, history=res.history)
+        message=res.message, history=history)

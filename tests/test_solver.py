@@ -1,5 +1,6 @@
 """Conic solver: cone handling, statuses, invariants, determinism."""
 
+import dataclasses
 import io
 import math
 
@@ -257,6 +258,23 @@ def test_trace_stream():
     assert len(lines) >= 2
     assert lines[0].startswith("iter")
     assert "pres" in lines[0] and "dres" in lines[0]
+
+
+def test_history_holds_one_entry_per_iterate_and_trace_one_line_each():
+    # Whatever the outcome, history[k] is iterate k, and the trace streams
+    # exactly one line per history entry, in order.
+    problems = [box_lp(), reference_lambda_problem("check7_eps038"),
+                ConicProblem(sense="min", c=np.array([1.0]), A=np.array([[1.0]]),
+                             b=np.array([-1.0]), n_nonneg=1)]
+    for problem in problems:
+        buf = io.StringIO()
+        sol = solve(problem, trace=buf)
+        assert all(isinstance(e, solver.IterateStats) for e in sol.history)
+        assert [e.iteration for e in sol.history] == list(range(len(sol.history)))
+        assert sol.iterations <= len(sol.history) - 1
+        lines = buf.getvalue().splitlines()
+        assert [line[:9] for line in lines] == [f"iter {e.iteration:3d} " for e in sol.history]
+    assert [solve(p).status for p in problems] == ["optimal", "optimal", "infeasible"]
 
 
 def test_solution_accessors():
@@ -675,6 +693,68 @@ def test_solves_repeat_to_the_bit():
         assert a.iterations == b.iterations
         assert a.history == b.history
         assert a.x.tobytes() == b.x.tobytes()
+
+
+def _bits(sol):
+    """A solution's answer and iterate history, with every float as its bits."""
+    history = [tuple(float(v).hex() for v in dataclasses.astuple(e)) for e in sol.history]
+    return sol.status, sol.x.tobytes(), sol.y.tobytes(), sol.objective.hex(), history
+
+
+def test_solves_carry_nothing_from_one_to_the_next():
+    # A program solved again after a program of another shape, with the
+    # first answer's arrays overwritten in between, retraces its first
+    # solve to the bit: no buffer or array outlives a solve.
+    first_problem = reference_lambda_problem("check7_eps038")
+    other = build_threshold_problem(DegreeDistribution({3: 1.0}), DegreeDistribution({6: 1.0}))
+    assert other.psd_dims != first_problem.psd_dims
+    first = solve(first_problem)
+    expected = _bits(first)
+    assert solve(other).status == "optimal"
+    first.x[:] = -1.0
+    first.y[:] = -1.0
+    assert _bits(solve(first_problem)) == expected
+
+
+def test_singular_gram_takes_the_shifted_retry(monkeypatch):
+    # Two equal rows make a PSD Gram singular: its Cholesky pivot 4 - 2 * 2
+    # is exactly 0, so the unshifted factorization fails. The first retry,
+    # shifted by 1e-14 of the mean diagonal, returns a lower-triangular
+    # inverse factor that solves a right-hand side in the Gram's range.
+    V = np.array([[2.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+    gram = V @ V.T
+    tried = []
+    cholesky = np.linalg.cholesky
+
+    def recording(m):
+        tried.append(m.copy())
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    inv = solver._inverse_gram_factor(gram)
+    assert len(tried) == 2 and np.array_equal(tried[0], gram)
+    assert np.array_equal(tried[1], gram + 1e-14 * (np.trace(gram) / 3) * np.eye(3))
+    assert np.array_equal(inv, np.tril(inv))
+    rhs = gram @ np.array([1.0, -2.0, 0.5])
+    assert np.allclose(gram @ (inv.T @ (inv @ rhs)), rhs, rtol=0.0, atol=1e-12)
+
+    # A Gram that never factors is tried 8 times, the shift growing by 100
+    # each time from 1e-14 of its mean diagonal (of 1 when that is smaller).
+    def failing(m):
+        tried.append(m.copy())
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    for small in (gram, 0.01 * gram):
+        tried.clear()
+        assert solver._inverse_gram_factor(small) is None
+        shifts, shift = [], max(1.0, np.trace(small) / 3) * 1e-14
+        for _ in range(7):
+            shifts.append(shift)
+            shift *= 100.0
+        assert len(tried) == 8 and np.array_equal(tried[0], small)
+        for m, s in zip(tried[1:], shifts):
+            assert np.array_equal(m, small + s * np.eye(3))
 
 
 @st.composite
