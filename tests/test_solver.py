@@ -266,15 +266,17 @@ def test_history_holds_one_entry_per_iterate_and_trace_one_line_each():
     problems = [box_lp(), reference_lambda_problem("check7_eps038"),
                 ConicProblem(sense="min", c=np.array([1.0]), A=np.array([[1.0]]),
                              b=np.array([-1.0]), n_nonneg=1)]
+    statuses = []
     for problem in problems:
         buf = io.StringIO()
         sol = solve(problem, trace=buf)
+        statuses.append(sol.status)
         assert all(isinstance(e, solver.IterateStats) for e in sol.history)
         assert [e.iteration for e in sol.history] == list(range(len(sol.history)))
         assert sol.iterations <= len(sol.history) - 1
         lines = buf.getvalue().splitlines()
         assert [line[:9] for line in lines] == [f"iter {e.iteration:3d} " for e in sol.history]
-    assert [solve(p).status for p in problems] == ["optimal", "optimal", "infeasible"]
+    assert statuses == ["optimal", "optimal", "infeasible"]
 
 
 def test_solution_accessors():
@@ -745,16 +747,16 @@ def test_singular_gram_takes_the_shifted_retry(monkeypatch):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    for small in (gram, 0.01 * gram):
+    for g in (gram, 0.01 * gram):
         tried.clear()
-        assert solver._inverse_gram_factor(small) is None
-        shifts, shift = [], max(1.0, np.trace(small) / 3) * 1e-14
+        assert solver._inverse_gram_factor(g) is None
+        shifts, shift = [], max(1.0, np.trace(g) / 3) * 1e-14
         for _ in range(7):
             shifts.append(shift)
             shift *= 100.0
-        assert len(tried) == 8 and np.array_equal(tried[0], small)
+        assert len(tried) == 8 and np.array_equal(tried[0], g)
         for m, s in zip(tried[1:], shifts):
-            assert np.array_equal(m, small + s * np.eye(3))
+            assert np.array_equal(m, g + s * np.eye(3))
 
 
 @st.composite
