@@ -35,7 +35,7 @@ large ones. Run as:  python benchmarks/bench_solver.py
 
 A first table, printed before the timings, gives each program's status,
 iteration count and the first 12 hex digits of the SHA-1 of its answer: the
-named decision variables followed by the PSD blocks. Two versions of the solver take bit-identical steps
+decision variables followed by the PSD blocks. Two versions of the solver take bit-identical steps
 on these programs when that table is the same for both:
 
     diff <(python benchmarks/bench_solver.py | sed -n '1,/^$/p') \

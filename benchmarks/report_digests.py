@@ -24,9 +24,13 @@ above its threshold, which exits 2). The README ``optimize-lambda`` and
 README sweep with ``--grid-sizes ""`` its exact row alone. The exact row
 of a Dv = 10 sweep as JSON pins the numeric order of its two-digit degree
 keys, and the eps = 0 ``optimize-lambda`` as CSV the JSON literals of its
-null and boolean values. They are copied here, so that a change to the
-benchmark does not change them. Together they take about 1 s on a 2-vCPU
-host.
+null and boolean values. Three lines end on the solver's failure exits, past
+eps_D, the (3, 6) threshold, where no lambda of degree up to 3 is feasible:
+``optimize-lambda`` at eps = 0.5 (an infeasibility certificate, exit 2) and
+at eps_D (1 + 1e-6) (iterates that diverge, exit 3), and a sweep at
+eps = 0.6 whose every row is infeasible (exit 2). They are copied here, so
+that a change to the benchmark does not change them. Together they take
+about 1 s on a 2-vCPU host.
 Run as:  python benchmarks/report_digests.py
 """
 
@@ -110,6 +114,10 @@ COMMANDS = [
                                "--output", "json")),
     ("optimize_lambda_eps0_csv", _optimize_lambda('{"2": 1.0}', "0.0", "3")
      + ("--output", "csv")),
+    ("infeasible_eps05_dv3", _optimize_lambda('{"6": 1.0}', "0.5", "3")),
+    ("diverged_eps_d_dv3", _optimize_lambda('{"6": 1.0}', "0.42944024385930624", "3")),
+    ("sweep_infeasible_eps06", ("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.6",
+                                "--max-var-degree", "3", "--grid-sizes", "10,100")),
 ]
 
 # The JSON line `  "duration_seconds": ...` or the CSV row `duration_seconds,...`.

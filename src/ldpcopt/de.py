@@ -150,17 +150,14 @@ def lp_baseline_sweep(rho: DegreeDistribution, eps: float, max_var_degree: int,
     ``DiscretizedLp.is_feasible``; its objective is the dual objective, a
     verified upper bound, its ``lam`` the read-back of the recovered taps
     (``ensemble.read_taps``) and its ``rate`` the design rate of that
-    ``lam``. An unbounded dual means an infeasible grid LP. Solver failures
-    are recorded per row and do not abort the sweep.
+    ``lam``. An unbounded dual means an infeasible grid LP. A solve that
+    ends without an optimum is recorded in its row and the sweep goes on; an
+    exception from the solver is a defect, not a row, and ends the sweep.
     """
     rows = []
     for n in sorted(set(int(n) for n in grid_sizes)):
         lp = build_discretized_lp(rho, eps, max_var_degree, n)
-        try:
-            sol = solver.solve(lp.problem, tol=tol)
-        except Exception as exc:  # pragma: no cover - defensive
-            rows.append(LpSweepRow(n, f"error: {exc}", None, None, None))
-            continue
+        sol = solver.solve(lp.problem, tol=tol)
         if sol.status != "optimal":
             # The dual is always feasible (mu = 0, s_2 = 0, s_i = c_2 - c_i),
             # so a dual "infeasible" can only be a numerical artefact.

@@ -71,6 +71,18 @@ tolerance. The first weighs each block X by X itself (a correction X S X);
 the second, with unit block weights, clears what rounding leaves of the
 residual. A correction that would leave the cone is halved until it does
 not.
+
+Nine stop rules end the loop, each with its own message: no further progress
+after convergence, the merit at the rounding unit, divergence after the best
+point, a primal infeasibility certificate, an unboundedness certificate, the
+iteration cap ``MAX_ITERS``, a failed scaling or factorization, a degenerate
+step equation and a collapsed step. Every one of them ends in the same tail
+after the loop. The two certificates answer ``infeasible`` and
+``unbounded``; every other rule answers with the best iterate, ``optimal``
+when its merit met the tolerance and ``numerical-failure`` with its
+residuals otherwise. An optimal answer is polished, checked post hoc
+(equality residual, orthant, least block eigenvalue) and returned as svec
+data; a failed check is a numerical failure too.
 """
 
 from __future__ import annotations
@@ -209,7 +221,6 @@ class ConicProblem:
     psd_dims: tuple = ()
     psd_rows: tuple = ()
     offset: float = 0.0
-    var_names: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "psd_dims", tuple(int(d) for d in self.psd_dims))
@@ -290,13 +301,6 @@ class ConicSolution:
     y: Optional[np.ndarray] = None
     message: str = ""
     history: tuple = ()
-
-    def scalar_values(self, problem: ConicProblem) -> dict:
-        """Named scalar variable values (requires var_names on the problem)."""
-        if self.x is None:
-            return {}
-        names = problem.var_names or tuple(f"x{k}" for k in range(problem.n_nonneg))
-        return {name: float(v) for name, v in zip(names, self.x[: problem.n_nonneg])}
 
     def psd_matrices(self, problem: ConicProblem) -> Optional[list]:
         """One matrix per PSD block, in ``problem.psd_dims`` order."""
@@ -673,29 +677,22 @@ class _Core:
         return rows.combine(inv.T @ (inv @ (self.b - _Rows(self, self.A.T).dot(x))))
 
 
-@dataclass
-class _HsdResult:
-    status: str
-    x_hat: Optional[np.ndarray]
-    y_hat: Optional[np.ndarray]
-    gap: float
-    pres: float
-    iterations: int
-    history: list       # IterateStats fields per iterate; made IterateStats by solve
-    message: str = ""
+# ---------------------------------------------------------------------------
+# Public entry points
+# ---------------------------------------------------------------------------
 
 
-def _from_best(best, best_merit, tol, history, message) -> _HsdResult:
-    if best is not None and best_merit <= tol:
-        x, y, tau, gap, pres, it = best
-        return _HsdResult("optimal", x / tau, y / tau, gap, pres, it,
-                          history, f"best iterate returned: {message}")
-    gap, pres = best[3:5] if best is not None else (math.inf, math.inf)
-    return _HsdResult("numerical-failure", None, None, gap, pres,
-                      len(history) - 1, history, message)
+def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
+          trace=None) -> ConicSolution:
+    """Solve a conic problem; see the module docstring for the form.
 
-
-def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
+    Returns a ``ConicSolution`` whose status is one of ``optimal``,
+    ``infeasible``, ``unbounded`` or ``numerical-failure``. An ``optimal``
+    result is the best iterate, polished to clear its equality residual, and
+    has passed an independent post-hoc residual check; a numerical failure
+    reports the final residuals instead of a doubtful answer.
+    """
+    core = _Core(problem)
     nu = core.nu
     # A x is a_rows.dot(x), A' y a_rows.combine(y); held here, since in the
     # core a reference cycle would keep each solve alive until a full gc pass.
@@ -712,6 +709,9 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
     step_taken = 0.0
     best = None
     best_merit = math.inf
+    # Each stop rule sets its message and breaks out of the loop; only the
+    # two certificates also set a status.
+    status = None
 
     for it in range(MAX_ITERS + 1):
         ax, aty = a_rows.dot(x), a_rows.combine(y)
@@ -726,7 +726,7 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         pres = float(np.abs(r_p).max(initial=0.0) / tau)
         dres = core.svec_max(r_d) / tau
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        history.append((it, pobj, dobj, compl, pres, dres, step_taken))
+        history.append(IterateStats(it, pobj, dobj, compl, pres, dres, step_taken))
         if trace is not None:
             trace.write(f"iter {it:3d} gap {abs(pobj - dobj):10.3e} pres {pres:10.3e} "
                         f"dres {dres:10.3e} step {step_taken:8.3e}\n")
@@ -736,46 +736,45 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         # Once the best iterate meets `tol`, iterate only while the merit
         # still falls by the factor _MIN_PROGRESS: past that point the
         # residuals have reached their rounding floor and further steps
-        # shrink without gaining accuracy (the final polish in `solve` clears
-        # the primal residual instead). A merit that keeps falling fast ends
-        # the solve once it reaches _MERIT_FLOOR.
+        # shrink without gaining accuracy (the final polish clears the primal
+        # residual instead). A merit that keeps falling fast ends the solve
+        # once it reaches _MERIT_FLOOR.
         merit = max(pres, dres, relgap)
         stalled = best_merit <= tol and merit > _MIN_PROGRESS * best_merit
         if merit < best_merit:
             best_merit = merit
             best = (x, y, tau, abs(pobj - dobj), pres, it)
         if stalled:
-            return _from_best(best, best_merit, tol, history,
-                              "no further progress after convergence")
+            message = "no further progress after convergence"
+            break
         if best_merit <= tol and merit <= _MERIT_FLOOR:
-            return _from_best(best, best_merit, tol, history,
-                              "merit reached the rounding unit")
+            message = "merit reached the rounding unit"
+            break
         if merit > 1e3 * best_merit:
-            return _from_best(best, best_merit, tol, history,
-                              "iterates diverged after best point")
+            message = "iterates diverged after best point"
+            break
 
         # The certificate's residual is -A'y - z, as exactly -(A'y + z).
-        if by > 0.0:
-            if core.svec_max(aty + z) <= tol * by:
-                return _HsdResult("infeasible", None, None, math.inf, pres, it,
-                                  history, "primal infeasibility certificate found")
-        if cx < 0.0:
-            if np.abs(ax).max(initial=0.0) <= tol * (-cx):
-                return _HsdResult("unbounded", None, None, math.inf, pres, it,
-                                  history, "unboundedness certificate found")
+        if by > 0.0 and core.svec_max(aty + z) <= tol * by:
+            status, message = "infeasible", "primal infeasibility certificate found"
+            break
+        if cx < 0.0 and np.abs(ax).max(initial=0.0) <= tol * (-cx):
+            status, message = "unbounded", "unboundedness certificate found"
+            break
 
         if it == MAX_ITERS:
+            message = "iteration limit reached"
             break
 
         try:
             scal = _Scaling(core, x, z)
             kkt = _KKT(core, scal, tau, kappa, r_p, r_d, r_g)
         except (np.linalg.LinAlgError, _NumericalFailure) as exc:
-            return _from_best(best, best_merit, tol, history,
-                              f"scaling/factorization failed: {exc}")
+            message = f"scaling/factorization failed: {exc}"
+            break
         if not math.isfinite(kkt.denom) or kkt.denom <= 0.0:
-            return _from_best(best, best_merit, tol, history,
-                              "degenerate step equation")
+            message = "degenerate step equation"
+            break
         mu = compl / nu
 
         def max_step(dx, dz, dtau, dkappa):
@@ -805,8 +804,8 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
 
         alpha = min(1.0, _STEP_FRACTION * max_step(dx, dz, dtau, dkappa))
         if alpha < _MIN_STEP:
-            return _from_best(best, best_merit, tol, history,
-                              "step length collapsed")
+            message = "step length collapsed"
+            break
 
         # Only the accepted step leaves the scaled space; dZ comes from the
         # dual equality, so that r_d shrinks by the factor 1 - alpha eta.
@@ -817,53 +816,36 @@ def _solve_hsd(core: _Core, tol: float, trace) -> _HsdResult:
         kappa += alpha * dkappa
         step_taken = alpha
 
-    return _from_best(best, best_merit, tol, history, "iteration limit reached")
-
-
-# ---------------------------------------------------------------------------
-# Public entry points
-# ---------------------------------------------------------------------------
-
-def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
-          trace=None) -> ConicSolution:
-    """Solve a conic problem; see the module docstring for the form.
-
-    Returns a ``ConicSolution`` whose status is one of ``optimal``,
-    ``infeasible``, ``unbounded`` or ``numerical-failure``. An ``optimal``
-    result is the best iterate, polished to clear its equality residual, and
-    has passed an independent post-hoc residual check; a numerical failure
-    reports the final residuals instead of a doubtful answer.
-    """
-    core = _Core(problem)
-    res = _solve_hsd(core, tol, trace)
-    history = tuple(IterateStats(*h) for h in res.history)
-
-    if res.status == "optimal":
-        return _finalize_optimal(problem, core, res, core.polish(res.x_hat),
-                                 core.sign * res.y_hat, tol, history)
-    gap = res.gap if np.isfinite(res.gap) else math.inf
-    return ConicSolution(res.status, None, None, gap, res.pres, res.iterations,
-                         message=res.message, history=history)
-
-
-def _finalize_optimal(problem, core, res, x, y, tol, history):
-    """Check the flat answer x and return it as svec data."""
-    ax = _Rows(core, problem.A.T).dot(x)
-    eq_residual = float(np.abs(ax - problem.b).max(initial=0.0))
-    min_eig = None
-    checks_ok = eq_residual <= tol * (1.0 + np.abs(problem.b).max(initial=0.0)) * 1.01
-    checks_ok &= bool(np.all(x[: problem.n_nonneg] >= -1e-9))
-    # One eigenvalue floor for the block-diagonal matrix of all blocks.
-    eigs = [np.linalg.eigvalsh(m[:d, :d]) for d, m in zip(core.dims, core.blocks_of(x))]
-    if eigs:
-        min_eig = float(min(e[0] for e in eigs))
-        checks_ok &= min_eig >= -1e-9 * (1.0 + float(max(e[-1] for e in eigs)))
-    if not checks_ok:
-        return ConicSolution(
-            "numerical-failure", None, None, res.gap, eq_residual, res.iterations,
-            message="post-hoc constraint check failed", history=history)
-    x = core.svec(x)
-    return ConicSolution(
-        "optimal", x, float(problem.c @ x + problem.offset), res.gap, eq_residual,
-        res.iterations, psd_min_eig=min_eig, y=y,
-        message=res.message, history=history)
+    # The one exit. A certificate reports the last iterate's residual; every
+    # other rule reports the best iterate, and answers with it once it met
+    # `tol`.
+    history = tuple(history)
+    if status is not None:
+        gap = math.inf
+    else:
+        gap, pres = best[3:5] if best is not None else (math.inf, math.inf)
+        status = "optimal" if best_merit <= tol else "numerical-failure"
+    if status == "optimal":
+        x, y, tau, _, _, it = best
+        message = f"best iterate returned: {message}"
+        # The polished answer must pass a check of its own: the equality
+        # residual, the orthant and one eigenvalue floor for the
+        # block-diagonal matrix of all blocks.
+        x = core.polish(x / tau)
+        pres = float(np.abs(_Rows(core, problem.A.T).dot(x) - problem.b).max(initial=0.0))
+        min_eig = None
+        checks_ok = pres <= tol * (1.0 + np.abs(problem.b).max(initial=0.0)) * 1.01
+        checks_ok &= bool(np.all(x[: problem.n_nonneg] >= -1e-9))
+        eigs = [np.linalg.eigvalsh(m[:d, :d]) for d, m in zip(core.dims, core.blocks_of(x))]
+        if eigs:
+            min_eig = float(min(e[0] for e in eigs))
+            checks_ok &= min_eig >= -1e-9 * (1.0 + float(max(e[-1] for e in eigs)))
+        if checks_ok:
+            x = core.svec(x)
+            return ConicSolution(
+                "optimal", x, float(problem.c @ x + problem.offset), gap, pres, it,
+                psd_min_eig=min_eig, y=core.sign * (y / tau), message=message,
+                history=history)
+        status, message = "numerical-failure", "post-hoc constraint check failed"
+    return ConicSolution(status, None, None, gap if np.isfinite(gap) else math.inf, pres,
+                         it, message=message, history=history)

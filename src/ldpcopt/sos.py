@@ -109,7 +109,7 @@ def _node_vectors(n: int) -> list:
 
 @dataclass(frozen=True)
 class SampledFamily:
-    """Constraint polynomial P whose coefficients are affine in named decision
+    """Constraint polynomial P whose coefficients are affine in the decision
     variables, carried as F = P / x^k at the Chebyshev nodes of degree
     n = deg P - k.
 
@@ -117,14 +117,13 @@ class SampledFamily:
     F(x_j) and column 1+v multiplies variable v.
     """
 
-    variable_names: tuple
     k: int
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 2 or self.values.shape[1] != 1 + len(self.variable_names):
-            raise ValueError("value table shape does not match the variable count")
+        if self.values.ndim != 2 or self.values.shape[1] < 1:
+            raise ValueError("value table needs one row per node and a constant column")
 
     @property
     def n(self) -> int:
@@ -138,7 +137,7 @@ class SampledFamily:
 
     @property
     def n_vars(self) -> int:
-        return len(self.variable_names)
+        return self.values.shape[1] - 1
 
     def at(self, values: Sequence[float]) -> np.ndarray:
         """F at the nodes for the given variable values."""
@@ -148,7 +147,7 @@ class SampledFamily:
         return self.values @ v
 
 
-def coefficient_family(variable_names: tuple, table: np.ndarray) -> SampledFamily:
+def coefficient_family(table: np.ndarray) -> SampledFamily:
     """The family whose P has the monomial coefficient table ``table`` (one
     row per power; column 0 constant, column 1+v variable v). Its exactly
     zero low rows are factored out as x^k."""
@@ -159,7 +158,7 @@ def coefficient_family(variable_names: tuple, table: np.ndarray) -> SampledFamil
         k += 1
     _, x = chebyshev_nodes(table.shape[0] - 1 - k)
     values = np.polynomial.polynomial.polyval(x, table[k:]).T
-    return SampledFamily(tuple(variable_names), k, values)
+    return SampledFamily(k, values)
 
 
 def _design_degree(fixed: DegreeDistribution, max_degree: int) -> int:
@@ -180,8 +179,7 @@ def lambda_constraint_family(rho: DegreeDistribution, eps: float,
     _, x = chebyshev_nodes(degree - 1)
     powers = running_powers(psi(rho.edge_polynomial(), eps, x), max_var_degree - 1)
     values = np.concatenate([np.ones((x.size, 1)), -powers / x[:, None]], axis=1)
-    return SampledFamily(tuple(f"lambda_{i}" for i in range(2, max_var_degree + 1)),
-                         1, values)
+    return SampledFamily(1, values)
 
 
 def rho_constraint_family(lam: DegreeDistribution, eps: float,
@@ -198,8 +196,7 @@ def rho_constraint_family(lam: DegreeDistribution, eps: float,
     phi = 1.0 - eps * lam.edge_polynomial().evaluate_many(x)
     values = np.concatenate(
         [(x - 1.0)[:, None], running_powers(phi, max_check_degree - 1)], axis=1)
-    return SampledFamily(tuple(f"rho_{j}" for j in range(2, max_check_degree + 1)),
-                         0, values)
+    return SampledFamily(0, values)
 
 
 def threshold_constraint_family(lam: DegreeDistribution,
@@ -210,7 +207,7 @@ def threshold_constraint_family(lam: DegreeDistribution,
     _check_gram_dim(degree)
     _, x = chebyshev_nodes(degree - 1)
     fixed = lam.edge_polynomial().evaluate_many(psi(rho.edge_polynomial(), 1.0, x))
-    return SampledFamily(("t",), 1, np.stack([-fixed / x, np.ones_like(x)], axis=1))
+    return SampledFamily(1, np.stack([-fixed / x, np.ones_like(x)], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +255,6 @@ def assemble_sos_program(family: SampledFamily, sense: str,
         sense=sense, c=c, A=A, b=b, n_nonneg=nv,
         psd_dims=tuple(u.shape[1] for u in us),
         psd_rows=tuple((np.arange(n_nodes), -1.0 / scale[:n_nodes], u.T) for u in us),
-        var_names=family.variable_names,
     )
 
 
@@ -324,7 +320,7 @@ def build_sos_feasibility(p: Polynomial) -> ConicProblem:
     """Feasibility program: does p admit a Markov-Lukacs certificate on [0, 1]?"""
     if p.degree < 0:
         raise ValueError("the zero polynomial needs no certificate")
-    return assemble_sos_program(coefficient_family((), p.coeffs[:, None]), "min",
+    return assemble_sos_program(coefficient_family(p.coeffs[:, None]), "min",
                                 objective=[])
 
 

@@ -100,7 +100,7 @@ def test_a01_quadratic_box_sdp_exact():
     # [0, 1], b <= 1 posed as b + s = 1 with s >= 0: the exact optimum is
     # b = 1.
     fam = coefficient_family(
-        ("b", "s"), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
     t0 = time.perf_counter()
     sol = solve(assemble_sos_program(fam, "max", [1.0, 0.0],
                                      extra_eq=[([1.0, 1.0], 1.0)]))
@@ -256,7 +256,7 @@ def test_a09_certificate_soundness():
         sol = solve(prob)
         assert sol.status == "optimal", f"nonnegative trial {trial}"
         cert = sol.psd_matrices(prob)
-        target = coefficient_family((), p.coeffs[:, None]).at([])
+        target = coefficient_family(p.coeffs[:, None]).at([])
         report = verify_certificate(cert, target)
         assert report.ok, f"nonnegative trial {trial}"
         certified.append((cert, target))

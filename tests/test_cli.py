@@ -446,6 +446,23 @@ def test_unexpected_error_exits_three(monkeypatch, capsys):
     assert err == "error: RuntimeError: solver exploded\n"
 
 
+def test_sweep_solver_defect_is_not_a_row(monkeypatch, capsys):
+    # An exception from the solver on one grid LP is a defect, not data: it
+    # ends the sweep with exit 3 and one line on stderr, and prints no row.
+    real_solve = solver.solve
+
+    def failing_at_n100(problem, **kwargs):
+        if problem.n_nonneg == 100 + 4:   # N multipliers and Dv - 1 slacks
+            raise RuntimeError("simulated defect")
+        return real_solve(problem, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", failing_at_n100)
+    code, out, err = run_cli(
+        capsys, "sweep", "--rho", '{"5": 1.0}', "--epsilon", "0.56",
+        "--max-var-degree", "5", "--grid-sizes", "10,100,500")
+    assert (code, out, err) == (3, "", "error: RuntimeError: simulated defect\n")
+
+
 def test_solver_message_reported(monkeypatch, capsys):
     # The two-tap design ends on the best-iterate fallback; whatever the
     # solver says about how it got there reaches the report.

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpcopt import solver
+from ldpcopt.de import build_discretized_lp
 from ldpcopt.ensemble import DegreeDistribution
 from ldpcopt.solver import (
     ConicProblem,
@@ -280,10 +281,9 @@ def test_history_holds_one_entry_per_iterate_and_trace_one_line_each():
 
 
 def test_solution_accessors():
-    prob = ConicProblem(sense="max", c=np.array([1.0, 0.0]), A=np.array([[1.0, 1.0]]),
-                        b=np.array([1.0]), n_nonneg=2, var_names=("gain",))
+    prob = box_lp()
     sol = solve(prob)
-    assert sol.scalar_values(prob) == pytest.approx({"gain": 1.0}, abs=1e-7)
+    assert sol.x[: prob.n_nonneg] == pytest.approx([1.0, 0.0], abs=1e-7)
     assert sol.psd_matrices(prob) == []
 
 
@@ -359,6 +359,58 @@ def test_zero_objective_stops_at_the_rounding_floor():
     assert sol.message == "best iterate returned: merit reached the rounding unit"
     x, = sol.psd_matrices(problem)
     assert np.allclose(np.diag(x), 1.0, atol=1e-9) and abs(x[0, 1]) <= 1.0
+
+
+def _rho6_program(kind, eps, max_var_degree):
+    """The lambda program at rho = x^5, or its grid LP at N = 10."""
+    rho = DegreeDistribution({6: 1.0})
+    if kind == "grid":
+        return build_discretized_lp(rho, eps, max_var_degree, 10).problem
+    return build_lambda_problem(rho, eps, max_var_degree)
+
+
+def _cap_at_five(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERS", 5)
+
+
+def _polish_off_the_rows(monkeypatch):
+    monkeypatch.setattr(solver._Core, "polish", lambda self, x: x + 1.0)
+
+
+def _gram_never_factors(monkeypatch):
+    monkeypatch.setattr(solver, "_inverse_gram_factor", lambda gram: None)
+
+
+README_LAMBDA = ("lambda", 0.49, 7)
+
+
+@pytest.mark.parametrize("program, patch, status, message, returned, last", [
+    (README_LAMBDA, None, "optimal",
+     "best iterate returned: no further progress after convergence", 10, 11),
+    (("lambda", 0.5, 3), None, "infeasible", "primal infeasibility certificate found", 7, 7),
+    # eps_D (1 + 1e-6), eps_D the (3, 6) threshold: no lambda of degree up
+    # to 3 is feasible, and the solver fails to certify it.
+    (("lambda", 0.42944024385930624, 3), None, "numerical-failure",
+     "iterates diverged after best point", 9, 9),
+    (("grid", 0.6, 3), None, "unbounded", "unboundedness certificate found", 5, 5),
+    (README_LAMBDA, _cap_at_five, "numerical-failure", "iteration limit reached", 5, 5),
+    (README_LAMBDA, _polish_off_the_rows, "numerical-failure",
+     "post-hoc constraint check failed", 10, 11),
+    (README_LAMBDA, _gram_never_factors, "numerical-failure",
+     "scaling/factorization failed: KKT matrix could not be factorized", 0, 0),
+], ids=["stall", "infeasible", "diverged", "unbounded", "iteration-cap", "post-hoc",
+        "factorization"])
+def test_each_stop_rule_ends_in_its_status_and_message(monkeypatch, program, patch,
+                                                       status, message, returned, last):
+    # One program per stop rule that a program or a patch can reach, with
+    # its status, message, returned iteration and number of iterations run.
+    if patch is not None:
+        patch(monkeypatch)
+    sol = solve(_rho6_program(*program))
+    assert (sol.status, sol.message) == (status, message)
+    assert (sol.iterations, len(sol.history) - 1) == (returned, last)
+    assert sol.iterations <= len(sol.history) - 1
+    assert (sol.x is None) == (status != "optimal")
 
 
 def test_upper_bounds_are_not_part_of_the_form():

@@ -61,7 +61,7 @@ def test_threshold_family_structure():
     lam = DegreeDistribution({3: 1.0})
     rho = DegreeDistribution({6: 1.0})
     fam = threshold_constraint_family(lam, rho)
-    assert fam.variable_names == ("t",)
+    assert fam.n_vars == 1
     assert fam.degree == 10
     # At t = 1/eps the family equals (1/eps) * P(x) / x for the eps-free map.
     _, xs = chebyshev_nodes(fam.n)
@@ -253,7 +253,7 @@ def test_certificate_rejects_diagonal_perturbation(rng):
     sol = solve(prob)
     assert sol.status == "optimal"
     cert = sol.psd_matrices(prob)
-    target = coefficient_family((), p.coeffs[:, None]).at([])
+    target = coefficient_family(p.coeffs[:, None]).at([])
     assert verify_certificate(cert, target).ok
     for b, gram in enumerate(cert):
         for k in range(gram.shape[0]):
@@ -267,7 +267,7 @@ def test_parity_blocks_and_factored_root():
     # F = p / x of degree 2, s0 over (T_0, T_1) and s1 over T_0 with the
     # weight x(1 - x), matched at 3 nodes.
     p = Polynomial([0.0, 0.3, -1.0, 1.0])
-    fam = coefficient_family((), p.coeffs[:, None])
+    fam = coefficient_family(p.coeffs[:, None])
     assert (fam.k, fam.n) == (1, 2)
     prob = build_sos_feasibility(p)
     assert prob.psd_dims == (2, 1)
@@ -277,7 +277,7 @@ def test_parity_blocks_and_factored_root():
     cert = sol.psd_matrices(prob)
     assert verify_certificate(cert, fam.at([])).ok
     with pytest.raises(ValueError):
-        verify_certificate(cert, coefficient_family((), [[0.3], [-1.0]]).at([]))
+        verify_certificate(cert, coefficient_family([[0.3], [-1.0]]).at([]))
 
 
 def test_feasibility_program_negative_polynomial():
@@ -290,7 +290,7 @@ def test_generic_builder_quadratic_box():
     # the cap posed as the variable s >= 0 and the row b + s = 1: the box
     # binds, so b* = 1.
     fam = coefficient_family(
-        ("b", "s"), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
     prob = assemble_sos_program(fam, "max", [1.0, 0.0], extra_eq=[([1.0, 1.0], 1.0)])
     assert prob.n_nonneg == 2 and prob.A.shape == (4, 2)
     sol = solve(prob)
