@@ -28,9 +28,12 @@ null and boolean values. Three lines end on the solver's failure exits, past
 eps_D, the (3, 6) threshold, where no lambda of degree up to 3 is feasible:
 ``optimize-lambda`` at eps = 0.5 (an infeasibility certificate, exit 2) and
 at eps_D (1 + 1e-6) (iterates that diverge, exit 3), and a sweep at
-eps = 0.6 whose every row is infeasible (exit 2). They are copied here, so
-that a change to the benchmark does not change them. Together they take
-about 1 s on a 2-vCPU host.
+eps = 0.6 whose every row is infeasible (exit 2). A Dv = 12 sweep at
+rho = x^5, eps = 0.48, with grid rows N = 100 and 1000, as JSON, pins the
+full-precision taps of LP rows whose columns reach psi**11; the README
+sweep's rows stop at psi**4. They are copied here, so that a change to the
+benchmark does not change them. Together they take about 1 s on a 2-vCPU
+host.
 Run as:  python benchmarks/report_digests.py
 """
 
@@ -118,6 +121,9 @@ COMMANDS = [
     ("diverged_eps_d_dv3", _optimize_lambda('{"6": 1.0}', "0.42944024385930624", "3")),
     ("sweep_infeasible_eps06", ("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.6",
                                 "--max-var-degree", "3", "--grid-sizes", "10,100")),
+    ("sweep_json_dv12", ("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.48",
+                         "--max-var-degree", "12", "--grid-sizes", "100,1000",
+                         "--output", "json")),
 ]
 
 # The JSON line `  "duration_seconds": ...` or the CSV row `duration_seconds,...`.

@@ -233,7 +233,8 @@ def cmd_optimize(args) -> int:
         },
         "status": status,
         "iterations": solution.iterations,
-        "degenerate_epsilon": sos.is_degenerate_epsilon(eps),
+        # eps = 0 leaves every distribution feasible: flagged, not refused.
+        "degenerate_epsilon": eps == 0.0,
         **checks,
     }
     if solution.message:

@@ -6,8 +6,9 @@ polynomial coefficients, so that the routes check each other. The threshold
 is 1 / max H for the fixed-point gain H(x) = lam(1 - rho(1 - x)) / x, taken
 on the grid-plus-roots scan of H that the DE check reads P(x) / x from;
 the threshold and the LP columns both evaluate the erasure map in composed
-form, on the degree polynomials themselves (``ensemble._gain_scan`` and
-``ensemble.psi``).
+form, on the degree polynomials themselves (``ensemble._gain_scan``, and
+``ensemble.lambda_constraint_table``, the table the SOS lambda family takes
+at its Chebyshev nodes, at the LP's grid).
 The LP baseline enforces the decoding constraint only on finitely many grid
 points: a relaxation whose objective upper-bounds the exact program and
 converges to it as the grid is refined.
@@ -27,8 +28,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import solver
-from .ensemble import (DegreeDistribution, _gain_scan, design_rate, psi,
-                       read_taps, running_powers)
+from .ensemble import (DegreeDistribution, _gain_scan, design_rate,
+                       lambda_constraint_table, read_taps)
 from .solver import ConicProblem, ConicSolution
 
 # Allowance for rounding, and for coefficient sums off 1 by up to SUM_TOL,
@@ -104,9 +105,11 @@ def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: in
 
     The primal is: maximize c'lam with c_i = 1/i, over 1'lam = 1, lam >= 0
     and Psi lam <= x, where Psi[k, i] = psi(x_k)**(i-1) and
-    psi(x) = 1 - rho(1 - eps*x). Eliminating lam_2 = 1 - sum_{i>=3} lam_i
-    leaves one multiplier mu_k >= 0 per grid point and one slack s_i >= 0 per
-    degree in the dual:
+    psi(x) = 1 - rho(1 - eps*x): the tap columns of
+    ``ensemble.lambda_constraint_table`` at the grid, negated (that table
+    refuses eps outside [0, 1] and Dv < 2). Eliminating
+    lam_2 = 1 - sum_{i>=3} lam_i leaves one multiplier mu_k >= 0 per grid
+    point and one slack s_i >= 0 per degree in the dual:
 
         minimize    (x - Psi_2)'mu + s_2 + c_2
         subject to  (Psi_i - Psi_2)'mu + s_2 - s_i = c_i - c_2,  i = 3..Dv.
@@ -119,11 +122,9 @@ def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: in
     """
     if n_points < 1:
         raise ValueError("need at least one grid point")
-    if max_var_degree < 2:
-        raise ValueError("max_var_degree must be at least 2")
-    nl = max_var_degree - 1
     xs = np.arange(1, n_points + 1) / n_points
-    psi_powers = running_powers(psi(rho.edge_polynomial(), eps, xs), nl)
+    psi_powers = -lambda_constraint_table(rho, eps, max_var_degree, xs)[:, 1:]
+    nl = max_var_degree - 1
     gain = np.array([1.0 / i for i in range(2, max_var_degree + 1)])
 
     # Columns [mu (N) | s_2 | s_3..s_Dv], rows i = 3..Dv.

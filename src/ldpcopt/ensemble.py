@@ -204,6 +204,20 @@ def running_powers(base: np.ndarray, count: int) -> np.ndarray:
     return np.cumprod(np.broadcast_to(base[:, None], (base.size, count)), axis=1)
 
 
+def lambda_constraint_table(rho: DegreeDistribution, eps: float,
+                            max_var_degree: int, xs: np.ndarray) -> np.ndarray:
+    """P(x) = x - sum_i lam_i psi(x)**(i-1), i = 2..Dv, at each point of
+    `xs`, as columns affine in lam_2..lam_Dv: column 0 is the constant part
+    x and column i - 1 the running power -psi(x)**(i-1). The SOS route
+    samples it at the Chebyshev nodes, the grid LP at its grid."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    if max_var_degree < 2:
+        raise ValueError(f"max_var_degree must be at least 2, got {max_var_degree}")
+    powers = running_powers(psi(rho.edge_polynomial(), eps, xs), max_var_degree - 1)
+    return np.concatenate([xs[:, None], -powers], axis=1)
+
+
 class _DecodingMap:
     """The fixed-point gain of one (lam, rho) pair in composed form,
 

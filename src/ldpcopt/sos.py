@@ -29,10 +29,13 @@ orthonormal in the mean.
 Because the design coefficients enter the constraint polynomial affinely,
 the feasibility sets are affine slices of the PSD cone and the rate and
 threshold design problems are semidefinite programs with no relaxation. A
-family is carried as its values at the nodes, evaluated in composed form
-(``ensemble.psi`` and its running powers); nothing here expands monomials.
-When the family's k lowest orders vanish identically, the program is posed
-for F = P / x^k (k = 1 for the lambda and threshold families): all nodes are
+family is carried as its values at the nodes, evaluated in composed form;
+nothing here expands monomials. The lambda family is the table
+``ensemble.lambda_constraint_table`` at the nodes, the same table the grid
+LP of ``ldpcopt.de`` takes at its grid; the rho and threshold families
+compose ``ensemble.psi`` and ``ensemble.running_powers`` here. When the
+family's k lowest orders vanish identically, the program is posed for
+F = P / x^k (k = 1 for the lambda and threshold families): all nodes are
 interior, so the division is safe.
 
 ``verify_certificate`` checks the Gram blocks a solve returns: each block is
@@ -50,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import DegreeDistribution, psi, running_powers
+from .ensemble import DegreeDistribution, lambda_constraint_table, psi, running_powers
 from .poly import Polynomial
 from .solver import ConicProblem, svec_dim, svec_max_abs
 
@@ -161,10 +164,15 @@ def coefficient_family(table: np.ndarray) -> SampledFamily:
     return SampledFamily(k, values)
 
 
-def _design_degree(fixed: DegreeDistribution, max_degree: int) -> int:
-    """Degree of the lambda and rho design families' constraint polynomial,
-    (max_degree - 1) * deg(fixed)."""
-    return (max_degree - 1) * (fixed.max_degree - 1)
+def _sample_family(k: int, outer_degree: int, inner: DegreeDistribution,
+                   table) -> SampledFamily:
+    """The family whose P, of degree (outer_degree - 1) * deg(inner), has
+    the columns ``table(xs)`` at points xs: sampled at the Chebyshev nodes
+    of degree deg P - k, and divided by x^k."""
+    degree = (outer_degree - 1) * (inner.max_degree - 1)
+    _check_gram_dim(degree)
+    _, x = chebyshev_nodes(degree - k)
+    return SampledFamily(k, table(x) / x[:, None] ** k)
 
 
 def lambda_constraint_family(rho: DegreeDistribution, eps: float,
@@ -174,12 +182,8 @@ def lambda_constraint_family(rho: DegreeDistribution, eps: float,
     Affine in the variable-side coefficients lam_2..lam_Dv; P(0) = 0
     identically, so the program is posed for P / x.
     """
-    degree = _design_degree(rho, max_var_degree)
-    _check_gram_dim(degree)
-    _, x = chebyshev_nodes(degree - 1)
-    powers = running_powers(psi(rho.edge_polynomial(), eps, x), max_var_degree - 1)
-    values = np.concatenate([np.ones((x.size, 1)), -powers / x[:, None]], axis=1)
-    return SampledFamily(1, values)
+    return _sample_family(
+        1, max_var_degree, rho, lambda x: lambda_constraint_table(rho, eps, max_var_degree, x))
 
 
 def rho_constraint_family(lam: DegreeDistribution, eps: float,
@@ -190,24 +194,21 @@ def rho_constraint_family(lam: DegreeDistribution, eps: float,
     the check-side form of the zero-erasure condition. Q(0) is
     sum_j rho_j - 1, which vanishes on the simplex rather than identically.
     """
-    degree = _design_degree(lam, max_check_degree)
-    _check_gram_dim(degree)
-    _, x = chebyshev_nodes(degree)
-    phi = 1.0 - eps * lam.edge_polynomial().evaluate_many(x)
-    values = np.concatenate(
-        [(x - 1.0)[:, None], running_powers(phi, max_check_degree - 1)], axis=1)
-    return SampledFamily(0, values)
+    def table(x):
+        phi = 1.0 - eps * lam.edge_polynomial().evaluate_many(x)
+        return np.concatenate(
+            [(x - 1.0)[:, None], running_powers(phi, max_check_degree - 1)], axis=1)
+    return _sample_family(0, max_check_degree, lam, table)
 
 
 def threshold_constraint_family(lam: DegreeDistribution,
                                 rho: DegreeDistribution) -> SampledFamily:
     """T(x) = t*x - lam(1 - rho(1 - x)), affine in the single variable t;
     T(0) = 0 identically, so the program is posed for T / x."""
-    degree = (lam.max_degree - 1) * (rho.max_degree - 1)
-    _check_gram_dim(degree)
-    _, x = chebyshev_nodes(degree - 1)
-    fixed = lam.edge_polynomial().evaluate_many(psi(rho.edge_polynomial(), 1.0, x))
-    return SampledFamily(1, np.stack([-fixed / x, np.ones_like(x)], axis=1))
+    def table(x):
+        fixed = lam.edge_polynomial().evaluate_many(psi(rho.edge_polynomial(), 1.0, x))
+        return np.stack([-fixed, x], axis=1)
+    return _sample_family(1, lam.max_degree, rho, table)
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +259,14 @@ def assemble_sos_program(family: SampledFamily, sense: str,
     )
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    return eps
-
-
-def is_degenerate_epsilon(eps: float) -> bool:
-    """eps = 0 leaves every distribution feasible; flag rather than refuse."""
-    return float(eps) == 0.0
-
-
 def _build_design_problem(constraint_family, sense: str, fixed: DegreeDistribution,
                           eps: float, max_degree: int,
                           degree_name: str) -> ConicProblem:
     """Optimize sum_i v_i / i over the taps v_2..v_D >= 0 of one side, which
     the simplex row keeps at most 1, subject to ``constraint_family`` >= 0."""
-    eps = _check_eps(eps)
+    eps = float(eps)
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
     if max_degree < 2:
         raise ValueError(f"{degree_name} must be at least 2")
     return assemble_sos_program(

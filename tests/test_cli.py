@@ -63,13 +63,16 @@ def test_negative_design_rate_is_reported_beside_the_clamp(capsys):
 
 
 def test_optimize_lambda_degenerate_epsilon(capsys):
-    code, out, _ = run_cli(
-        capsys, "optimize-lambda", "--rho", '{"2": 1.0}',
-        "--epsilon", "0.0", "--max-var-degree", "3")
-    assert code == 0
-    report = json.loads(out)
-    assert report["degenerate_epsilon"]
-    assert report["objective"] == pytest.approx(0.5, abs=1e-6)
+    # With rho = x every distribution decodes at eps = 0 and at eps = 0.3
+    # (P(x) / x >= 1 - eps), but only eps = 0 is flagged degenerate.
+    for eps, degenerate in (("0.0", True), ("0.3", False)):
+        code, out, _ = run_cli(
+            capsys, "optimize-lambda", "--rho", '{"2": 1.0}',
+            "--epsilon", eps, "--max-var-degree", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["degenerate_epsilon"] is degenerate
+        assert report["objective"] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_optimize_rho(capsys):

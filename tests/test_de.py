@@ -273,3 +273,33 @@ def test_lp_rejects_bad_inputs():
         build_discretized_lp(rho, 0.56, 5, 0)
     with pytest.raises(ValueError):
         build_discretized_lp(rho, 0.56, 1, 10)
+    # eps outside [0, 1], nan included, is no erasure probability: the grid
+    # LP refuses it before anything is solved, as the SOS builders do.
+    for eps in (-0.2, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            build_discretized_lp(rho, eps, 5, 10)
+        with pytest.raises(ValueError):
+            lp_baseline_sweep(DegreeDistribution({6: 1.0}), eps, 5, [10, 100])
+
+
+def test_lp_grid_rows_bound_the_sos_design():
+    # The grid LP relaxes the exact SOS program of the same constraint, on
+    # nested grids: wherever the SOS design is optimal, no grid row may be
+    # infeasible, every optimal row's objective is at least the SOS one and
+    # the objectives do not rise from N = 10 to 100 to 1000.
+    rng = np.random.default_rng(27)
+    optimal = 0
+    for _ in range(40):
+        rho = random_distribution(rng, int(rng.integers(3, 8)))
+        eps, dv = float(rng.uniform(0.05, 0.7)), int(rng.integers(2, 9))
+        sdp = solve(build_lambda_problem(rho, eps, dv))
+        if sdp.status != "optimal":
+            continue
+        optimal += 1
+        rows = lp_baseline_sweep(rho, eps, dv, [10, 100, 1000])
+        case = (rho, eps, dv, [r.status for r in rows])
+        assert all(r.status != "infeasible" for r in rows), case
+        objectives = [r.objective for r in rows if r.status == "optimal"]
+        assert all(obj >= sdp.objective - 1e-8 for obj in objectives), case
+        assert all(b <= a + 1e-8 for a, b in zip(objectives, objectives[1:])), case
+    assert optimal >= 30

@@ -16,7 +16,6 @@ from ldpcopt.sos import (
     coefficient_family,
     GramTooLarge,
     MAX_GRAM_DIM,
-    is_degenerate_epsilon,
     lambda_constraint_family,
     rho_constraint_family,
     threshold_constraint_family,
@@ -119,7 +118,6 @@ def test_lambda_problem_rejects_bad_eps():
         build_lambda_problem(rho, 1.0, 5)
     with pytest.raises(ValueError):
         build_lambda_problem(rho, -0.2, 5)
-    assert is_degenerate_epsilon(0.0)
     assert build_lambda_problem(rho, 0.0, 5).psd_dims == (6, 6)  # deg P = 12, F 11
 
 
