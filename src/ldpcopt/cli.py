@@ -19,6 +19,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import de as de_mod
 from .ensemble import (
     DegreeDistribution,
@@ -29,7 +31,7 @@ from .ensemble import (
     read_taps,
     stability_lambda2_bound,
 )
-from .solver import solve
+from .solver import DEFAULT_TOL, solve
 from . import sos
 
 EXIT_OK = 0
@@ -99,8 +101,10 @@ def _distribution(data, field: str) -> DegreeDistribution:
 def _parse_epsilon(value: float, allow_one: bool = False) -> float:
     try:
         eps = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"field 'epsilon': must be a number, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        eps = None
+    if eps is None or isinstance(value, bool):
+        raise InputError(f"field 'epsilon': must be a number, got {value!r}")
     hi_ok = eps <= 1.0 if allow_one else eps < 1.0
     if not (0.0 <= eps and hi_ok):
         rng = "[0, 1]" if allow_one else "[0, 1)"
@@ -178,8 +182,9 @@ def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
     if solution.status != "optimal":
         return solution.status, solution, {}, None
     family = getattr(sos, f"{kind}_constraint_family")(*args)
-    values = solution.x[: family.n_vars]
-    cert = sos.verify_certificate(solution.psd_matrices(problem), family.at(values))
+    values = solution.x[: family.shape[1] - 1]
+    cert = sos.verify_certificate(solution.psd_matrices(problem),
+                                  family @ np.concatenate(([1.0], values)))
     checks = {"certificate": {
         "psd_ok": cert.psd_ok,
         "reconstruction_ok": cert.reconstruction_ok,
@@ -382,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shared(p, output="json"):
-        p.add_argument("--tol", type=_tolerance, default=1e-8,
-                       help=f"solver tolerance in (0, {MAX_TOL:g}] (default 1e-8)")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help=f"solver tolerance in (0, {MAX_TOL:g}] (default {DEFAULT_TOL:g})")
         p.add_argument("--output", choices=("json", "csv"), default=output,
                        help=f"report format on stdout (default {output})")
 

@@ -144,7 +144,7 @@ def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: in
 
 
 def lp_baseline_sweep(rho: DegreeDistribution, eps: float, max_var_degree: int,
-                      grid_sizes: Iterable[int], tol: float = 1e-8) -> list:
+                      grid_sizes: Iterable[int], tol: float = solver.DEFAULT_TOL) -> list:
     """Solve the discretized LP for each grid size, in ascending order.
 
     A row is ``optimal`` only when the recovered lam passes

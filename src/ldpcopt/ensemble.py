@@ -27,7 +27,9 @@ class DegreeDistribution:
     """Sparse edge-perspective degree distribution.
 
     Coefficients must lie in [0, 1] and sum to 1 within ``SUM_TOL``; the
-    minimum node degree is 2. Pass ``normalize=True`` to rescale inputs whose
+    minimum node degree is 2. A degree is an int or a string of ASCII digits
+    (a JSON key), given once; a coefficient is a number or a string that
+    spells one, not a bool. Pass ``normalize=True`` to rescale inputs whose
     sum is off by printing round-off (tables quote four digits); rescaling by
     the exact float sum restores the invariant to machine precision.
     """
@@ -35,18 +37,34 @@ class DegreeDistribution:
     __slots__ = ("_entries",)
 
     def __init__(self, entries, *, normalize: bool = False):
+        try:
+            pairs = dict(entries).items()
+        except (TypeError, ValueError):
+            raise ValueError(f"malformed degree distribution {entries!r}") from None
         items = {}
-        for degree, coeff in dict(entries).items():
-            d = int(degree)
-            if d != float(degree):
-                raise ValueError(f"node degree {degree!r} is not an integer")
-            c = float(coeff)
+        for degree, coeff in pairs:
+            if isinstance(degree, str) and degree.isascii() and degree.isdigit():
+                d = int(degree)
+            elif isinstance(degree, int) and not isinstance(degree, bool):
+                d = degree
+            else:
+                raise ValueError(
+                    f"node degree {degree!r} must be an int or a string of ASCII digits")
             if d < 2:
                 raise ValueError(f"minimum node degree is 2, got {d}")
+            if d in items:
+                raise ValueError(f"node degree {d} is given twice")
+            try:
+                c = float(coeff)
+            except (TypeError, ValueError, OverflowError):
+                c = None
+            if c is None or isinstance(coeff, (bool, np.bool_)):
+                raise ValueError(
+                    f"coefficient for degree {d} must be a number, got {coeff!r}")
             if not np.isfinite(c) or c < 0.0 or c > 1.0:
                 raise ValueError(f"coefficient for degree {d} must be in [0, 1], got {c}")
-            if c != 0.0:
-                items[d] = items.get(d, 0.0) + c
+            items[d] = c
+        items = {d: c for d, c in items.items() if c != 0.0}
         if not items:
             raise ValueError("degree distribution has no nonzero coefficients")
         total = sum(items[d] for d in sorted(items))
@@ -92,11 +110,7 @@ class DegreeDistribution:
 
     @classmethod
     def from_json_dict(cls, data, *, normalize: bool = False) -> "DegreeDistribution":
-        try:
-            entries = {int(k): float(v) for k, v in dict(data).items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed degree distribution {data!r}: {exc}") from None
-        return cls(entries, normalize=normalize)
+        return cls(data, normalize=normalize)
 
     def __eq__(self, other):
         if not isinstance(other, DegreeDistribution):

@@ -25,7 +25,8 @@ costs a quarter.
 Inside the solver every cone vector (iterates, residuals, directions) is
 flat, ``[orthant | K x D x D stack]`` with the K blocks zero-padded to the
 largest dimension D, so that a block view is a reshape; svec appears only
-where ``c`` comes in and the solution goes out. The flat dot product is the
+where ``c`` comes in and the solution goes out, each block converted by the
+one gather of ``smat`` and ``svec``. The flat dot product is the
 svec one, and the dual residual is measured in the svec max-norm.
 
 No row is ever formed densely: every use of the rows is one of three
@@ -569,22 +570,13 @@ class _Core:
         self.V, self.g = np.zeros((K, D, T)), np.zeros((K, 1, T))
         self.term_rows = np.zeros((K, 1, T), np.intp)
         self.in_block = np.zeros(self.shape, bool)
-        from_svec = [np.arange(n)]
-        for k, ((d, sl), (rows, g, V)) in enumerate(zip(_block_slices(n, self.dims),
-                                                         prob.psd_rows)):
+        for k, (d, (rows, g, V)) in enumerate(zip(self.dims, prob.psd_rows)):
             self.V[k, :d, : g.size], self.g[k, 0, : g.size] = V, g
             self.term_rows[k, 0, : g.size] = rows
             self.in_block[k, :d, :d] = True
-            from_svec.append(sl.start + _gathers(d).full)
         self.pairs = (_t(self.term_rows) * p + self.term_rows).ravel()
         self.term_flat = self.term_rows.ravel()
-        # The boundary gathers: the flat positions that hold svec data, and
-        # the flat position of every svec coordinate (an upper triangle's).
         eye = np.eye(D)
-        upper = self.in_block & np.triu(np.ones((D, D), bool))
-        self.at = np.concatenate([np.arange(n), n + np.flatnonzero(self.in_block)])
-        self.to_svec = np.concatenate([np.arange(n), n + np.flatnonzero(upper)])
-        self.from_svec = np.concatenate(from_svec)
         # The identity on the pads, the unit of the cone and the weight of
         # each flat entry in the svec max-norm.
         self.pad_eye = np.where(self.in_block, 0.0, eye)
@@ -604,15 +596,18 @@ class _Core:
         return v[self.n_orth:].reshape(self.shape)
 
     def flat(self, v: np.ndarray) -> np.ndarray:
-        """svec data on the flat layout, zero-padded; off-diagonals are
-        divided by sqrt(2), as ``smat`` divides them."""
+        """svec data on the flat layout, each block through ``_smat`` and
+        zero-padded."""
         out = np.zeros(self.m_c)
-        out[self.at] = v[self.from_svec] / self.svec_weight[self.at]
+        out[: self.n_orth] = v[: self.n_orth]
+        for m, (d, sl) in zip(self.blocks_of(out), _block_slices(self.n_orth, self.dims)):
+            m[:d, :d] = _smat(v[sl], d)
         return out
 
     def svec(self, v: np.ndarray) -> np.ndarray:
-        """Flat data as svec: the upper triangle of each block, scaled."""
-        return v[self.to_svec] * self.svec_weight[self.to_svec]
+        """Flat data as svec, each block through ``svec``."""
+        return np.concatenate([v[: self.n_orth]] + [
+            svec(m[:d, :d]) for m, d in zip(self.blocks_of(v), self.dims)])
 
     def svec_max(self, v: np.ndarray) -> float:
         """The max-norm of svec(v), without forming it."""

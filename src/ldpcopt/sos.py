@@ -29,8 +29,12 @@ orthonormal in the mean.
 Because the design coefficients enter the constraint polynomial affinely,
 the feasibility sets are affine slices of the PSD cone and the rate and
 threshold design problems are semidefinite programs with no relaxation. A
-family is carried as its values at the nodes, evaluated in composed form;
-nothing here expands monomials. The lambda family is the table
+family is a constraint polynomial P whose coefficients are affine in the
+decision variables, carried as F = P / x^k at the Chebyshev nodes of degree
+n = deg P - k: a node table, a float64 array with one row per node, whose
+column 0 is the constant part of F(x_j) and column 1+v the coefficient of
+variable v. Its values are evaluated in composed form; nothing here expands
+monomials. The lambda family is the table
 ``ensemble.lambda_constraint_table`` at the nodes, the same table the grid
 LP of ``ldpcopt.de`` takes at its grid; the rho and threshold families
 compose ``ensemble.psi`` and ``ensemble.running_powers`` here. When the
@@ -110,73 +114,34 @@ def _node_vectors(n: int) -> list:
 # Affine families of polynomials, sampled at the nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampledFamily:
-    """Constraint polynomial P whose coefficients are affine in the decision
-    variables, carried as F = P / x^k at the Chebyshev nodes of degree
-    n = deg P - k.
-
-    ``values`` has one row per node; column 0 is the constant part of
-    F(x_j) and column 1+v multiplies variable v.
-    """
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 2 or self.values.shape[1] < 1:
-            raise ValueError("value table needs one row per node and a constant column")
-
-    @property
-    def n(self) -> int:
-        """deg F, the degree of the Markov-Lukacs form."""
-        return self.values.shape[0] - 1
-
-    @property
-    def degree(self) -> int:
-        """deg P, the degree the Gram dimension cap applies to."""
-        return self.n + self.k
-
-    @property
-    def n_vars(self) -> int:
-        return self.values.shape[1] - 1
-
-    def at(self, values: Sequence[float]) -> np.ndarray:
-        """F at the nodes for the given variable values."""
-        v = np.concatenate([[1.0], np.asarray(values, dtype=np.float64)])
-        if v.size != self.values.shape[1]:
-            raise ValueError("wrong number of variable values")
-        return self.values @ v
-
-
-def coefficient_family(table: np.ndarray) -> SampledFamily:
-    """The family whose P has the monomial coefficient table ``table`` (one
-    row per power; column 0 constant, column 1+v variable v). Its exactly
-    zero low rows are factored out as x^k."""
+def coefficient_family(table: np.ndarray) -> np.ndarray:
+    """The node table of the P with the monomial coefficient table ``table``
+    (one row per power; column 0 constant, column 1+v variable v). Its
+    exactly zero low rows are factored out as x^k."""
     table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] < 1:
+        raise ValueError("coefficient table needs one row per power and a constant column")
     _check_gram_dim(table.shape[0] - 1)
     k = 0
     while k < table.shape[0] - 1 and not np.any(table[k]):
         k += 1
     _, x = chebyshev_nodes(table.shape[0] - 1 - k)
-    values = np.polynomial.polynomial.polyval(x, table[k:]).T
-    return SampledFamily(k, values)
+    return np.polynomial.polynomial.polyval(x, table[k:]).T
 
 
 def _sample_family(k: int, outer_degree: int, inner: DegreeDistribution,
-                   table) -> SampledFamily:
-    """The family whose P, of degree (outer_degree - 1) * deg(inner), has
-    the columns ``table(xs)`` at points xs: sampled at the Chebyshev nodes
-    of degree deg P - k, and divided by x^k."""
+                   table) -> np.ndarray:
+    """The node table of the P of degree (outer_degree - 1) * deg(inner)
+    whose columns at points xs are ``table(xs)``: sampled at the Chebyshev
+    nodes of degree deg P - k, and divided by x^k."""
     degree = (outer_degree - 1) * (inner.max_degree - 1)
     _check_gram_dim(degree)
     _, x = chebyshev_nodes(degree - k)
-    return SampledFamily(k, table(x) / x[:, None] ** k)
+    return table(x) / x[:, None] ** k
 
 
 def lambda_constraint_family(rho: DegreeDistribution, eps: float,
-                             max_var_degree: int) -> SampledFamily:
+                             max_var_degree: int) -> np.ndarray:
     """P(x) = x - sum_i lam_i * psi(x)**(i-1), psi(x) = 1 - rho(1 - eps*x).
 
     Affine in the variable-side coefficients lam_2..lam_Dv; P(0) = 0
@@ -187,7 +152,7 @@ def lambda_constraint_family(rho: DegreeDistribution, eps: float,
 
 
 def rho_constraint_family(lam: DegreeDistribution, eps: float,
-                          max_check_degree: int) -> SampledFamily:
+                          max_check_degree: int) -> np.ndarray:
     """Q(x) = sum_j rho_j * phi(x)**(j-1) - 1 + x, phi(x) = 1 - eps*lam(x).
 
     Affine in the check-side coefficients rho_2..rho_Dc; Q >= 0 on [0, 1] is
@@ -202,7 +167,7 @@ def rho_constraint_family(lam: DegreeDistribution, eps: float,
 
 
 def threshold_constraint_family(lam: DegreeDistribution,
-                                rho: DegreeDistribution) -> SampledFamily:
+                                rho: DegreeDistribution) -> np.ndarray:
     """T(x) = t*x - lam(1 - rho(1 - x)), affine in the single variable t;
     T(0) = 0 identically, so the program is posed for T / x."""
     def table(x):
@@ -215,11 +180,11 @@ def threshold_constraint_family(lam: DegreeDistribution,
 # Problem builders
 # ---------------------------------------------------------------------------
 
-def assemble_sos_program(family: SampledFamily, sense: str,
+def assemble_sos_program(family: np.ndarray, sense: str,
                          objective: Sequence[float],
                          extra_eq: Sequence[tuple] = ()) -> ConicProblem:
     """Generic builder: nonnegative decision variables + Gram blocks for
-    ``family`` >= 0 on [0, 1].
+    the node table ``family`` >= 0 on [0, 1].
 
     ``extra_eq`` rows are (coefficients over the decision variables, rhs).
     Variable layout of the result: the family's variables, then each
@@ -228,13 +193,13 @@ def assemble_sos_program(family: SampledFamily, sense: str,
     variable is the caller's to pose, as a variable of the family and an
     extra row.
     """
-    n_nodes, nv = family.n + 1, family.n_vars
-    us = _node_vectors(family.n)
+    n_nodes, nv = family.shape[0], family.shape[1] - 1
+    us = _node_vectors(n_nodes - 1)
 
     n_rows = n_nodes + len(extra_eq)
     A, b = np.zeros((n_rows, nv)), np.zeros(n_rows)
-    A[:n_nodes] = family.values[:, 1:]
-    b[:n_nodes] = -family.values[:, 0]
+    A[:n_nodes] = family[:, 1:]
+    b[:n_nodes] = -family[:, 0]
     for r, (coeffs, rhs) in enumerate(extra_eq):
         A[n_nodes + r] = coeffs
         b[n_nodes + r] = rhs

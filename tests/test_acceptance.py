@@ -256,7 +256,7 @@ def test_a09_certificate_soundness():
         sol = solve(prob)
         assert sol.status == "optimal", f"nonnegative trial {trial}"
         cert = sol.psd_matrices(prob)
-        target = coefficient_family(p.coeffs[:, None]).at([])
+        target = coefficient_family(p.coeffs[:, None])[:, 0]
         report = verify_certificate(cert, target)
         assert report.ok, f"nonnegative trial {trial}"
         certified.append((cert, target))

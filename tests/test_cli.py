@@ -220,14 +220,30 @@ def test_malformed_distribution_exit_one(capsys):
         "--epsilon", "0.49", "--max-var-degree", "7")
     assert code == 1
     assert "rho" in err
+    # A degree given twice ("3" and "03"), a key with an underscore and a
+    # bool coefficient are each refused.
+    for lam in ('{"2": 0.5, "3": 0.5, "03": 0.5}', '{"2": 0.9, "3_0": 0.1}',
+                '{"3": true}'):
+        code, _, err = run_cli(capsys, "verify", "--lambda", lam, "--rho", '{"6": 1.0}',
+                               "--epsilon", "0.3")
+        assert code == 1, lam
+        assert "field 'lambda'" in err, lam
 
 
-def test_bad_epsilon_exit_one(capsys):
+def test_bad_epsilon_exit_one(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
         "--epsilon", "1.4", "--max-var-degree", "7")
     assert code == 1
     assert "epsilon" in err
+    # In a spec file, a bool is not a number, and an int too large for a
+    # float is refused as input.
+    path = tmp_path / "spec.json"
+    for eps in (True, 10 ** 400):
+        path.write_text(json.dumps({"lambda": {"3": 1.0}, "rho": {"6": 1.0}, "epsilon": eps}))
+        code, _, err = run_cli(capsys, "verify", "--spec", str(path))
+        assert code == 1, eps
+        assert "field 'epsilon'" in err, eps
 
 
 def test_missing_spec_fields_exit_one(tmp_path, capsys):

@@ -381,6 +381,19 @@ def _gram_never_factors(monkeypatch):
     monkeypatch.setattr(solver, "_inverse_gram_factor", lambda gram: None)
 
 
+def _step_equation_degenerate(monkeypatch):
+    init = solver._KKT.__init__
+
+    def zero_denom(self, *args):
+        init(self, *args)
+        self.denom = 0.0
+    monkeypatch.setattr(solver._KKT, "__init__", zero_denom)
+
+
+def _no_step_stays_inside(monkeypatch):
+    monkeypatch.setattr(solver._Scaling, "max_step", lambda self, dx, dz: 0.0)
+
+
 README_LAMBDA = ("lambda", 0.49, 7)
 
 
@@ -398,8 +411,11 @@ README_LAMBDA = ("lambda", 0.49, 7)
      "post-hoc constraint check failed", 10, 11),
     (README_LAMBDA, _gram_never_factors, "numerical-failure",
      "scaling/factorization failed: KKT matrix could not be factorized", 0, 0),
+    (README_LAMBDA, _step_equation_degenerate, "numerical-failure",
+     "degenerate step equation", 0, 0),
+    (README_LAMBDA, _no_step_stays_inside, "numerical-failure", "step length collapsed", 0, 0),
 ], ids=["stall", "infeasible", "diverged", "unbounded", "iteration-cap", "post-hoc",
-        "factorization"])
+        "factorization", "degenerate-step", "step-collapse"])
 def test_each_stop_rule_ends_in_its_status_and_message(monkeypatch, program, patch,
                                                        status, message, returned, last):
     # One program per stop rule that a program or a patch can reach, with

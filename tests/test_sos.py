@@ -37,10 +37,11 @@ def test_lambda_family_matches_de_polynomial(rng):
     fam = lambda_constraint_family(rho, eps, dv)
     lam = random_distribution(rng, dv)
     values = [lam.get(i, 0.0) for i in range(2, dv + 1)]
-    _, x = chebyshev_nodes(fam.n)
+    # deg P = (dv - 1) deg(rho); x is factored out, which leaves deg P nodes.
+    assert fam.shape == ((dv - 1) * (rho.max_degree - 1), dv)
+    _, x = chebyshev_nodes(fam.shape[0] - 1)
     direct = de_polynomial(lam, rho, eps).evaluate_many(x)
-    from_family = fam.at(values) * x
-    assert fam.k == 1 and fam.degree == (dv - 1) * (rho.max_degree - 1)
+    from_family = fam @ np.concatenate(([1.0], values)) * x
     assert np.allclose(direct, from_family, atol=1e-12)
 
 
@@ -51,8 +52,10 @@ def test_rho_family_constant_row_on_simplex(rng):
     values = [rho.get(j, 0.0) for j in range(2, 7)]
     # Q(0) = sum rho_j - 1 vanishes on the simplex; Q is its interpolant at
     # the n + 1 nodes, read at x = 0.
-    _, x = chebyshev_nodes(fam.n)
-    cheb = np.polynomial.chebyshev.chebfit(2.0 * x - 1.0, fam.at(values), fam.n)
+    n = fam.shape[0] - 1
+    _, x = chebyshev_nodes(n)
+    cheb = np.polynomial.chebyshev.chebfit(
+        2.0 * x - 1.0, fam @ np.concatenate(([1.0], values)), n)
     assert np.polynomial.chebyshev.chebval(-1.0, cheb) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -60,14 +63,14 @@ def test_threshold_family_structure():
     lam = DegreeDistribution({3: 1.0})
     rho = DegreeDistribution({6: 1.0})
     fam = threshold_constraint_family(lam, rho)
-    assert fam.n_vars == 1
-    assert fam.degree == 10
+    # One variable, t; deg T = 10 with x factored out leaves 10 nodes.
+    assert fam.shape == (10, 2)
     # At t = 1/eps the family equals (1/eps) * P(x) / x for the eps-free map.
-    _, xs = chebyshev_nodes(fam.n)
+    _, xs = chebyshev_nodes(9)
     f = compose(lam.edge_polynomial(), sub(
         Polynomial((1.0,)), compose(rho.edge_polynomial(), Polynomial((1.0, -1.0)))))
     expect = 2.0 - f.evaluate_many(xs) / xs
-    assert np.allclose(fam.at([2.0]), expect, atol=1e-12)
+    assert np.allclose(fam @ [1.0, 2.0], expect, atol=1e-12)
 
 
 # -- builders -----------------------------------------------------------------
@@ -197,15 +200,16 @@ def test_certificate_checks_small_taps_at_large_degree():
     assert sol.status == "optimal"
     fam = lambda_constraint_family(rho, 0.48, 34)
     cert = sol.psd_matrices(prob)
-    x = sol.x[: fam.n_vars].copy()
-    assert verify_certificate(cert, fam.at(x)).ok
-    _, nodes = chebyshev_nodes(fam.n)
-    report = verify_certificate(cert, fam.at(x) + 1e-6 * nodes ** fam.n)
+    n = fam.shape[0] - 1
+    x = np.concatenate(([1.0], sol.x[: fam.shape[1] - 1]))
+    assert verify_certificate(cert, fam @ x).ok
+    _, nodes = chebyshev_nodes(n)
+    report = verify_certificate(cert, fam @ x + 1e-6 * nodes ** n)
     assert report.psd_ok and not report.reconstruction_ok
-    big, second = np.argsort(x)[::-1][:2]
+    big, second = 1 + np.argsort(x[1:])[::-1][:2]
     x[big] -= 1e-6
     x[second] += 1e-6
-    report = verify_certificate(cert, fam.at(x))
+    report = verify_certificate(cert, fam @ x)
     assert report.psd_ok and not report.reconstruction_ok
 
 
@@ -251,7 +255,7 @@ def test_certificate_rejects_diagonal_perturbation(rng):
     sol = solve(prob)
     assert sol.status == "optimal"
     cert = sol.psd_matrices(prob)
-    target = coefficient_family(p.coeffs[:, None]).at([])
+    target = coefficient_family(p.coeffs[:, None])[:, 0]
     assert verify_certificate(cert, target).ok
     for b, gram in enumerate(cert):
         for k in range(gram.shape[0]):
@@ -266,16 +270,19 @@ def test_parity_blocks_and_factored_root():
     # weight x(1 - x), matched at 3 nodes.
     p = Polynomial([0.0, 0.3, -1.0, 1.0])
     fam = coefficient_family(p.coeffs[:, None])
-    assert (fam.k, fam.n) == (1, 2)
+    assert fam.shape == (3, 1)
     prob = build_sos_feasibility(p)
     assert prob.psd_dims == (2, 1)
     assert prob.A.shape[0] == 3
     sol = solve(prob)
     assert sol.status == "optimal"
     cert = sol.psd_matrices(prob)
-    assert verify_certificate(cert, fam.at([])).ok
+    assert verify_certificate(cert, fam[:, 0]).ok
     with pytest.raises(ValueError):
-        verify_certificate(cert, coefficient_family([[0.3], [-1.0]]).at([]))
+        verify_certificate(cert, coefficient_family([[0.3], [-1.0]])[:, 0])
+    # A table needs a constant column: a 1-D coefficient list is refused.
+    with pytest.raises(ValueError):
+        coefficient_family(p.coeffs)
 
 
 def test_feasibility_program_negative_polynomial():
@@ -297,11 +304,11 @@ def test_generic_builder_quadratic_box():
 
 
 def test_gram_dimension_cap():
-    # Dv = 52 at deg rho = 6 has exactly MAX_GRAM_DIM - 1 as its degree; one
-    # more degree, or a direct program past the cap, is refused before it
-    # is built.
+    # Dv = 52 at deg rho = 6 has exactly MAX_GRAM_DIM - 1 as its degree, and
+    # as many nodes once x is factored out; one more degree, or a direct
+    # program past the cap, is refused before it is built.
     rho = DegreeDistribution({6: 1.0})
-    assert lambda_constraint_family(rho, 0.4, 52).degree + 1 == MAX_GRAM_DIM
+    assert lambda_constraint_family(rho, 0.4, 52).shape[0] == MAX_GRAM_DIM - 1
     with pytest.raises(GramTooLarge):
         build_lambda_problem(rho, 0.4, 53)
     with pytest.raises(GramTooLarge):
