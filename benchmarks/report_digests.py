@@ -31,9 +31,12 @@ at eps_D (1 + 1e-6) (iterates that diverge, exit 3), and a sweep at
 eps = 0.6 whose every row is infeasible (exit 2). A Dv = 12 sweep at
 rho = x^5, eps = 0.48, with grid rows N = 100 and 1000, as JSON, pins the
 full-precision taps of LP rows whose columns reach psi**11; the README
-sweep's rows stop at psi**4. They are copied here, so that a change to the
-benchmark does not change them. Together they take about 1 s on a 2-vCPU
-host.
+sweep's rows stop at psi**4. Two ``optimize-lambda`` lines pin the degree
+ladder's two ends: the Dv = 52 design at rho = x^5, eps = 0.48, which its
+first rung answers, and rho = x^10 at eps = 0.3, Dv = 12, whose optimum
+needs degrees above 8, so that the ladder climbs to the full program. They
+are copied here, so that a change to the benchmark does not change them.
+Together they take about 1 s on a 2-vCPU host.
 Run as:  python benchmarks/report_digests.py
 """
 
@@ -124,6 +127,8 @@ COMMANDS = [
     ("sweep_json_dv12", ("sweep", "--rho", '{"6": 1.0}', "--epsilon", "0.48",
                          "--max-var-degree", "12", "--grid-sizes", "100,1000",
                          "--output", "json")),
+    ("check6_eps048_dv52", _optimize_lambda('{"6": 1.0}', "0.48", "52")),
+    ("climb_rho11_eps03_dv12", _optimize_lambda('{"11": 1.0}', "0.3", "12")),
 ]
 
 # The JSON line `  "duration_seconds": ...` or the CSV row `duration_seconds,...`.

@@ -28,6 +28,7 @@ from .ensemble import (
     capacity_gap,
     check_de_feasible,
     design_rate,
+    parse_epsilon,
     read_taps,
     stability_lambda2_bound,
 )
@@ -51,6 +52,14 @@ _STATUS_EXIT = {
     "numerical-failure": EXIT_NUMERICAL,
     "verification-failed": EXIT_NUMERICAL,
 }
+
+# First rung of optimize-lambda's degree ladder (``_solve_lambda``). The
+# optima at rho = x^5, eps = 0.48 and rho = x^3, eps = 0.6 sit on degrees
+# 2..8 and 2..5 at every Dv. Rung 8 answers them in one solve of about
+# 16 ms (Gram blocks 18 and 17 at rho = x^5) and one pricing LP of 2.5 ms
+# (13 ms at Dv = 52), where the full programs take 64-88 ms at Dv = 14 and
+# 20 and 0.57 s at Dv = 52 (2 vCPUs).
+FIRST_RUNG = 8
 
 
 class InputError(Exception):
@@ -98,18 +107,11 @@ def _distribution(data, field: str) -> DegreeDistribution:
     return dist
 
 
-def _parse_epsilon(value: float, allow_one: bool = False) -> float:
+def _parse_epsilon(value, allow_one: bool = False) -> float:
     try:
-        eps = float(value)
-    except (TypeError, ValueError, OverflowError):
-        eps = None
-    if eps is None or isinstance(value, bool):
-        raise InputError(f"field 'epsilon': must be a number, got {value!r}")
-    hi_ok = eps <= 1.0 if allow_one else eps < 1.0
-    if not (0.0 <= eps and hi_ok):
-        rng = "[0, 1]" if allow_one else "[0, 1)"
-        raise InputError(f"field 'epsilon': must lie in {rng}, got {eps}")
-    return eps
+        return parse_epsilon(value, allow_one=allow_one)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _load_spec(args) -> EnsembleSpec:
@@ -168,19 +170,31 @@ def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
     at the solver's values. A design's taps are read back into an ensemble,
     which the DE check tests. Returns (status, solution, checks, spec): the
     solver's status, or "verification-failed" when an optimal answer fails a
-    check; the check reports; and the design's ensemble. ``checks`` is empty
-    and ``spec`` None unless the solve was optimal. A Gram block over
-    ``sos.MAX_GRAM_DIM`` is an input error blamed on ``fields``.
+    check; the check reports; and the design's ensemble. ``checks`` holds
+    no check report and ``spec`` is None unless the solve was optimal. The
+    lambda program is solved on a ladder of degree sets (``_solve_lambda``),
+    whose ``working_set`` block joins ``checks`` when it has more than one
+    rung. A
+    Gram block over ``sos.MAX_GRAM_DIM`` is an input error blamed on
+    ``fields``.
     """
-    # The sos builders and the checks are looked up when this runs, so that
-    # wrappers set on their modules (perfbench's tracer) take effect.
     try:
-        problem = getattr(sos, f"build_{kind}_problem")(*args)
+        if kind == "lambda":
+            return _solve_lambda(tol, *args)
+        return _solve_program(kind, tol, *args)[:4]
     except sos.GramTooLarge as exc:
         raise InputError(f"{fields}: {exc}; lower the maximum degree") from None
+
+
+def _solve_program(kind: str, tol: float, *args) -> tuple:
+    """One program of ``_solve_verified``: its four results, then the DE
+    check's report (None unless a design's solve was optimal)."""
+    # The sos builders and the checks are looked up when this runs, so that
+    # wrappers set on their modules (perfbench's tracer) take effect.
+    problem = getattr(sos, f"build_{kind}_problem")(*args)
     solution = solve(problem, tol=tol)
     if solution.status != "optimal":
-        return solution.status, solution, {}, None
+        return solution.status, solution, {}, None, None
     family = getattr(sos, f"{kind}_constraint_family")(*args)
     values = solution.x[: family.shape[1] - 1]
     cert = sos.verify_certificate(solution.psd_matrices(problem),
@@ -191,7 +205,7 @@ def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
         "min_eig": cert.min_eig,
         "max_residual": cert.max_residual,
     }}
-    verified, spec = cert.ok, None
+    verified, spec, de = cert.ok, None, None
     if kind != "threshold":
         fixed, eps, _ = args
         design = read_taps(values)
@@ -205,7 +219,56 @@ def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
             "endpoint_value": de.endpoint_value,
         }
         verified = verified and de.feasible
-    return ("optimal" if verified else "verification-failed"), solution, checks, spec
+    status = "optimal" if verified else "verification-failed"
+    return status, solution, checks, spec, de
+
+
+def _solve_lambda(tol: float, rho: DegreeDistribution, eps: float,
+                  max_degree: int) -> tuple:
+    """The lambda program of ``_solve_verified``, solved on the degrees
+    2..d for the rungs d = FIRST_RUNG, 2 FIRST_RUNG, 4 FIRST_RUNG, ... below
+    ``max_degree`` and then on all of them.
+
+    After a verified rung, ``de.build_pricing_lp`` relaxes the full program
+    to the full program's Chebyshev nodes, the rung design's critical points
+    and the stability row; its solve gives an upper bound UB on every
+    DE-feasible design with degrees up to ``max_degree``. The rung answers
+    when UB <= obj + tol (1 + |obj|), obj its objective. Any other outcome
+    of a rung, its pricing LP included, moves on to the next, and the last
+    rung is the full program itself. The ``working_set`` block gives each
+    rung's status and iterations, and for a verified rung below
+    ``max_degree`` its objective, the pricing LP's iterations and UB; then
+    the accepted rung and its UB (None for the full program, which leaves
+    no degree to price).
+    """
+    # The full program's nodes, which the pricing LP takes, are found first:
+    # an oversized program is refused before any rung is solved.
+    nodes = sos.lambda_nodes(rho, max_degree)
+    rungs, degree = {}, FIRST_RUNG
+    while degree < max_degree:
+        status, solution, checks, spec, de = _solve_program("lambda", tol, rho, eps, degree)
+        rungs[degree] = rung = {"status": status, "iterations": solution.iterations,
+                                "upper_bound": None}
+        if status == "optimal":
+            rung["objective"] = solution.objective
+            lp = de_mod.build_pricing_lp(rho, eps, max_degree,
+                                         np.concatenate((nodes, de.critical_x)))
+            priced = solve(lp.problem, tol=tol)
+            rung["pricing_iterations"] = priced.iterations
+            if priced.status == "optimal":
+                rung["upper_bound"] = bound = lp.upper_bound(priced)
+                if bound <= solution.objective + tol * (1.0 + abs(solution.objective)):
+                    checks["working_set"] = {"rungs": rungs, "accepted": degree,
+                                             "upper_bound": bound}
+                    return status, solution, checks, spec
+        degree *= 2
+    status, solution, checks, spec, _ = _solve_program("lambda", tol, rho, eps, max_degree)
+    if rungs:
+        rungs[max_degree] = {"status": status, "iterations": solution.iterations}
+        checks["working_set"] = {
+            "rungs": rungs, "accepted": max_degree if status == "optimal" else None,
+            "upper_bound": None}
+    return status, solution, checks, spec
 
 
 def _exit_code(status: str) -> int:

@@ -17,7 +17,9 @@ The grid LP is handed to the solver in dual form: one nonnegative multiplier
 per grid point and only Dv - 2 equality rows (the simplex row is eliminated
 through lambda_2), so an interior-point iteration costs O(N * Dv^2) rather
 than O(N^3). The design lambda is recovered from the row multipliers and
-checked against the grid constraints before a row is reported optimal.
+checked against the grid constraints before a row is reported optimal. The
+same dual, at points the caller chooses and in the form P(x) / x, prices the
+degrees a smaller lambda program left out (``build_pricing_lp``).
 """
 
 from __future__ import annotations
@@ -107,40 +109,90 @@ def build_discretized_lp(rho: DegreeDistribution, eps: float, max_var_degree: in
     and Psi lam <= x, where Psi[k, i] = psi(x_k)**(i-1) and
     psi(x) = 1 - rho(1 - eps*x): the tap columns of
     ``ensemble.lambda_constraint_table`` at the grid, negated (that table
-    refuses eps outside [0, 1] and Dv < 2). Eliminating
-    lam_2 = 1 - sum_{i>=3} lam_i leaves one multiplier mu_k >= 0 per grid
-    point and one slack s_i >= 0 per degree in the dual:
-
-        minimize    (x - Psi_2)'mu + s_2 + c_2
-        subject to  (Psi_i - Psi_2)'mu + s_2 - s_i = c_i - c_2,  i = 3..Dv.
-
-    Its Dv - 2 rows keep the solver's normal matrix (Dv-2) x (Dv-2) whatever
-    N is. The rows psi**i - psi are nearly collinear, so they are
-    orthonormalized once by a QR factorization of A'. The dual objective is
-    an upper bound on the grid LP (and so on the exact program); the design
-    is read back by ``DiscretizedLp.recover_lambda``.
+    refuses eps outside [0, 1] and Dv < 2). It goes to the solver in the
+    dual form of ``_simplex_dual``. The dual objective is an upper bound on
+    the grid LP (and so on the exact program); the design is read back by
+    ``DiscretizedLp.recover_lambda``.
     """
     if n_points < 1:
         raise ValueError("need at least one grid point")
     xs = np.arange(1, n_points + 1) / n_points
     psi_powers = -lambda_constraint_table(rho, eps, max_var_degree, xs)[:, 1:]
-    nl = max_var_degree - 1
-    gain = np.array([1.0 / i for i in range(2, max_var_degree + 1)])
+    problem, r_factor = _simplex_dual(xs, psi_powers)
+    return DiscretizedLp(problem, r_factor, psi_powers, xs)
 
-    # Columns [mu (N) | s_2 | s_3..s_Dv], rows i = 3..Dv.
+
+def _simplex_dual(rhs: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """(dual problem, R) of: maximize c'lam with c_i = 1/i, over 1'lam = 1,
+    lam = lam_2..lam_Dv >= 0 and coeffs @ lam <= rhs, one row per point.
+
+    Eliminating lam_2 = 1 - sum_{i>=3} lam_i leaves one multiplier
+    mu_k >= 0 per point and one slack s_i >= 0 per degree in the dual, with
+    a_i the column of lam_i in ``coeffs``:
+
+        minimize    (rhs - a_2)'mu + s_2 + c_2
+        subject to  (a_i - a_2)'mu + s_2 - s_i = c_i - c_2,  i = 3..Dv.
+
+    Its Dv - 2 rows keep the solver's normal matrix (Dv-2) x (Dv-2) however
+    many points there are. The rows a_i - a_2 are nearly collinear, so they
+    are orthonormalized once by a QR factorization A' = Q R: the solver sees
+    Q' and R^{-T} b. The variables are ordered [mu | s_2 | s_3..s_Dv].
+    """
+    n_points, nl = coeffs.shape
+    gain = np.array([1.0 / i for i in range(2, nl + 2)])
     rows = nl - 1
     A = np.zeros((rows, n_points + nl))
-    A[:, :n_points] = (psi_powers[:, 1:] - psi_powers[:, :1]).T
+    A[:, :n_points] = (coeffs[:, 1:] - coeffs[:, :1]).T
     A[:, n_points] = 1.0
     A[:, n_points + 1:] = -np.eye(rows)
     q_factor, r_factor = np.linalg.qr(A.T)
     b = np.linalg.solve(r_factor.T, gain[1:] - gain[0])
     c = np.zeros(n_points + nl)
-    c[:n_points] = xs - psi_powers[:, 0]
+    c[:n_points] = rhs - coeffs[:, 0]
     c[n_points] = 1.0
     problem = ConicProblem(sense="min", c=c, A=q_factor.T, b=b,
                            n_nonneg=n_points + nl, offset=float(gain[0]))
-    return DiscretizedLp(problem, r_factor, psi_powers, xs)
+    return problem, r_factor
+
+
+@dataclass(frozen=True)
+class PricingLp:
+    """The lambda program relaxed to finitely many points, in the dual form
+    of ``_simplex_dual``, over every degree up to Dv.
+
+    Row k of ``coeffs`` holds psi(x_k)**(i-1) / x_k, i = 2..Dv: the
+    decoding constraint in the form F(x_k) = 1 - sum_i lam_i
+    psi(x_k)**(i-1) / x_k >= 0 of ``ensemble.check_de_feasible``. The last
+    row is its limit at x -> 0, the stability row eps lam_2 rho'(1) <= 1.
+    """
+
+    problem: ConicProblem
+    coeffs: np.ndarray
+
+    def upper_bound(self, solution: ConicSolution) -> float:
+        """UB = sum_k mu_k + max_i (1/i - sum_k mu_k coeffs[k, i]) at the
+        solution's multipliers mu, clipped at 0.
+
+        For any mu >= 0, weak duality makes UB at least sum_i lam_i / i of
+        every lam on the simplex with F(x_k) >= 0 at the rows' points, so of
+        every DE-feasible lam with degrees up to Dv; the solve only makes it
+        tight.
+        """
+        mu = np.maximum(solution.x[: self.coeffs.shape[0]], 0.0)
+        gain = 1.0 / np.arange(2.0, self.coeffs.shape[1] + 2.0)
+        return float(mu.sum() + np.max(gain - mu @ self.coeffs))
+
+
+def build_pricing_lp(rho: DegreeDistribution, eps: float, max_var_degree: int,
+                     xs: np.ndarray) -> PricingLp:
+    """The ``PricingLp`` of degrees 2..``max_var_degree`` at the points
+    ``xs`` in (0, 1], plus the stability row."""
+    coeffs = -lambda_constraint_table(rho, eps, max_var_degree, xs)[:, 1:] / xs[:, None]
+    stability = np.zeros((1, max_var_degree - 1))
+    stability[0, 0] = eps * rho.derivative_at_one()
+    coeffs = np.concatenate([coeffs, stability])
+    problem, _ = _simplex_dual(np.ones(coeffs.shape[0]), coeffs)
+    return PricingLp(problem, coeffs)
 
 
 def lp_baseline_sweep(rho: DegreeDistribution, eps: float, max_var_degree: int,

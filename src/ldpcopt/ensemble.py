@@ -160,8 +160,25 @@ class EnsembleSpec:
         return cls(
             lam=DegreeDistribution.from_json_dict(data["lambda"], normalize=normalize),
             rho=DegreeDistribution.from_json_dict(data["rho"], normalize=normalize),
-            epsilon=float(data["epsilon"]),
+            epsilon=parse_epsilon(data["epsilon"]),
         )
+
+
+def parse_epsilon(value, *, allow_one: bool = True) -> float:
+    """An erasure probability as given in input: a number, or a string that
+    spells one, but not a bool, in [0, 1] (in [0, 1) unless ``allow_one``).
+    Anything else raises ValueError naming the field 'epsilon'."""
+    try:
+        eps = float(value)
+    except (TypeError, ValueError, OverflowError):
+        eps = None
+    if eps is None or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"field 'epsilon': must be a number, got {value!r}")
+    hi_ok = eps <= 1.0 if allow_one else eps < 1.0
+    if not (0.0 <= eps and hi_ok):
+        rng = "[0, 1]" if allow_one else "[0, 1)"
+        raise ValueError(f"field 'epsilon': must lie in {rng}, got {eps}")
+    return eps
 
 
 def design_rate(lam: DegreeDistribution, rho: DegreeDistribution) -> float:
@@ -199,6 +216,7 @@ class FeasibilityReport:
     grid_x: float           # minimum of F over the grid alone
     grid_value: float
     endpoint_value: float   # F(1) = P(1), the last grid point
+    critical_x: tuple       # the roots of F' in (0, 1) that the scan adds to the grid
 
 
 def psi(rho: Polynomial, eps: float, xs):
@@ -314,6 +332,7 @@ def check_de_feasible(spec: EnsembleSpec) -> FeasibilityReport:
         grid_x=float(xs[grid]),
         grid_value=float(values[grid]),
         endpoint_value=float(values[GRID_POINTS - 1]),
+        critical_x=tuple(xs[GRID_POINTS:].tolist()),
     )
 
 

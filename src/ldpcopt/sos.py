@@ -71,7 +71,9 @@ GRAM_RECONSTRUCTION_TOL = 1e-7
 # rows) the build takes under 0.01 s and 32 MB resident, and a solve takes
 # 17 iterations and 0.8-0.9 s at 1 or 2 BLAS threads, peaking at 53 MB
 # (2 vCPUs); time grows as d^3 and memory as d^2. Larger programs are
-# refused before anything is built.
+# refused before anything is built. The cap applies to the full --max-var-
+# degree program even where ``optimize-lambda`` accepts a smaller rung of
+# its ladder, since that program is the ladder's last rung.
 MAX_GRAM_DIM = 256
 
 
@@ -129,15 +131,28 @@ def coefficient_family(table: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(x, table[k:]).T
 
 
+def _family_nodes(k: int, outer_degree: int, inner: DegreeDistribution) -> np.ndarray:
+    """The Chebyshev nodes of degree deg P - k for the P of degree
+    (outer_degree - 1) * deg(inner); ``GramTooLarge`` when P is over the
+    cap."""
+    degree = (outer_degree - 1) * (inner.max_degree - 1)
+    _check_gram_dim(degree)
+    return chebyshev_nodes(degree - k)[1]
+
+
 def _sample_family(k: int, outer_degree: int, inner: DegreeDistribution,
                    table) -> np.ndarray:
     """The node table of the P of degree (outer_degree - 1) * deg(inner)
     whose columns at points xs are ``table(xs)``: sampled at the Chebyshev
     nodes of degree deg P - k, and divided by x^k."""
-    degree = (outer_degree - 1) * (inner.max_degree - 1)
-    _check_gram_dim(degree)
-    _, x = chebyshev_nodes(degree - k)
+    x = _family_nodes(k, outer_degree, inner)
     return table(x) / x[:, None] ** k
+
+
+def lambda_nodes(rho: DegreeDistribution, max_var_degree: int) -> np.ndarray:
+    """The nodes at which ``lambda_constraint_family`` samples P / x;
+    ``GramTooLarge`` when that program is over the cap."""
+    return _family_nodes(1, max_var_degree, rho)
 
 
 def lambda_constraint_family(rho: DegreeDistribution, eps: float,

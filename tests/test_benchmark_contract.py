@@ -70,3 +70,30 @@ def test_cli_looks_traced_bindings_up_when_it_runs(monkeypatch, capsys):
     assert code == 0
     assert sorted(calls) == ["build_lambda_problem", "check_de_feasible", "solve",
                              "verify_certificate"]
+
+
+def test_working_set_goes_through_traced_bindings(monkeypatch, capsys):
+    # At Dv = 14 the ladder's first rung answers: its program is built by
+    # the traced builder, and the tracer's solve binding solves both it and
+    # the pricing LP, so that perfbench charges them to sos.build and
+    # solver.solve.
+    builds, solves = [], []
+    real_build, real_solve = sos.build_lambda_problem, cli.solve
+
+    def build(*args):
+        builds.append(args[2])
+        return real_build(*args)
+
+    def solve(problem, **kwargs):
+        solves.append(problem.psd_dims)
+        return real_solve(problem, **kwargs)
+
+    monkeypatch.setattr(sos, "build_lambda_problem", build)
+    monkeypatch.setattr(cli, "solve", solve)
+    code = cli.main(["optimize-lambda", "--rho", '{"6": 1.0}', "--epsilon", "0.48",
+                     "--max-var-degree", "14"])
+    capsys.readouterr()
+    assert code == 0
+    assert builds == [8]
+    # The rung's Gram blocks (deg P / x = 34), then the pricing LP's orthant.
+    assert solves == [(18, 17), ()]

@@ -1,5 +1,6 @@
 """Command-line interface: pipelines, exit codes, report invariants."""
 
+import dataclasses
 import io
 import json
 import os
@@ -362,6 +363,8 @@ def test_optimize_lambda_large_degree_cap(capsys):
         report = json.loads(out)
         assert report["status"] == "optimal"
         assert report["objective"] == pytest.approx(0.3341888841, abs=1e-8)
+        # The optimum sits on degrees <= 8, and the first rung holds them.
+        assert report["working_set"]["accepted"] == 8, dv
 
 
 def test_design_verified_at_one_blas_thread():
@@ -392,6 +395,114 @@ def test_large_design_verified_at_one_blas_thread():
     assert report["status"] == "optimal"
     assert report["certificate"]["psd_ok"] and report["certificate"]["reconstruction_ok"]
     assert report["de_check"]["feasible"]
+
+
+def test_working_set_answers_as_the_full_program():
+    # rho from the A8 generator, eps ~ U(0.05, 0.7), Dv in 9..16: the ladder
+    # ends in the status of the full program and its checks, its objective
+    # is the full program's within tol (1 + |obj|), and no rung's bound UB
+    # falls below the full objective by more than that.
+    rng = np.random.default_rng(29)
+    tol = solver.DEFAULT_TOL
+    for case in range(40):
+        rho = random_distribution(rng, int(rng.integers(3, 8)))
+        eps, dv = float(rng.uniform(0.05, 0.7)), int(rng.integers(9, 17))
+        status, solution, checks, _ = cli._solve_verified(
+            "lambda", "field 'max-var-degree'", tol, rho, eps, dv)
+        full_status, full, _, _, _ = cli._solve_program("lambda", tol, rho, eps, dv)
+        assert status == full_status, case
+        if status != "optimal":
+            continue
+        slack = tol * (1.0 + abs(full.objective))
+        assert abs(solution.objective - full.objective) <= slack, case
+        bounds = [rung["upper_bound"] for rung in checks["working_set"]["rungs"].values()
+                  if rung.get("upper_bound") is not None]
+        assert all(bound >= full.objective - slack for bound in bounds), case
+
+
+LADDER_CLIMB = ("optimize-lambda", "--rho", '{"11": 1.0}', "--epsilon", "0.3",
+                "--max-var-degree", "12")
+
+
+def _full_program_report(capsys, argv, monkeypatch):
+    """The report of ``argv`` with the ladder's first rung at its maximum
+    degree: today's full program alone, with no working set."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "FIRST_RUNG", 100)
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_ladder_climbs_to_the_full_program(monkeypatch, capsys):
+    # The optimum at rho = x^10, eps = 0.3 takes degrees above 8: rung 8 is
+    # priced out by 2.7e-3, and the full Dv = 12 program answers, with the
+    # objective and taps it gives alone.
+    code, out, err = run_cli(capsys, *LADDER_CLIMB)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    rungs = report["working_set"]["rungs"]
+    assert sorted(rungs, key=int) == ["8", "12"]
+    assert rungs["8"]["status"] == "optimal"
+    assert rungs["8"]["upper_bound"] - rungs["8"]["objective"] > 2e-3
+    assert rungs["12"] == {"status": "optimal", "iterations": report["iterations"]}
+    assert report["working_set"]["accepted"] == 12
+    assert report["working_set"]["upper_bound"] is None
+    full = _full_program_report(capsys, LADDER_CLIMB, monkeypatch)
+    assert "working_set" not in full
+    del report["working_set"], report["duration_seconds"], full["duration_seconds"]
+    assert report == full
+
+
+@pytest.mark.parametrize("outcome", ["infeasible", "numerical-failure",
+                                     "verification-failed"])
+def test_failed_rung_moves_on(monkeypatch, capsys, outcome):
+    # Whatever ends rung 8 short of a verified optimum, the next rung runs
+    # (here the full Dv = 10 program) and the rung's status sets no exit
+    # code and writes nothing to stderr.
+    argv = ("optimize-lambda", "--rho", '{"6": 1.0}', "--epsilon", "0.48",
+            "--max-var-degree", "10")
+    full = _full_program_report(capsys, argv, monkeypatch)
+    real_solve, real_check = cli.solve, cli.check_de_feasible
+    checked = []
+
+    def failing_solve(problem, **kwargs):
+        solution = real_solve(problem, **kwargs)
+        if problem.n_nonneg == 7 and outcome != "verification-failed":   # 7 taps
+            return dataclasses.replace(solution, status=outcome)
+        return solution
+
+    def failing_check(spec):
+        report = real_check(spec)
+        checked.append(spec)
+        if len(checked) == 1 and outcome == "verification-failed":
+            return dataclasses.replace(report, feasible=False)
+        return report
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    monkeypatch.setattr(cli, "check_de_feasible", failing_check)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    rungs = report["working_set"]["rungs"]
+    assert rungs["8"]["status"] == outcome
+    assert rungs["8"]["upper_bound"] is None and "pricing_iterations" not in rungs["8"]
+    assert rungs["10"]["status"] == "optimal"
+    assert report["working_set"]["accepted"] == 10
+    del report["working_set"], report["duration_seconds"], full["duration_seconds"]
+    assert report == full
+
+
+def test_oversized_lambda_program_is_refused_before_any_rung(monkeypatch, capsys):
+    # The ladder's first rung would fit; the full program, its last rung,
+    # does not, and nothing is built or solved.
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: calls.append("solve"))
+    monkeypatch.setattr(sos, "build_lambda_problem", lambda *a: calls.append("build"))
+    code, out, err = run_cli(capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
+                             "--epsilon", "0.4", "--max-var-degree", "53")
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error: field 'max-var-degree': Gram dimension 261 ")
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None,

@@ -62,6 +62,16 @@ def test_json_round_trip():
     assert back.epsilon == spec.epsilon
 
 
+@pytest.mark.parametrize("eps", [True, 10 ** 400, math.nan], ids=["bool", "huge", "nan"])
+def test_spec_refuses_a_bad_epsilon(eps):
+    # The rule of the CLI's epsilon: a bool is not a number (it read as
+    # eps = 1), an int too large for a float raised OverflowError, and NaN
+    # lies outside [0, 1].
+    data = {"lambda": {"3": 1.0}, "rho": {"6": 1.0}, "epsilon": eps}
+    with pytest.raises(ValueError, match="field 'epsilon'"):
+        EnsembleSpec.from_json_dict(data)
+
+
 def test_design_rate_symmetric():
     d = DegreeDistribution({2: 1.0})
     assert design_rate(d, d) == pytest.approx(0.0, abs=1e-15)
