@@ -31,10 +31,10 @@ at eps_D (1 + 1e-6) (iterates that diverge, exit 3), and a sweep at
 eps = 0.6 whose every row is infeasible (exit 2). A Dv = 12 sweep at
 rho = x^5, eps = 0.48, with grid rows N = 100 and 1000, as JSON, pins the
 full-precision taps of LP rows whose columns reach psi**11; the README
-sweep's rows stop at psi**4. Two ``optimize-lambda`` lines pin the degree
-ladder's two ends: the Dv = 52 design at rho = x^5, eps = 0.48, which its
-first rung answers, and rho = x^10 at eps = 0.3, Dv = 12, whose optimum
-needs degrees above 8, so that the ladder climbs to the full program. They
+sweep's rows stop at psi**4. Two ``optimize-lambda`` lines pin the working
+set's two outcomes: the Dv = 52 design at rho = x^5, eps = 0.48, which rung
+8 answers, and rho = x^10 at eps = 0.3, Dv = 12, whose optimum needs
+degrees above 8, so that the full program answers. They
 are copied here, so that a change to the benchmark does not change them.
 Together they take about 1 s on a 2-vCPU host.
 Run as:  python benchmarks/report_digests.py

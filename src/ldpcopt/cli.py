@@ -53,12 +53,17 @@ _STATUS_EXIT = {
     "verification-failed": EXIT_NUMERICAL,
 }
 
-# First rung of optimize-lambda's degree ladder (``_solve_lambda``). The
+# The working rung of optimize-lambda (``_solve_lambda``): the degrees
+# 2..FIRST_RUNG, solved before the full program. The
 # optima at rho = x^5, eps = 0.48 and rho = x^3, eps = 0.6 sit on degrees
 # 2..8 and 2..5 at every Dv. Rung 8 answers them in one solve of about
 # 16 ms (Gram blocks 18 and 17 at rho = x^5) and one pricing LP of 2.5 ms
 # (13 ms at Dv = 52), where the full programs take 64-88 ms at Dv = 14 and
-# 20 and 0.57 s at Dv = 52 (2 vCPUs).
+# 20 and 0.57 s at Dv = 52 (2 vCPUs). An optimum on higher degrees pays the
+# rung and its LP on top of the full program: 100 ms against 73 ms at
+# rho = x^10, eps = 0.3, Dv = 12, and 598 against 547 ms at rho = x^5,
+# eps = 0.5, Dv = 52, whose optimum (degrees up to 9) no measured rung of
+# 16 answered; so one rung is tried, not a doubling ladder.
 FIRST_RUNG = 8
 
 
@@ -172,11 +177,10 @@ def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
     solver's status, or "verification-failed" when an optimal answer fails a
     check; the check reports; and the design's ensemble. ``checks`` holds
     no check report and ``spec`` is None unless the solve was optimal. The
-    lambda program is solved on a ladder of degree sets (``_solve_lambda``),
-    whose ``working_set`` block joins ``checks`` when it has more than one
-    rung. A
-    Gram block over ``sos.MAX_GRAM_DIM`` is an input error blamed on
-    ``fields``.
+    lambda program is solved on a working set of degrees first
+    (``_solve_lambda``), whose ``working_set`` block joins ``checks`` when
+    Dv is above the first rung. A Gram block over ``sos.MAX_GRAM_DIM`` is an
+    input error blamed on ``fields``.
     """
     try:
         if kind == "lambda":
@@ -226,29 +230,28 @@ def _solve_program(kind: str, tol: float, *args) -> tuple:
 def _solve_lambda(tol: float, rho: DegreeDistribution, eps: float,
                   max_degree: int) -> tuple:
     """The lambda program of ``_solve_verified``, solved on the degrees
-    2..d for the rungs d = FIRST_RUNG, 2 FIRST_RUNG, 4 FIRST_RUNG, ... below
-    ``max_degree`` and then on all of them.
+    2..FIRST_RUNG when ``max_degree`` is above FIRST_RUNG, and otherwise, or
+    when that rung does not answer, on all of them.
 
-    After a verified rung, ``de.build_pricing_lp`` relaxes the full program
-    to the full program's Chebyshev nodes, the rung design's critical points
-    and the stability row; its solve gives an upper bound UB on every
-    DE-feasible design with degrees up to ``max_degree``. The rung answers
-    when UB <= obj + tol (1 + |obj|), obj its objective. Any other outcome
-    of a rung, its pricing LP included, moves on to the next, and the last
-    rung is the full program itself. The ``working_set`` block gives each
-    rung's status and iterations, and for a verified rung below
-    ``max_degree`` its objective, the pricing LP's iterations and UB; then
-    the accepted rung and its UB (None for the full program, which leaves
-    no degree to price).
+    After a verified first rung, ``de.build_pricing_lp`` relaxes the full
+    program to the full program's Chebyshev nodes, the rung design's
+    critical points and the stability row; its solve gives an upper bound
+    UB on every DE-feasible design with degrees up to ``max_degree``. The
+    rung answers when UB <= obj + tol (1 + |obj|), obj its objective. Any
+    other outcome of the rung, its pricing LP included, moves on to the full
+    program, the last rung. The ``working_set`` block gives each rung's
+    status and iterations, and for a verified first rung its objective, the
+    pricing LP's iterations and UB; then the accepted rung and its UB (None
+    for the full program, which leaves no degree to price).
     """
     # The full program's nodes, which the pricing LP takes, are found first:
     # an oversized program is refused before any rung is solved.
     nodes = sos.lambda_nodes(rho, max_degree)
-    rungs, degree = {}, FIRST_RUNG
-    while degree < max_degree:
-        status, solution, checks, spec, de = _solve_program("lambda", tol, rho, eps, degree)
-        rungs[degree] = rung = {"status": status, "iterations": solution.iterations,
-                                "upper_bound": None}
+    rungs = {}
+    if FIRST_RUNG < max_degree:
+        status, solution, checks, spec, de = _solve_program("lambda", tol, rho, eps, FIRST_RUNG)
+        rungs[FIRST_RUNG] = rung = {"status": status, "iterations": solution.iterations,
+                                    "upper_bound": None}
         if status == "optimal":
             rung["objective"] = solution.objective
             lp = de_mod.build_pricing_lp(rho, eps, max_degree,
@@ -258,10 +261,9 @@ def _solve_lambda(tol: float, rho: DegreeDistribution, eps: float,
             if priced.status == "optimal":
                 rung["upper_bound"] = bound = lp.upper_bound(priced)
                 if bound <= solution.objective + tol * (1.0 + abs(solution.objective)):
-                    checks["working_set"] = {"rungs": rungs, "accepted": degree,
+                    checks["working_set"] = {"rungs": rungs, "accepted": FIRST_RUNG,
                                              "upper_bound": bound}
                     return status, solution, checks, spec
-        degree *= 2
     status, solution, checks, spec, _ = _solve_program("lambda", tol, rho, eps, max_degree)
     if rungs:
         rungs[max_degree] = {"status": status, "iterations": solution.iterations}

@@ -72,8 +72,8 @@ GRAM_RECONSTRUCTION_TOL = 1e-7
 # 17 iterations and 0.8-0.9 s at 1 or 2 BLAS threads, peaking at 53 MB
 # (2 vCPUs); time grows as d^3 and memory as d^2. Larger programs are
 # refused before anything is built. The cap applies to the full --max-var-
-# degree program even where ``optimize-lambda`` accepts a smaller rung of
-# its ladder, since that program is the ladder's last rung.
+# degree program even where ``optimize-lambda`` accepts its smaller first
+# rung, since that program is the rung it falls back to.
 MAX_GRAM_DIM = 256
 
 

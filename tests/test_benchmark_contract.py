@@ -73,7 +73,7 @@ def test_cli_looks_traced_bindings_up_when_it_runs(monkeypatch, capsys):
 
 
 def test_working_set_goes_through_traced_bindings(monkeypatch, capsys):
-    # At Dv = 14 the ladder's first rung answers: its program is built by
+    # At Dv = 14 the first rung answers: its program is built by
     # the traced builder, and the tracer's solve binding solves both it and
     # the pricing LP, so that perfbench charges them to sos.build and
     # solver.solve.

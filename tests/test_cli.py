@@ -398,7 +398,7 @@ def test_large_design_verified_at_one_blas_thread():
 
 
 def test_working_set_answers_as_the_full_program():
-    # rho from the A8 generator, eps ~ U(0.05, 0.7), Dv in 9..16: the ladder
+    # rho from the A8 generator, eps ~ U(0.05, 0.7), Dv in 9..16: the rungs
     # ends in the status of the full program and its checks, its objective
     # is the full program's within tol (1 + |obj|), and no rung's bound UB
     # falls below the full objective by more than that.
@@ -420,13 +420,9 @@ def test_working_set_answers_as_the_full_program():
         assert all(bound >= full.objective - slack for bound in bounds), case
 
 
-LADDER_CLIMB = ("optimize-lambda", "--rho", '{"11": 1.0}', "--epsilon", "0.3",
-                "--max-var-degree", "12")
-
-
 def _full_program_report(capsys, argv, monkeypatch):
-    """The report of ``argv`` with the ladder's first rung at its maximum
-    degree: today's full program alone, with no working set."""
+    """The report of ``argv`` with the first rung above its maximum degree:
+    the full program alone, with no working set."""
     with monkeypatch.context() as patch:
         patch.setattr(cli, "FIRST_RUNG", 100)
         code, out, _ = run_cli(capsys, *argv)
@@ -434,21 +430,24 @@ def _full_program_report(capsys, argv, monkeypatch):
     return json.loads(out)
 
 
-def test_ladder_climbs_to_the_full_program(monkeypatch, capsys):
-    # The optimum at rho = x^10, eps = 0.3 takes degrees above 8: rung 8 is
-    # priced out by 2.7e-3, and the full Dv = 12 program answers, with the
-    # objective and taps it gives alone.
-    code, out, err = run_cli(capsys, *LADDER_CLIMB)
+@pytest.mark.parametrize("max_degree", ["12", "20"])
+def test_priced_out_rung_falls_back_to_the_full_program(monkeypatch, capsys, max_degree):
+    # The optimum at rho = x^10, eps = 0.3 takes degrees 10 and 11: rung 8 is
+    # priced out by 2.7e-3, and the full program answers next, with the
+    # objective and taps it gives alone; at Dv = 20 no rung lies between.
+    argv = ("optimize-lambda", "--rho", '{"11": 1.0}', "--epsilon", "0.3",
+            "--max-var-degree", max_degree)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     report = json.loads(out)
     rungs = report["working_set"]["rungs"]
-    assert sorted(rungs, key=int) == ["8", "12"]
+    assert sorted(rungs, key=int) == ["8", max_degree]
     assert rungs["8"]["status"] == "optimal"
     assert rungs["8"]["upper_bound"] - rungs["8"]["objective"] > 2e-3
-    assert rungs["12"] == {"status": "optimal", "iterations": report["iterations"]}
-    assert report["working_set"]["accepted"] == 12
+    assert rungs[max_degree] == {"status": "optimal", "iterations": report["iterations"]}
+    assert report["working_set"]["accepted"] == int(max_degree)
     assert report["working_set"]["upper_bound"] is None
-    full = _full_program_report(capsys, LADDER_CLIMB, monkeypatch)
+    full = _full_program_report(capsys, argv, monkeypatch)
     assert "working_set" not in full
     del report["working_set"], report["duration_seconds"], full["duration_seconds"]
     assert report == full
@@ -457,8 +456,8 @@ def test_ladder_climbs_to_the_full_program(monkeypatch, capsys):
 @pytest.mark.parametrize("outcome", ["infeasible", "numerical-failure",
                                      "verification-failed"])
 def test_failed_rung_moves_on(monkeypatch, capsys, outcome):
-    # Whatever ends rung 8 short of a verified optimum, the next rung runs
-    # (here the full Dv = 10 program) and the rung's status sets no exit
+    # Whatever ends rung 8 short of a verified optimum, the full Dv = 10
+    # program runs next, and the rung's status sets no exit
     # code and writes nothing to stderr.
     argv = ("optimize-lambda", "--rho", '{"6": 1.0}', "--epsilon", "0.48",
             "--max-var-degree", "10")
@@ -494,8 +493,7 @@ def test_failed_rung_moves_on(monkeypatch, capsys, outcome):
 
 
 def test_oversized_lambda_program_is_refused_before_any_rung(monkeypatch, capsys):
-    # The ladder's first rung would fit; the full program, its last rung,
-    # does not, and nothing is built or solved.
+    # The first rung would fit; the full program, its fallback, does not, and nothing is built or solved.
     calls = []
     monkeypatch.setattr(cli, "solve", lambda *a, **k: calls.append("solve"))
     monkeypatch.setattr(sos, "build_lambda_problem", lambda *a: calls.append("build"))
