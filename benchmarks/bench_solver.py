@@ -2,11 +2,17 @@
 """Time the interior-point solver on the design programs, split by phase,
 or against another version of the solver.
 
-Builds the 11 SOS programs of the benchmark's ``design`` workload, the
-README's (3, 6) threshold program, a check-side design at eps = 0.95 that
-the solver has failed on, and four large designs (rho = x^5, eps = 0.48,
-Dv = 26, 34, 40 and 52) through ``ldpcopt.sos`` and solves each with
-``ldpcopt.solver.solve``. The solver is
+Builds the 11 SOS programs that the benchmark's ``design`` workload
+solves, the full programs of its four ops with Dv > 8, the README's (3, 6)
+threshold program, a check-side design at eps = 0.95 that the solver has
+failed on, and four large designs (rho = x^5, eps = 0.48, Dv = 26, 34, 40
+and 52) through ``ldpcopt.sos`` and solves each with
+``ldpcopt.solver.solve``. ``optimize-lambda`` answers those four ops
+(check6_eps048_dv10/12/14, check4_eps06_dv20) on the degrees 2..8, its
+first rung, and prices the others without a solve, so their design rows
+are the rung-8 programs, named ``<op>@8`` (the three rho = x^5 ops solve
+the same program); their full programs follow under the ops' own names,
+which the workload no longer solves. The solver is
 not edited: while a pass runs, its private per-iteration methods are wrapped
 from outside with timers, and each call is charged to one phase:
 
@@ -73,8 +79,9 @@ LARGE_PASSES = 3
 # programs spread by more than the gains worth measuring.
 COMPARE_PASSES = 21
 
-# (name, family, fixed distribution, eps, maximum degree), as in the design
-# workload of perfbench/workloads.py (its first 11 programs); the threshold
+# (name, family, fixed distribution, eps, maximum degree). The first 11 are
+# the programs the design workload of perfbench/workloads.py solves, one per
+# op: an op with Dv > 8 is answered by its rung-8 program. The threshold
 # program takes (lambda, rho) instead.
 DESIGN_PROGRAMS = 11
 THRESHOLD_PROGRAM = "threshold_3_6"
@@ -86,6 +93,10 @@ PROGRAMS = [
     ("anomalous_dv7", "lambda", {5: 1.0}, 0.56, 7),
     ("two_tap", "lambda", {6: 0.48555, 7: 0.51445}, 0.45, 7),
     ("rho_regular_3", "rho", {3: 1.0}, 0.4294, 6),
+    ("check6_eps048_dv10@8", "lambda", {6: 1.0}, 0.48, 8),
+    ("check6_eps048_dv12@8", "lambda", {6: 1.0}, 0.48, 8),
+    ("check6_eps048_dv14@8", "lambda", {6: 1.0}, 0.48, 8),
+    ("check4_eps06_dv20@8", "lambda", {4: 1.0}, 0.6, 8),
     ("check6_eps048_dv10", "lambda", {6: 1.0}, 0.48, 10),
     ("check6_eps048_dv12", "lambda", {6: 1.0}, 0.48, 12),
     ("check6_eps048_dv14", "lambda", {6: 1.0}, 0.48, 14),

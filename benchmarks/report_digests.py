@@ -2,13 +2,21 @@
 """Digest the CLI reports of fixed command lines, to show byte identity.
 
 Runs each command line below in-process through ``ldpcopt.cli.main`` and
-prints one line per command: its label, its exit code and the first 12 hex
+prints one line per command: its label, its exit code, the first 12 hex
 digits of the SHA-1 of its stdout report, with the ``duration_seconds`` line
-left out (the one field that differs from run to run). Two versions write
-the same reports for these commands when the output is the same for both:
+left out (the one field that differs from run to run), and the same digest
+of the report with its ``working_set`` block also left out (the JSON
+report re-written without it, or the CSV report without its
+``working_set.`` rows). The second digest equals the first for a report
+without the block. Two versions write the same reports for these commands
+when the output is the same for both:
 
     diff <(python benchmarks/report_digests.py) \\
          <(PYTHONPATH=other/src python benchmarks/report_digests.py)
+
+and a change to how optimize-lambda climbs its working set (which rung
+answers, and how it is priced) leaves every printed design, objective and
+check as it was when the last column alone is the same.
 
 The commands are the README examples (with ``design.json`` holding the
 published Dv = 7 design), the 11 command lines of the benchmark's ``design``
@@ -27,8 +35,9 @@ keys, and the eps = 0 ``optimize-lambda`` as CSV the JSON literals of its
 null and boolean values. Three lines end on the solver's failure exits, past
 eps_D, the (3, 6) threshold, where no lambda of degree up to 3 is feasible:
 ``optimize-lambda`` at eps = 0.5 (an infeasibility certificate, exit 2) and
-at eps_D (1 + 1e-6) (iterates that diverge, exit 3), and a sweep at
-eps = 0.6 whose every row is infeasible (exit 2). A Dv = 12 sweep at
+at eps_D (1 + 1e-6) (iterates that diverge, refuted by the exact witness
+of ``de.infeasibility_witness``, exit 2), and a sweep at eps = 0.6 whose
+every row is infeasible (exit 2). A Dv = 12 sweep at
 rho = x^5, eps = 0.48, with grid rows N = 100 and 1000, as JSON, pins the
 full-precision taps of LP rows whose columns reach psi**11; the README
 sweep's rows stop at psi**4. Two ``optimize-lambda`` lines pin the working
@@ -135,14 +144,36 @@ COMMANDS = [
 _DURATION = re.compile(r'^\s*"?duration_seconds"?[:,].*\n', re.MULTILINE)
 
 
+# The CSV rows of the working set block.
+_WORKING_SET_ROWS = re.compile(r"^working_set\..*\n", re.MULTILINE)
+
+
+def _sha(report: str) -> str:
+    """First 12 hex digits of the SHA-1 of a report without its duration
+    line."""
+    return hashlib.sha1(_DURATION.sub("", report).encode()).hexdigest()[:12]
+
+
+def _without_working_set(report: str) -> str:
+    """The report as the CLI writes it, less its ``working_set`` block."""
+    try:
+        data = json.loads(report)
+    except ValueError:
+        return _WORKING_SET_ROWS.sub("", report)
+    if not isinstance(data, dict) or "working_set" not in data:
+        return report
+    del data["working_set"]
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def digest(argv) -> tuple:
-    """(exit code, first 12 hex digits of the SHA-1 of the report without
-    its duration line) of one in-process CLI run."""
+    """(exit code, digest of the report, digest of the report without its
+    working set) of one in-process CLI run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli_main(list(argv))
-    report = _DURATION.sub("", out.getvalue())
-    return code, hashlib.sha1(report.encode()).hexdigest()[:12]
+    report = out.getvalue()
+    return code, _sha(report), _sha(_without_working_set(report))
 
 
 def main():
@@ -150,10 +181,10 @@ def main():
         spec = os.path.join(tmp, "design.json")
         with open(spec, "w") as f:
             json.dump(DESIGN_SPEC, f)
-        print(f"{'command':26s} {'exit':>4s} {'report sha1':>12s}")
+        print(f"{'command':26s} {'exit':>4s} {'report sha1':>12s} {'no working set':>14s}")
         for label, argv in COMMANDS:
-            code, sha = digest([spec if a == "{spec}" else a for a in argv])
-            print(f"{label:26s} {code:4d} {sha:>12s}")
+            code, sha, stripped = digest([spec if a == "{spec}" else a for a in argv])
+            print(f"{label:26s} {code:4d} {sha:>12s} {stripped:>14s}")
 
 
 if __name__ == "__main__":

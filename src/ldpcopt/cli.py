@@ -54,16 +54,16 @@ _STATUS_EXIT = {
 }
 
 # The working rung of optimize-lambda (``_solve_lambda``): the degrees
-# 2..FIRST_RUNG, solved before the full program. The
-# optima at rho = x^5, eps = 0.48 and rho = x^3, eps = 0.6 sit on degrees
-# 2..8 and 2..5 at every Dv. Rung 8 answers them in one solve of about
-# 16 ms (Gram blocks 18 and 17 at rho = x^5) and one pricing LP of 2.5 ms
-# (13 ms at Dv = 52), where the full programs take 64-88 ms at Dv = 14 and
-# 20 and 0.57 s at Dv = 52 (2 vCPUs). An optimum on higher degrees pays the
-# rung and its LP on top of the full program: 100 ms against 73 ms at
-# rho = x^10, eps = 0.3, Dv = 12, and 598 against 547 ms at rho = x^5,
-# eps = 0.5, Dv = 52, whose optimum (degrees up to 9) no measured rung of
-# 16 answered; so one rung is tried, not a doubling ladder.
+# 2..FIRST_RUNG, solved before the full program. The optima at rho = x^5,
+# eps = 0.48 and rho = x^3, eps = 0.6 sit on degrees 2..8 and 2..5 at
+# every Dv. Rung 8 answers them in one solve of about 16 ms (Gram blocks
+# 18 and 17 at rho = x^5) and a Newton pricing of about 0.4 ms, where the
+# full programs take 64-88 ms at Dv = 14 and 20 and 0.57 s at Dv = 52
+# (2 vCPUs). An optimum on higher degrees pays the rung on top of the full
+# program: 100 ms against 71 ms at rho = x^10, eps = 0.3, Dv = 12, and 520
+# against 483 ms at Dv = 26. At rho = x^5, eps = 0.5, Dv = 52 (480 against
+# 477 ms) the optimum takes degrees up to 9, and no measured rung of 16
+# answered it; so one rung is tried, not a doubling ladder.
 FIRST_RUNG = 8
 
 
@@ -179,8 +179,9 @@ def _solve_verified(kind: str, fields: str, tol: float, *args) -> tuple:
     no check report and ``spec`` is None unless the solve was optimal. The
     lambda program is solved on a working set of degrees first
     (``_solve_lambda``), whose ``working_set`` block joins ``checks`` when
-    Dv is above the first rung. A Gram block over ``sos.MAX_GRAM_DIM`` is an
-    input error blamed on ``fields``.
+    Dv is above the first rung, as does an ``infeasibility`` witness when
+    it fails. A Gram block over ``sos.MAX_GRAM_DIM`` is an input error
+    blamed on ``fields``.
     """
     try:
         if kind == "lambda":
@@ -233,43 +234,50 @@ def _solve_lambda(tol: float, rho: DegreeDistribution, eps: float,
     2..FIRST_RUNG when ``max_degree`` is above FIRST_RUNG, and otherwise, or
     when that rung does not answer, on all of them.
 
-    After a verified first rung, ``de.build_pricing_lp`` relaxes the full
-    program to the full program's Chebyshev nodes, the rung design's
-    critical points and the stability row; its solve gives an upper bound
-    UB on every DE-feasible design with degrees up to ``max_degree``. The
-    rung answers when UB <= obj + tol (1 + |obj|), obj its objective. Any
-    other outcome of the rung, its pricing LP included, moves on to the full
-    program, the last rung. The ``working_set`` block gives each rung's
-    status and iterations, and for a verified first rung its objective, the
-    pricing LP's iterations and UB; then the accepted rung and its UB (None
-    for the full program, which leaves no degree to price).
+    A verified first rung is priced by ``de.price_working_set``: a few
+    Newton steps on the KKT system of the rung design's active set give
+    multipliers, and weak duality at them an upper bound UB on every
+    DE-feasible design with degrees up to ``max_degree``. The rung answers
+    when UB <= obj + tol (1 + |obj|), obj its objective. Any other outcome
+    of the rung moves on to the full program, the last rung. The
+    ``working_set`` block gives each rung's status and iterations, and for
+    a verified first rung its objective, UB and the ``pricing`` block
+    (support, touching points, multipliers, Newton steps and residual); then
+    the accepted rung and its UB (None for the full program, which leaves no
+    degree to price).
+
+    When the last program ends short of optimal and
+    ``de.infeasibility_witness`` proves that no design with degrees up to
+    ``max_degree`` decodes at ``eps``, the status is "infeasible" and the
+    witness joins ``checks`` as ``infeasibility``.
     """
-    # The full program's nodes, which the pricing LP takes, are found first:
-    # an oversized program is refused before any rung is solved.
-    nodes = sos.lambda_nodes(rho, max_degree)
+    # An oversized full program, the rung the others fall back to, is
+    # refused before any rung is solved.
+    sos.check_lambda_program(rho, max_degree)
     rungs = {}
     if FIRST_RUNG < max_degree:
         status, solution, checks, spec, de = _solve_program("lambda", tol, rho, eps, FIRST_RUNG)
         rungs[FIRST_RUNG] = rung = {"status": status, "iterations": solution.iterations,
                                     "upper_bound": None}
         if status == "optimal":
-            rung["objective"] = solution.objective
-            lp = de_mod.build_pricing_lp(rho, eps, max_degree,
-                                         np.concatenate((nodes, de.critical_x)))
-            priced = solve(lp.problem, tol=tol)
-            rung["pricing_iterations"] = priced.iterations
-            if priced.status == "optimal":
-                rung["upper_bound"] = bound = lp.upper_bound(priced)
-                if bound <= solution.objective + tol * (1.0 + abs(solution.objective)):
-                    checks["working_set"] = {"rungs": rungs, "accepted": FIRST_RUNG,
-                                             "upper_bound": bound}
-                    return status, solution, checks, spec
+            pricing = de_mod.price_working_set(rho, eps, max_degree, spec.lam, de)
+            bound = pricing.upper_bound
+            rung.update(objective=solution.objective, upper_bound=bound,
+                        pricing=pricing.report())
+            if bound <= solution.objective + tol * (1.0 + abs(solution.objective)):
+                checks["working_set"] = {"rungs": rungs, "accepted": FIRST_RUNG,
+                                         "upper_bound": bound}
+                return status, solution, checks, spec
     status, solution, checks, spec, _ = _solve_program("lambda", tol, rho, eps, max_degree)
     if rungs:
         rungs[max_degree] = {"status": status, "iterations": solution.iterations}
         checks["working_set"] = {
             "rungs": rungs, "accepted": max_degree if status == "optimal" else None,
             "upper_bound": None}
+    if status != "optimal":
+        witness = de_mod.infeasibility_witness(rho, eps, max_degree)
+        if witness is not None:
+            status, checks["infeasibility"] = "infeasible", witness
     return status, solution, checks, spec
 
 

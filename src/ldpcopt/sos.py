@@ -131,13 +131,18 @@ def coefficient_family(table: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(x, table[k:]).T
 
 
-def _family_nodes(k: int, outer_degree: int, inner: DegreeDistribution) -> np.ndarray:
-    """The Chebyshev nodes of degree deg P - k for the P of degree
-    (outer_degree - 1) * deg(inner); ``GramTooLarge`` when P is over the
-    cap."""
+def _family_degree(outer_degree: int, inner: DegreeDistribution) -> int:
+    """deg P = (outer_degree - 1) * deg(inner); ``GramTooLarge`` when P is
+    over the cap."""
     degree = (outer_degree - 1) * (inner.max_degree - 1)
     _check_gram_dim(degree)
-    return chebyshev_nodes(degree - k)[1]
+    return degree
+
+
+def _family_nodes(k: int, outer_degree: int, inner: DegreeDistribution) -> np.ndarray:
+    """The Chebyshev nodes of degree deg P - k for the P of
+    ``_family_degree``."""
+    return chebyshev_nodes(_family_degree(outer_degree, inner) - k)[1]
 
 
 def _sample_family(k: int, outer_degree: int, inner: DegreeDistribution,
@@ -149,10 +154,10 @@ def _sample_family(k: int, outer_degree: int, inner: DegreeDistribution,
     return table(x) / x[:, None] ** k
 
 
-def lambda_nodes(rho: DegreeDistribution, max_var_degree: int) -> np.ndarray:
-    """The nodes at which ``lambda_constraint_family`` samples P / x;
-    ``GramTooLarge`` when that program is over the cap."""
-    return _family_nodes(1, max_var_degree, rho)
+def check_lambda_program(rho: DegreeDistribution, max_var_degree: int) -> None:
+    """Refuse (``GramTooLarge``) the lambda program whose P is over the cap,
+    without building anything."""
+    _family_degree(max_var_degree, rho)
 
 
 def lambda_constraint_family(rho: DegreeDistribution, eps: float,

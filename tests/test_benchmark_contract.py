@@ -73,10 +73,9 @@ def test_cli_looks_traced_bindings_up_when_it_runs(monkeypatch, capsys):
 
 
 def test_working_set_goes_through_traced_bindings(monkeypatch, capsys):
-    # At Dv = 14 the first rung answers: its program is built by
-    # the traced builder, and the tracer's solve binding solves both it and
-    # the pricing LP, so that perfbench charges them to sos.build and
-    # solver.solve.
+    # At Dv = 14 the first rung answers: its program is built by the traced
+    # builder and solved by the tracer's solve binding, so that perfbench
+    # charges them to sos.build and solver.solve. Pricing it solves nothing.
     builds, solves = [], []
     real_build, real_solve = sos.build_lambda_problem, cli.solve
 
@@ -95,5 +94,5 @@ def test_working_set_goes_through_traced_bindings(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert builds == [8]
-    # The rung's Gram blocks (deg P / x = 34), then the pricing LP's orthant.
-    assert solves == [(18, 17), ()]
+    # The rung's Gram blocks (deg P / x = 34), and no other program.
+    assert solves == [(18, 17)]

@@ -1,6 +1,7 @@
 """Command-line interface: pipelines, exit codes, report invariants."""
 
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -8,13 +9,14 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ldpcopt import cli, solver, sos
+from ldpcopt import cli, de, ensemble, solver, sos
 from ldpcopt.cli import main
 from ldpcopt.de import lp_baseline_sweep
 from ldpcopt.ensemble import DegreeDistribution, design_rate
@@ -397,19 +399,31 @@ def test_large_design_verified_at_one_blas_thread():
     assert report["de_check"]["feasible"]
 
 
-def test_working_set_answers_as_the_full_program():
-    # rho from the A8 generator, eps ~ U(0.05, 0.7), Dv in 9..16: the rungs
-    # ends in the status of the full program and its checks, its objective
-    # is the full program's within tol (1 + |obj|), and no rung's bound UB
-    # falls below the full objective by more than that.
+@functools.lru_cache(maxsize=None)
+def _a8_working_set_cases() -> tuple:
+    """rho from the A8 generator, eps ~ U(0.05, 0.7), Dv in 9..16: for each
+    of 40 lambda programs, (rho, eps, Dv), the working set's (status,
+    solution, checks) and the full program's (status, solution)."""
     rng = np.random.default_rng(29)
     tol = solver.DEFAULT_TOL
-    for case in range(40):
+    cases = []
+    for _ in range(40):
         rho = random_distribution(rng, int(rng.integers(3, 8)))
         eps, dv = float(rng.uniform(0.05, 0.7)), int(rng.integers(9, 17))
         status, solution, checks, _ = cli._solve_verified(
             "lambda", "field 'max-var-degree'", tol, rho, eps, dv)
         full_status, full, _, _, _ = cli._solve_program("lambda", tol, rho, eps, dv)
+        cases.append(((rho, eps, dv), (status, solution, checks), (full_status, full)))
+    return tuple(cases)
+
+
+def test_working_set_answers_as_the_full_program():
+    # The rungs end in the status of the full program and its checks, their
+    # objective is the full program's within tol (1 + |obj|), and no rung's
+    # bound UB falls below the full objective by more than that.
+    tol = solver.DEFAULT_TOL
+    for case, (_, (status, solution, checks), (full_status, full)) in enumerate(
+            _a8_working_set_cases()):
         assert status == full_status, case
         if status != "optimal":
             continue
@@ -418,6 +432,77 @@ def test_working_set_answers_as_the_full_program():
         bounds = [rung["upper_bound"] for rung in checks["working_set"]["rungs"].values()
                   if rung.get("upper_bound") is not None]
         assert all(bound >= full.objective - slack for bound in bounds), case
+
+
+def test_working_set_bound_rests_on_weak_duality():
+    # UB bounds the full objective at any multipliers >= 0 and points in
+    # (0, 1], not only at Newton's: scaled by U(0, 2) factors and moved by
+    # +-1e-3, the rung's multipliers and touching points still bound it.
+    rng = np.random.default_rng(30)
+    tol = solver.DEFAULT_TOL
+    priced = 0
+    for case, ((rho, eps, dv), (_, _, checks), (full_status, full)) in enumerate(
+            _a8_working_set_cases()):
+        rung = checks.get("working_set", {}).get("rungs", {}).get(8, {})
+        if full_status != "optimal" or "pricing" not in rung:
+            continue
+        priced += 1
+        pricing = rung["pricing"]
+        slack = tol * (1.0 + abs(full.objective))
+        points, mu = np.array(pricing["points"]), np.array(pricing["multipliers"])
+        mu_s = pricing["stability_multiplier"] or 0.0
+        assert de.pricing_bound(rho, eps, dv, points, mu, mu_s) == rung["upper_bound"]
+        for _ in range(10):
+            bound = de.pricing_bound(
+                rho, eps, dv, points + rng.choice([-1e-3, 1e-3], size=points.size),
+                mu * rng.uniform(0.0, 2.0, size=mu.size), mu_s * rng.uniform(0.0, 2.0))
+            assert bound >= full.objective - slack, case
+    assert priced == 40
+
+
+@pytest.mark.parametrize("rho, eps", [({6: 1.0}, 0.48), ({4: 1.0}, 0.6)],
+                         ids=["rho5-eps048", "rho3-eps06"])
+def test_working_set_margin(rho, eps):
+    # Both optima sit on degrees <= 8 at every Dv: rung 8 answers, its bound
+    # within 1e-9 of its objective, against a slack of 1.3e-8.
+    tol = solver.DEFAULT_TOL
+    for dv in (9, 10, 12, 14, 16, 20, 26, 34, 40, 52):
+        status, solution, checks, _ = cli._solve_verified(
+            "lambda", "field 'max-var-degree'", tol, DegreeDistribution(rho), eps, dv)
+        working_set = checks["working_set"]
+        assert (status, working_set["accepted"]) == ("optimal", 8), dv
+        margin = working_set["upper_bound"] - solution.objective
+        assert -tol * (1.0 + abs(solution.objective)) <= margin <= 1e-9, dv
+        assert working_set["rungs"][8]["pricing"]["residual"] <= 1e-14, dv
+
+
+def test_working_set_without_touching_points(monkeypatch):
+    # Newton fed an inconsistent active set, with the DE check's critical
+    # points taken away, still gives a valid bound; a rung is accepted only
+    # when that bound is within the slack, and otherwise the full program
+    # answers as it does alone.
+    real_check = cli.check_de_feasible
+    monkeypatch.setattr(cli, "check_de_feasible",
+                        lambda spec: dataclasses.replace(real_check(spec), critical_x=()))
+    tol = solver.DEFAULT_TOL
+    cases = [(DegreeDistribution({6: 1.0}), 0.48, 10), (DegreeDistribution({6: 1.0}), 0.48, 14),
+             (DegreeDistribution({4: 1.0}), 0.6, 12), (DegreeDistribution({4: 1.0}), 0.6, 20)]
+    cases += [case for case, _, _ in _a8_working_set_cases()[:6]]
+    for rho, eps, dv in cases:
+        status, solution, checks, _ = cli._solve_verified(
+            "lambda", "field 'max-var-degree'", tol, rho, eps, dv)
+        full_status, full, _, _, _ = cli._solve_program("lambda", tol, rho, eps, dv)
+        assert status == full_status, (rho, eps, dv)
+        if status != "optimal":
+            continue
+        slack = tol * (1.0 + abs(full.objective))
+        working_set = checks["working_set"]
+        assert working_set["rungs"][8]["upper_bound"] >= full.objective - slack
+        if working_set["accepted"] == 8:
+            assert working_set["upper_bound"] <= solution.objective + slack
+        else:
+            assert working_set["accepted"] == dv
+            assert solution.objective == full.objective
 
 
 def _full_program_report(capsys, argv, monkeypatch):
@@ -433,8 +518,9 @@ def _full_program_report(capsys, argv, monkeypatch):
 @pytest.mark.parametrize("max_degree", ["12", "20"])
 def test_priced_out_rung_falls_back_to_the_full_program(monkeypatch, capsys, max_degree):
     # The optimum at rho = x^10, eps = 0.3 takes degrees 10 and 11: rung 8 is
-    # priced out by 2.7e-3, and the full program answers next, with the
-    # objective and taps it gives alone; at Dv = 20 no rung lies between.
+    # priced out (UB 3.5e-2 above its objective at Dv = 12, 7.2e-2 at
+    # Dv = 20), and the full program answers next, with the objective and
+    # taps it gives alone; at Dv = 20 no rung lies between.
     argv = ("optimize-lambda", "--rho", '{"11": 1.0}', "--epsilon", "0.3",
             "--max-var-degree", max_degree)
     code, out, err = run_cli(capsys, *argv)
@@ -485,11 +571,85 @@ def test_failed_rung_moves_on(monkeypatch, capsys, outcome):
     report = json.loads(out)
     rungs = report["working_set"]["rungs"]
     assert rungs["8"]["status"] == outcome
-    assert rungs["8"]["upper_bound"] is None and "pricing_iterations" not in rungs["8"]
+    assert rungs["8"]["upper_bound"] is None and "pricing" not in rungs["8"]
     assert rungs["10"]["status"] == "optimal"
     assert report["working_set"]["accepted"] == 10
     del report["working_set"], report["duration_seconds"], full["duration_seconds"]
     assert report == full
+
+
+def _assert_refutes(witness, rho: dict, eps: float, max_degree: int) -> None:
+    """The witness x has psi(x)**(Dv-1) > x in exact arithmetic, with the
+    margin it reports: no lambda with degrees up to Dv decodes at eps."""
+    x = Fraction(witness["x"])
+    u = 1 - Fraction(eps) * x
+    psi = 1 - sum(Fraction(c) * u ** (int(d) - 1) for d, c in rho.items())
+    margin = psi ** (max_degree - 1) - x
+    assert 0 < x <= 1 and 0 <= psi <= 1
+    assert margin > 0 and float(margin) == witness["margin"]
+
+
+def test_design_past_eps_d_is_infeasible(capsys):
+    # eps_D (1 + 1e-6), eps_D the threshold of lambda = x^2 with degree-6
+    # checks: no lambda of degree up to 3 decodes. The solver's iterates
+    # diverge; the exact witness turns that into exit 2, for optimize-lambda
+    # and for the sweep's exact row.
+    eps = 0.42944024385930624
+    argv = ("--rho", '{"6": 1.0}', "--epsilon", repr(eps), "--max-var-degree", "3")
+    code, out, err = run_cli(capsys, "optimize-lambda", *argv)
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["status"] == "infeasible"
+    assert report["message"] == "iterates diverged after best point"
+    witness = report["infeasibility"]
+    assert witness["epsilon_d"] == de.bisect_threshold(
+        DegreeDistribution({3: 1.0}), DegreeDistribution({6: 1.0}))
+    assert witness["epsilon_d"] < eps
+    _assert_refutes(witness, report["inputs"]["rho"], eps, 3)
+    code, out, err = run_cli(capsys, "sweep", *argv, "--grid-sizes", "")
+    assert (code, err) == (2, "")
+    assert out.splitlines()[1:] == ["inf,,,,,infeasible"]
+
+
+def _pairs_below_eps_one(rng, count):
+    """``count`` (rho, Dv) pairs, rho from the A8 generator and Dv <= 12,
+    whose eps_D (1 + 2^-10) is below 1."""
+    pairs = []
+    while len(pairs) < count:
+        rho = random_distribution(rng, int(rng.integers(3, 8)))
+        dv = int(rng.integers(3, 13))
+        if de.bisect_threshold(DegreeDistribution({dv: 1.0}), rho) * (1.0 + 2.0 ** -10) < 1.0:
+            pairs.append((rho, dv))
+    return pairs
+
+
+def test_a8_designs_past_eps_d_are_infeasible(capsys):
+    # At eps_D (1 + 2^-k) no design decodes, and no run exits 3: it exits 2
+    # with an exact witness, as every run at k = 10 and 20 does, whether
+    # the solver found a certificate, diverged or returned a design that
+    # failed its DE check. Or, from k = 30 on, the solver's design passes
+    # the DE check, whose tolerance is wider than the exact violation, and
+    # exits 0; exit 2 there needs the decision before the solve. The
+    # Dv = 12 pair runs rung 8 and the full program.
+    pairs = [(DegreeDistribution({6: 1.0}), 12)] + _pairs_below_eps_one(
+        np.random.default_rng(53), 4)
+    for rho, dv in pairs:
+        eps_d = de.bisect_threshold(DegreeDistribution({dv: 1.0}), rho)
+        for k in (10, 20, 30, 40):
+            eps = eps_d * (1.0 + 2.0 ** -k)
+            code, out, err = run_cli(
+                capsys, "optimize-lambda", "--rho", json.dumps(rho.to_json_dict()),
+                "--epsilon", repr(eps), "--max-var-degree", str(dv))
+            report = json.loads(out)
+            if code == 0 and k >= 30:
+                assert report["de_check"]["feasible"] and err == ""
+                witness = de.infeasibility_witness(
+                    DegreeDistribution(report["inputs"]["rho"]), eps, dv)
+                assert witness["margin"] < ensemble.FEASIBILITY_TOL
+                continue
+            assert (code, err) == (2, ""), (rho, dv, k)
+            assert report["status"] == "infeasible"
+            _assert_refutes(report["infeasibility"], report["inputs"]["rho"], eps, dv)
 
 
 def test_oversized_lambda_program_is_refused_before_any_rung(monkeypatch, capsys):
