@@ -4,8 +4,9 @@ or against another version of the solver.
 
 Builds the 11 SOS programs that the benchmark's ``design`` workload
 solves, the full programs of its four ops with Dv > 8, the README's (3, 6)
-threshold program, a check-side design at eps = 0.95 that the solver has
-failed on, and four large designs (rho = x^5, eps = 0.48, Dv = 26, 34, 40
+threshold program, a check-side design at eps = 0.95 whose status turned
+on rounding while its program had no strictly feasible point, and four
+large designs (rho = x^5, eps = 0.48, Dv = 26, 34, 40
 and 52) through ``ldpcopt.sos`` and solves each with
 ``ldpcopt.solver.solve``. ``optimize-lambda`` answers those four ops
 (check6_eps048_dv10/12/14, check4_eps06_dv20) on the degrees 2..8, its
@@ -17,7 +18,7 @@ not edited: while a pass runs, its private per-iteration methods are wrapped
 from outside with timers, and each call is charged to one phase:
 
 - scaling: ``_Scaling.__init__`` (NT scaling of every block: one stacked
-  Cholesky call and one stacked SVD call);
+  Cholesky call and one stacked symmetric eigendecomposition call);
 - kkt: ``_KKT.__init__`` (the rows under the scaling, their Gram matrix
   and its Cholesky factor, the one factorization of an iteration; c and
   r_d in the scaled space; the direction per unit dtau);

@@ -24,10 +24,11 @@ workload, the type-MB ``verify``, two ``threshold`` pairs drawn by the A8
 generator (seeds 0 and 1), the README ``sweep``, as CSV and as JSON, two
 large-degree lines that take the root refinement to high degree (the
 Dv = 26 design, and the closed-form threshold of a pair with degree-30
-nodes on both sides), and two designs that break the stability condition
-eps lam_2 rho'(1) <= 1 by about 2e-5 (the ``optimize-rho`` design at
-eps = 0.95, which fails its DE check and exits 3, and a ``verify`` just
-above its threshold, which exits 2). The README ``optimize-lambda`` and
+nodes on both sides), the ``optimize-rho`` design at eps = 0.95 (posed as
+Q, its program had no strictly feasible point and its design broke the
+stability condition eps lam_2 rho'(1) <= 1 by about 2e-5 and exited 3;
+posed as Q / x it exits 0), and a ``verify`` just above its threshold,
+which breaks that condition and exits 2. The README ``optimize-lambda`` and
 ``threshold`` again with ``--output csv`` cover the flattened report, and the
 README sweep with ``--grid-sizes ""`` its exact row alone. The exact row
 of a Dv = 10 sweep as JSON pins the numeric order of its two-digit degree

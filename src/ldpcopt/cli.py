@@ -195,12 +195,13 @@ def _solve_program(kind: str, tol: float, *args) -> tuple:
     """One program of ``_solve_verified``: its four results, then the DE
     check's report (None unless a design's solve was optimal)."""
     # The sos builders and the checks are looked up when this runs, so that
-    # wrappers set on their modules (perfbench's tracer) take effect.
-    problem = getattr(sos, f"build_{kind}_problem")(*args)
+    # wrappers set on their modules (perfbench's tracer) take effect. The
+    # constraint family is built once, for the program and the certificate.
+    family = getattr(sos, f"{kind}_constraint_family")(*args)
+    problem = getattr(sos, f"build_{kind}_problem")(*args, family)
     solution = solve(problem, tol=tol)
     if solution.status != "optimal":
         return solution.status, solution, {}, None, None
-    family = getattr(sos, f"{kind}_constraint_family")(*args)
     values = solution.x[: family.shape[1] - 1]
     cert = sos.verify_certificate(solution.psd_matrices(problem),
                                   family @ np.concatenate(([1.0], values)))

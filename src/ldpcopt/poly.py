@@ -82,13 +82,18 @@ class Polynomial:
 
         A Python float runs the loop on Python floats and gives a float; any
         other input runs it on a float64 array (a 0-d input gives a numpy
-        scalar). Both round each multiply and add once, so the results agree
-        to the bit.
+        scalar), in place when the array has a dimension. All round each
+        multiply and add once, so the results agree to the bit.
         """
         acc = 0.0
         if type(xs) is not float:
             xs = np.asarray(xs, dtype=np.float64)
             acc = np.zeros_like(xs)
+            if xs.ndim:
+                for c in self._desc:
+                    acc *= xs
+                    acc += c
+                return acc
         for c in self._desc:
             acc = acc * xs + c
         return acc

@@ -37,9 +37,10 @@ product; DSDP forms its Schur matrix so, Benson, Ye & Zhang 2000). R = I
 gives A x and A' y, R the Nesterov-Todd factor the normal matrix, R a factor
 of X the first polish. These products and the cone kernels are a few
 batched numpy calls on the stack whatever the number of blocks: one
-Cholesky call factors the X and Z of every block and one SVD call gives
-their Nesterov-Todd scalings, and one eigenvalue call serves each step
-search. Every block product is symmetrized, 0.5 (M + M').
+Cholesky call factors the X and Z of every block and one symmetric
+eigendecomposition call gives their Nesterov-Todd scalings, and one
+eigenvalue call serves each step search. Every block product is
+symmetrized, 0.5 (M + M').
 
 Algorithm
 ---------
@@ -323,11 +324,16 @@ class _Scaling:
     ``lam`` is the scaled iterate (x and z alike), flat. All blocks are
     scaled at once on the stack: X and Z padded with the identity go
     through one Cholesky call, whose factor of diag(X, I) is diag(L, I)
-    exactly, and Lz' Lx padded with zeros through one SVD call. Its singular
-    values are positive on the block and zero on the pad, so the pad's sort
-    last and tie none of the block's (an identity pad would tie a unit
-    singular value, and the SVD could mix the two coordinates); the
-    factor's pad is then set to the identity.
+    exactly. With B = Lz' Lx padded with zeros, one symmetric
+    eigendecomposition call gives B'B = V diag(lam^2) V' (Todd, Toh &
+    Tutuncu 1998): V holds B's right singular vectors and lam its singular
+    values, and R = Lx V diag(lam)^-1/2. The eigenvalues are positive on
+    the block and zero on the pad, whose rows and columns of B'B are
+    exactly zero, so the pad's sort last once the order is reversed to
+    descending and tie none of the block's (an identity pad would tie a
+    unit eigenvalue, and the call could mix the two coordinates); the
+    factor's pad is then set to the identity. Forming B'B squares B's
+    condition, but the symmetric call costs less than an SVD of B.
     """
 
     def __init__(self, core, x: np.ndarray, z: np.ndarray):
@@ -345,10 +351,14 @@ class _Scaling:
             np.add(core.blocks_of(x), eye, out=pair[0])
             np.add(core.blocks_of(z), eye, out=pair[1])
             Lx, Lz = np.linalg.cholesky(pair)
-            _, lam, vt = np.linalg.svd(_t(Lz) @ Lx - eye)
+            b = _t(Lz) @ Lx - eye
+            lam, v = np.linalg.eigh(_t(b) @ b)
+            lam, v = lam[:, ::-1], v[:, :, ::-1]
+            # Clipped, so that a pad's zero rounded below it gives no nan.
+            np.sqrt(np.maximum(lam, 0.0, out=lam), out=lam)
             lam += core.pad_diag
             root = np.sqrt(lam)[:, None, :]
-            self.R = np.where(core.in_block, (Lx @ _t(vt)) / root, eye)
+            self.R = np.where(core.in_block, (Lx @ v) / root, eye)
             self.Rt = _t(self.R)
             self.root_outer = _t(root) * root
             _sym(lam[:, :, None], core.blocks_of(self.lam_mid))

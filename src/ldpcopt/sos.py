@@ -30,17 +30,19 @@ Because the design coefficients enter the constraint polynomial affinely,
 the feasibility sets are affine slices of the PSD cone and the rate and
 threshold design problems are semidefinite programs with no relaxation. A
 family is a constraint polynomial P whose coefficients are affine in the
-decision variables, carried as F = P / x^k at the Chebyshev nodes of degree
-n = deg P - k: a node table, a float64 array with one row per node, whose
+decision variables, carried as F = P / x at the Chebyshev nodes of degree
+n = deg P - 1: a node table, a float64 array with one row per node, whose
 column 0 is the constant part of F(x_j) and column 1+v the coefficient of
 variable v. Its values are evaluated in composed form; nothing here expands
 monomials. The lambda family is the table
 ``ensemble.lambda_constraint_table`` at the nodes, the same table the grid
 LP of ``ldpcopt.de`` takes at its grid; the rho and threshold families
-compose ``ensemble.psi`` and ``ensemble.running_powers`` here. When the
-family's k lowest orders vanish identically, the program is posed for
-F = P / x^k (k = 1 for the lambda and threshold families): all nodes are
-interior, so the division is safe.
+compose ``ensemble.psi`` and ``ensemble.running_powers`` here. P(0)
+vanishes on every program's feasible set (identically for the lambda and
+threshold families, on the simplex for the rho family), so each program is
+posed for F = P / x, at the nodes of degree deg P - 1: all nodes are
+interior, so a division by x is safe, and the rho family forms its
+quotient without one.
 
 ``verify_certificate`` checks the Gram blocks a solve returns: each block is
 PSD, and the node residuals r_j = F(x_j) - s(x_j) are small. With
@@ -66,7 +68,7 @@ GRAM_PSD_TOL = 1e-9
 # Bound on max |F - s| over [0, 1], relative to 1 + max |F(x_j)|.
 GRAM_RECONSTRUCTION_TOL = 1e-7
 
-# Largest degree + 1 of a constraint polynomial P, before x^k is factored
+# Largest degree + 1 of a constraint polynomial P, before x is factored
 # out. At the cap (Dv = 52 at deg rho = 6: blocks of 128 and 127, 255 node
 # rows) the build takes under 0.01 s and 32 MB resident, and a solve takes
 # 17 iterations and 0.8-0.9 s at 1 or 2 BLAS threads, peaking at 53 MB
@@ -139,19 +141,11 @@ def _family_degree(outer_degree: int, inner: DegreeDistribution) -> int:
     return degree
 
 
-def _family_nodes(k: int, outer_degree: int, inner: DegreeDistribution) -> np.ndarray:
-    """The Chebyshev nodes of degree deg P - k for the P of
-    ``_family_degree``."""
-    return chebyshev_nodes(_family_degree(outer_degree, inner) - k)[1]
-
-
-def _sample_family(k: int, outer_degree: int, inner: DegreeDistribution,
-                   table) -> np.ndarray:
-    """The node table of the P of degree (outer_degree - 1) * deg(inner)
-    whose columns at points xs are ``table(xs)``: sampled at the Chebyshev
-    nodes of degree deg P - k, and divided by x^k."""
-    x = _family_nodes(k, outer_degree, inner)
-    return table(x) / x[:, None] ** k
+def _sample_family(outer_degree: int, inner: DegreeDistribution, table) -> np.ndarray:
+    """The node table of F = P / x for the P of degree
+    (outer_degree - 1) * deg(inner): ``table(xs)`` gives F's columns at
+    points xs, here the Chebyshev nodes of degree deg P - 1."""
+    return table(chebyshev_nodes(_family_degree(outer_degree, inner) - 1)[1])
 
 
 def check_lambda_program(rho: DegreeDistribution, max_var_degree: int) -> None:
@@ -167,23 +161,35 @@ def lambda_constraint_family(rho: DegreeDistribution, eps: float,
     Affine in the variable-side coefficients lam_2..lam_Dv; P(0) = 0
     identically, so the program is posed for P / x.
     """
-    return _sample_family(
-        1, max_var_degree, rho, lambda x: lambda_constraint_table(rho, eps, max_var_degree, x))
+    return _sample_family(max_var_degree, rho, lambda x: lambda_constraint_table(
+        rho, eps, max_var_degree, x) / x[:, None])
 
 
 def rho_constraint_family(lam: DegreeDistribution, eps: float,
                           max_check_degree: int) -> np.ndarray:
-    """Q(x) = sum_j rho_j * phi(x)**(j-1) - 1 + x, phi(x) = 1 - eps*lam(x).
+    """Q(x) = sum_j rho_j * phi(x)**(j-1) - 1 + x, phi(x) = 1 - eps*lam(x),
+    posed as Q / x.
 
     Affine in the check-side coefficients rho_2..rho_Dc; Q >= 0 on [0, 1] is
-    the check-side form of the zero-erasure condition. Q(0) is
-    sum_j rho_j - 1, which vanishes on the simplex rather than identically.
+    the check-side form of the zero-erasure condition. Q(0) = sum_j rho_j - 1
+    vanishes on the simplex, which the program's simplex row imposes, and
+    there Q / x = 1 + sum_j rho_j (phi**(j-1) - 1) / x: column 0 is 1 and
+    column j - 1 is -eps (lam(x) / x) sum_{m < j-1} phi**m, with lam(x) / x
+    the edge polynomial's quotient, so no column cancels. Its value at 0 is
+    the stability margin 1 - eps lam_2 rho'(1). Posed as Q, the program had
+    no strictly feasible point: Q(0) = 0 left every feasible Gram block
+    singular.
     """
+    edge = lam.edge_polynomial()
+    quotient = Polynomial(edge.coeffs[1:])
+
     def table(x):
-        phi = 1.0 - eps * lam.edge_polynomial().evaluate_many(x)
-        return np.concatenate(
-            [(x - 1.0)[:, None], running_powers(phi, max_check_degree - 1)], axis=1)
-    return _sample_family(0, max_check_degree, lam, table)
+        ones = np.ones((x.size, 1))
+        phi = 1.0 - eps * edge.evaluate_many(x)
+        sums = np.cumsum(np.concatenate(
+            [ones, running_powers(phi, max_check_degree - 2)], axis=1), axis=1)
+        return np.concatenate([ones, (-eps * quotient.evaluate_many(x))[:, None] * sums], axis=1)
+    return _sample_family(max_check_degree, lam, table)
 
 
 def threshold_constraint_family(lam: DegreeDistribution,
@@ -192,8 +198,8 @@ def threshold_constraint_family(lam: DegreeDistribution,
     T(0) = 0 identically, so the program is posed for T / x."""
     def table(x):
         fixed = lam.edge_polynomial().evaluate_many(psi(rho.edge_polynomial(), 1.0, x))
-        return np.stack([-fixed, x], axis=1)
-    return _sample_family(1, lam.max_degree, rho, table)
+        return np.stack([-fixed, x], axis=1) / x[:, None]
+    return _sample_family(lam.max_degree, rho, table)
 
 
 # ---------------------------------------------------------------------------
@@ -245,51 +251,57 @@ def assemble_sos_program(family: np.ndarray, sense: str,
 
 
 def _build_design_problem(constraint_family, sense: str, fixed: DegreeDistribution,
-                          eps: float, max_degree: int,
-                          degree_name: str) -> ConicProblem:
+                          eps: float, max_degree: int, degree_name: str,
+                          family=None) -> ConicProblem:
     """Optimize sum_i v_i / i over the taps v_2..v_D >= 0 of one side, which
-    the simplex row keeps at most 1, subject to ``constraint_family`` >= 0."""
+    the simplex row keeps at most 1, subject to ``constraint_family`` >= 0
+    (its node table ``family`` when the caller has built it already)."""
     eps = float(eps)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     if max_degree < 2:
         raise ValueError(f"{degree_name} must be at least 2")
+    if family is None:
+        family = constraint_family(fixed, eps, max_degree)
     return assemble_sos_program(
-        constraint_family(fixed, eps, max_degree), sense,
+        family, sense,
         objective=[1.0 / i for i in range(2, max_degree + 1)],
         extra_eq=[(np.ones(max_degree - 1), 1.0)],
     )
 
 
 def build_lambda_problem(rho: DegreeDistribution, eps: float,
-                         max_var_degree: int) -> ConicProblem:
+                         max_var_degree: int, family=None) -> ConicProblem:
     """Maximize sum_i lam_i / i over DE-feasible variable-side distributions.
 
     The check side and the erasure probability are fixed; the decision
     variables are lam_2..lam_Dv plus the Gram blocks of the constraint
-    polynomial, of degree (Dv - 1) * deg(rho).
+    polynomial, of degree (Dv - 1) * deg(rho). ``family``, when given, is
+    ``lambda_constraint_family`` of the same arguments, built by the caller.
     """
     return _build_design_problem(lambda_constraint_family, "max", rho, eps,
-                                 max_var_degree, "max_var_degree")
+                                 max_var_degree, "max_var_degree", family)
 
 
 def build_rho_problem(lam: DegreeDistribution, eps: float,
-                      max_check_degree: int) -> ConicProblem:
-    """Minimize sum_j rho_j / j over check-side distributions feasible at eps."""
+                      max_check_degree: int, family=None) -> ConicProblem:
+    """Minimize sum_j rho_j / j over check-side distributions feasible at eps;
+    ``family`` as for ``build_lambda_problem``."""
     return _build_design_problem(rho_constraint_family, "min", lam, eps,
-                                 max_check_degree, "max_check_degree")
+                                 max_check_degree, "max_check_degree", family)
 
 
-def build_threshold_problem(lam: DegreeDistribution,
-                            rho: DegreeDistribution) -> ConicProblem:
+def build_threshold_problem(lam: DegreeDistribution, rho: DegreeDistribution,
+                            family=None) -> ConicProblem:
     """Minimize t >= 0 with t*x - lam(1 - rho(1 - x)) >= 0 on [0, 1].
 
     The constraint at x = 1 reads t - lam(1) = t - 1 >= 0, so t >= 1 needs
     no row of its own. The maximum tolerable erasure probability is
-    recovered as 1 / t*.
+    recovered as 1 / t*. ``family`` as for ``build_lambda_problem``.
     """
-    return assemble_sos_program(threshold_constraint_family(lam, rho), "min",
-                                objective=[1.0])
+    if family is None:
+        family = threshold_constraint_family(lam, rho)
+    return assemble_sos_program(family, "min", objective=[1.0])
 
 
 def build_sos_feasibility(p: Polynomial) -> ConicProblem:

@@ -159,24 +159,53 @@ def test_verify_fails_a_broken_stability_condition(capsys):
 
 
 def test_optimize_rho_design_breaking_stability_is_not_reported(tmp_path, capsys):
-    # The check-side program at this point has no strictly feasible point;
-    # the solver ends `optimal` on a design with eps lam_2 rho'(1) =
-    # 1.000019 > 1, which does not decode to zero. The DE check fails it at
-    # x = 0, and `verify` of the printed design exits 2.
+    # Posed as Q, whose Q(0) = 0 on the simplex, this program has no
+    # strictly feasible point, and its answer turns on rounding (a design
+    # with eps lam_2 rho'(1) = 1.000019 > 1, or a numerical failure). Posed
+    # as Q / x, whose value at 0 is the stability margin, it is solved and
+    # verified, and `verify` of the printed design passes.
     code, out, _ = run_cli(
         capsys, "optimize-rho",
         "--lambda", '{"7": 0.7035163711045316, "2": 0.2964836288954685}',
         "--epsilon", "0.95", "--max-check-degree", "7")
-    assert code == 3
+    assert code == 0
     report = json.loads(out)
-    assert report["status"] == "verification-failed"
-    assert not report["de_check"]["feasible"]
-    assert report["de_check"]["worst_x"] == 0.0
+    assert report["status"] == "optimal"
+    assert report["objective"] == pytest.approx(0.25814090, abs=1e-8)
+    assert report["de_check"]["feasible"]
+    rho = DegreeDistribution(report["ensemble"]["rho"])
+    assert 0.95 * 0.2964836288954685 * rho.derivative_at_one() <= 1.0
     path = tmp_path / "designed.json"
     path.write_text(json.dumps(report["ensemble"]))
     code, out, _ = run_cli(capsys, "verify", "--spec", str(path))
-    assert code == 2
-    assert not json.loads(out)["de_minimum"]["feasible"]
+    assert code == 0
+    assert json.loads(out)["de_minimum"]["feasible"]
+
+
+# The lambda that `optimize-lambda --rho '{"6": 1}' --epsilon 0.48
+# --max-var-degree 8` prints; rho = x^5 is strictly DE-feasible with it at
+# eps = 0.45 and 0.47.
+LAMBDA_AT_CHECK6_EPS048 = (
+    '{"2": 0.41268502494175546, "3": 0.18640611445808108, "4": 0.09990504299406247, '
+    '"5": 7.3835768451918366e-09, "6": 1.171897806294246e-08, "7": 0.17411862275664, '
+    '"8": 0.12688517574690594}')
+
+
+@pytest.mark.parametrize("eps, max_check_degree", [("0.45", "8"), ("0.47", "12")])
+def test_optimize_rho_pairs_with_an_optimized_lambda(capsys, eps, max_check_degree):
+    # rho = x^5 is strictly feasible here, so the Q / x program has an
+    # interior and must be answered (posed as Q it has none, and ends in a
+    # failed factorization at 0.45 and a failed DE check at 0.47).
+    code, out, _ = run_cli(
+        capsys, "optimize-rho", "--lambda", LAMBDA_AT_CHECK6_EPS048,
+        "--epsilon", eps, "--max-check-degree", max_check_degree)
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "optimal"
+    assert report["certificate"]["psd_ok"] and report["certificate"]["reconstruction_ok"]
+    assert report["de_check"]["feasible"]
+    # rho = x^5 is feasible, so the optimum is at most its sum rho_j / j.
+    assert report["objective"] <= 1.0 / 6.0 + 1e-8
 
 
 def test_verify_spec_file(tmp_path, capsys):

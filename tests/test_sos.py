@@ -47,16 +47,20 @@ def test_lambda_family_matches_de_polynomial(rng):
 
 def test_rho_family_constant_row_on_simplex(rng):
     lam = random_distribution(rng, 5)
-    fam = rho_constraint_family(lam, 0.4, 6)
+    eps = 0.4
+    fam = rho_constraint_family(lam, eps, 6)
     rho = random_distribution(rng, 6)
     values = [rho.get(j, 0.0) for j in range(2, 7)]
-    # Q(0) = sum rho_j - 1 vanishes on the simplex; Q is its interpolant at
-    # the n + 1 nodes, read at x = 0.
+    # On the simplex the table is Q / x, of degree deg Q - 1, and its
+    # interpolant at the n + 1 nodes, read at x = 0, is the stability
+    # margin 1 - eps lam_2 rho'(1).
     n = fam.shape[0] - 1
+    assert n == 5 * (lam.max_degree - 1) - 1
     _, x = chebyshev_nodes(n)
     cheb = np.polynomial.chebyshev.chebfit(
         2.0 * x - 1.0, fam @ np.concatenate(([1.0], values)), n)
-    assert np.polynomial.chebyshev.chebval(-1.0, cheb) == pytest.approx(0.0, abs=1e-12)
+    margin = 1.0 - eps * lam.get(2, 0.0) * rho.derivative_at_one()
+    assert np.polynomial.chebyshev.chebval(-1.0, cheb) == pytest.approx(margin, abs=1e-12)
 
 
 def test_threshold_family_structure():
