@@ -44,7 +44,10 @@ full-precision taps of LP rows whose columns reach psi**11; the README
 sweep's rows stop at psi**4. Two ``optimize-lambda`` lines pin the working
 set's two outcomes: the Dv = 52 design at rho = x^5, eps = 0.48, which rung
 8 answers, and rho = x^10 at eps = 0.3, Dv = 12, whose optimum needs
-degrees above 8, so that the full program answers. They
+degrees above 8, so that the full program answers. The ``optimize-rho``
+line at lambda = x^2, eps = 0.3, Dc = 12 pins the largest check-side
+program (the other rho lines stop at Dc = 7); its design puts rho on
+degrees 8 and 9. They
 are copied here, so that a change to the benchmark does not change them.
 Together they take about 1 s on a 2-vCPU host.
 Run as:  python benchmarks/report_digests.py
@@ -139,6 +142,8 @@ COMMANDS = [
                          "--output", "json")),
     ("check6_eps048_dv52", _optimize_lambda('{"6": 1.0}', "0.48", "52")),
     ("climb_rho11_eps03_dv12", _optimize_lambda('{"11": 1.0}', "0.3", "12")),
+    ("rho_regular_3_dc12", ("optimize-rho", "--lambda", '{"3": 1.0}', "--epsilon", "0.3",
+                            "--max-check-degree", "12")),
 ]
 
 # The JSON line `  "duration_seconds": ...` or the CSV row `duration_seconds,...`.

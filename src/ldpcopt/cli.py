@@ -254,7 +254,7 @@ def _solve_lambda(tol: float, rho: DegreeDistribution, eps: float,
     """
     # An oversized full program, the rung the others fall back to, is
     # refused before any rung is solved.
-    sos.check_lambda_program(rho, max_degree)
+    sos.constraint_degree(max_degree, rho.max_degree)
     rungs = {}
     if FIRST_RUNG < max_degree:
         status, solution, checks, spec, de = _solve_program("lambda", tol, rho, eps, FIRST_RUNG)

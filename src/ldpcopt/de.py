@@ -33,14 +33,14 @@ decodes, and one point checked in rational arithmetic proves it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from . import solver
 from .ensemble import (DegreeDistribution, FeasibilityReport, _gain_scan, design_rate,
-                       lambda_constraint_table, read_taps)
+                       lambda_constraint_table, psi, read_taps)
 from .solver import ConicProblem, ConicSolution
 
 # Allowance for rounding, and for coefficient sums off 1 by up to SUM_TOL,
@@ -233,10 +233,9 @@ class Pricing:
 
     def report(self) -> dict:
         """The report's ``pricing`` block: every field but the bound."""
-        return {"support": list(self.support), "points": list(self.points),
-                "multipliers": list(self.multipliers),
-                "stability_multiplier": self.stability_multiplier,
-                "steps": self.steps, "residual": self.residual}
+        block = asdict(self)
+        del block["upper_bound"]
+        return block
 
 
 def pricing_bound(rho: DegreeDistribution, eps: float, max_var_degree: int,
@@ -270,18 +269,15 @@ class _KktSystem:
 
     Its unknowns are z = [lam_S | x_k | mu_k | mu_1 | mu_s | tau], mu_1 and
     mu_s only when the end point and the stability row are active. Calling
-    it at z gives the equation residuals and their Jacobian, from psi, psi'
-    and psi'' by one Horner loop on rho and its derivatives.
+    it at z gives the equation residuals and their Jacobian, from psi
+    (``ensemble.psi``) and psi', psi'' (Horner on rho' and rho'').
     """
 
     def __init__(self, rho: DegreeDistribution, eps: float, lam: DegreeDistribution,
                  de: FeasibilityReport):
-        # rho, rho' and rho'' side by side, highest power first, for one
-        # Horner loop over all three.
-        c = rho.edge_polynomial().coeffs
-        d1 = np.append(c[1:] * np.arange(1.0, c.size), 0.0)
-        d2 = np.append(d1[1:] * np.arange(1.0, c.size), 0.0)
-        self.horner = np.stack([c, d1, d2], axis=1)[::-1]
+        self.rho = rho.edge_polynomial()
+        self.drho = self.rho.derivative()
+        self.ddrho = self.drho.derivative()
         self.eps = eps
         support = np.array([d for d, c in lam.items() if c > SUPPORT_TOL], dtype=np.float64)
         self.support, self.taps = support, np.array([lam[int(d)] for d in support])
@@ -316,12 +312,12 @@ class _KktSystem:
     def columns(self, xs: np.ndarray) -> tuple:
         """psi(x)**(i-1) and its first two x-derivatives, i in the support,
         one row per point."""
-        u = (1.0 - self.eps * xs)[:, None]
-        acc = self.horner[0]
-        for c in self.horner[1:]:
-            acc = acc * u + c
-        # psi = 1 - rho(u), psi' = eps rho'(u), psi'' = -eps^2 rho''(u).
-        p, dp, ddp = 1.0 - acc[:, :1], self.eps * acc[:, 1:2], -self.eps ** 2 * acc[:, 2:]
+        # psi = 1 - rho(u), psi' = eps rho'(u), psi'' = -eps^2 rho''(u),
+        # u = 1 - eps x.
+        u = 1.0 - self.eps * xs
+        p = psi(self.rho, self.eps, xs)[:, None]
+        dp = self.eps * self.drho.evaluate_many(u)[:, None]
+        ddp = -self.eps ** 2 * self.ddrho.evaluate_many(u)[:, None]
         e, e1, e2, ee = self.powers
         below = e * p ** e1
         return p ** e, below * dp, ee * p ** e2 * dp ** 2 + below * ddp

@@ -36,8 +36,11 @@ column 0 is the constant part of F(x_j) and column 1+v the coefficient of
 variable v. Its values are evaluated in composed form; nothing here expands
 monomials. The lambda family is the table
 ``ensemble.lambda_constraint_table`` at the nodes, the same table the grid
-LP of ``ldpcopt.de`` takes at its grid; the rho and threshold families
-compose ``ensemble.psi`` and ``ensemble.running_powers`` here. P(0)
+LP of ``ldpcopt.de`` takes at its grid; the threshold family composes
+``ensemble.psi``, and the rho family phi = 1 - eps lam with
+``ensemble.running_powers``. Each family takes deg P from
+``constraint_degree``, the one cap on program size, and the two design
+families refuse an eps outside [0, 1) or a maximum degree below 2. P(0)
 vanishes on every program's feasible set (identically for the lambda and
 threshold families, on the simplex for the rho family), so each program is
 posed for F = P / x, at the nodes of degree deg P - 1: all nodes are
@@ -69,13 +72,14 @@ GRAM_PSD_TOL = 1e-9
 GRAM_RECONSTRUCTION_TOL = 1e-7
 
 # Largest degree + 1 of a constraint polynomial P, before x is factored
-# out. At the cap (Dv = 52 at deg rho = 6: blocks of 128 and 127, 255 node
-# rows) the build takes under 0.01 s and 32 MB resident, and a solve takes
-# 17 iterations and 0.8-0.9 s at 1 or 2 BLAS threads, peaking at 53 MB
-# (2 vCPUs); time grows as d^3 and memory as d^2. Larger programs are
-# refused before anything is built. The cap applies to the full --max-var-
-# degree program even where ``optimize-lambda`` accepts its smaller first
-# rung, since that program is the rung it falls back to.
+# out: the cap that ``constraint_degree`` applies to every program. At the
+# cap (Dv = 52 at deg rho = 6: blocks of 128 and 127, 255 node rows) the
+# build takes under 0.01 s and 32 MB resident, and a solve takes 17
+# iterations and 0.8-0.9 s at 1 or 2 BLAS threads, peaking at 53 MB
+# (2 vCPUs); time grows as d^3 and memory as d^2. ``optimize-lambda``
+# checks the cap on its full --max-var-degree program even where its
+# smaller first rung answers, since that program is the rung it falls back
+# to.
 MAX_GRAM_DIM = 256
 
 
@@ -83,11 +87,20 @@ class GramTooLarge(ValueError):
     """The constraint polynomial's degree + 1 exceeds ``MAX_GRAM_DIM``."""
 
 
-def _check_gram_dim(degree: int) -> None:
-    """Refuse a constraint polynomial of degree + 1 above ``MAX_GRAM_DIM``."""
+def constraint_degree(outer_degree: int, inner_degree: int) -> int:
+    """deg P = (outer_degree - 1) * (inner_degree - 1) of a constraint
+    polynomial that composes an edge polynomial of largest degree
+    ``outer_degree`` with one of largest degree ``inner_degree``.
+
+    The one Gram-cap rule: it raises ``GramTooLarge`` when deg P + 1
+    exceeds ``MAX_GRAM_DIM``. Every family takes its degree from it before
+    anything is built, and the CLI asks it before solving a lambda rung.
+    """
+    degree = (outer_degree - 1) * (inner_degree - 1)
     if degree + 1 > MAX_GRAM_DIM:
         raise GramTooLarge(
             f"Gram dimension {degree + 1} exceeds the limit of {MAX_GRAM_DIM}")
+    return degree
 
 
 # ---------------------------------------------------------------------------
@@ -125,33 +138,24 @@ def coefficient_family(table: np.ndarray) -> np.ndarray:
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] < 1:
         raise ValueError("coefficient table needs one row per power and a constant column")
-    _check_gram_dim(table.shape[0] - 1)
+    # P is itself composed with x, the edge polynomial of largest degree 2.
+    degree = constraint_degree(table.shape[0], 2)
     k = 0
-    while k < table.shape[0] - 1 and not np.any(table[k]):
+    while k < degree and not np.any(table[k]):
         k += 1
-    _, x = chebyshev_nodes(table.shape[0] - 1 - k)
+    _, x = chebyshev_nodes(degree - k)
     return np.polynomial.polynomial.polyval(x, table[k:]).T
 
 
-def _family_degree(outer_degree: int, inner: DegreeDistribution) -> int:
-    """deg P = (outer_degree - 1) * deg(inner); ``GramTooLarge`` when P is
-    over the cap."""
-    degree = (outer_degree - 1) * (inner.max_degree - 1)
-    _check_gram_dim(degree)
-    return degree
-
-
-def _sample_family(outer_degree: int, inner: DegreeDistribution, table) -> np.ndarray:
-    """The node table of F = P / x for the P of degree
-    (outer_degree - 1) * deg(inner): ``table(xs)`` gives F's columns at
-    points xs, here the Chebyshev nodes of degree deg P - 1."""
-    return table(chebyshev_nodes(_family_degree(outer_degree, inner) - 1)[1])
-
-
-def check_lambda_program(rho: DegreeDistribution, max_var_degree: int) -> None:
-    """Refuse (``GramTooLarge``) the lambda program whose P is over the cap,
-    without building anything."""
-    _family_degree(max_var_degree, rho)
+def _design_eps(eps: float, max_degree: int, degree_name: str) -> float:
+    """``eps`` as a float, once it lies in [0, 1) and the design side's
+    ``max_degree`` is at least 2; ValueError otherwise."""
+    eps = float(eps)
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    if max_degree < 2:
+        raise ValueError(f"{degree_name} must be at least 2")
+    return eps
 
 
 def lambda_constraint_family(rho: DegreeDistribution, eps: float,
@@ -159,10 +163,12 @@ def lambda_constraint_family(rho: DegreeDistribution, eps: float,
     """P(x) = x - sum_i lam_i * psi(x)**(i-1), psi(x) = 1 - rho(1 - eps*x).
 
     Affine in the variable-side coefficients lam_2..lam_Dv; P(0) = 0
-    identically, so the program is posed for P / x.
+    identically, so the program is posed for P / x. ValueError unless eps
+    lies in [0, 1) and Dv is at least 2.
     """
-    return _sample_family(max_var_degree, rho, lambda x: lambda_constraint_table(
-        rho, eps, max_var_degree, x) / x[:, None])
+    eps = _design_eps(eps, max_var_degree, "max_var_degree")
+    _, x = chebyshev_nodes(constraint_degree(max_var_degree, rho.max_degree) - 1)
+    return lambda_constraint_table(rho, eps, max_var_degree, x) / x[:, None]
 
 
 def rho_constraint_family(lam: DegreeDistribution, eps: float,
@@ -178,28 +184,26 @@ def rho_constraint_family(lam: DegreeDistribution, eps: float,
     the edge polynomial's quotient, so no column cancels. Its value at 0 is
     the stability margin 1 - eps lam_2 rho'(1). Posed as Q, the program had
     no strictly feasible point: Q(0) = 0 left every feasible Gram block
-    singular.
+    singular. ValueError unless eps lies in [0, 1) and Dc is at least 2.
     """
+    eps = _design_eps(eps, max_check_degree, "max_check_degree")
+    _, x = chebyshev_nodes(constraint_degree(max_check_degree, lam.max_degree) - 1)
     edge = lam.edge_polynomial()
-    quotient = Polynomial(edge.coeffs[1:])
-
-    def table(x):
-        ones = np.ones((x.size, 1))
-        phi = 1.0 - eps * edge.evaluate_many(x)
-        sums = np.cumsum(np.concatenate(
-            [ones, running_powers(phi, max_check_degree - 2)], axis=1), axis=1)
-        return np.concatenate([ones, (-eps * quotient.evaluate_many(x))[:, None] * sums], axis=1)
-    return _sample_family(max_check_degree, lam, table)
+    ones = np.ones((x.size, 1))
+    phi = 1.0 - eps * edge.evaluate_many(x)
+    sums = np.cumsum(np.concatenate(
+        [ones, running_powers(phi, max_check_degree - 2)], axis=1), axis=1)
+    quotient = Polynomial(edge.coeffs[1:]).evaluate_many(x)
+    return np.concatenate([ones, (-eps * quotient)[:, None] * sums], axis=1)
 
 
 def threshold_constraint_family(lam: DegreeDistribution,
                                 rho: DegreeDistribution) -> np.ndarray:
     """T(x) = t*x - lam(1 - rho(1 - x)), affine in the single variable t;
     T(0) = 0 identically, so the program is posed for T / x."""
-    def table(x):
-        fixed = lam.edge_polynomial().evaluate_many(psi(rho.edge_polynomial(), 1.0, x))
-        return np.stack([-fixed, x], axis=1) / x[:, None]
-    return _sample_family(lam.max_degree, rho, table)
+    _, x = chebyshev_nodes(constraint_degree(lam.max_degree, rho.max_degree) - 1)
+    fixed = lam.edge_polynomial().evaluate_many(psi(rho.edge_polynomial(), 1.0, x))
+    return np.stack([-fixed, x], axis=1) / x[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +254,14 @@ def assemble_sos_program(family: np.ndarray, sense: str,
     )
 
 
-def _build_design_problem(constraint_family, sense: str, fixed: DegreeDistribution,
-                          eps: float, max_degree: int, degree_name: str,
-                          family=None) -> ConicProblem:
-    """Optimize sum_i v_i / i over the taps v_2..v_D >= 0 of one side, which
-    the simplex row keeps at most 1, subject to ``constraint_family`` >= 0
-    (its node table ``family`` when the caller has built it already)."""
-    eps = float(eps)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    if max_degree < 2:
-        raise ValueError(f"{degree_name} must be at least 2")
-    if family is None:
-        family = constraint_family(fixed, eps, max_degree)
-    return assemble_sos_program(
-        family, sense,
-        objective=[1.0 / i for i in range(2, max_degree + 1)],
-        extra_eq=[(np.ones(max_degree - 1), 1.0)],
-    )
+def _design_problem(family: np.ndarray, sense: str) -> ConicProblem:
+    """Optimize sum_i v_i / i over the taps v_2..v_D >= 0 of one side, one
+    per variable of the node table ``family``, which the simplex row keeps
+    at most 1, subject to ``family`` >= 0."""
+    nv = family.shape[1] - 1
+    return assemble_sos_program(family, sense,
+                                objective=[1.0 / i for i in range(2, nv + 2)],
+                                extra_eq=[(np.ones(nv), 1.0)])
 
 
 def build_lambda_problem(rho: DegreeDistribution, eps: float,
@@ -279,16 +273,18 @@ def build_lambda_problem(rho: DegreeDistribution, eps: float,
     polynomial, of degree (Dv - 1) * deg(rho). ``family``, when given, is
     ``lambda_constraint_family`` of the same arguments, built by the caller.
     """
-    return _build_design_problem(lambda_constraint_family, "max", rho, eps,
-                                 max_var_degree, "max_var_degree", family)
+    if family is None:
+        family = lambda_constraint_family(rho, eps, max_var_degree)
+    return _design_problem(family, "max")
 
 
 def build_rho_problem(lam: DegreeDistribution, eps: float,
                       max_check_degree: int, family=None) -> ConicProblem:
     """Minimize sum_j rho_j / j over check-side distributions feasible at eps;
     ``family`` as for ``build_lambda_problem``."""
-    return _build_design_problem(rho_constraint_family, "min", lam, eps,
-                                 max_check_degree, "max_check_degree", family)
+    if family is None:
+        family = rho_constraint_family(lam, eps, max_check_degree)
+    return _design_problem(family, "min")
 
 
 def build_threshold_problem(lam: DegreeDistribution, rho: DegreeDistribution,

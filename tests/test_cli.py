@@ -505,6 +505,18 @@ def test_working_set_margin(rho, eps):
         assert working_set["rungs"][8]["pricing"]["residual"] <= 1e-14, dv
 
 
+def test_pricing_block_keys(capsys):
+    # The rung's pricing block holds every field of de.Pricing but the
+    # bound, which stands beside it as the rung's upper_bound.
+    code, out, _ = run_cli(capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
+                           "--epsilon", "0.48", "--max-var-degree", "14")
+    assert code == 0
+    rung = json.loads(out)["working_set"]["rungs"]["8"]
+    assert set(rung["pricing"]) == {"support", "points", "multipliers",
+                                    "stability_multiplier", "steps", "residual"}
+    assert rung["upper_bound"] is not None
+
+
 def test_working_set_without_touching_points(monkeypatch):
     # Newton fed an inconsistent active set, with the DE check's critical
     # points taken away, still gives a valid bound; a rung is accepted only

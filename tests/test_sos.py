@@ -128,6 +128,15 @@ def test_lambda_problem_rejects_bad_eps():
     assert build_lambda_problem(rho, 0.0, 5).psd_dims == (6, 6)  # deg P = 12, F 11
 
 
+@pytest.mark.parametrize("family", [lambda_constraint_family, rho_constraint_family])
+@pytest.mark.parametrize("eps, degree", [(1.0, 6), (1.5, 6), (-0.1, 6), (float("nan"), 6),
+                                         (0.3, 1)])
+def test_design_family_refuses_bad_eps_or_degree(family, eps, degree):
+    # The family itself refuses, not only the builder that poses it.
+    with pytest.raises(ValueError):
+        family(DegreeDistribution({3: 1.0}), eps, degree)
+
+
 def test_degenerate_epsilon_unconstrained_simplex():
     # With eps = 0 the decoding constraint is vacuous and all edge mass goes
     # to degree 2, giving objective 1/2.
