@@ -41,9 +41,10 @@ designs, about 2 s each at Dv = 52); the table shows the median pass. The proces
 large ones. Run as:  python benchmarks/bench_solver.py
 
 A first table, printed before the timings, gives each program's status,
-iteration count and the first 12 hex digits of the SHA-1 of its answer: the
-decision variables followed by the PSD blocks. Two versions of the solver take bit-identical steps
-on these programs when that table is the same for both:
+iterations run, the iteration it returned (``ret``) and the first 12 hex
+digits of the SHA-1 of its answer: the decision variables followed by the
+PSD blocks. Two versions of the solver take bit-identical steps on these
+programs when that table is the same for both:
 
     diff <(python benchmarks/bench_solver.py | sed -n '1,/^$/p') \
          <(PYTHONPATH=other/src python benchmarks/bench_solver.py | sed -n '1,/^$/p')
@@ -262,13 +263,13 @@ def main():
     # The large programs are built only once the standard ones are solved,
     # so that the first peak is theirs alone.
     problems, peaks = [], []
-    print(f"{'program':20s} {'status':>8s} {'iters':>5s} {'x sha1':>12s}")
+    print(f"{'program':20s} {'status':>8s} {'iters':>5s} {'ret':>5s} {'x sha1':>12s}")
     for specs, n_passes in ((PROGRAMS, PASSES), (LARGE_PROGRAMS, LARGE_PASSES)):
         for name, *spec in specs:
             problem = build(*spec)
             sol = solver.solve(problem)
             print(f"{name:20s} {sol.status:>8s} {len(sol.history) - 1:5d} "
-                  f"{answer_digest(sol):>12s}")
+                  f"{sol.iterations:5d} {answer_digest(sol):>12s}")
             problems.append((name, problem, n_passes))
         peaks.append(peak_rss_mb())
     print()

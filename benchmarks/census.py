@@ -26,8 +26,9 @@ seed 42: its whole set), and runs everything twice, in subprocesses at 1 and at 
 threads. It prints each program's status (a flip shows every way's, by
 its first letter), its iterations run under every way (in the order eps,
 -ulp, +ulp, reversed) and thread count,
-and the largest objective spread among its optimal answers; it exits 1 if
-any program flips. Run as:
+and the largest objective spread among its optimal answers, then a summary
+line: the flips and, at each thread count, the iterations run at ``eps``
+summed over all programs. It exits 1 if any program flips. Run as:
 
     python benchmarks/census.py
 
@@ -142,8 +143,11 @@ def main():
         objs = [obj for status, _, obj in cells if status == "optimal"]
         spread = f"{max(objs) - min(objs):10.1e}" if objs else f"{'-':>10s}"
         print(f"{name:22s} {status:17s} {iters:26s} {spread} {'FLIP' if flip else ''}")
+    totals = " / ".join(str(sum(by_threads[t][name]["eps"][1] for name, *_ in programs))
+                        for t in BLAS_THREADS)
     print(f"\n{len(programs)} programs, {len(WAYS)} ways at each of "
-          f"{len(BLAS_THREADS)} BLAS thread counts: {flipped} flipped")
+          f"{len(BLAS_THREADS)} BLAS thread counts: {flipped} flipped; "
+          f"{totals} iterations run at eps, at {' / '.join(map(str, BLAS_THREADS))} threads")
     return 1 if flipped else 0
 
 

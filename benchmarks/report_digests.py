@@ -47,7 +47,8 @@ set's two outcomes: the Dv = 52 design at rho = x^5, eps = 0.48, which rung
 degrees above 8, so that the full program answers. The ``optimize-rho``
 line at lambda = x^2, eps = 0.3, Dc = 12 pins the largest check-side
 program (the other rho lines stop at Dc = 7); its design puts rho on
-degrees 8 and 9. They
+degrees 8 and 9. The Dv = 12 design at rho = x^5, eps = 0.48 as CSV pins
+the rows of the lists in its rung's pricing block, one per element. They
 are copied here, so that a change to the benchmark does not change them.
 Together they take about 1 s on a 2-vCPU host.
 Run as:  python benchmarks/report_digests.py
@@ -144,6 +145,8 @@ COMMANDS = [
     ("climb_rho11_eps03_dv12", _optimize_lambda('{"11": 1.0}', "0.3", "12")),
     ("rho_regular_3_dc12", ("optimize-rho", "--lambda", '{"3": 1.0}', "--epsilon", "0.3",
                             "--max-check-degree", "12")),
+    ("check6_eps048_dv12_csv", _optimize_lambda('{"6": 1.0}', "0.48", "12")
+     + ("--output", "csv")),
 ]
 
 # The JSON line `  "duration_seconds": ...` or the CSV row `duration_seconds,...`.

@@ -157,10 +157,14 @@ def _emit(report: dict, output: str) -> None:
 
 
 def _flatten(data, prefix=""):
+    """One (key, value) per leaf of a report: a dict's entries and a list's
+    elements are keyed ``<name>.<key>`` and ``<name>.<index>``, so that no
+    value holds the commas that separate CSV fields."""
     out = {}
-    for key, value in data.items():
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
         name = f"{prefix}{key}"
-        if isinstance(value, dict):
+        if isinstance(value, (dict, list, tuple)):
             out.update(_flatten(value, name + "."))
         else:
             out[name] = value

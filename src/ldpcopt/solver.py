@@ -64,27 +64,29 @@ Identical inputs produce identical iterate sequences.
 
 The method keeps the iterate with the smallest merit max(primal residual,
 dual residual, relative gap). Once that merit meets the tolerance, an
-iteration that does not at least halve it, or that brings it to the rounding
-unit, ends the solve, and the best iterate is returned (its message starts
-with ``best iterate returned:``). Its primal part is then polished by
-least-squares corrections that clear the equality residual, so the answer
-satisfies A x = b to rounding even when the iterates stalled just below the
-tolerance. The first weighs each block X by X itself (a correction X S X);
-the second, with unit block weights, clears what rounding leaves of the
-residual. A correction that would leave the cone is halved until it does
-not.
+iterate whose merit is at most its floor, max(tol / 10, the rounding unit),
+ends the solve and is returned; one that does not at least halve the best
+merit ends it too, and the best iterate is returned (in both cases its
+message starts with ``best iterate returned:``). Its primal part is then
+polished by least-squares corrections that clear the equality residual, so
+the answer satisfies A x = b to rounding even when the iterates stalled just
+below the tolerance. The first weighs each block X by X itself (a
+correction X S X); the second, with unit block weights, clears what
+rounding leaves of the residual. A correction that would leave the cone is
+halved until it does not.
 
-Nine stop rules end the loop, each with its own message: no further progress
-after convergence, the merit at the rounding unit, divergence after the best
-point, a primal infeasibility certificate, an unboundedness certificate, the
-iteration cap ``MAX_ITERS``, a failed scaling or factorization, a degenerate
-step equation and a collapsed step. Every one of them ends in the same tail
-after the loop. The two certificates answer ``infeasible`` and
-``unbounded``; every other rule answers with the best iterate, ``optimal``
-when its merit met the tolerance and ``numerical-failure`` with its
-residuals otherwise. An optimal answer is polished, checked post hoc
-(equality residual, orthant, least block eigenvalue) and returned as svec
-data; a failed check is a numerical failure too.
+Nine stop rules end the loop, each with its own message: the merit at its
+floor after convergence, no further progress after convergence, divergence
+after the best point, a primal infeasibility certificate, an unboundedness
+certificate, the iteration cap ``MAX_ITERS``, a failed scaling or
+factorization, a degenerate step equation and a collapsed step. Every one of
+them ends in the same tail after the loop. The two certificates answer
+``infeasible`` and ``unbounded``; every other rule answers with the best
+iterate, ``optimal`` when its merit met the tolerance and
+``numerical-failure`` with its residuals otherwise. An optimal answer is
+polished, checked post hoc (equality residual, orthant, least block
+eigenvalue) and returned as svec data; a failed check is a numerical failure
+too.
 """
 
 from __future__ import annotations
@@ -105,8 +107,11 @@ _MIN_STEP = 1e-13
 # Past the tolerance an iteration counts as progress only if it multiplies
 # the best merit by at most this factor; slower gains are the rounding floor.
 _MIN_PROGRESS = 0.5
-# A merit this small has reached the rounding unit: past the tolerance,
-# further iterations can only shrink it until it underflows.
+# The rounding unit, the least floor of the merit. Past the tolerance, an
+# iterate whose merit is at most max(tol / 10, _MERIT_FLOOR) is returned at
+# once: a further step costs an iteration to gain accuracy no caller asked
+# for, and in most design solves it makes the primal residual worse; below
+# the rounding unit steps can only shrink the merit until it underflows.
 _MERIT_FLOOR = float(np.finfo(np.float64).eps)
 
 
@@ -515,8 +520,16 @@ class _KKT:
 
     def __init__(self, core, scaling: _Scaling, tau, kappa, r_p, r_d, r_g):
         self.rows = _Rows(core, core.A.T * scaling.w[:, None], scaling.R)
-        self.chat = scaling.scale(core.c)
-        g_chat = self.rows.dot(self.chat)
+        if core.c_in_blocks:
+            self.chat = scaling.scale(core.c)
+            g_chat = self.rows.dot(self.chat)
+        else:
+            # R' 0 R is 0: only the orthant part of c is scaled and dotted,
+            # to the same bits.
+            n = core.n_orth
+            self.chat = np.zeros(core.m_c)
+            np.multiply(scaling.w, core.c[:n], out=self.chat[:n])
+            g_chat = self.rows.orth.T.dot(self.chat[:n])
         phi = self.rows.gram()
         self.phi = 0.5 * (phi + phi.T)
         self.chol_inv = _inverse_gram_factor(self.phi)
@@ -599,6 +612,9 @@ class _Core:
         self.svec_weight = np.concatenate([np.ones(n), np.where(
             self.in_block, np.where(eye == 1.0, 1.0, _SQRT2), 0.0).ravel()])
         self.c = self.sign * self.flat(prob.c)
+        # Whether c has a block part. Every program ``sos`` builds has its
+        # objective on the taps or on t, and ``_KKT`` then skips the blocks.
+        self.c_in_blocks = bool(self.blocks_of(self.c).any())
 
     def blocks_of(self, v: np.ndarray) -> np.ndarray:
         """The (K, D, D) block view of flat data v: a reshape, writable when
@@ -711,6 +727,7 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
     tau, kappa = 1.0, 1.0
 
     history = []
+    floor = max(tol / 10, _MERIT_FLOOR)
     step_taken = 0.0
     best = None
     best_merit = math.inf
@@ -738,22 +755,23 @@ def solve(problem: ConicProblem, tol: float = DEFAULT_TOL,
 
         # Keep the best iterate: degenerate problems can destabilize right at
         # the end, and a late bad step must not discard a converged point.
-        # Once the best iterate meets `tol`, iterate only while the merit
-        # still falls by the factor _MIN_PROGRESS: past that point the
-        # residuals have reached their rounding floor and further steps
-        # shrink without gaining accuracy (the final polish clears the primal
-        # residual instead). A merit that keeps falling fast ends the solve
-        # once it reaches _MERIT_FLOOR.
+        # Once the best iterate meets `tol`, an iterate at the merit's floor
+        # (a tenth of `tol`, or _MERIT_FLOOR when that is larger) ends the
+        # solve and is returned, with no step taken past it. Short of the
+        # floor, iterate only while the merit still falls by the factor
+        # _MIN_PROGRESS: past that point the residuals have reached their
+        # rounding floor and further steps shrink without gaining accuracy
+        # (the final polish clears the primal residual instead).
         merit = max(pres, dres, relgap)
         stalled = best_merit <= tol and merit > _MIN_PROGRESS * best_merit
         if merit < best_merit:
             best_merit = merit
             best = (x, y, tau, abs(pobj - dobj), pres, it)
+        if best_merit <= tol and merit <= floor:
+            message = "merit reached its floor"
+            break
         if stalled:
             message = "no further progress after convergence"
-            break
-        if best_merit <= tol and merit <= _MERIT_FLOOR:
-            message = "merit reached the rounding unit"
             break
         if merit > 1e3 * best_merit:
             message = "iterates diverged after best point"

@@ -1,5 +1,6 @@
 """Command-line interface: pipelines, exit codes, report invariants."""
 
+import csv
 import dataclasses
 import functools
 import io
@@ -355,6 +356,18 @@ def test_report_output_csv(capsys):
     assert rows["stability_lambda2_bound"] == "null"
     assert rows["degenerate_epsilon"] == "true"
     assert rows["status"] == "optimal"
+
+
+def test_csv_report_writes_one_field_per_value(capsys):
+    # The rung's pricing block holds lists; each element is its own row, so
+    # that no JSON array's commas split a row into extra fields.
+    code, out, _ = run_cli(capsys, "optimize-lambda", "--rho", '{"6": 1.0}',
+                           "--epsilon", "0.48", "--max-var-degree", "12", "--output", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows), [row for row in rows if len(row) != 2]
+    rows = dict(rows)
+    assert rows["working_set.rungs.8.pricing.support.0"] == "2"
 
 
 def test_threshold_reference_design(capsys):

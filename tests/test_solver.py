@@ -349,16 +349,19 @@ def test_rows_without_scalars_are_kept():
 def test_zero_objective_stops_at_the_rounding_floor():
     # min 0 subject to X00 = X11 = 1: any X01 in [-1, 1] is optimal, and
     # the merit falls about 100x per iteration. Past the tolerance the solve
-    # must end once the merit reaches the rounding unit, not run on until it
-    # underflows and the scaling breaks down (which raised warnings here).
+    # must end once the merit reaches its floor, a tenth of the tolerance or
+    # the rounding unit when that is larger, not run on until it underflows
+    # and the scaling breaks down (which raised warnings here).
     problem = ConicProblem(sense="min", c=np.zeros(3), A=no_scalars(2), b=np.ones(2),
                            psd_dims=(2,), psd_rows=DIAGONAL_ROWS)
-    sol = solve(problem)
-    assert sol.status == "optimal"
-    assert sol.iterations <= 10
-    assert sol.message == "best iterate returned: merit reached the rounding unit"
-    x, = sol.psd_matrices(problem)
-    assert np.allclose(np.diag(x), 1.0, atol=1e-9) and abs(x[0, 1]) <= 1.0
+    for tol, iterations in ((solver.DEFAULT_TOL, 5), (1e-20, 11)):
+        sol = solve(problem, tol=tol)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 10 or tol < solver._MERIT_FLOOR
+        assert (sol.iterations, len(sol.history) - 1) == (iterations, iterations)
+        assert sol.message == "best iterate returned: merit reached its floor"
+        x, = sol.psd_matrices(problem)
+        assert np.allclose(np.diag(x), 1.0, atol=1e-9) and abs(x[0, 1]) <= 1.0
 
 
 def _rho6_program(kind, eps, max_var_degree):
@@ -400,6 +403,10 @@ README_LAMBDA = ("lambda", 0.49, 7)
 @pytest.mark.parametrize("program, patch, status, message, returned, last", [
     (README_LAMBDA, None, "optimal",
      "best iterate returned: no further progress after convergence", 10, 11),
+    # Its merit falls to a tenth of the tolerance: the iterate that gets
+    # there is returned, and no step is taken past it.
+    (("lambda", 0.48, 8), None, "optimal", "best iterate returned: merit reached its floor",
+     11, 11),
     (("lambda", 0.5, 3), None, "infeasible", "primal infeasibility certificate found", 7, 7),
     # eps_D (1 + 1e-6), eps_D the (3, 6) threshold: no lambda of degree up
     # to 3 is feasible, and the solver fails to certify it.
@@ -414,7 +421,7 @@ README_LAMBDA = ("lambda", 0.49, 7)
     (README_LAMBDA, _step_equation_degenerate, "numerical-failure",
      "degenerate step equation", 0, 0),
     (README_LAMBDA, _no_step_stays_inside, "numerical-failure", "step length collapsed", 0, 0),
-], ids=["stall", "infeasible", "diverged", "unbounded", "iteration-cap", "post-hoc",
+], ids=["stall", "floor", "infeasible", "diverged", "unbounded", "iteration-cap", "post-hoc",
         "factorization", "degenerate-step", "step-collapse"])
 def test_each_stop_rule_ends_in_its_status_and_message(monkeypatch, program, patch,
                                                        status, message, returned, last):
@@ -745,6 +752,40 @@ def test_scaled_direction_solves_the_newton_system(rng):
             residuals = newton_residuals(A, core.b, c, problem.n_nonneg, problem.psd_dims,
                                          (xs, y, zs, tau, kappa), step, 0.7, sigma_mu)
             assert max(residuals.values()) <= 1e-10, residuals
+
+
+def test_objective_off_the_blocks_skips_their_congruence(rng, monkeypatch):
+    # The README lambda program has its objective on the taps, as every sos
+    # program has: the KKT system scales and dots only the orthant part of
+    # c, to the bits of the full congruence R' c R and its row products.
+    problem = _rho6_program(*README_LAMBDA)
+    core, full = solver._Core(problem), solver._Core(problem)
+    assert not core.c_in_blocks
+    full.c_in_blocks = True
+    p = problem.b.size
+    for _ in range(3):
+        xs, zs = _random_interior(rng, problem), _random_interior(rng, problem)
+        scal = solver._Scaling(core, core.flat(xs), core.flat(zs))
+        r_p, r_d = rng.normal(size=p), core.flat(rng.normal(size=problem.n_cols))
+        kkt, ref = (solver._KKT(c, scal, 1.5, 0.5, r_p, r_d, 0.1) for c in (core, full))
+        assert kkt.chat.tobytes() == scal.scale(core.c).tobytes() == ref.chat.tobytes()
+        for got, want in ((kkt.dy1, ref.dy1), (kkt.dx1, ref.dx1)):
+            assert got.tobytes() == want.tobytes()
+        assert kkt.denom == ref.denom
+    # test_sdp_diagonal's objective is the trace of its block: it must still
+    # go through the congruence, once per iteration.
+    prob = ConicProblem(sense="min", c=svec(np.eye(2)), A=no_scalars(2),
+                        b=np.array([1.0, 2.0]), psd_dims=(2,), psd_rows=DIAGONAL_ROWS)
+    block_core = solver._Core(prob)
+    assert block_core.c_in_blocks
+    scaled, scale = [], solver._Scaling.scale
+
+    def spy(self, v):
+        scaled.append(np.array_equal(v, block_core.c))
+        return scale(self, v)
+    monkeypatch.setattr(solver._Scaling, "scale", spy)
+    sol = solve(prob)
+    assert sol.status == "optimal" and sum(scaled) == len(sol.history) - 1
 
 
 def test_solves_repeat_to_the_bit():
